@@ -5,10 +5,7 @@ and Poincare-inequality certificates."""
 from ._kernels import BACKEND, NUMBA_ENABLED
 from .ensemble import (Density1D, Ensemble, Moments, compute_moments,
                        density_from_function, gaussian_fit, kde_density_1d)
-from .filters import (FilterKind, FilterRun, FilterState, run_filter,
-                      step_crisan_continuous, step_crisan_xiong,
-                      step_delta_fpf, step_delta_reich, step_enkbf,
-                      step_fpf_continuous)
+from .filters import FilterKind, FilterRun, run_filter, step
 from .gain import (GainField, assemble_filter_coefficients, continuous_gain,
                    monomial_basis, solve_1d_integral, solve_constant_gain,
                    solve_exact_gaussian, solve_fundamental_mc, solve_galerkin)

@@ -33,6 +33,7 @@ import numpy as np
 from .ensemble import Density1D
 from .errors import ConfigError, FlowFilterError, NonNestedMeshes
 from .filters import FilterKind, FilterRun, run_filter
+from .gain import ASSEMBLERS, GAIN_OPTS
 from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import ObservationPath, TimeGrid, simulate_observations, simulate_truth
@@ -131,6 +132,17 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
+def _check_opts(opts, allowed: dict, path: str):
+    """Every key of opts is allowed; a nested spec checks its value."""
+    if not isinstance(opts, dict):
+        raise ConfigError(path, "must be an object")
+    for key, value in opts.items():
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}", f"unknown; allowed: {sorted(allowed)}")
+        if allowed[key] is not None:
+            _check_opts(value, allowed[key], f"{path}.{key}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
@@ -173,7 +185,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                             mass_matrix=f.get("mass_matrix"))
         except ValueError as exc:
             raise ConfigError(f"filters[{i}]", str(exc)) from None
-        filters.append(FilterSpec(kind=fk, gain=f.get("gain", "exact_gaussian"),
+        gain = f.get("gain", "exact_gaussian")
+        if gain not in ASSEMBLERS[fk.label()]:
+            raise ConfigError(f"filters[{i}].gain", f"{fk.label()} takes "
+                              f"{sorted(ASSEMBLERS[fk.label()])}, not {gain!r}")
+        _check_opts(f.get("gain_opts", {}), GAIN_OPTS.get(gain, {}),
+                    f"filters[{i}].gain_opts")
+        filters.append(FilterSpec(kind=fk, gain=gain,
                                   gain_opts=f.get("gain_opts", {})))
 
     seeds = _need(raw, "seeds", "")
@@ -190,6 +208,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError("sweep.delta", f"delta {dv} does not divide "
                                   f"the horizon {horizon}")
+        for i, spec in enumerate(filters):   # each is compared with its twin
+            twin, twin_gain = CONTINUOUS_TWIN.get(spec.kind.tag, (None, None))
+            if twin is None or (twin_gain or spec.gain) not in ASSEMBLERS[twin]:
+                raise ConfigError(f"filters[{i}].kind", f"{spec.label()} has no "
+                                  "continuous-time twin to sweep delta against")
 
     return ExperimentConfig(model_name=name, model_params=model,
                             grid=grid, init=init, ensemble_size=n,
@@ -234,12 +257,6 @@ def _initial_cloud(config: ExperimentConfig, d: int, n: Optional[int] = None,
     n = n or config.ensemble_size
     seed = config.seeds["filter"] if seed is None else seed
     return config.init.sample(n, CounterStream(seed, label=0).normals(0, (n, d)))
-
-
-def _slope_drive(path: ObservationPath) -> np.ndarray:
-    """Per-fine-step increments of the smoothed path (slope * fine_dt)."""
-    spm = path.grid.steps_per_mesh
-    return np.repeat(path.slopes, spm) * path.grid.fine_dt
 
 
 def _gaussian_grid_density(init: InitialDensity, half_width: float,
@@ -288,7 +305,7 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
                         path: ObservationPath):
     """Mesh-point reference moments driven by the identical slope process."""
     grid = config.grid
-    drive = _slope_drive(path)
+    drive = path.fine_slopes() * path.grid.fine_dt   # smoothed-path increments
     if model.kind == "linear_gaussian" and config.reference.get("kalman_bucy", True):
         st = KalmanBucyState(mean=config.init.mean, cov=config.init.cov)
         means, covs = run_kalman_bucy(model.A, model.h_row(), st, drive,
@@ -474,10 +491,8 @@ def run_delta_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
             trends[(spec.label(), seed)] = _spearman(
                 np.arange(len(deltas), dtype=float), arr) \
                 if len(deltas) > 1 else float("nan")
-            if len(deltas) > 1 and np.all(np.diff(arr) <= 1e-15):
-                monotone[spec.label()] = monotone.get(spec.label(), 0) + 1
-            else:
-                monotone.setdefault(spec.label(), monotone.get(spec.label(), 0))
+            monotone[spec.label()] = monotone.get(spec.label(), 0) + int(
+                len(deltas) > 1 and bool(np.all(np.diff(arr) <= 1e-15)))
 
     # ensemble-size sweep at the configured delta
     for n_val in [int(v) for v in sweep.get("n", [])]:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateCloud
+from .errors import DegenerateCloud, DimensionError
 from .models import SystemModel
 
 
@@ -29,13 +29,10 @@ class Ensemble:
             raise ValueError("ensemble contains non-finite entries")
         object.__setattr__(self, "particles", p)
 
-    @property
-    def n(self) -> int:
-        return self.particles.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
+def particles_of(cloud) -> np.ndarray:
+    """The (n, d) particles of an Ensemble; a bare (n, d) array passes as is."""
+    return cloud.particles if isinstance(cloud, Ensemble) else cloud
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,10 @@ class Density1D:
         return float(np.trapezoid((self.grid - m) ** 2 * self.values, self.grid))
 
 
-def compute_moments(ens: Ensemble, model: SystemModel) -> Moments:
+def compute_moments(ens, model: SystemModel) -> Moments:
     """Single pass over the cloud: mean, unbiased covariance, h statistics."""
-    x = ens.particles
-    n = ens.n
+    x = particles_of(ens)
+    n = x.shape[0]
     mean = x.mean(axis=0)
     centred = x - mean
     cov = centred.T @ centred / (n - 1)
@@ -106,14 +103,15 @@ def compute_moments(ens: Ensemble, model: SystemModel) -> Moments:
                    cov_xh=cov_xh)
 
 
-def gaussian_fit(ens: Ensemble):
+def gaussian_fit(ens):
     """Mean and covariance only; covariance ridged by 1e-12 I if singular."""
-    x = ens.particles
+    x = particles_of(ens)
+    n, d = x.shape
     mean = x.mean(axis=0)
     centred = x - mean
-    cov = centred.T @ centred / (ens.n - 1)
-    if np.linalg.matrix_rank(cov) < ens.dim:
-        cov = cov + 1e-12 * np.eye(ens.dim)
+    cov = centred.T @ centred / (n - 1)
+    if np.linalg.matrix_rank(cov) < d:
+        cov = cov + 1e-12 * np.eye(d)
     return mean, cov
 
 
@@ -122,7 +120,7 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 1.06 * sigma * samples.size ** (-0.2)
 
 
-def kde_density_1d(ens: Ensemble, grid_points: int = 801,
+def kde_density_1d(ens, grid_points: int = 801,
                    half_width: Optional[float] = None,
                    bandwidth=None, pad_sigmas: float = 8.0) -> Density1D:
     """Gaussian-kernel density on a uniform grid, renormalized to unit mass.
@@ -133,9 +131,10 @@ def kde_density_1d(ens: Ensemble, grid_points: int = 801,
     value) so the tail mass off the grid is negligible for near-Gaussian
     clouds.
     """
-    if ens.dim != 1:
-        raise ValueError("kde_density_1d requires a 1D ensemble")
-    xs = ens.particles[:, 0]
+    x = particles_of(ens)
+    if x.shape[1] != 1:
+        raise DimensionError("kde_density_1d requires a 1D ensemble")
+    xs = x[:, 0]
     var = float(np.var(xs, ddof=1))
     if var < 1e-14:
         raise DegenerateCloud(f"sample variance {var:.3e} below 1e-14")
@@ -154,7 +153,8 @@ def kde_density_1d(ens: Ensemble, grid_points: int = 801,
     half_k = int(np.ceil(8.0 * bw / dx))
     u = np.arange(-half_k, half_k + 1) * dx
     kernel = np.exp(-0.5 * (u / bw) ** 2)
-    values = np.convolve(counts, kernel, mode="same")
+    # centred slice of the full convolution: mode="same" breaks on long kernels
+    values = np.convolve(counts, kernel)[half_k:half_k + grid_points]
     values = np.maximum(values, 0.0)
     return Density1D(grid=grid, values=values, bandwidth=bw)
 
@@ -166,11 +166,12 @@ def density_from_function(pdf, half_width: float, grid_points: int = 4001,
     return Density1D(grid=grid, values=np.maximum(pdf(grid), 0.0))
 
 
-def save_ensemble_csv(filename, ens: Ensemble):
+def save_ensemble_csv(filename, ens):
+    x = particles_of(ens)
     with open(filename, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["particle"] + [f"x_{j + 1}" for j in range(ens.dim)])
-        for i, row in enumerate(ens.particles):
+        w.writerow(["particle"] + [f"x_{j + 1}" for j in range(x.shape[1])])
+        for i, row in enumerate(x):
             w.writerow([i] + [format(v, ".17g") for v in row])
 
 

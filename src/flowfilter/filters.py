@@ -1,37 +1,31 @@
-"""Interacting-particle steps for the McKean-Vlasov filter catalog.
+"""The step engine and run driver of the McKean-Vlasov filter catalog.
 
-Every delta-filter advances particles by the generic update
+Every filter advances particles by the one update
 
-    x <- x + drift(x) dt + dV + (a(x) + K(x) * slope) dt
+    x <- x + M(x) dt + dV + (a(x) + K(x) * slope) dt
 
-with (a, K) assembled per filter kind; the continuous-time filters consume
-raw increments dZ and carry the Ito correction (1/2)(grad K)^T K instead
-of an auxiliary potential.  A step is a barrier-synchronised two-phase
-loop: solve the fields from the current cloud, then move every particle.
-Noise comes from counter-based streams (one block per step, one slot per
-particle), so trajectories are bitwise reproducible for a given seed
-regardless of scheduling.
+with (a, K) from the (kind, gain) row of gain.ASSEMBLERS.  Delta filters
+see the slope of the smoothed path on the current mesh interval, the
+continuous-time filters slope = dZ/dt of the fine step.  A step solves the
+fields from the current cloud, then moves every particle.  Noise comes from
+counter-based streams (one block per step, one slot per particle), so runs
+are bitwise reproducible for a given seed regardless of scheduling.
 """
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .ensemble import Ensemble, compute_moments
-from .errors import (DimensionError, FilterAborted, FlowFilterError,
-                     ModelMismatch, NonFiniteState)
-from .gain import (CoefficientSet, assemble_filter_coefficients,
-                   continuous_gain, _exact_coefficients)
+from .errors import FilterAborted, FlowFilterError, NonFiniteState
+from .gain import (ASSEMBLERS, CoefficientSet, assemble_filter_coefficients,
+                   kind_label)
+# bound here only for the tracer in perfbench/layers.py, which wraps them
+from .gain import _exact_coefficients, continuous_gain  # noqa: F401
 from .models import SystemModel
 from .paths import ObservationPath, TimeGrid
 from .rng import CounterStream
-
-DELTA_TAGS = ("delta_fpf", "delta_reich", "crisan_xiong", "enkbf")
-CONTINUOUS_TAGS = ("fpf_continuous", "crisan_continuous")
-ALL_TAGS = DELTA_TAGS + CONTINUOUS_TAGS
-MASS_MATRICES = ("identity", "rho_identity", "cov_inverse")
 
 
 @dataclass(frozen=True)
@@ -39,242 +33,94 @@ class FilterKind:
     tag: str
     mass_matrix: Optional[str] = None
 
-    def __post_init__(self):
-        if self.tag not in ALL_TAGS:
-            raise ValueError(f"unknown filter tag {self.tag!r}")
-        if self.tag == "delta_reich":
-            if self.mass_matrix not in MASS_MATRICES:
-                raise ValueError("delta_reich needs mass_matrix in "
-                                 f"{MASS_MATRICES}")
-        elif self.mass_matrix is not None:
-            raise ValueError("mass_matrix is a delta_reich option only")
+    def __post_init__(self):     # mass_matrix is delta_reich's, which needs one
+        if self.label() not in ASSEMBLERS or (
+                self.mass_matrix is not None and self.tag != "delta_reich"):
+            raise ValueError(f"unknown filter kind {self.tag!r} with mass_matrix "
+                             f"{self.mass_matrix!r}; known: {sorted(ASSEMBLERS)}")
 
     @property
     def consumes_slope(self) -> bool:
-        return self.tag in DELTA_TAGS
+        return self.tag not in ("fpf_continuous", "crisan_continuous")
 
     def label(self) -> str:
-        if self.tag == "delta_reich":
-            return f"delta_reich({self.mass_matrix})"
-        return self.tag
+        return kind_label(self.tag, self.mass_matrix)
 
 
-@dataclass(frozen=True)
-class FilterState:
-    ensemble: Ensemble
-    time: float
-    kind: FilterKind
-    gain_method: str
-    step_index: int = 0
-    step_log: tuple = ()
-
-    def with_particles(self, particles, dt, log_entry) -> "FilterState":
-        if not np.all(np.isfinite(particles)):
-            raise NonFiniteState(self.step_index + 1, self.kind.label())
-        return replace(self, ensemble=Ensemble(particles),
-                       time=self.time + dt,
-                       step_index=self.step_index + 1,
-                       step_log=self.step_log + (log_entry,))
-
-
-def _delta_step(state: FilterState, model: SystemModel, slope: float,
-                fine_dt: float, dv: np.ndarray, coeffs: CoefficientSet,
-                extra_log=None) -> FilterState:
-    x = state.ensemble.particles
-    upd = x + model.drift(x) * fine_dt + dv \
-        + (coeffs.a + coeffs.K * slope) * fine_dt
-    entry = {"step": state.step_index, "method": state.gain_method,
-             **coeffs.diagnostics}
-    if extra_log:
-        entry.update(extra_log)
-    return state.with_particles(upd, fine_dt, entry)
-
-
-def _assemble(state: FilterState, model, slope, **gain_opts) -> CoefficientSet:
-    return assemble_filter_coefficients(
-        state.kind.tag, state.ensemble, model, slope,
-        method=state.gain_method,
-        mass_matrix=state.kind.mass_matrix or "identity", **gain_opts)
-
-
-def step_delta_fpf(state: FilterState, model: SystemModel, slope: float,
-                   fine_dt: float, dv: np.ndarray, coeffs=None,
-                   **gain_opts) -> FilterState:
-    """x <- x + M(x) dt + dV + K(x)(slope dt - (h + hbar) dt / 2) + grad psi dt / 2."""
+def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,
+         slope: float, dt: float, dv: np.ndarray, moments=None,
+         coeffs: Optional[CoefficientSet] = None, **gain_opts):
+    """x + M(x) dt + dV + (a + K slope) dt for the particles x (n, d), with
+    (a, K) from coeffs or else the (kind, gain_method) row at the moments of
+    x.  Returns the new particles and the solver diagnostics; a density
+    floor over more than 10% is reported as degenerate_density, not fatal.
+    """
     if coeffs is None:
-        coeffs = _assemble(state, model, slope, **gain_opts)
-    return _delta_step(state, model, slope, fine_dt, dv, coeffs)
-
-
-def step_delta_reich(state: FilterState, model: SystemModel, slope: float,
-                     fine_dt: float, dv: np.ndarray, coeffs=None,
-                     **gain_opts) -> FilterState:
-    """x <- x + M(x) dt + dV + a(x) dt + K(x) slope dt with a = M^{-1} grad Omega,
-    K = M^{-1} grad Lambda; rho_identity delegates to the Crisan & Xiong fields."""
-    if coeffs is None:
-        coeffs = _assemble(state, model, slope, **gain_opts)
-    return _delta_step(state, model, slope, fine_dt, dv, coeffs)
-
-
-def step_crisan_xiong(state: FilterState, model: SystemModel, slope: float,
-                      fine_dt: float, dv: np.ndarray, coeffs=None,
-                      **gain_opts) -> FilterState:
-    """x <- x + M(x) dt + dV + (1/rho) grad u dt, grad u = grad alpha +
-    grad beta * slope; exact cumulative integrals in d = 1, the
-    fundamental-solution Monte-Carlo field with a floored KDE in d >= 2."""
-    if coeffs is None:
-        coeffs = _assemble(state, model, slope, **gain_opts)
-    extra = None
-    frac = coeffs.diagnostics.get("floor_frac", 0.0)
-    if frac > 0.10:
-        extra = {"degenerate_density": frac}   # reported, step still taken
-    return _delta_step(state, model, slope, fine_dt, dv, coeffs, extra_log=extra)
-
-
-def step_enkbf(state: FilterState, model: SystemModel, slope: float,
-               fine_dt: float, dv: np.ndarray, coeffs=None) -> FilterState:
-    """x <- x + A x dt + dV + P_hat H^T (dZ^delta - H(x + xbar) dt / 2)."""
-    if model.kind != "linear_gaussian":
-        raise ModelMismatch("enkbf requires a linear-Gaussian model")
-    if coeffs is None:
-        moments = compute_moments(state.ensemble, model)
-        coeffs = _exact_coefficients(state.ensemble, model, moments)
-    return _delta_step(state, model, slope, fine_dt, dv, coeffs)
-
-
-def _continuous_step(state, model, dz, fine_dt, dv, rhs_kind, **gain_opts):
-    K, ito, diags = continuous_gain(state.ensemble, model, state.gain_method,
-                                    rhs_kind=rhs_kind, **gain_opts)
-    x = state.ensemble.particles
-    h = model.obs(x)
-    h_bar = h.mean()
-    upd = x + model.drift(x) * fine_dt + dv \
-        + K * (dz - 0.5 * (h + h_bar) * fine_dt)[:, None] + ito * fine_dt
-    entry = {"step": state.step_index, "method": state.gain_method, **diags}
-    return state.with_particles(upd, fine_dt, entry)
-
-
-def step_fpf_continuous(state: FilterState, model: SystemModel, dz: float,
-                        fine_dt: float, dv: np.ndarray, **gain_opts) -> FilterState:
-    """Ito form of the continuous-time FPF: x <- x + M dt + dV +
-    K(dZ - (h + hbar) dt / 2) + (grad K)^T K dt / 2."""
-    return _continuous_step(state, model, dz, fine_dt, dv, "fpf_phi", **gain_opts)
-
-
-def step_crisan_continuous(state: FilterState, model: SystemModel, dz: float,
-                           fine_dt: float, dv: np.ndarray, **gain_opts) -> FilterState:
-    """Continuous-time Crisan & Xiong filter with K = grad beta / rho; in
-    d = 1 this gain coincides with the FPF gain and the steps agree."""
-    if state.ensemble.dim != 1:
-        raise DimensionError("continuous-time Crisan & Xiong limit is "
-                             "implemented in d = 1 only")
-    return _continuous_step(state, model, dz, fine_dt, dv, "crisan_beta",
-                            **gain_opts)
-
-
-_STEPPERS = {
-    "delta_fpf": step_delta_fpf,
-    "delta_reich": step_delta_reich,
-    "crisan_xiong": step_crisan_xiong,
-    "enkbf": step_enkbf,
-}
+        if moments is None:
+            moments = compute_moments(x, model)
+        coeffs = assemble_filter_coefficients(
+            kind.tag, x, model, moments, gain_method,
+            mass_matrix=kind.mass_matrix, **gain_opts)
+    new = x + model.drift(x) * dt + dv + (coeffs.a + coeffs.K * slope) * dt
+    diags = dict(coeffs.diagnostics)
+    if diags.get("floor_frac", 0.0) > 0.10:
+        diags["degenerate_density"] = diags["floor_frac"]
+    return new, diags
 
 
 @dataclass
 class FilterRun:
-    kind: FilterKind
-    gain_method: str
-    seed: int
     times: np.ndarray
     means: np.ndarray           # (n_mesh + 1, d)
     covs: np.ndarray            # (n_mesh + 1, d, d)
     h_bars: np.ndarray
     step_log: list
-    final_state: FilterState
-    wall_clock: float = 0.0
+    final_particles: np.ndarray
 
 
 def run_filter(kind: FilterKind, model: SystemModel, path: ObservationPath,
                init_particles: np.ndarray, grid: TimeGrid, gain_method: str,
-               seed: int, gain_update: str = "fine",
-               gain_opts: Optional[dict] = None) -> FilterRun:
-    """Iterate the filter over the fine grid; the slope is constant within
-    each mesh interval, continuous-time kinds consume raw increments.
-    Moments are recorded at every mesh point.  Deterministic given the seed.
-
-    gain_update="mesh" freezes the coefficient fields over each mesh
-    interval (flagged approximation; the default recomputes every fine
-    step since the law evolves continuously).
+               seed: int, gain_opts: Optional[dict] = None) -> FilterRun:
+    """Iterate the filter over the fine grid, reassembling the coefficient
+    fields every fine step since the law evolves continuously.  Moments are
+    computed once a step and recorded at every mesh point.
     """
-    t_start = time.perf_counter()
     gain_opts = dict(gain_opts or {})
-    state = FilterState(ensemble=Ensemble(init_particles), time=grid.t0,
-                        kind=kind, gain_method=gain_method)
+    x = Ensemble(init_particles).particles
+    n, d = x.shape
     noise = CounterStream(seed, label=1)
-    n, d = state.ensemble.particles.shape
     spm = grid.steps_per_mesh
     sqdt = np.sqrt(grid.fine_dt)
+    slopes = path.fine_slopes() if kind.consumes_slope \
+        else path.fine_increments() / grid.fine_dt
 
     times = grid.mesh_times()
     means = np.empty((grid.n_mesh + 1, d))
     covs = np.empty((grid.n_mesh + 1, d, d))
     h_bars = np.empty(grid.n_mesh + 1)
+    step_log = []
 
-    def record(slot, st):
-        m = compute_moments(st.ensemble, model)
-        means[slot] = m.mean
-        covs[slot] = m.cov
-        h_bars[slot] = m.h_bar
+    def record(slot, m):
+        means[slot], covs[slot], h_bars[slot] = m.mean, m.cov, m.h_bar
 
-    record(0, state)
-    stepper = _STEPPERS.get(kind.tag)
-    frozen = None
-
-    def partial_run(upto_mesh):
-        return FilterRun(kind=kind, gain_method=gain_method, seed=seed,
-                         times=times[:upto_mesh + 1],
-                         means=means[:upto_mesh + 1],
-                         covs=covs[:upto_mesh + 1],
-                         h_bars=h_bars[:upto_mesh + 1],
-                         step_log=list(state.step_log), final_state=state,
-                         wall_clock=time.perf_counter() - t_start)
+    def result(upto_mesh):      # the run up to and including that mesh point
+        upto = slice(upto_mesh + 1)
+        return FilterRun(times[upto], means[upto], covs[upto], h_bars[upto],
+                         step_log, final_particles=x)
 
     for k in range(grid.n_fine):
+        moments = compute_moments(x, model)
+        if k % spm == 0:
+            record(k // spm, moments)
         dv = sqdt * noise.normals(k, (n, d))
         try:
-            if kind.consumes_slope:
-                slope = float(path.slopes[k // spm])
-                if gain_update == "mesh":
-                    if k % spm == 0:
-                        if kind.tag == "enkbf":
-                            frozen = _exact_coefficients(
-                                state.ensemble, model,
-                                compute_moments(state.ensemble, model))
-                        else:
-                            frozen = _assemble(state, model, slope, **gain_opts)
-                    coeffs = frozen
-                else:
-                    coeffs = None
-                if kind.tag == "enkbf":
-                    state = stepper(state, model, slope, grid.fine_dt, dv,
-                                    coeffs=coeffs)
-                else:
-                    state = stepper(state, model, slope, grid.fine_dt, dv,
-                                    coeffs=coeffs, **gain_opts)
-            else:
-                dz = float(path.z[k + 1] - path.z[k])
-                if kind.tag == "fpf_continuous":
-                    state = step_fpf_continuous(state, model, dz, grid.fine_dt,
-                                                dv, **gain_opts)
-                else:
-                    state = step_crisan_continuous(state, model, dz,
-                                                   grid.fine_dt, dv,
-                                                   **gain_opts)
+            new, diags = step(kind, gain_method, model, x, slopes[k],
+                              grid.fine_dt, dv, moments=moments, **gain_opts)
+            if not np.all(np.isfinite(new)):
+                raise NonFiniteState(k + 1, kind.label())
         except FlowFilterError as exc:
-            raise FilterAborted(k, exc, partial=partial_run(k // spm)) from exc
-        if (k + 1) % spm == 0:
-            record((k + 1) // spm, state)
-    return FilterRun(kind=kind, gain_method=gain_method, seed=seed,
-                     times=times, means=means, covs=covs, h_bars=h_bars,
-                     step_log=list(state.step_log), final_state=state,
-                     wall_clock=time.perf_counter() - t_start)
+            raise FilterAborted(k, exc, partial=result(k // spm)) from exc
+        x = new
+        step_log.append({"step": k, "method": gain_method, **diags})
+    record(grid.n_mesh, compute_moments(x, model))
+    return result(grid.n_mesh)

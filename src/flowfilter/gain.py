@@ -7,7 +7,7 @@ Poisson equations against the current law rho:
   unweighted (Crisan&Xiong): lap p = rhs * rho
 
 with rhs one of -(h - hbar), (r - rbar) with r = grad h . K, or
-+-(h^2 - h2bar)/2.  Four solver routes are provided:
++-(h^2 - h2bar)/2.  Five solver routes are provided:
 
   * solve_exact_gaussian  - closed form for linear observation under a
     Gaussian law: constant gain P H^T, zero auxiliary potential;
@@ -22,8 +22,9 @@ with rhs one of -(h - hbar), (r - rbar) with r = grad h . K, or
     gradient for the unweighted equation in d >= 2, with an epsilon
     cutoff of the singular kernel.
 
-assemble_filter_coefficients maps a filter tag to the drift field a(x_i)
-and gain field K(x_i) of its McKean-Vlasov representation.
+ASSEMBLERS maps each (filter kind, gain method) pair to the drift field
+a(x_i) and gain field K(x_i) of its McKean-Vlasov representation; the
+pairs it holds are the only ones that exist.
 """
 
 import math
@@ -34,7 +35,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import _kernels
-from .ensemble import Density1D, Ensemble, Moments, compute_moments, kde_density_1d
+from .ensemble import (Density1D, Moments, compute_moments, kde_density_1d,
+                       particles_of)
 from .errors import (DimensionError, IllConditioned, ModelMismatch,
                      SingularCovariance, UnresolvedTail)
 from .models import SystemModel
@@ -42,26 +44,19 @@ from .models import SystemModel
 EPS_RHO = 1e-8
 RIDGE = 1e-10
 
-K_RHS_KINDS = ("fpf_phi", "crisan_beta", "reich_lambda")
-DRIFT_RHS_KINDS = ("fpf_psi", "reich_omega", "crisan_alpha")
-
 
 @dataclass
 class GainField:
     """Per-particle gain vectors plus solver diagnostics.
 
-    For 1D grid solvers the grid tables (gain and centred potential) are
-    kept so downstream code can interpolate or differentiate the field.
+    1D grid solvers keep the gain on their grid so it can be interpolated
+    or differentiated; Galerkin solvers keep the basis coefficients.
     """
 
     at_particles: Optional[np.ndarray]      # (n, d)
-    method: str
-    rhs_kind: str
     aux_drift: Optional[np.ndarray] = None  # (n, d)
     diagnostics: dict = field(default_factory=dict)
-    grid: Optional[np.ndarray] = None
     gain_grid: Optional[np.ndarray] = None
-    potential_grid: Optional[np.ndarray] = None
     coefficients: Optional[np.ndarray] = None
 
 
@@ -74,8 +69,7 @@ def solve_exact_gaussian(moments: Moments, H) -> GainField:
         raise SingularCovariance(f"covariance eigenvalues {np.linalg.eigvalsh(P)}")
     K = P @ Hrow
     at = np.tile(K, (moments.n, 1))
-    return GainField(at_particles=at, method="exact_gaussian", rhs_kind="fpf_phi",
-                     aux_drift=np.zeros_like(at),
+    return GainField(at_particles=at, aux_drift=np.zeros_like(at),
                      diagnostics={"residual": 0.0, "centring": 0.0})
 
 
@@ -84,7 +78,7 @@ def solve_constant_gain(moments: Moments) -> GainField:
     K = Cov(x, h) under the empirical (1/n) measure."""
     K = moments.cov_xh * (moments.n - 1) / moments.n
     at = np.tile(K, (moments.n, 1))
-    return GainField(at_particles=at, method="constant", rhs_kind="fpf_phi",
+    return GainField(at_particles=at,
                      diagnostics={"residual": 0.0, "centring": 0.0})
 
 
@@ -113,13 +107,12 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     x2 = g.reshape(-1, 1)
     h = model.obs(x2)
     rho_f = np.maximum(rho, eps_floor)
-    floor_frac = float(np.mean(rho < eps_floor))
+    # density mass below the floor, not the share of (mostly tail) grid points
+    floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
 
     if rhs_kind in ("fpf_phi", "crisan_beta", "reich_lambda"):
         hb = float(np.trapezoid(h * rho, g)) if h_bar is None else float(h_bar)
         I = _cumint((h - hb) * rho, dx)
-        if abs(I[-1]) > 1e-6:
-            raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
         gain_grid = -I / rho_f
         # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
         resid = float(np.max(np.abs(np.gradient(-I, dx) + (h - hb) * rho)))
@@ -131,8 +124,6 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
         hb = float(np.trapezoid(h * rho, g)) if h_bar is None else float(h_bar)
         h2b = float(np.trapezoid(h * h * rho, g))
         I = _cumint((h - hb) * rho, dx)
-        if abs(I[-1]) > 1e-6:
-            raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
         S = _cumint((h * h - h2b) * rho, dx)
         rho_psi_p = S - (h + hb) * I
         gain_grid = rho_psi_p / rho_f
@@ -144,12 +135,12 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     elif rhs_kind in ("reich_omega", "crisan_alpha"):
         h2b = float(np.trapezoid(h * h * rho, g))
         I = _cumint(0.5 * (h * h - h2b) * rho, dx)
-        if abs(I[-1]) > 1e-6:
-            raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
         gain_grid = I / rho_f
         resid = float(np.max(np.abs(np.gradient(I, dx) - 0.5 * (h * h - h2b) * rho)))
     else:
         raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
+    if abs(I[-1]) > 1e-6:       # every rhs integrates to 0 over the line
+        raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
 
     potential = _cumint(gain_grid, dx)
     potential -= np.trapezoid(potential * rho, g)
@@ -159,8 +150,7 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
         at = np.interp(xs, g, gain_grid).reshape(-1, 1)
-    return GainField(at_particles=at, method="integral_1d", rhs_kind=rhs_kind,
-                     grid=g, gain_grid=gain_grid, potential_grid=potential,
+    return GainField(at_particles=at, gain_grid=gain_grid,
                      diagnostics={"residual": resid, "centring": centring,
                                   "epsilon": eps_floor, "floor_frac": floor_frac})
 
@@ -217,7 +207,7 @@ def monomial_basis(dim: int, quadratic: bool = False):
     return basis
 
 
-def solve_galerkin(ens: Ensemble, model: SystemModel, rhs_kind: str,
+def solve_galerkin(ens, model: SystemModel, rhs_kind: str,
                    basis=None, m_inv: Optional[np.ndarray] = None,
                    prior_gain: Optional[np.ndarray] = None,
                    ridge: float = RIDGE) -> GainField:
@@ -228,10 +218,11 @@ def solve_galerkin(ens: Ensemble, model: SystemModel, rhs_kind: str,
     followed by two iterative-refinement sweeps, so the ridge stabilises
     degenerate clouds without biasing well-conditioned systems.
     """
-    x = ens.particles
+    x = particles_of(ens)
     n, d = x.shape
     if basis is None:
-        basis = monomial_basis(d, quadratic=rhs_kind in DRIFT_RHS_KINDS)
+        basis = monomial_basis(d, quadratic=rhs_kind in ("fpf_psi", "reich_omega",
+                                                         "crisan_alpha"))
     nb = len(basis)
     if n <= nb:
         raise ValueError("need more particles than basis functions")
@@ -254,7 +245,7 @@ def solve_galerkin(ens: Ensemble, model: SystemModel, rhs_kind: str,
         load = np.array([np.mean((h - h_bar) * v) for v in vals])
     elif rhs_kind == "fpf_psi":
         if prior_gain is None:
-            prior_gain = solve_galerkin(ens, model, "fpf_phi",
+            prior_gain = solve_galerkin(x, model, "fpf_phi",
                                         basis=monomial_basis(d), m_inv=m_inv,
                                         ridge=ridge).at_particles
         r = np.sum(model.obs_grad(x) * prior_gain, axis=1)
@@ -280,28 +271,25 @@ def solve_galerkin(ens: Ensemble, model: SystemModel, rhs_kind: str,
         pot += c[j] * vals[j]
     pot -= pot.mean()
     centring = float(abs(pot.mean()))
-    return GainField(at_particles=K, method="galerkin", rhs_kind=rhs_kind,
-                     coefficients=c,
+    return GainField(at_particles=K, coefficients=c,
                      diagnostics={"residual": residual, "centring": centring,
-                                  "condition_number": cond},
-                     potential_grid=None)
+                                  "condition_number": cond})
 
 
-def galerkin_ito_drift(ens: Ensemble, model: SystemModel, fld: GainField,
-                       basis=None, m_inv=None) -> np.ndarray:
+def galerkin_ito_drift(ens, model: SystemModel, fld: GainField,
+                       basis=None) -> np.ndarray:
     """(1/2) (grad K)^T K for a Galerkin field, from the basis Hessians."""
-    x = ens.particles
+    x = particles_of(ens)
     n, d = x.shape
     if basis is None:
         basis = monomial_basis(d)
-    Minv = np.eye(d) if m_inv is None else np.atleast_2d(m_inv)
     K = fld.at_particles
     out = np.zeros((n, d))
     for j, b in enumerate(basis):
         if b.hess is None:
             raise ValueError(f"basis {b.name} lacks a Hessian")
         Hj = b.hess(x)                       # (n, d, d)
-        out += fld.coefficients[j] * np.einsum("nij,nj->ni", Hj @ Minv.T, K)
+        out += fld.coefficients[j] * np.einsum("nij,nj->ni", Hj, K)
     return 0.5 * out
 
 
@@ -328,40 +316,44 @@ class FundamentalField:
         return raw / (self.sources.shape[0] * unit_sphere_area(d))
 
 
-def solve_fundamental_mc(ens: Ensemble, m_values: np.ndarray,
+def solve_fundamental_mc(ens, m_values: np.ndarray,
                          epsilon: Optional[float] = None) -> FundamentalField:
     """grad u(x) = (1/omega_d) (1/N) sum_i (y_i - x) (m_i - mbar) / max(|x-y_i|, eps)^d.
 
     Self-interactions (y_i == x) are skipped; the default cutoff is
     eps = N^{-1/d} and is reported through the field object."""
-    if ens.dim < 2:
+    x = particles_of(ens)
+    n, d = x.shape
+    if d < 2:
         raise DimensionError("fundamental-solution route requires d >= 2 "
                              "(use solve_1d_integral in d = 1)")
     m = np.asarray(m_values, dtype=float).reshape(-1)
-    if m.shape[0] != ens.n:
+    if m.shape[0] != n:
         raise ValueError("m_values must have one entry per particle")
-    eps = float(ens.n ** (-1.0 / ens.dim)) if epsilon is None else float(epsilon)
+    eps = float(n ** (-1.0 / d)) if epsilon is None else float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    return FundamentalField(sources=ens.particles, m_centered=m - m.mean(),
-                            epsilon=eps)
+    return FundamentalField(sources=x, m_centered=m - m.mean(), epsilon=eps)
 
 
-def multivariate_kde_at_points(ens: Ensemble, points: Optional[np.ndarray] = None,
+def multivariate_kde_at_points(ens, points: Optional[np.ndarray] = None,
                                eps_floor: float = EPS_RHO):
     """Product-Gaussian KDE evaluated at particle locations (d >= 2 Crisan
     1/rho factor).  Returns (values, floored_values, floor_fraction)."""
-    pts = ens.particles if points is None else np.atleast_2d(points)
-    n, d = ens.particles.shape
-    sig = np.std(ens.particles, axis=0, ddof=1)
+    x = particles_of(ens)
+    pts = x if points is None else np.atleast_2d(points)
+    n, d = x.shape
+    sig = np.std(x, axis=0, ddof=1)
     bw = sig * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0))
-    vals = _kernels.kde_eval_points(pts, ens.particles, bw)
+    vals = _kernels.kde_eval_points(pts, x, bw)
     floored = np.maximum(vals, eps_floor)
     return vals, floored, float(np.mean(vals < eps_floor))
 
 
 # ---------------------------------------------------------------------------
-# filter-coefficient assembly
+# filter-coefficient assembly: a row maps (particles x, model, moments of x,
+# **gain options) to the (a, K) of the update x + M dt + dV + (a + K slope) dt;
+# continuous-time rows see slope = dZ/dt, a = (1/2)(grad K)^T K - K(h + hbar)/2
 
 @dataclass
 class CoefficientSet:
@@ -370,155 +362,180 @@ class CoefficientSet:
     diagnostics: dict
 
 
-def _exact_coefficients(ens, model, moments) -> CoefficientSet:
+def _centred_drift(K, x, model) -> np.ndarray:
+    """-K (h + hbar) / 2, the whole drift of a constant gain."""
+    h = model.obs(x)
+    return -0.5 * K * (h + h.mean())[:, None]
+
+
+def _exact_coefficients(x, model, moments) -> CoefficientSet:
     if model.H is None:
         raise ModelMismatch("exact-Gaussian gain needs a stored H row")
     fld = solve_exact_gaussian(moments, model.h_row())
-    K = fld.at_particles
-    h = model.obs(ens.particles)
-    a = -0.5 * K * (h + h.mean())[:, None]
-    return CoefficientSet(a=a, K=K, diagnostics=fld.diagnostics)
+    return CoefficientSet(_centred_drift(fld.at_particles, x, model),
+                          fld.at_particles, fld.diagnostics)
 
 
-def assemble_filter_coefficients(kind: str, ens: Ensemble, model: SystemModel,
-                                 slope: float, method: str,
-                                 mass_matrix: str = "identity",
-                                 density: Optional[Density1D] = None,
-                                 kde_opts: Optional[dict] = None,
-                                 basis=None,
-                                 eps_floor: float = EPS_RHO) -> CoefficientSet:
-    """Drift field a(x_i) and gain field K(x_i) for the requested filter.
-
-    kind in {delta_fpf, delta_reich, crisan_xiong, enkbf}; delta_reich
-    additionally honours mass_matrix in {identity, rho_identity,
-    cov_inverse}, where rho_identity delegates to the Crisan & Xiong
-    assembly (the two filters coincide) and cov_inverse folds P into the
-    weak form.  The slope enters only the Crisan & Xiong combination
-    m = h * slope - h^2 / 2.
-    """
-    moments = compute_moments(ens, model)
-    h = model.obs(ens.particles)
-    h_bar = h.mean()
-
-    if method == "exact_gaussian":
-        return _exact_coefficients(ens, model, moments)
-    if method == "constant":
-        fld = solve_constant_gain(moments)
-        K = fld.at_particles
-        if kind in ("delta_fpf", "enkbf"):
-            a = -0.5 * K * (h + h_bar)[:, None]     # psi contributes nothing constant
-            return CoefficientSet(a=a, K=K, diagnostics=fld.diagnostics)
-        raise ValueError(f"constant gain is defined for delta_fpf/enkbf, not {kind}")
-
-    if kind == "enkbf":
-        raise ModelMismatch("enkbf uses the exact-Gaussian coefficients")
-
-    if kind == "delta_reich" and mass_matrix == "rho_identity":
-        return assemble_filter_coefficients("crisan_xiong", ens, model, slope,
-                                            method, density=density,
-                                            kde_opts=kde_opts, basis=basis,
-                                            eps_floor=eps_floor)
-
-    if method == "integral_1d":
-        if ens.dim != 1:
-            raise DimensionError("integral_1d gain requires d = 1")
-        if density is None:
-            density = kde_density_1d(ens, **(kde_opts or {}))
-        xs = ens.particles[:, 0]
-        if kind in ("delta_fpf", "crisan_xiong", "delta_reich"):
-            k_kind = {"delta_fpf": "fpf_phi", "crisan_xiong": "crisan_beta",
-                      "delta_reich": "reich_lambda"}[kind]
-            kf = solve_1d_integral(density, model, k_kind, particles=xs,
-                                   eps_floor=eps_floor)
-            K = kf.at_particles
-            diags = dict(kf.diagnostics)
-            if kind == "delta_fpf":
-                # assemble a on the grid with the grid hbar, so the exact 1D
-                # identity a = -(h+hbar)K/2 + grad psi/2 = grad alpha / rho
-                # carries to the particles bitwise
-                psif = solve_1d_integral(density, model, "fpf_psi",
-                                         prior_gain_grid=kf.gain_grid,
-                                         eps_floor=eps_floor)
-                hg = model.obs(density.grid.reshape(-1, 1))
-                hbg = float(np.trapezoid(hg * density.values, density.grid))
-                a_grid = -0.5 * kf.gain_grid * (hg + hbg) + 0.5 * psif.gain_grid
-                a = np.interp(xs, density.grid, a_grid).reshape(-1, 1)
-                diags["psi_residual"] = psif.diagnostics["residual"]
-            else:
-                d_kind = "crisan_alpha" if kind == "crisan_xiong" else "reich_omega"
-                df = solve_1d_integral(density, model, d_kind, particles=xs,
-                                       eps_floor=eps_floor)
-                a = df.at_particles
-                diags["drift_residual"] = df.diagnostics["residual"]
-            return CoefficientSet(a=a, K=K, diagnostics=diags)
-        raise ValueError(f"unknown filter kind {kind!r}")
-
-    if method == "galerkin":
-        m_inv = moments.cov if (kind == "delta_reich" and mass_matrix == "cov_inverse") else None
-        kf = solve_galerkin(ens, model, "fpf_phi", basis=basis, m_inv=m_inv)
-        K = kf.at_particles
-        diags = dict(kf.diagnostics)
-        if kind == "delta_fpf":
-            psif = solve_galerkin(ens, model, "fpf_psi", m_inv=m_inv, prior_gain=K)
-            a = -0.5 * K * (h + h_bar)[:, None] + 0.5 * psif.at_particles
-        elif kind == "delta_reich":
-            of = solve_galerkin(ens, model, "reich_omega", m_inv=m_inv)
-            a = of.at_particles
-        elif kind == "crisan_xiong":
-            raise ValueError("crisan_xiong uses integral_1d (d=1) or the "
-                             "fundamental-solution route (d>=2)")
-        else:
-            raise ValueError(f"unknown filter kind {kind!r}")
-        return CoefficientSet(a=a, K=K, diagnostics=diags)
-
-    if method == "fundamental_mc":
-        if ens.dim < 2:
-            raise DimensionError("fundamental_mc requires d >= 2")
-        beta = solve_fundamental_mc(ens, h)
-        alpha = solve_fundamental_mc(ens, -0.5 * h * h)
-        grad_beta = beta.evaluate(ens.particles)
-        grad_alpha = alpha.evaluate(ens.particles)
-        _, rho_f, floor_frac = multivariate_kde_at_points(ens, eps_floor=eps_floor)
-        K = grad_beta / rho_f[:, None]
-        a = grad_alpha / rho_f[:, None]
-        return CoefficientSet(a=a, K=K,
-                              diagnostics={"epsilon": beta.epsilon,
-                                           "floor_frac": floor_frac})
-
-    raise ValueError(f"unknown gain method {method!r}")
+def _constant_coefficients(x, model, moments) -> CoefficientSet:
+    fld = solve_constant_gain(moments)
+    return CoefficientSet(_centred_drift(fld.at_particles, x, model),
+                          fld.at_particles, fld.diagnostics)
 
 
-def continuous_gain(ens: Ensemble, model: SystemModel, method: str,
-                    density: Optional[Density1D] = None,
-                    kde_opts: Optional[dict] = None, basis=None,
-                    rhs_kind: str = "fpf_phi",
-                    eps_floor: float = EPS_RHO):
-    """Gain K(x_i) and Ito drift (1/2)(grad K)^T K(x_i) for the continuous-
-    time filters.  Constant fields have zero Ito drift; 1D grid fields are
-    differentiated by central differences on the grid."""
-    moments = compute_moments(ens, model)
-    if method == "exact_gaussian":
-        fld = solve_exact_gaussian(moments, model.h_row())
-        return fld.at_particles, np.zeros_like(fld.at_particles), fld.diagnostics
-    if method == "constant":
-        fld = solve_constant_gain(moments)
-        return fld.at_particles, np.zeros_like(fld.at_particles), fld.diagnostics
-    if method == "integral_1d":
-        if ens.dim != 1:
-            raise DimensionError("integral_1d gain requires d = 1")
-        if density is None:
-            density = kde_density_1d(ens, **(kde_opts or {}))
-        xs = ens.particles[:, 0]
-        fld = solve_1d_integral(density, model, rhs_kind, particles=xs,
+def _integral_fpf(x, model, moments, density=None, kde_opts=None,
+                  eps_floor=EPS_RHO) -> CoefficientSet:
+    density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
+    xs = x[:, 0]
+    kf = solve_1d_integral(density, model, "fpf_phi", particles=xs,
+                           eps_floor=eps_floor)
+    psif = solve_1d_integral(density, model, "fpf_psi",
+                             prior_gain_grid=kf.gain_grid, eps_floor=eps_floor)
+    # a on the grid with the grid hbar, so the exact 1D identity
+    # a = -(h+hbar)K/2 + grad psi/2 = grad alpha / rho carries to the particles
+    hg = model.obs(density.grid.reshape(-1, 1))
+    hbg = float(np.trapezoid(hg * density.values, density.grid))
+    a_grid = -0.5 * kf.gain_grid * (hg + hbg) + 0.5 * psif.gain_grid
+    return CoefficientSet(np.interp(xs, density.grid, a_grid).reshape(-1, 1),
+                          kf.at_particles,
+                          {**kf.diagnostics,
+                           "psi_residual": psif.diagnostics["residual"]})
+
+
+def _integral_beta_alpha(x, model, moments, density=None, kde_opts=None,
+                         eps_floor=EPS_RHO) -> CoefficientSet:
+    """K = grad beta / rho, a = grad alpha / rho; in 1D the Reich fields
+    grad Lambda and grad Omega (M = I) solve the same equations."""
+    density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
+    kf, af = (solve_1d_integral(density, model, kind, particles=x[:, 0],
                                 eps_floor=eps_floor)
-        dK = np.gradient(fld.gain_grid, density.dx)
-        ito = 0.5 * np.interp(xs, density.grid, dK * fld.gain_grid).reshape(-1, 1)
-        return fld.at_particles, ito, fld.diagnostics
-    if method == "galerkin":
-        fld = solve_galerkin(ens, model, "fpf_phi", basis=basis)
-        ito = galerkin_ito_drift(ens, model, fld, basis=basis)
-        return fld.at_particles, ito, fld.diagnostics
-    raise ValueError(f"unknown gain method {method!r}")
+              for kind in ("crisan_beta", "crisan_alpha"))
+    return CoefficientSet(af.at_particles, kf.at_particles,
+                          {**kf.diagnostics,
+                           "drift_residual": af.diagnostics["residual"]})
+
+
+def _integral_continuous(x, model, moments, density=None, kde_opts=None,
+                         eps_floor=EPS_RHO) -> CoefficientSet:
+    density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
+    xs = x[:, 0]
+    fld = solve_1d_integral(density, model, "fpf_phi", particles=xs,
+                            eps_floor=eps_floor)
+    dK = np.gradient(fld.gain_grid, density.dx)
+    ito = 0.5 * np.interp(xs, density.grid, dK * fld.gain_grid).reshape(-1, 1)
+    return CoefficientSet(ito + _centred_drift(fld.at_particles, x, model),
+                          fld.at_particles, fld.diagnostics)
+
+
+def _galerkin_fpf(x, model, moments, basis=None) -> CoefficientSet:
+    kf = solve_galerkin(x, model, "fpf_phi", basis=basis)
+    psif = solve_galerkin(x, model, "fpf_psi", prior_gain=kf.at_particles)
+    return CoefficientSet(_centred_drift(kf.at_particles, x, model)
+                          + 0.5 * psif.at_particles,
+                          kf.at_particles, dict(kf.diagnostics))
+
+
+def _galerkin_reich(cov_inverse: bool):
+    def assemble(x, model, moments, basis=None) -> CoefficientSet:
+        m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
+        kf = solve_galerkin(x, model, "fpf_phi", basis=basis, m_inv=m_inv)
+        of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv)
+        return CoefficientSet(of.at_particles, kf.at_particles,
+                              dict(kf.diagnostics))
+    return assemble
+
+
+def _galerkin_continuous(x, model, moments, basis=None) -> CoefficientSet:
+    fld = solve_galerkin(x, model, "fpf_phi", basis=basis)
+    ito = galerkin_ito_drift(x, model, fld, basis=basis)
+    return CoefficientSet(ito + _centred_drift(fld.at_particles, x, model),
+                          fld.at_particles, fld.diagnostics)
+
+
+def _fundamental_mc(x, model, moments, eps_floor=EPS_RHO) -> CoefficientSet:
+    h = model.obs(x)
+    beta = solve_fundamental_mc(x, h)
+    alpha = solve_fundamental_mc(x, -0.5 * h * h)
+    _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
+    return CoefficientSet(alpha.evaluate(x) / rho_f[:, None],
+                          beta.evaluate(x) / rho_f[:, None],
+                          {"epsilon": beta.epsilon, "floor_frac": floor_frac})
+
+
+def _enkbf_coefficients(x, model, moments) -> CoefficientSet:
+    if model.kind != "linear_gaussian":
+        raise ModelMismatch("enkbf requires a linear-Gaussian model")
+    return _exact_coefficients(x, model, moments)
+
+
+def _in_1d(row):
+    def assemble(x, model, moments, **gain_opts) -> CoefficientSet:
+        if x.shape[1] != 1:
+            raise DimensionError("continuous-time Crisan & Xiong needs d = 1")
+        return row(x, model, moments, **gain_opts)
+    return assemble
+
+
+# constant gains have no Ito term, so their continuous-time rows are the
+# delta rows themselves
+_CONTINUOUS = {"exact_gaussian": _exact_coefficients,
+               "constant": _constant_coefficients,
+               "integral_1d": _integral_continuous,
+               "galerkin": _galerkin_continuous}
+_CRISAN_XIONG = {"exact_gaussian": _exact_coefficients,
+                 "integral_1d": _integral_beta_alpha,
+                 "fundamental_mc": _fundamental_mc}
+
+# filter kind label -> gain method -> row
+ASSEMBLERS = {
+    "delta_fpf": {"exact_gaussian": _exact_coefficients,
+                  "constant": _constant_coefficients,
+                  "integral_1d": _integral_fpf,
+                  "galerkin": _galerkin_fpf},
+    "delta_reich(identity)": {"exact_gaussian": _exact_coefficients,
+                              "integral_1d": _integral_beta_alpha,
+                              "galerkin": _galerkin_reich(False)},
+    "delta_reich(cov_inverse)": {"exact_gaussian": _exact_coefficients,
+                                 "integral_1d": _integral_beta_alpha,
+                                 "galerkin": _galerkin_reich(True)},
+    # with M = rho I the Reich filter is the Crisan & Xiong filter
+    "delta_reich(rho_identity)": _CRISAN_XIONG,
+    "crisan_xiong": _CRISAN_XIONG,
+    "enkbf": {"exact_gaussian": _enkbf_coefficients},
+    "fpf_continuous": _CONTINUOUS,
+    "crisan_continuous": {gain: _in_1d(row) for gain, row in _CONTINUOUS.items()},
+}
+
+# the options a config may give each gain, kde_opts nesting those of
+# kde_density_1d; library callers may also pass density= and basis=
+KDE_OPTS = dict.fromkeys(("grid_points", "half_width", "bandwidth", "pad_sigmas"))
+GAIN_OPTS = {"integral_1d": {"kde_opts": KDE_OPTS, "eps_floor": None},
+             "fundamental_mc": {"eps_floor": None}}
+
+
+def kind_label(tag: str, mass_matrix: Optional[str] = None) -> str:
+    return f"delta_reich({mass_matrix})" if tag == "delta_reich" else tag
+
+
+def assemble_filter_coefficients(kind: str, ens, model: SystemModel,
+                                 moments: Moments, method: str,
+                                 mass_matrix: str = "identity",
+                                 **gain_opts) -> CoefficientSet:
+    """(a, K) at the particles of ens from the (kind, method) row, given
+    the moments of ens; delta_reich picks its row by mass_matrix."""
+    row = ASSEMBLERS.get(kind_label(kind, mass_matrix), {}).get(method)
+    if row is None:
+        raise ValueError(f"no {method!r} gain for filter kind "
+                         f"{kind_label(kind, mass_matrix)!r}")
+    return row(particles_of(ens), model, moments, **gain_opts)
+
+
+def continuous_gain(ens, model: SystemModel, method: str, **gain_opts):
+    """Gain K(x_i) and Ito drift (1/2)(grad K)^T K(x_i) of the fpf_continuous
+    row: its drift a with the centring term -K (h + hbar) / 2 taken out."""
+    x = particles_of(ens)
+    row = ASSEMBLERS["fpf_continuous"][method]
+    cs = row(x, model, compute_moments(x, model), **gain_opts)
+    return cs.K, cs.a - _centred_drift(cs.K, x, model), cs.diagnostics
 
 
 def reich_identity_continuous_drift(K: np.ndarray, h: np.ndarray,

@@ -84,6 +84,10 @@ class ObservationPath:
     def fine_increments(self) -> np.ndarray:
         return np.diff(self.z)
 
+    def fine_slopes(self) -> np.ndarray:
+        """The smoothed path's slope on each fine step."""
+        return np.repeat(self.slopes, self.grid.steps_per_mesh)
+
 
 def simulate_truth(model: SystemModel, grid: TimeGrid, init, noise,
                    seed: int = -1) -> TruthTrajectory:

@@ -11,8 +11,7 @@ import numpy as np
 from flowfilter.cli import (emit_plot_data, parse_config, run_delta_sweep,
                             run_experiment, theory_certificates)
 from flowfilter.ensemble import Ensemble, density_from_function
-from flowfilter.filters import FilterKind, FilterState, run_filter, \
-    step_delta_fpf, step_enkbf
+from flowfilter.filters import FilterKind, run_filter, step
 from flowfilter.gain import solve_1d_integral, solve_galerkin, monomial_basis
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
@@ -80,14 +79,11 @@ def test_criterion_2_exact_equivalences():
     model = make_linear_gaussian([[-0.5]], [1.0])
     cloud = 1.0 + np.sqrt(0.5) * CounterStream(11, 0).normals(0, (2000, 1))
     dv = 0.01 * CounterStream(12, 0).normals(0, (2000, 1))
-    s1 = step_delta_fpf(FilterState(Ensemble(cloud), 0.0,
-                                    FilterKind("delta_fpf"), "exact_gaussian"),
-                        model, 0.4, 0.001, dv)
-    s2 = step_enkbf(FilterState(Ensemble(cloud), 0.0,
-                                FilterKind("enkbf"), "exact_gaussian"),
-                    model, 0.4, 0.001, dv)
-    step_gap = float(np.max(np.abs(s1.ensemble.particles
-                                   - s2.ensemble.particles)))
+    s1, _ = step(FilterKind("delta_fpf"), "exact_gaussian", model, cloud,
+                 0.4, 0.001, dv)
+    s2, _ = step(FilterKind("enkbf"), "exact_gaussian", model, cloud,
+                 0.4, 0.001, dv)
+    step_gap = float(np.max(np.abs(s1 - s2)))
 
     # (b,c) trajectory equivalences on a 1D nonlinear model
     tanh = _tanh_model()
@@ -103,16 +99,14 @@ def test_criterion_2_exact_equivalences():
     crisan = run_filter(FilterKind("crisan_xiong"), tanh, path, cloud1, grid,
                         "integral_1d", seed=23)
     traj_gap = float(np.max(np.abs(
-        reich.final_state.ensemble.particles
-        - crisan.final_state.ensemble.particles)))
+        reich.final_particles - crisan.final_particles)))
 
     fc = run_filter(FilterKind("fpf_continuous"), tanh, path, cloud1, grid,
                     "integral_1d", seed=23)
     cc = run_filter(FilterKind("crisan_continuous"), tanh, path, cloud1, grid,
                     "integral_1d", seed=23)
     cont_gap = float(np.max(np.abs(
-        fc.final_state.ensemble.particles
-        - cc.final_state.ensemble.particles)))
+        fc.final_particles - cc.final_particles)))
 
     ok = step_gap <= 1e-14 and traj_gap <= 1e-12 and cont_gap <= 1e-12
     _verdict(2, ok, f"fpf-vs-enkbf step {step_gap:.2e} (<=1e-14); "

@@ -39,11 +39,26 @@ def test_parse_config_requires_explicit_seeds():
 
 
 def test_parse_config_rejects_bad_filter_kind():
-    raw = copy.deepcopy(BASE)
-    raw["filters"] = [{"kind": "bogus"}]
-    with pytest.raises(ConfigError) as err:
-        parse_config(raw)
-    assert "filters[0]" in str(err.value)
+    cases = [
+        ({"kind": "bogus"}, {}, "filters[0]"),
+        ({"kind": "enkbf", "gain": "nosuch"}, {}, "filters[0].gain"),
+        ({"kind": "crisan_xiong", "gain": "galerkin"}, {}, "filters[0].gain"),
+        ({"kind": "enkbf", "gain": "constant"}, {}, "filters[0].gain"),
+        ({"kind": "delta_fpf", "gain": "fundamental_mc"}, {},
+         "filters[0].gain"),
+        ({"kind": "enkbf", "gain": "exact_gaussian",
+          "gain_opts": {"bogus": 1}}, {}, "filters[0].gain_opts.bogus"),
+        ({"kind": "fpf_continuous", "gain": "exact_gaussian"},
+         {"delta": [0.01]}, "filters[0].kind"),
+    ]
+    for filt, sweep, field in cases:
+        raw = copy.deepcopy(BASE)
+        raw["filters"] = [filt]
+        raw["sweep"] = sweep
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.field == field
+        assert field in str(err.value)
 
 
 def test_parse_config_rejects_nondividing_sweep_delta():
@@ -175,6 +190,13 @@ def test_main_exit_codes(tmp_path):
     fail_path = tmp_path / "fail.json"
     fail_path.write_text(json.dumps(failing))
     assert main(["run", str(fail_path), "--out-dir", str(tmp_path / "o3")]) == 3
+
+    invalid = copy.deepcopy(BASE)
+    invalid["filters"] = [{"kind": "enkbf", "gain": "galerkin",
+                           "gain_opts": {"bogus": 1}}]
+    invalid_path = tmp_path / "invalid.json"
+    invalid_path.write_text(json.dumps(invalid))
+    assert main(["run", str(invalid_path), "--out-dir", str(tmp_path / "o4")]) == 2
 
 
 def test_main_threads_flag_bitwise_identical(tmp_path):

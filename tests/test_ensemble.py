@@ -94,6 +94,15 @@ def test_kde_two_particle_symmetry():
     np.testing.assert_allclose(dens.values, dens.values[::-1], atol=1e-12)
 
 
+def test_kde_bandwidth_wider_than_grid():
+    # bandwidth 0.5 on a sigma = 0.1 cloud: the 8-bandwidth kernel spans
+    # more points than the 801-point grid
+    x = 0.1 * np.random.default_rng(31).standard_normal((500, 1))
+    dens = kde_density_1d(Ensemble(x), bandwidth=0.5)
+    assert dens.values.shape == dens.grid.shape == (801,)
+    assert abs(dens.mass() - 1.0) <= 1e-8
+
+
 def test_kde_unit_mass_random_clouds():
     rng = np.random.default_rng(29)
     for _ in range(5):

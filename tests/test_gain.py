@@ -309,7 +309,8 @@ def test_assemble_exact_gives_enkbf_coefficients():
     model = make_linear_gaussian([[-0.5]], [1.0])
     for kind, mm in [("delta_fpf", "identity"), ("crisan_xiong", "identity"),
                      ("delta_reich", "cov_inverse"), ("enkbf", "identity")]:
-        cs = assemble_filter_coefficients(kind, ens, model, 0.3,
+        cs = assemble_filter_coefficients(kind, ens, model,
+                                          compute_moments(ens, model),
                                           "exact_gaussian", mass_matrix=mm)
         m = compute_moments(ens, model)
         K_expect = float(m.cov[0, 0] * 1.0)
@@ -328,7 +329,7 @@ def test_assemble_constant_h_all_kinds_zero():
                         obs_grad=lambda v: np.zeros_like(v))
     for kind in ("delta_fpf", "crisan_xiong", "delta_reich"):
         cs = assemble_filter_coefficients(
-            kind, ens, model, 0.7, "integral_1d",
+            kind, ens, model, compute_moments(ens, model), "integral_1d",
             mass_matrix="identity" if kind == "delta_reich" else "identity")
         assert np.max(np.abs(cs.K)) <= 1e-10
         assert np.max(np.abs(cs.a)) <= 1e-10
@@ -340,8 +341,9 @@ def test_assemble_1d_fpf_equals_crisan_pointwise():
     model = SystemModel(dim=1, drift=lambda v: -v,
                         obs=lambda v: np.tanh(v[:, 0]),
                         obs_grad=lambda v: (1 / np.cosh(v[:, 0]) ** 2)[:, None])
-    fpf = assemble_filter_coefficients("delta_fpf", ens, model, 0.5, "integral_1d")
-    cx = assemble_filter_coefficients("crisan_xiong", ens, model, 0.5, "integral_1d")
+    m = compute_moments(ens, model)
+    fpf = assemble_filter_coefficients("delta_fpf", ens, model, m, "integral_1d")
+    cx = assemble_filter_coefficients("crisan_xiong", ens, model, m, "integral_1d")
     assert np.max(np.abs(fpf.K - cx.K)) <= 1e-12
     assert np.max(np.abs(fpf.a - cx.a)) <= 1e-12
 
