@@ -133,14 +133,19 @@ def _need(d: dict, key: str, path: str):
 
 
 def _check_opts(opts, allowed: dict, path: str):
-    """Every key of opts is allowed; a nested spec checks its value."""
+    """Every key of opts is allowed and its value passes the key's check,
+    or the nested spec when the key has one."""
     if not isinstance(opts, dict):
         raise ConfigError(path, "must be an object")
     for key, value in opts.items():
         if key not in allowed:
             raise ConfigError(f"{path}.{key}", f"unknown; allowed: {sorted(allowed)}")
-        if allowed[key] is not None:
+        if isinstance(allowed[key], dict):
             _check_opts(value, allowed[key], f"{path}.{key}")
+            continue
+        what, check = allowed[key]
+        if not check(value):
+            raise ConfigError(f"{path}.{key}", f"must be {what}, not {value!r}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -694,6 +699,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seeds = {"truth": args.seed, "observation": args.seed + 1,
                             "filter": args.seed + 2}
+            config.sweep = {**config.sweep, "seeds": [args.seed]}
         out_dir = args.out_dir or config.output_dir
         if args.command == "run":
             report = run_experiment(config, threads=args.threads)

@@ -28,6 +28,11 @@ from .paths import ObservationPath, TimeGrid
 from .rng import CounterStream
 
 
+# a failure inside a step that aborts this filter run only, as FilterAborted
+STEP_ERRORS = (FlowFilterError, ValueError, FloatingPointError,
+               ZeroDivisionError, np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class FilterKind:
     tag: str
@@ -83,7 +88,8 @@ def run_filter(kind: FilterKind, model: SystemModel, path: ObservationPath,
                seed: int, gain_opts: Optional[dict] = None) -> FilterRun:
     """Iterate the filter over the fine grid, reassembling the coefficient
     fields every fine step since the law evolves continuously.  Moments are
-    computed once a step and recorded at every mesh point.
+    computed once a step and recorded at every mesh point.  A STEP_ERRORS
+    failure raises FilterAborted with the run up to that mesh point.
     """
     gain_opts = dict(gain_opts or {})
     x = Ensemble(init_particles).particles
@@ -118,7 +124,7 @@ def run_filter(kind: FilterKind, model: SystemModel, path: ObservationPath,
                               grid.fine_dt, dv, moments=moments, **gain_opts)
             if not np.all(np.isfinite(new)):
                 raise NonFiniteState(k + 1, kind.label())
-        except FlowFilterError as exc:
+        except STEP_ERRORS as exc:
             raise FilterAborted(k, exc, partial=result(k // spm)) from exc
         x = new
         step_log.append({"step": k, "method": gain_method, **diags})

@@ -15,7 +15,9 @@ with rhs one of -(h - hbar), (r - rbar) with r = grad h . K, or
     linear functions: K = Cov(x, h) under the sample measure;
   * solve_1d_integral     - exact cumulative quadrature of the once-
     integrated 1D equation on a grid density (shared by the FPF and the
-    Crisan & Xiong routes, which coincide in 1D);
+    Crisan & Xiong routes, which coincide in 1D), by a direct equal-
+    interval Simpson rule; GridIntervals carries the grid fields to the
+    particles;
   * solve_galerkin        - basis-projected weak form with Monte-Carlo
     quadrature over the cloud (any dimension);
   * solve_fundamental_mc  - particle sum of the fundamental-solution
@@ -28,11 +30,11 @@ pairs it holds are the only ones that exist.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import _kernels
 from .ensemble import (Density1D, Moments, compute_moments, kde_density_1d,
@@ -58,6 +60,9 @@ class GainField:
     diagnostics: dict = field(default_factory=dict)
     gain_grid: Optional[np.ndarray] = None
     coefficients: Optional[np.ndarray] = None
+    # a 1D gain solve's (h, hbar, I = int (h - hbar) rho) on the grid, which
+    # the fpf_psi solve of the same step reuses
+    phi_terms: Optional[tuple] = None
 
 
 def solve_exact_gaussian(moments: Moments, H) -> GainField:
@@ -82,14 +87,67 @@ def solve_constant_gain(moments: Moments) -> GainField:
                      diagnostics={"residual": 0.0, "centring": 0.0})
 
 
-def _cumint(y: np.ndarray, dx: float) -> np.ndarray:
-    return cumulative_simpson(y, dx=dx, initial=0.0)
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative integral of y on an equal-interval grid, starting at 0.
+
+    The arithmetic of scipy.integrate.cumulative_simpson(y, dx=dx,
+    initial=0.0): the interval [x_k, x_k+1] takes the integral of the
+    parabola through y_k, y_k+1, y_k+2 on even k, and of the one through
+    y_k-1, y_k, y_k+1 on odd k and on the last interval.
+    """
+    n = y.shape[0]
+    if n < 3:
+        raise ValueError(f"Simpson's rule needs at least 3 points, got {n}")
+    d = dx / 3
+    f1, f2, f3 = y[:-2:2], 2 * y[1:-1:2], y[2::2]
+    sub = np.empty(n - 1)
+    sub[:-1:2] = d * (5 * f1 / 4 + f2 - f3 / 4)
+    sub[1::2] = d * (5 * f3 / 4 + f2 - f1 / 4)
+    sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    out = np.empty(n)
+    out[0] = 0.0
+    np.cumsum(sub, out=out[1:])
+    out[1:] += 0.0          # adding scipy's initial 0.0 turns -0.0 into 0.0
+    return out
+
+
+class GridIntervals:
+    """The grid interval of each point, found once and shared by every
+    field carried from that grid to those points.
+
+    j is searchsorted(grid, x, "right") - 1 held to [0, G - 2]: the float
+    estimate floor((x - g_0) / dx) on the uniform grid, corrected by one
+    against the grid values.  interp(fp) is np.interp(x, grid, fp) bit for
+    bit on finite inputs (up to the sign of a zero at an exact grid hit):
+    slope_j (x - g_j) + fp_j, fp_0 below the grid and fp_-1 from its last
+    point on.
+    """
+
+    def __init__(self, grid: np.ndarray, x: np.ndarray):
+        G = grid.shape[0]
+        pos = (x - grid[0]) * ((G - 1) / (grid[-1] - grid[0]))
+        j = np.clip(pos, 0, G - 2).astype(np.intp)
+        j -= x < grid[j]
+        j += x >= grid[j + 1]
+        np.clip(j, 0, G - 2, out=j)
+        self.j = j
+        self.offset = x - grid[j]
+        self.below = np.flatnonzero(x < grid[0])
+        self.above = np.flatnonzero(x >= grid[-1])
+        self.spacing = np.diff(grid)
+
+    def interp(self, fp: np.ndarray) -> np.ndarray:
+        slope = np.diff(fp) / self.spacing
+        out = slope[self.j] * self.offset + fp[self.j]
+        out[self.below] = fp[0]
+        out[self.above] = fp[-1]
+        return out
 
 
 def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
                       particles: Optional[np.ndarray] = None,
                       h_bar: Optional[float] = None,
-                      prior_gain_grid: Optional[np.ndarray] = None,
+                      phi: Optional[GainField] = None,
                       eps_floor: float = EPS_RHO) -> GainField:
     """Integrate the 1D Poisson equation once on the grid.
 
@@ -97,7 +155,9 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     the same cumulative integral serves the unweighted crisan_beta case
     since K = beta'/rho with beta'' = -(h - hbar) rho.  Drift kinds return
     the gradient field of the respective potential (grad psi, grad Omega,
-    or grad alpha / rho, the last two being the same formula).
+    or grad alpha / rho, the last two being the same formula).  fpf_psi
+    takes h, hbar, I and the gain from phi, the fpf_phi field of the same
+    density, and solves for it when phi is None.
     """
     if model.dim != 1:
         raise DimensionError("solve_1d_integral requires d = 1")
@@ -105,36 +165,39 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     rho = density.values
     dx = density.dx
     x2 = g.reshape(-1, 1)
-    h = model.obs(x2)
     rho_f = np.maximum(rho, eps_floor)
     # density mass below the floor, not the share of (mostly tail) grid points
     floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
+    phi_terms = None
 
     if rhs_kind in ("fpf_phi", "crisan_beta", "reich_lambda"):
+        h = model.obs(x2)
         hb = float(np.trapezoid(h * rho, g)) if h_bar is None else float(h_bar)
-        I = _cumint((h - hb) * rho, dx)
+        I = cumulative_simpson((h - hb) * rho, dx)
         gain_grid = -I / rho_f
         # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
         resid = float(np.max(np.abs(np.gradient(-I, dx) + (h - hb) * rho)))
+        phi_terms = (h, hb, I)
     elif rhs_kind == "fpf_psi":
         # integrate by parts with rbar = h2bar - hbar^2 (the weak-form value):
         # rho psi' = S - (h + hbar) I, S = int (h^2 - h2bar) rho,
         # I = int (h - hbar) rho.  Exact in 1D; the residual below checks it
         # against the direct rhs (r - rbar) rho with r = h' K.
-        hb = float(np.trapezoid(h * rho, g)) if h_bar is None else float(h_bar)
+        if phi is None:
+            phi = solve_1d_integral(density, model, "fpf_phi", h_bar=h_bar,
+                                    eps_floor=eps_floor)
+        h, hb, I = phi.phi_terms
         h2b = float(np.trapezoid(h * h * rho, g))
-        I = _cumint((h - hb) * rho, dx)
-        S = _cumint((h * h - h2b) * rho, dx)
+        S = cumulative_simpson((h * h - h2b) * rho, dx)
         rho_psi_p = S - (h + hb) * I
         gain_grid = rho_psi_p / rho_f
-        if prior_gain_grid is None:
-            prior_gain_grid = -I / rho_f
-        r = model.obs_grad(x2)[:, 0] * prior_gain_grid
+        r = model.obs_grad(x2)[:, 0] * phi.gain_grid
         rb = h2b - hb * hb
         resid = float(np.max(np.abs(np.gradient(rho_psi_p, dx) - (r - rb) * rho)))
     elif rhs_kind in ("reich_omega", "crisan_alpha"):
+        h = model.obs(x2)
         h2b = float(np.trapezoid(h * h * rho, g))
-        I = _cumint(0.5 * (h * h - h2b) * rho, dx)
+        I = cumulative_simpson(0.5 * (h * h - h2b) * rho, dx)
         gain_grid = I / rho_f
         resid = float(np.max(np.abs(np.gradient(I, dx) - 0.5 * (h * h - h2b) * rho)))
     else:
@@ -142,15 +205,15 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     if abs(I[-1]) > 1e-6:       # every rhs integrates to 0 over the line
         raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
 
-    potential = _cumint(gain_grid, dx)
+    potential = cumulative_simpson(gain_grid, dx)
     potential -= np.trapezoid(potential * rho, g)
     centring = float(abs(np.trapezoid(potential * rho, g)))
 
     at = None
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
-        at = np.interp(xs, g, gain_grid).reshape(-1, 1)
-    return GainField(at_particles=at, gain_grid=gain_grid,
+        at = GridIntervals(g, xs).interp(gain_grid).reshape(-1, 1)
+    return GainField(at_particles=at, gain_grid=gain_grid, phi_terms=phi_terms,
                      diagnostics={"residual": resid, "centring": centring,
                                   "epsilon": eps_floor, "floor_frac": floor_frac})
 
@@ -385,18 +448,16 @@ def _constant_coefficients(x, model, moments) -> CoefficientSet:
 def _integral_fpf(x, model, moments, density=None, kde_opts=None,
                   eps_floor=EPS_RHO) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
-    xs = x[:, 0]
-    kf = solve_1d_integral(density, model, "fpf_phi", particles=xs,
-                           eps_floor=eps_floor)
-    psif = solve_1d_integral(density, model, "fpf_psi",
-                             prior_gain_grid=kf.gain_grid, eps_floor=eps_floor)
+    kf = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
+    psif = solve_1d_integral(density, model, "fpf_psi", phi=kf,
+                             eps_floor=eps_floor)
     # a on the grid with the grid hbar, so the exact 1D identity
     # a = -(h+hbar)K/2 + grad psi/2 = grad alpha / rho carries to the particles
-    hg = model.obs(density.grid.reshape(-1, 1))
-    hbg = float(np.trapezoid(hg * density.values, density.grid))
-    a_grid = -0.5 * kf.gain_grid * (hg + hbg) + 0.5 * psif.gain_grid
-    return CoefficientSet(np.interp(xs, density.grid, a_grid).reshape(-1, 1),
-                          kf.at_particles,
+    h, hb, _ = kf.phi_terms
+    a_grid = -0.5 * kf.gain_grid * (h + hb) + 0.5 * psif.gain_grid
+    cells = GridIntervals(density.grid, x[:, 0])
+    return CoefficientSet(cells.interp(a_grid).reshape(-1, 1),
+                          cells.interp(kf.gain_grid).reshape(-1, 1),
                           {**kf.diagnostics,
                            "psi_residual": psif.diagnostics["residual"]})
 
@@ -406,10 +467,11 @@ def _integral_beta_alpha(x, model, moments, density=None, kde_opts=None,
     """K = grad beta / rho, a = grad alpha / rho; in 1D the Reich fields
     grad Lambda and grad Omega (M = I) solve the same equations."""
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
-    kf, af = (solve_1d_integral(density, model, kind, particles=x[:, 0],
-                                eps_floor=eps_floor)
+    kf, af = (solve_1d_integral(density, model, kind, eps_floor=eps_floor)
               for kind in ("crisan_beta", "crisan_alpha"))
-    return CoefficientSet(af.at_particles, kf.at_particles,
+    cells = GridIntervals(density.grid, x[:, 0])
+    return CoefficientSet(cells.interp(af.gain_grid).reshape(-1, 1),
+                          cells.interp(kf.gain_grid).reshape(-1, 1),
                           {**kf.diagnostics,
                            "drift_residual": af.diagnostics["residual"]})
 
@@ -417,13 +479,12 @@ def _integral_beta_alpha(x, model, moments, density=None, kde_opts=None,
 def _integral_continuous(x, model, moments, density=None, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
-    xs = x[:, 0]
-    fld = solve_1d_integral(density, model, "fpf_phi", particles=xs,
-                            eps_floor=eps_floor)
+    fld = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
     dK = np.gradient(fld.gain_grid, density.dx)
-    ito = 0.5 * np.interp(xs, density.grid, dK * fld.gain_grid).reshape(-1, 1)
-    return CoefficientSet(ito + _centred_drift(fld.at_particles, x, model),
-                          fld.at_particles, fld.diagnostics)
+    cells = GridIntervals(density.grid, x[:, 0])
+    K = cells.interp(fld.gain_grid).reshape(-1, 1)
+    ito = 0.5 * cells.interp(dK * fld.gain_grid).reshape(-1, 1)
+    return CoefficientSet(ito + _centred_drift(K, x, model), K, fld.diagnostics)
 
 
 def _galerkin_fpf(x, model, moments, basis=None) -> CoefficientSet:
@@ -505,11 +566,27 @@ ASSEMBLERS = {
     "crisan_continuous": {gain: _in_1d(row) for gain, row in _CONTINUOUS.items()},
 }
 
+
+def _positive_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
+_POSITIVE = ("a positive finite number", _positive_number)
+
 # the options a config may give each gain, kde_opts nesting those of
-# kde_density_1d; library callers may also pass density= and basis=
-KDE_OPTS = dict.fromkeys(("grid_points", "half_width", "bandwidth", "pad_sigmas"))
-GAIN_OPTS = {"integral_1d": {"kde_opts": KDE_OPTS, "eps_floor": None},
-             "fundamental_mc": {"eps_floor": None}}
+# kde_density_1d, each leaf a (description, check) of its value; library
+# callers may also pass density= and basis=
+KDE_OPTS = {
+    # cumulative_simpson needs 3 grid points
+    "grid_points": ("an int >= 3", lambda v: type(v) is int and v >= 3),
+    "half_width": _POSITIVE,
+    "bandwidth": ('a positive finite number or "silverman"',
+                  lambda v: v == "silverman" or _positive_number(v)),
+    "pad_sigmas": _POSITIVE,
+}
+GAIN_OPTS = {"integral_1d": {"kde_opts": KDE_OPTS, "eps_floor": _POSITIVE},
+             "fundamental_mc": {"eps_floor": _POSITIVE}}
 
 
 def kind_label(tag: str, mass_matrix: Optional[str] = None) -> str:

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from flowfilter.cli import (SCHEMA_VERSION, emit_plot_data, emit_sweep_csv,
                             emit_theory_csv, main, parse_config,
                             run_delta_sweep, run_experiment,
                             theory_certificates)
+from flowfilter import gain
 from flowfilter.errors import ConfigError, NonNestedMeshes
 
 BASE = {
@@ -59,6 +62,50 @@ def test_parse_config_rejects_bad_filter_kind():
             parse_config(raw)
         assert err.value.field == field
         assert field in str(err.value)
+
+
+def test_parse_config_rejects_bad_gain_opts_values():
+    kde = "filters[0].gain_opts.kde_opts"
+    cases = [
+        ({"kde_opts": {"grid_points": 1.5}}, f"{kde}.grid_points"),
+        ({"kde_opts": {"grid_points": 2}}, f"{kde}.grid_points"),
+        ({"kde_opts": {"grid_points": True}}, f"{kde}.grid_points"),
+        ({"kde_opts": {"half_width": 0.0}}, f"{kde}.half_width"),
+        ({"kde_opts": {"half_width": "wide"}}, f"{kde}.half_width"),
+        ({"kde_opts": {"pad_sigmas": float("inf")}}, f"{kde}.pad_sigmas"),
+        ({"kde_opts": {"bandwidth": "scott"}}, f"{kde}.bandwidth"),
+        ({"kde_opts": {"bandwidth": -0.1}}, f"{kde}.bandwidth"),
+        ({"kde_opts": {"bandwidth": float("nan")}}, f"{kde}.bandwidth"),
+        ({"eps_floor": -1.0}, "filters[0].gain_opts.eps_floor"),
+        ({"eps_floor": 0}, "filters[0].gain_opts.eps_floor"),
+    ]
+    for opts, field in cases:
+        raw = copy.deepcopy(BASE)
+        raw["filters"] = [{"kind": "delta_fpf", "gain": "integral_1d",
+                           "gain_opts": opts}]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.field == field, opts
+    good = copy.deepcopy(BASE)
+    good["filters"] = [{"kind": "delta_fpf", "gain": "integral_1d",
+                        "gain_opts": {"eps_floor": 1e-6, "kde_opts": {
+                            "grid_points": 3, "half_width": 4,
+                            "bandwidth": "silverman", "pad_sigmas": 6.0}}}]
+    parse_config(good)
+
+
+def test_main_bad_gain_opts_values_exit_2(tmp_path):
+    # a float grid_points used to pass parsing and exit 1 from np.linspace;
+    # a negative eps_floor used to run on NaN grid tails and exit 0
+    for i, opts in enumerate([{"kde_opts": {"grid_points": 1.5}},
+                              {"eps_floor": -1.0}]):
+        raw = copy.deepcopy(BASE)
+        raw["filters"] = [{"kind": "delta_fpf", "gain": "integral_1d",
+                           "gain_opts": opts},
+                          {"kind": "enkbf", "gain": "exact_gaussian"}]
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / f"o{i}")]) == 2
 
 
 def test_parse_config_rejects_nondividing_sweep_delta():
@@ -125,6 +172,53 @@ def test_crash_isolation_one_filter_cannot_abort_siblings():
     report = run_experiment(cfg)
     assert report.results[0].error is not None
     assert report.results[1].error is None
+
+
+def test_numerical_error_in_a_step_spares_siblings(tmp_path, monkeypatch):
+    def singular(x, model, moments):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "constant", singular)
+    raw = copy.deepcopy(BASE)
+    raw["filters"] = [{"kind": "delta_fpf", "gain": "constant"},
+                      {"kind": "enkbf", "gain": "exact_gaussian"}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+    series = open(tmp_path / "o" / "series.csv").read()
+    assert ",enkbf/exact_gaussian," in series
+    assert "delta_fpf/constant" not in series
+    report = json.loads(open(tmp_path / "o" / "report.json").read())
+    assert "LinAlgError" in report["filters"]["delta_fpf/constant"]["error"]
+
+
+def test_sweep_seed_flag_overrides_listed_seeds(tmp_path):
+    raw = copy.deepcopy(BASE)
+    raw["sweep"] = {"delta": [0.02, 0.01], "seeds": [11, 12]}
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(raw))
+    raw["sweep"]["seeds"] = [5]
+    only = tmp_path / "only.json"
+    only.write_text(json.dumps(raw))
+    assert main(["sweep", str(listed), "--seed", "5",
+                 "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["sweep", str(only), "--out-dir", str(tmp_path / "b")]) == 0
+    rows = open(tmp_path / "a" / "sweep.csv").read().splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "5" for row in rows)
+    for name in ("sweep.csv", "sweep_trends.csv"):
+        assert open(tmp_path / "a" / name, "rb").read() == \
+            open(tmp_path / "b" / name, "rb").read()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(gain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, flowfilter.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_single_delta_trend_na(tmp_path):

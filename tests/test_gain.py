@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import quad
 
 from flowfilter.ensemble import Ensemble, compute_moments, density_from_function
 from flowfilter.errors import DimensionError, IllConditioned, UnresolvedTail
-from flowfilter.gain import (BasisFunction, assemble_filter_coefficients,
+from flowfilter.gain import (BasisFunction, GridIntervals,
+                             assemble_filter_coefficients, cumulative_simpson,
                              monomial_basis, multivariate_kde_at_points,
                              reich_identity_continuous_drift,
                              solve_1d_integral, solve_constant_gain,
@@ -163,6 +165,51 @@ def test_integral_1d_crisan_alpha_quadrature_oracle():
         oracle = 0.5 * quad(lambda y: (y**4 - h2bar) * pdf(y),
                             -np.inf, xv)[0] / pdf(xv)
         assert abs(fld.at_particles[idx, 0] - oracle) <= 1e-6
+
+
+def test_integral_1d_psi_reuses_phi_bitwise():
+    dens = _gaussian_density(0.8, points=801)
+    model = SystemModel(dim=1, drift=lambda x: -x,
+                        obs=lambda x: np.tanh(x[:, 0]),
+                        obs_grad=lambda x: 1.0 / np.cosh(x) ** 2)
+    phi = solve_1d_integral(dens, model, "fpf_phi")
+    shared = solve_1d_integral(dens, model, "fpf_psi", phi=phi)
+    alone = solve_1d_integral(dens, model, "fpf_psi")
+    assert shared.gain_grid.tobytes() == alone.gain_grid.tobytes()
+    assert shared.diagnostics == alone.diagnostics
+
+
+def test_cumulative_simpson_matches_scipy_bitwise():
+    rng = np.random.default_rng(3)
+    for n in range(3, 51):
+        for scale in (1e-6, 1.0, 1e4):
+            y = scale * rng.standard_normal(n)
+            # zeros of either sign: scipy's sums read 0.0, never -0.0
+            y[: n // 3] = np.where(rng.random(n // 3) < 0.5, -0.0, 0.0)
+            dx = float(rng.uniform(1e-3, 2.0))
+            ours = cumulative_simpson(y, dx)
+            ref = scipy_cumulative_simpson(y, dx=dx, initial=0.0)
+            assert ours.tobytes() == ref.tobytes(), (n, scale)
+
+
+def test_cumulative_simpson_needs_three_points():
+    with pytest.raises(ValueError):
+        cumulative_simpson(np.ones(2), 0.1)
+
+
+def test_grid_intervals_match_np_interp_bitwise():
+    rng = np.random.default_rng(4)
+    for G in (3, 4, 17, 801):
+        grid = np.linspace(-3.7, 4.1, G)
+        fp = rng.standard_normal(G)
+        x = rng.uniform(-5.0, 5.5, 4000)          # unsorted, past both ends
+        hits = rng.integers(0, G, 200)
+        x[:200] = grid[hits]                      # exact grid-point hits
+        x[200:300] = np.nextafter(grid[hits[:100]], np.inf)
+        x[300:400] = np.nextafter(grid[hits[:100]], -np.inf)
+        x[400:402] = grid[0], grid[-1]
+        ours = GridIntervals(grid, x).interp(fp)
+        assert ours.tobytes() == np.interp(x, grid, fp).tobytes(), G
 
 
 # ---------------------------------------------------------------------------
