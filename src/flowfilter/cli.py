@@ -37,8 +37,7 @@ from .gain import ASSEMBLERS, GAIN_OPTS
 from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import ObservationPath, TimeGrid, simulate_observations, simulate_truth
-from .reference import (GridDensity, KalmanBucyState, run_grid_kushner,
-                        run_kalman_bucy)
+from .reference import run_grid_kushner, run_kalman_bucy
 from .rng import CounterStream, GaussianIncrements
 from .theory import (empirical_poincare_1d, gamma_recursion,
                      kappa_continuous, kappa_delta)
@@ -123,7 +122,11 @@ class ExperimentConfig:
         if builder is None:
             raise ConfigError("model.name", f"unknown model {self.model_name!r}; "
                               f"registered: {sorted(MODEL_REGISTRY)}")
-        return builder(self.model_params)
+        model = builder(self.model_params)
+        if self.init.dim != model.dim:
+            raise ConfigError("init", f"a {self.init.dim}D initial law for a "
+                              f"{model.dim}D model")
+        return model
 
 
 def _need(d: dict, key: str, path: str):
@@ -176,7 +179,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                   values=_need(init_raw, "values", "init"))
         else:
             raise ConfigError("init.kind", f"unknown kind {kind!r}")
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError("init", str(exc)) from None
 
     n = int(raw.get("ensemble_size", 0))
@@ -265,19 +268,19 @@ def _initial_cloud(config: ExperimentConfig, d: int, n: Optional[int] = None,
 
 
 def _gaussian_grid_density(init: InitialDensity, half_width: float,
-                           points: int) -> GridDensity:
+                           points: int) -> Density1D:
     mean = float(init.mean[0])
     var = float(init.cov[0, 0])
     grid = np.linspace(-half_width, half_width, points)
     vals = np.exp(-0.5 * (grid - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
-    return GridDensity(grid=grid, values=vals)
+    return Density1D(grid=grid, values=vals)
 
 
 def _init_grid_density(config: ExperimentConfig, half_width: float,
-                       points: int) -> GridDensity:
+                       points: int) -> Density1D:
     if config.init.kind == "gaussian":
         return _gaussian_grid_density(config.init, half_width, points)
-    return GridDensity(grid=config.init.grid, values=config.init.values)
+    return Density1D(grid=config.init.grid, values=config.init.values)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,9 @@ class FilterResult:
     terminal_err_mean: float = float("nan")
     terminal_err_cov: float = float("nan")
     wall_clock: float = 0.0
+    # mean and covariance error against the reference at every mesh point
+    err_mean: Optional[np.ndarray] = None
+    err_cov: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -306,15 +312,20 @@ class RunReport:
     wall_clock: float
 
 
+def _kalman_bucy_exact(config: ExperimentConfig, model: SystemModel) -> bool:
+    return model.kind == "linear_gaussian" and config.init.kind == "gaussian"
+
+
 def _reference_solution(config: ExperimentConfig, model: SystemModel,
                         path: ObservationPath):
-    """Mesh-point reference moments driven by the identical slope process."""
+    """Mesh-point reference moments driven by the identical slope process:
+    Kalman-Bucy for a linear-Gaussian model from a Gaussian law, else the
+    1D grid Kushner filter."""
     grid = config.grid
     drive = path.fine_slopes() * path.grid.fine_dt   # smoothed-path increments
-    if model.kind == "linear_gaussian" and config.reference.get("kalman_bucy", True):
-        st = KalmanBucyState(mean=config.init.mean, cov=config.init.cov)
-        means, covs = run_kalman_bucy(model.A, model.h_row(), st, drive,
-                                      grid.fine_dt,
+    if _kalman_bucy_exact(config, model) and config.reference.get("kalman_bucy", True):
+        means, covs = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
+                                      config.init.cov, drive, grid.fine_dt,
                                       record_every=grid.steps_per_mesh)
         return "kalman_bucy", means, covs
     if model.dim != 1:
@@ -367,12 +378,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
     for res in results:
         if res.run is None:
             continue
-        err_mean = np.linalg.norm(res.run.means - ref_means, axis=1)
-        err_cov = np.linalg.norm((res.run.covs - ref_covs)
-                                 .reshape(err_mean.size, -1), axis=1)
-        res.rmse_mean = float(np.sqrt(np.mean(err_mean**2)))
-        res.terminal_err_mean = float(err_mean[-1])
-        res.terminal_err_cov = float(err_cov[-1])
+        res.err_mean = np.linalg.norm(res.run.means - ref_means, axis=1)
+        res.err_cov = np.linalg.norm((res.run.covs - ref_covs)
+                                     .reshape(res.err_mean.size, -1), axis=1)
+        res.rmse_mean = float(np.sqrt(np.mean(res.err_mean**2)))
+        res.terminal_err_mean = float(res.err_mean[-1])
+        res.terminal_err_cov = float(res.err_cov[-1])
     return RunReport(config=config, reference_kind=ref_kind,
                      ref_means=ref_means, ref_covs=ref_covs, results=results,
                      slope_checksum=checksum,
@@ -416,7 +427,7 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(spearmanr(x, y).statistic)
 
 
-def run_delta_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
+def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     """Pathwise RMSE of each delta-filter against its continuous-time form
     (identical seeds and particle noise) across the delta list, per seed;
     RMSE against the exact reference is reported alongside.  The trend
@@ -451,11 +462,10 @@ def run_delta_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
         cmp_idx = np.arange(0, base_grid.n_fine + 1, coarse_every)
 
         exact_means = None
-        if model.kind == "linear_gaussian":
-            st = KalmanBucyState(mean=config.init.mean, cov=config.init.cov)
-            em, _ = run_kalman_bucy(model.A, model.h_row(), st,
-                                    fine_path.fine_increments(), fine_dt,
-                                    record_every=1)
+        if _kalman_bucy_exact(config, model):
+            em, _ = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
+                                    config.init.cov, fine_path.fine_increments(),
+                                    fine_dt, record_every=1)
             exact_means = em[cmp_idx]
 
         for spec in config.filters:
@@ -507,11 +517,11 @@ def run_delta_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
             local = ExperimentConfig(**{**config.__dict__, "seeds": cfg_seeds})
             _, path = _simulate_paths(local, model)
             cloud = _initial_cloud(local, model.dim, n=n_val)
+            _, ref_means, _ = _reference_solution(local, model, path)
             for spec in config.filters:
                 run = run_filter(spec.kind, model, path, cloud, config.grid,
                                  spec.gain, cfg_seeds["filter"],
                                  gain_opts=spec.gain_opts)
-                _, ref_means, _ = _reference_solution(local, model, path)
                 rmse = float(np.sqrt(np.mean(np.sum(
                     (run.means - ref_means) ** 2, axis=1))))
                 rows.append(SweepRow(axis="n", value=float(n_val), seed=seed,
@@ -541,13 +551,13 @@ def theory_certificates(config: ExperimentConfig) -> list:
     rows = []
     _, path = _simulate_paths(config, model)
 
-    snapshot_times = [grid.t0, grid.t0 + (grid.t_end - grid.t0) / 2, grid.t_end]
     opts = config.reference.get("grid_kushner", {})
     dens0 = _init_grid_density(config, float(opts.get("half_width", 6.0)),
                                int(opts.get("points", 2001)))
+    slots = [0, grid.n_mesh // 2, grid.n_mesh]      # t0, the midpoint, T
     _, _, snapshots, _ = run_grid_kushner(dens0, model, path.slopes,
                                           grid.fine_dt, grid.steps_per_mesh,
-                                          snapshot_times=snapshot_times)
+                                          snapshot_slots=slots)
     kappas_emp = {}
     for slot, snap in snapshots.items():
         dens = Density1D(grid=snap.grid, values=np.maximum(snap.values, 1e-300))
@@ -612,14 +622,12 @@ def emit_plot_data(report: RunReport, out_dir: str):
             if res.run is None:
                 continue
             run = res.run
-            err_mean = np.linalg.norm(run.means - report.ref_means, axis=1)
-            err_cov = np.linalg.norm(
-                (run.covs - report.ref_covs).reshape(err_mean.size, -1), axis=1)
             for k, t in enumerate(run.times):
                 w.writerow([_f(t), res.label]
                            + [_f(v) for v in run.means[k]]
                            + [_f(v) for v in run.covs[k].ravel()]
-                           + [_f(run.h_bars[k]), _f(err_mean[k]), _f(err_cov[k])])
+                           + [_f(run.h_bars[k]), _f(res.err_mean[k]),
+                              _f(res.err_cov[k])])
     diag_keys = ["residual", "centring", "condition_number", "epsilon"]
     with open(os.path.join(out_dir, "gain_log.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -691,7 +699,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="threads across the filters of `run`")
     args = parser.parse_args(argv)
 
     try:
@@ -711,7 +720,7 @@ def main(argv=None) -> int:
             print(f"run complete: {len(report.results)} filters, "
                   f"reference {report.reference_kind}, output in {out_dir}")
         elif args.command == "sweep":
-            report = run_delta_sweep(config, threads=args.threads)
+            report = run_delta_sweep(config)
             emit_sweep_csv(report, out_dir)
             print(f"sweep complete: {len(report.rows)} rows, output in {out_dir}")
         else:

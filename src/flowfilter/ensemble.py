@@ -1,12 +1,14 @@
-"""Particle cloud, empirical moments and 1D kernel density estimation.
+"""Empirical moments of a particle cloud and densities on a 1D grid.
 
-The ensemble is the Monte-Carlo surrogate for the mean-field conditional
-law: every filter coefficient is computed from its empirical statistics.
-Reductions go through numpy's pairwise summation in a fixed order, so
-moments do not depend on how particle work is scheduled.
+The particles, an (n, d) float array, are the Monte-Carlo surrogate for
+the mean-field conditional law: every filter coefficient is computed from
+its empirical statistics.  Density1D is the other form of that law, a
+density on a uniform 1D grid, shared by the kernel density estimate, the
+grid Kushner reference and the Poincare certificates.  Reductions go
+through numpy's pairwise summation in a fixed order, so moments do not
+depend on how particle work is scheduled.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,24 +17,6 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateCloud, DimensionError
 from .models import SystemModel
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    particles: np.ndarray       # (n, d)
-
-    def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.particles, dtype=float))
-        if p.shape[0] < 2:
-            raise ValueError("ensemble needs at least 2 particles")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("ensemble contains non-finite entries")
-        object.__setattr__(self, "particles", p)
-
-
-def particles_of(cloud) -> np.ndarray:
-    """The (n, d) particles of an Ensemble; a bare (n, d) array passes as is."""
-    return cloud.particles if isinstance(cloud, Ensemble) else cloud
 
 
 @dataclass(frozen=True)
@@ -58,7 +42,6 @@ class Density1D:
 
     grid: np.ndarray
     values: np.ndarray
-    bandwidth: Optional[float] = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -77,6 +60,12 @@ class Density1D:
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
+    def trapz_weights(self) -> np.ndarray:
+        w = np.full(self.grid.size, self.dx)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.grid))
 
@@ -88,9 +77,9 @@ class Density1D:
         return float(np.trapezoid((self.grid - m) ** 2 * self.values, self.grid))
 
 
-def compute_moments(ens, model: SystemModel) -> Moments:
-    """Single pass over the cloud: mean, unbiased covariance, h statistics."""
-    x = particles_of(ens)
+def compute_moments(x: np.ndarray, model: SystemModel) -> Moments:
+    """Single pass over the particles x (n, d): mean, unbiased covariance,
+    h statistics."""
     n = x.shape[0]
     mean = x.mean(axis=0)
     centred = x - mean
@@ -103,24 +92,12 @@ def compute_moments(ens, model: SystemModel) -> Moments:
                    cov_xh=cov_xh)
 
 
-def gaussian_fit(ens):
-    """Mean and covariance only; covariance ridged by 1e-12 I if singular."""
-    x = particles_of(ens)
-    n, d = x.shape
-    mean = x.mean(axis=0)
-    centred = x - mean
-    cov = centred.T @ centred / (n - 1)
-    if np.linalg.matrix_rank(cov) < d:
-        cov = cov + 1e-12 * np.eye(d)
-    return mean, cov
-
-
 def silverman_bandwidth(samples: np.ndarray) -> float:
     sigma = float(np.std(samples, ddof=1))
     return 1.06 * sigma * samples.size ** (-0.2)
 
 
-def kde_density_1d(ens, grid_points: int = 801,
+def kde_density_1d(x: np.ndarray, grid_points: int = 801,
                    half_width: Optional[float] = None,
                    bandwidth=None, pad_sigmas: float = 8.0) -> Density1D:
     """Gaussian-kernel density on a uniform grid, renormalized to unit mass.
@@ -131,9 +108,8 @@ def kde_density_1d(ens, grid_points: int = 801,
     value) so the tail mass off the grid is negligible for near-Gaussian
     clouds.
     """
-    x = particles_of(ens)
     if x.shape[1] != 1:
-        raise DimensionError("kde_density_1d requires a 1D ensemble")
+        raise DimensionError("kde_density_1d requires 1D particles")
     xs = x[:, 0]
     var = float(np.var(xs, ddof=1))
     if var < 1e-14:
@@ -156,7 +132,7 @@ def kde_density_1d(ens, grid_points: int = 801,
     # centred slice of the full convolution: mode="same" breaks on long kernels
     values = np.convolve(counts, kernel)[half_k:half_k + grid_points]
     values = np.maximum(values, 0.0)
-    return Density1D(grid=grid, values=values, bandwidth=bw)
+    return Density1D(grid=grid, values=values)
 
 
 def density_from_function(pdf, half_width: float, grid_points: int = 4001,
@@ -165,19 +141,3 @@ def density_from_function(pdf, half_width: float, grid_points: int = 4001,
     grid = np.linspace(center - half_width, center + half_width, grid_points)
     return Density1D(grid=grid, values=np.maximum(pdf(grid), 0.0))
 
-
-def save_ensemble_csv(filename, ens):
-    x = particles_of(ens)
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["particle"] + [f"x_{j + 1}" for j in range(x.shape[1])])
-        for i, row in enumerate(x):
-            w.writerow([i] + [format(v, ".17g") for v in row])
-
-
-def save_density_csv(filename, dens: Density1D):
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "rho"])
-        for x, r in zip(dens.grid, dens.values):
-            w.writerow([format(x, ".17g"), format(r, ".17g")])

@@ -65,13 +65,6 @@ class ModelMismatch(FlowFilterError):
     pass
 
 
-class CFLViolation(FlowFilterError):
-    def __init__(self, dt: float, bound: float):
-        self.dt = dt
-        self.bound = bound
-        super().__init__(f"explicit step dt={dt:.3e} exceeds stability bound {bound:.3e}")
-
-
 class GridMismatch(FlowFilterError):
     pass
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import Ensemble, compute_moments
+from .ensemble import compute_moments
 from .errors import FilterAborted, FlowFilterError, NonFiniteState
 from .gain import (ASSEMBLERS, CoefficientSet, assemble_filter_coefficients,
                    kind_label)
@@ -92,7 +92,11 @@ def run_filter(kind: FilterKind, model: SystemModel, path: ObservationPath,
     failure raises FilterAborted with the run up to that mesh point.
     """
     gain_opts = dict(gain_opts or {})
-    x = Ensemble(init_particles).particles
+    x = np.atleast_2d(np.asarray(init_particles, dtype=float))
+    if x.shape[0] < 2:
+        raise ValueError("ensemble needs at least 2 particles")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("ensemble contains non-finite entries")
     n, d = x.shape
     noise = CounterStream(seed, label=1)
     spm = grid.steps_per_mesh

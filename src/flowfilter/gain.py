@@ -37,8 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .ensemble import (Density1D, Moments, compute_moments, kde_density_1d,
-                       particles_of)
+from .ensemble import Density1D, Moments, compute_moments, kde_density_1d
 from .errors import (DimensionError, IllConditioned, ModelMismatch,
                      SingularCovariance, UnresolvedTail)
 from .models import SystemModel
@@ -56,7 +55,6 @@ class GainField:
     """
 
     at_particles: Optional[np.ndarray]      # (n, d)
-    aux_drift: Optional[np.ndarray] = None  # (n, d)
     diagnostics: dict = field(default_factory=dict)
     gain_grid: Optional[np.ndarray] = None
     coefficients: Optional[np.ndarray] = None
@@ -74,7 +72,7 @@ def solve_exact_gaussian(moments: Moments, H) -> GainField:
         raise SingularCovariance(f"covariance eigenvalues {np.linalg.eigvalsh(P)}")
     K = P @ Hrow
     at = np.tile(K, (moments.n, 1))
-    return GainField(at_particles=at, aux_drift=np.zeros_like(at),
+    return GainField(at_particles=at,
                      diagnostics={"residual": 0.0, "centring": 0.0})
 
 
@@ -169,6 +167,7 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     # density mass below the floor, not the share of (mostly tail) grid points
     floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
     phi_terms = None
+    diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
 
     if rhs_kind in ("fpf_phi", "crisan_beta", "reich_lambda"):
         h = model.obs(x2)
@@ -178,6 +177,10 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
         # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
         resid = float(np.max(np.abs(np.gradient(-I, dx) + (h - hb) * rho)))
         phi_terms = (h, hb, I)
+        # centred potential of the gain, read only by the centring diagnostic
+        potential = cumulative_simpson(gain_grid, dx)
+        potential -= np.trapezoid(potential * rho, g)
+        diagnostics["centring"] = float(abs(np.trapezoid(potential * rho, g)))
     elif rhs_kind == "fpf_psi":
         # integrate by parts with rbar = h2bar - hbar^2 (the weak-form value):
         # rho psi' = S - (h + hbar) I, S = int (h^2 - h2bar) rho,
@@ -205,17 +208,12 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     if abs(I[-1]) > 1e-6:       # every rhs integrates to 0 over the line
         raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
 
-    potential = cumulative_simpson(gain_grid, dx)
-    potential -= np.trapezoid(potential * rho, g)
-    centring = float(abs(np.trapezoid(potential * rho, g)))
-
     at = None
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
         at = GridIntervals(g, xs).interp(gain_grid).reshape(-1, 1)
     return GainField(at_particles=at, gain_grid=gain_grid, phi_terms=phi_terms,
-                     diagnostics={"residual": resid, "centring": centring,
-                                  "epsilon": eps_floor, "floor_frac": floor_frac})
+                     diagnostics={"residual": resid, **diagnostics})
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ def monomial_basis(dim: int, quadratic: bool = False):
     return basis
 
 
-def solve_galerkin(ens, model: SystemModel, rhs_kind: str,
+def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
                    basis=None, m_inv: Optional[np.ndarray] = None,
                    prior_gain: Optional[np.ndarray] = None,
                    ridge: float = RIDGE) -> GainField:
@@ -281,7 +279,6 @@ def solve_galerkin(ens, model: SystemModel, rhs_kind: str,
     followed by two iterative-refinement sweeps, so the ridge stabilises
     degenerate clouds without biasing well-conditioned systems.
     """
-    x = particles_of(ens)
     n, d = x.shape
     if basis is None:
         basis = monomial_basis(d, quadratic=rhs_kind in ("fpf_psi", "reich_omega",
@@ -339,10 +336,9 @@ def solve_galerkin(ens, model: SystemModel, rhs_kind: str,
                                   "condition_number": cond})
 
 
-def galerkin_ito_drift(ens, model: SystemModel, fld: GainField,
+def galerkin_ito_drift(x: np.ndarray, model: SystemModel, fld: GainField,
                        basis=None) -> np.ndarray:
     """(1/2) (grad K)^T K for a Galerkin field, from the basis Hessians."""
-    x = particles_of(ens)
     n, d = x.shape
     if basis is None:
         basis = monomial_basis(d)
@@ -379,13 +375,12 @@ class FundamentalField:
         return raw / (self.sources.shape[0] * unit_sphere_area(d))
 
 
-def solve_fundamental_mc(ens, m_values: np.ndarray,
+def solve_fundamental_mc(x: np.ndarray, m_values: np.ndarray,
                          epsilon: Optional[float] = None) -> FundamentalField:
     """grad u(x) = (1/omega_d) (1/N) sum_i (y_i - x) (m_i - mbar) / max(|x-y_i|, eps)^d.
 
     Self-interactions (y_i == x) are skipped; the default cutoff is
     eps = N^{-1/d} and is reported through the field object."""
-    x = particles_of(ens)
     n, d = x.shape
     if d < 2:
         raise DimensionError("fundamental-solution route requires d >= 2 "
@@ -399,11 +394,10 @@ def solve_fundamental_mc(ens, m_values: np.ndarray,
     return FundamentalField(sources=x, m_centered=m - m.mean(), epsilon=eps)
 
 
-def multivariate_kde_at_points(ens, points: Optional[np.ndarray] = None,
+def multivariate_kde_at_points(x: np.ndarray, points: Optional[np.ndarray] = None,
                                eps_floor: float = EPS_RHO):
     """Product-Gaussian KDE evaluated at particle locations (d >= 2 Crisan
     1/rho factor).  Returns (values, floored_values, floor_fraction)."""
-    x = particles_of(ens)
     pts = x if points is None else np.atleast_2d(points)
     n, d = x.shape
     sig = np.std(x, axis=0, ddof=1)
@@ -593,30 +587,24 @@ def kind_label(tag: str, mass_matrix: Optional[str] = None) -> str:
     return f"delta_reich({mass_matrix})" if tag == "delta_reich" else tag
 
 
-def assemble_filter_coefficients(kind: str, ens, model: SystemModel,
+def assemble_filter_coefficients(kind: str, x: np.ndarray, model: SystemModel,
                                  moments: Moments, method: str,
                                  mass_matrix: str = "identity",
                                  **gain_opts) -> CoefficientSet:
-    """(a, K) at the particles of ens from the (kind, method) row, given
-    the moments of ens; delta_reich picks its row by mass_matrix."""
+    """(a, K) at the particles x (n, d) from the (kind, method) row, given
+    the moments of x; delta_reich picks its row by mass_matrix."""
     row = ASSEMBLERS.get(kind_label(kind, mass_matrix), {}).get(method)
     if row is None:
         raise ValueError(f"no {method!r} gain for filter kind "
                          f"{kind_label(kind, mass_matrix)!r}")
-    return row(particles_of(ens), model, moments, **gain_opts)
+    return row(x, model, moments, **gain_opts)
 
 
-def continuous_gain(ens, model: SystemModel, method: str, **gain_opts):
+def continuous_gain(x: np.ndarray, model: SystemModel, method: str,
+                    **gain_opts):
     """Gain K(x_i) and Ito drift (1/2)(grad K)^T K(x_i) of the fpf_continuous
     row: its drift a with the centring term -K (h + hbar) / 2 taken out."""
-    x = particles_of(ens)
     row = ASSEMBLERS["fpf_continuous"][method]
     cs = row(x, model, compute_moments(x, model), **gain_opts)
     return cs.K, cs.a - _centred_drift(cs.K, x, model), cs.diagnostics
 
-
-def reich_identity_continuous_drift(K: np.ndarray, h: np.ndarray,
-                                    h_bar: float) -> np.ndarray:
-    """d=1 exactly-integrated grad(Omega + Theta~) of the M=I Reich limit:
-    the divergence-form equation integrates to -(h + hbar) K / 2."""
-    return -0.5 * K * (np.asarray(h) + h_bar)[:, None]

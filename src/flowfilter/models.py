@@ -108,6 +108,9 @@ class InitialDensity:
         if self.kind == "gaussian":
             m = np.atleast_1d(np.asarray(self.mean, dtype=float))
             c = np.atleast_2d(np.asarray(self.cov, dtype=float))
+            if m.ndim != 1 or c.shape != (m.size, m.size):
+                raise ValueError(f"gaussian mean of shape {m.shape} needs a "
+                                 f"square covariance of its size, not {c.shape}")
             if not np.allclose(c, c.T, atol=1e-12):
                 raise ValueError("gaussian covariance must be symmetric")
             if np.any(np.linalg.eigvalsh(c) <= 0):
@@ -117,9 +120,23 @@ class InitialDensity:
         elif self.kind == "grid_table":
             g = np.asarray(self.grid, dtype=float)
             v = np.asarray(self.values, dtype=float)
+            if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
+                raise ValueError(f"grid table needs one value per point of a 1D "
+                                 f"grid of at least 2 points, not {v.shape} "
+                                 f"on {g.shape}")
+            # the grid solvers take grid[1] - grid[0] as the spacing
+            dg = np.diff(g)
+            if not (np.all(np.isfinite(g)) and np.all(dg > 0)
+                    and np.max(np.abs(dg - dg[0])) <= 1e-9 * dg[0]):
+                raise ValueError("grid table grid must be strictly increasing "
+                                 "and uniform")
+            if not np.all(v >= 0):
+                raise ValueError("grid table values must be nonnegative")
             mass = np.trapezoid(v, g)
             if abs(mass - 1.0) > 1e-10:
                 raise ValueError(f"grid table mass {mass} not within 1e-10 of 1")
+            object.__setattr__(self, "grid", g)
+            object.__setattr__(self, "values", v)
         else:
             raise ValueError(f"unknown initial density kind {self.kind!r}")
 

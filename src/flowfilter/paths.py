@@ -12,7 +12,6 @@ grid is aligned with the mesh (delta is an integer multiple of fine_dt),
 so knots are fine-grid samples and no interpolation ambiguity arises.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,39 +171,3 @@ def refine_increments(dw: np.ndarray, dt: float, normals: np.ndarray) -> np.ndar
     out[1::2] = second
     return out
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def save_path_csv(filename, path: ObservationPath, truth: TruthTrajectory):
-    """Columns t, x_1..x_d, z at 17 significant digits (bit-exact round-trip)."""
-    times = path.grid.fine_times()
-    d = truth.states.shape[1]
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"x_{j + 1}" for j in range(d)] + ["z"])
-        for k in range(times.size):
-            w.writerow([_fmt(times[k])] + [_fmt(v) for v in truth.states[k]]
-                       + [_fmt(path.z[k])])
-
-
-def load_path_csv(filename):
-    """Inverse of save_path_csv; returns (times, states, z)."""
-    with open(filename, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    d = len(header) - 2
-    arr = np.array([[float(v) for v in row] for row in data])
-    return arr[:, 0], arr[:, 1:1 + d], arr[:, -1]
-
-
-def save_knots_csv(filename, path: ObservationPath):
-    """Columns n, t_n, z_knot, slope (slope omitted on the last row)."""
-    times = path.grid.mesh_times()
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "t_n", "z_knot", "slope"])
-        for n in range(times.size):
-            slope = _fmt(path.slopes[n]) if n < path.slopes.size else ""
-            w.writerow([n, _fmt(times[n]), _fmt(path.z_knots[n]), slope])

@@ -7,135 +7,63 @@ consume exactly the slope/increment process the particle filters see, so
 comparisons carry no observation-path Monte-Carlo error.
 """
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
-from .errors import CFLViolation, CovarianceBlowup, GridMismatch
+from .ensemble import Density1D
+from .errors import CovarianceBlowup, GridMismatch
 from .models import SystemModel
 
 CFL_FACTOR = 0.4
 
-
-@dataclass(frozen=True)
-class KalmanBucyState:
-    mean: np.ndarray            # (d,)
-    cov: np.ndarray             # (d, d)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
-        object.__setattr__(self, "cov", np.atleast_2d(np.asarray(self.cov, float)))
+GridDensity = Density1D    # the former name, which perfbench/child.py imports
 
 
-def kalman_bucy_step(state: KalmanBucyState, A, H, dz: float,
-                     dt: float) -> KalmanBucyState:
+def run_kalman_bucy(A, H, mean0, cov0, drive: np.ndarray, dt: float,
+                    record_every: int = 1):
     """Euler update of dm = Am dt + PH^T(dZ - Hm dt),
-    dP = (AP + PA^T + I - PH^T HP) dt, with symmetrisation each step."""
+    dP = (AP + PA^T + I - PH^T HP) dt, with symmetrisation each step, along
+    a drive of increments dZ from (mean0, cov0); returns (means, covs)
+    sampled every record_every steps (slot 0 = initial)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     A = np.atleast_2d(np.asarray(A, float))
     Hrow = np.asarray(H, float).reshape(-1)
-    m, P = state.mean, state.cov
-    gain = P @ Hrow
-    m2 = m + A @ m * dt + gain * (dz - float(Hrow @ m) * dt)
-    P2 = P + (A @ P + P @ A.T + np.eye(P.shape[0]) - np.outer(gain, gain)) * dt
-    P2 = 0.5 * (P2 + P2.T)
-    if np.max(np.linalg.eigvalsh(P2)) > 1e8:
-        raise CovarianceBlowup("Kalman-Bucy covariance eigenvalue exceeds 1e8")
-    return KalmanBucyState(mean=m2, cov=P2)
-
-
-def run_kalman_bucy(A, H, init: KalmanBucyState, drive: np.ndarray, dt: float,
-                    record_every: int = 1):
-    """Iterate kalman_bucy_step along a drive of increments; returns
-    (means, covs) sampled every record_every steps (slot 0 = initial)."""
+    m = np.atleast_1d(np.asarray(mean0, float))
+    P = np.atleast_2d(np.asarray(cov0, float))
+    eye = np.eye(P.shape[0])
     n = drive.shape[0]
-    nrec = n // record_every
-    d = init.mean.shape[0]
-    means = np.empty((nrec + 1, d))
-    covs = np.empty((nrec + 1, d, d))
-    means[0], covs[0] = init.mean, init.cov
-    st = init
+    means = np.empty((n // record_every + 1, m.shape[0]))
+    covs = np.empty((n // record_every + 1,) + P.shape)
+    means[0], covs[0] = m, P
     for k in range(n):
-        st = kalman_bucy_step(st, A, H, float(drive[k]), dt)
+        gain = P @ Hrow
+        m = m + A @ m * dt + gain * (float(drive[k]) - float(Hrow @ m) * dt)
+        P = P + (A @ P + P @ A.T + eye - np.outer(gain, gain)) * dt
+        P = 0.5 * (P + P.T)
+        if np.max(np.linalg.eigvalsh(P)) > 1e8:
+            raise CovarianceBlowup("Kalman-Bucy covariance eigenvalue exceeds 1e8")
         if (k + 1) % record_every == 0:
-            means[(k + 1) // record_every] = st.mean
-            covs[(k + 1) // record_every] = st.cov
+            means[(k + 1) // record_every] = m
+            covs[(k + 1) // record_every] = P
     return means, covs
 
 
-@dataclass(frozen=True)
-class GridDensity:
-    grid: np.ndarray
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, float)
-        v = np.asarray(self.values, float)
-        mass = np.trapezoid(v, g)
-        if abs(mass - 1.0) > 1e-8:
-            v = v / mass
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dx(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    def trapz_weights(self) -> np.ndarray:
-        w = np.full(self.grid.size, self.dx)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-    def mass(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.grid * self.values, self.grid))
-
-    def var(self) -> float:
-        m = self.mean()
-        return float(np.trapezoid((self.grid - m) ** 2 * self.values, self.grid))
-
-    def excess_kurtosis(self) -> float:
-        m, v = self.mean(), self.var()
-        m4 = float(np.trapezoid((self.grid - m) ** 4 * self.values, self.grid))
-        return m4 / v**2 - 3.0
-
-
-def cfl_bound(dens: GridDensity) -> float:
+def cfl_bound(dens: Density1D) -> float:
     return CFL_FACTOR * dens.dx ** 2
 
 
-def grid_kushner_step(dens: GridDensity, model: SystemModel, slope: float,
-                      dt: float) -> GridDensity:
-    """One explicit step of
+def run_grid_kushner(dens: Density1D, model: SystemModel,
+                     slopes: np.ndarray, fine_dt: float,
+                     steps_per_mesh: int, snapshot_slots=()):
+    """Advance the grid density along the slope process (one slope per mesh
+    interval) by explicit steps of
     d theta = (L* theta - (h^2 - h2bar) theta / 2 + (h - hbar) theta slope) dt
     with L* theta = -(M theta)' + theta''/2 in conservative flux form,
-    zero-flux boundaries, negative clipping and renormalisation."""
-    bound = cfl_bound(dens)
-    if dt > bound:
-        raise CFLViolation(dt, bound)
-    g2 = dens.grid.reshape(-1, 1)
-    drift_g = model.drift(g2)[:, 0]
-    h_g = model.obs(g2)
-    w = dens.trapz_weights()
-    theta, nclip = _kernels.kushner_substeps(dens.values, drift_g, h_g, w,
-                                             dens.dx, dt, 1, slope)
-    return GridDensity(grid=dens.grid, values=theta, time=dens.time + dt)
-
-
-def run_grid_kushner(dens: GridDensity, model: SystemModel,
-                     slopes: np.ndarray, fine_dt: float,
-                     steps_per_mesh: int, snapshot_times=None):
-    """Advance the grid density along the slope process (one slope per mesh
-    interval, substepped under the CFL bound).  Returns (means, vars,
-    snapshots, clip_count): moments at every mesh point and GridDensity
-    snapshots at the requested times (matched to mesh points)."""
+    zero-flux boundaries, negative clipping and renormalisation, substepped
+    under the CFL bound.  Returns (means, vars, snapshots, clip_count):
+    moments at every mesh point and the Density1D at each requested mesh
+    index (0 = the initial density)."""
     bound = cfl_bound(dens)
     nsub = max(1, int(np.ceil(fine_dt / bound)))
     dt_sub = fine_dt / nsub
@@ -148,31 +76,22 @@ def run_grid_kushner(dens: GridDensity, model: SystemModel,
     means = np.empty(n_mesh + 1)
     vars_ = np.empty(n_mesh + 1)
     means[0], vars_[0] = dens.mean(), dens.var()
-    snap_at = set()
-    if snapshot_times is not None:
-        for t in snapshot_times:
-            slot = round((t - dens.time) / (fine_dt * steps_per_mesh))
-            snap_at.add(int(slot))
-    snapshots = {}
-    if 0 in snap_at:
-        snapshots[0] = dens
+    snapshots = {0: dens} if 0 in snapshot_slots else {}
     theta = dens.values
-    t = dens.time
     nclip_total = 0
     for m in range(n_mesh):
         for _ in range(steps_per_mesh):
             theta, nclip = _kernels.kushner_substeps(
                 theta, drift_g, h_g, w, dens.dx, dt_sub, nsub, float(slopes[m]))
             nclip_total += nclip
-            t += fine_dt
-        cur = GridDensity(grid=dens.grid, values=theta, time=t)
+        cur = Density1D(grid=dens.grid, values=theta)
         means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
-        if (m + 1) in snap_at:
+        if (m + 1) in snapshot_slots:
             snapshots[m + 1] = cur
     return means, vars_, snapshots, nclip_total
 
 
-def density_distance(a: GridDensity, b: GridDensity):
+def density_distance(a: Density1D, b: Density1D):
     """(L1, mean gap, variance gap) on a common grid."""
     if a.grid.shape != b.grid.shape or not np.allclose(a.grid, b.grid,
                                                        rtol=0, atol=1e-12):
@@ -185,10 +104,3 @@ def riccati_fixed_point(A: float, H: float) -> float:
     """Positive root of 2AP + 1 - P^2 H^2 = 0 (scalar stationary variance)."""
     return (A + np.sqrt(A * A + H * H)) / (H * H)
 
-
-def save_grid_density_csv(filename, dens: GridDensity):
-    with open(filename, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "theta"])
-        for x, v in zip(dens.grid, dens.values):
-            w.writerow([format(x, ".17g"), format(v, ".17g")])

@@ -154,10 +154,7 @@ def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8) -> float:
     Ad[0] = rh[0] / dx
     Ad[-1] = rh[-1] / dx
     Ao = -rh / dx
-    w = np.full(G, dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    B = rho * w
+    B = rho * dens.trapz_weights()
     s = 1.0 / np.sqrt(B)
     vals, vecs = eigh_tridiagonal(Ad * s * s, Ao * s[:-1] * s[1:],
                                   select="i", select_range=(0, 1))

@@ -10,12 +10,12 @@ import numpy as np
 
 from flowfilter.cli import (emit_plot_data, parse_config, run_delta_sweep,
                             run_experiment, theory_certificates)
-from flowfilter.ensemble import Ensemble, density_from_function
+from flowfilter.ensemble import Density1D, density_from_function
 from flowfilter.filters import FilterKind, run_filter, step
 from flowfilter.gain import solve_1d_integral, solve_galerkin, monomial_basis
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
-from flowfilter.reference import GridDensity, run_grid_kushner
+from flowfilter.reference import run_grid_kushner
 from flowfilter.rng import CounterStream, GaussianIncrements
 from flowfilter.theory import (brascamp_lieb_check, empirical_poincare_1d,
                                gamma_fixed_point, gamma_map, kappa_continuous,
@@ -140,7 +140,7 @@ def test_criterion_3_gain_solver_oracles():
 
     # (c) Galerkin psi-coefficients vanish for linear h (psi = 0)
     rng_cloud = CounterStream(31, 0).normals(0, (4000, 1))
-    ens = Ensemble(rng_cloud)
+    ens = rng_cloud
     phi = solve_galerkin(ens, lin, "fpf_phi", basis=monomial_basis(1))
     psi = solve_galerkin(ens, lin, "fpf_psi", prior_gain=phi.at_particles)
     err_c = float(np.max(np.abs(psi.coefficients)))
@@ -173,7 +173,7 @@ def _nonlinear_rmse(seed: int, n: int) -> float:
                                                     label=2))
     g = np.linspace(-6.0, 6.0, 1201)
     theta0 = np.exp(-g**2 / 2) / np.sqrt(2 * np.pi)
-    means, _, _, _ = run_grid_kushner(GridDensity(grid=g, values=theta0),
+    means, _, _, _ = run_grid_kushner(Density1D(grid=g, values=theta0),
                                       model, path.slopes, grid.fine_dt,
                                       grid.steps_per_mesh)
     cloud = CounterStream(seed + 2, 0).normals(0, (n, 1))

@@ -267,6 +267,60 @@ def test_theory_certificates_rows(tmp_path):
     assert head == ["provenance", "inputs", "kappa", "kappa_emp", "margin"]
 
 
+def test_theory_rows_at_shifted_start(tmp_path):
+    # snapshots counted from t = 0 used to drop the t0 and midpoint rows
+    # of a grid starting at t0 = 1
+    cfg = _cfg(model={"name": "log_concave_ou", "c": 1.0, "c_g": 1.0,
+                      "H": [1.0]},
+               grid={"t0": 1.0, "T": 2.0, "delta": 0.05, "fine_dt": 0.001},
+               init={"kind": "gaussian", "mean": [0.0], "cov": [[0.5]]},
+               reference={"grid_kushner": {"half_width": 6.0, "points": 201}})
+    rows = theory_certificates(cfg)
+    assert len(rows) == 4
+    assert [r.inputs.split(";t=")[1] for r in rows
+            if r.provenance == "lemma42"] == ["1", "1.5", "2"]
+
+
+def _grid_table(points=81, half=4.0):
+    g = np.linspace(-half, half, points)
+    v = np.exp(-0.5 * g * g)
+    return {"kind": "grid_table", "grid": g.tolist(),
+            "values": (v / np.trapezoid(v, g)).tolist()}
+
+
+def test_grid_table_init_run_and_theory_exit_0(tmp_path):
+    # the JSON lists used to reach InitialDensity.sample: TypeError, exit 1
+    raw = copy.deepcopy(BASE)
+    raw["model"] = {"name": "log_concave_ou", "c": 1.0, "H": [1.0]}
+    raw["init"] = _grid_table()
+    raw["filters"] = [{"kind": "delta_fpf", "gain": "exact_gaussian"},
+                      {"kind": "delta_fpf", "gain": "integral_1d"}]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(raw))
+    for command in ("run", "theory"):
+        assert main([command, str(path), "--out-dir", str(tmp_path / command)]) == 0
+    # a linear-Gaussian model from a grid table has no Kalman-Bucy reference
+    report = run_experiment(_cfg(init=_grid_table()))
+    assert report.reference_kind == "grid_kushner"
+    assert all(np.isfinite(r.rmse_mean) for r in report.results)
+
+
+def test_grid_table_init_malformed_exit_2(tmp_path):
+    negative = _grid_table()
+    negative["values"][40] = -negative["values"][40]
+    uneven = _grid_table()
+    uneven["grid"][40] += 0.05
+    short = _grid_table()
+    short["values"].pop()
+    for i, init in enumerate([negative, uneven, short]):
+        with pytest.raises(ConfigError) as err:
+            _cfg(init=init)
+        assert err.value.field == "init"
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({**BASE, "init": init}))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
 def test_main_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(BASE))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from flowfilter.ensemble import (Ensemble, compute_moments,
-                                 density_from_function, gaussian_fit,
+from flowfilter.ensemble import (compute_moments, density_from_function,
                                  kde_density_1d)
 from flowfilter.errors import DegenerateCloud
 from flowfilter.models import SystemModel, make_linear_gaussian
@@ -21,14 +20,14 @@ def _square_model():
 
 
 def test_two_symmetric_points():
-    m = compute_moments(Ensemble([[-1.0], [1.0]]), _identity_model())
+    m = compute_moments(np.array([[-1.0], [1.0]]), _identity_model())
     assert m.mean[0] == 0.0
     assert m.cov[0, 0] == 2.0          # (1 + 1) / (2 - 1)
     assert m.h_bar == 0.0
 
 
 def test_degenerate_cloud_moments():
-    m = compute_moments(Ensemble([[0.0], [0.0], [0.0]]), _identity_model())
+    m = compute_moments(np.array([[0.0], [0.0], [0.0]]), _identity_model())
     assert m.cov[0, 0] == 0.0
     assert m.h_bar == 0.0
 
@@ -36,21 +35,27 @@ def test_degenerate_cloud_moments():
 def test_gaussian_moment_oracle():
     rng = np.random.default_rng(101)
     x = rng.standard_normal((100_000, 1))
-    m = compute_moments(Ensemble(x), _square_model())
+    m = compute_moments(x, _square_model())
     assert abs(m.h_bar - 1.0) <= 0.02          # E x^2 = 1
     assert abs(m.h2_bar - 3.0) <= 0.1          # E x^4 = 3
 
 
+def _gaussian_fit(x):
+    m = compute_moments(x, make_linear_gaussian(np.zeros((x.shape[1],) * 2),
+                                                np.ones(x.shape[1])))
+    return m.mean, m.cov
+
+
 def test_gaussian_fit_basics():
-    mean, cov = gaussian_fit(Ensemble([[-1.0], [1.0]]))
+    mean, cov = _gaussian_fit(np.array([[-1.0], [1.0]]))
     assert mean[0] == 0.0 and cov[0, 0] == 2.0
 
 
 def test_gaussian_fit_translation_equivariance():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((500, 2))
-    m1, c1 = gaussian_fit(Ensemble(x))
-    m2, c2 = gaussian_fit(Ensemble(x + np.array([3.0, -2.0])))
+    m1, c1 = _gaussian_fit(x)
+    m2, c2 = _gaussian_fit(x + np.array([3.0, -2.0]))
     np.testing.assert_allclose(m2 - m1, [3.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(c2, c1, atol=1e-12)
 
@@ -58,7 +63,7 @@ def test_gaussian_fit_translation_equivariance():
 def test_gaussian_fit_sampling_oracle():
     rng = np.random.default_rng(5)
     x = 3.0 + 0.5 * rng.standard_normal((10_000, 1))
-    mean, cov = gaussian_fit(Ensemble(x))
+    mean, cov = _gaussian_fit(x)
     assert abs(mean[0] - 3.0) <= 0.02
     assert abs(cov[0, 0] - 0.25) <= 0.02
 
@@ -69,27 +74,27 @@ def test_affine_equivariance():
     a = np.array([[2.0, 0.5], [0.0, -1.0]])
     b = np.array([1.0, -3.0])
     model = make_linear_gaussian(np.zeros((2, 2)), [1.0, 0.0])
-    m1 = compute_moments(Ensemble(x), model)
-    m2 = compute_moments(Ensemble(x @ a.T + b), model)
+    m1 = compute_moments(x, model)
+    m2 = compute_moments(x @ a.T + b, model)
     np.testing.assert_allclose(m2.mean, a @ m1.mean + b, atol=1e-10)
     np.testing.assert_allclose(m2.cov, a @ m1.cov @ a.T, atol=1e-10)
 
 
 def test_kde_degenerate_cloud():
     with pytest.raises(DegenerateCloud):
-        kde_density_1d(Ensemble([[1.0], [1.0], [1.0]]))
+        kde_density_1d(np.array([[1.0], [1.0], [1.0]]))
 
 
 def test_kde_consistency_against_normal_pdf():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((100_000, 1))
-    dens = kde_density_1d(Ensemble(x), grid_points=2001)
+    dens = kde_density_1d(x, grid_points=2001)
     truth = np.exp(-dens.grid**2 / 2) / np.sqrt(2 * np.pi)
     assert np.max(np.abs(dens.values - truth)) <= 0.02
 
 
 def test_kde_two_particle_symmetry():
-    dens = kde_density_1d(Ensemble([[-1.0], [1.0]]), bandwidth=1.0,
+    dens = kde_density_1d(np.array([[-1.0], [1.0]]), bandwidth=1.0,
                           grid_points=801)
     np.testing.assert_allclose(dens.values, dens.values[::-1], atol=1e-12)
 
@@ -98,7 +103,7 @@ def test_kde_bandwidth_wider_than_grid():
     # bandwidth 0.5 on a sigma = 0.1 cloud: the 8-bandwidth kernel spans
     # more points than the 801-point grid
     x = 0.1 * np.random.default_rng(31).standard_normal((500, 1))
-    dens = kde_density_1d(Ensemble(x), bandwidth=0.5)
+    dens = kde_density_1d(x, bandwidth=0.5)
     assert dens.values.shape == dens.grid.shape == (801,)
     assert abs(dens.mass() - 1.0) <= 1e-8
 
@@ -107,7 +112,7 @@ def test_kde_unit_mass_random_clouds():
     rng = np.random.default_rng(29)
     for _ in range(5):
         x = rng.normal(rng.uniform(-3, 3), rng.uniform(0.2, 2.0), size=(500, 1))
-        dens = kde_density_1d(Ensemble(x))
+        dens = kde_density_1d(x)
         assert abs(dens.mass() - 1.0) <= 1e-8
         assert np.all(dens.values >= 0)
 
@@ -128,7 +133,7 @@ def test_rbar_identity_constant_gain_linear_h():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((2000, 1)) * 1.3
     model = make_linear_gaussian([[0.0]], [1.7])
-    m = compute_moments(Ensemble(x), model)
+    m = compute_moments(x, model)
     K = solve_constant_gain(m).at_particles
     lhs = np.mean(np.sum(model.obs_grad(x) * K, axis=1))
     rhs = m.h2_bar - m.h_bar**2
@@ -142,29 +147,8 @@ def test_moments_invariants_random_clouds():
         n = rng.integers(3, 60)
         x = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3.0),
                        size=(n, 1))
-        m = compute_moments(Ensemble(x), model)
+        m = compute_moments(x, model)
         assert np.min(np.linalg.eigvalsh(m.cov)) >= -1e-10
         assert m.h2_bar >= m.h_bar**2 - 1e-10
         np.testing.assert_allclose(m.cov, m.cov.T, atol=0)
 
-
-def test_ensemble_and_density_csv(tmp_path):
-    import csv as _csv
-    from flowfilter.ensemble import save_density_csv, save_ensemble_csv
-
-    rng = np.random.default_rng(43)
-    ens = Ensemble(rng.normal(size=(50, 2)))
-    f1 = tmp_path / "ens.csv"
-    save_ensemble_csv(f1, ens)
-    rows = list(_csv.reader(open(f1)))
-    assert rows[0] == ["particle", "x_1", "x_2"]
-    back = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    assert np.array_equal(back, ens.particles)
-
-    dens = kde_density_1d(Ensemble(rng.normal(size=(200, 1))))
-    f2 = tmp_path / "dens.csv"
-    save_density_csv(f2, dens)
-    rows = list(_csv.reader(open(f2)))
-    assert rows[0] == ["x", "rho"]
-    vals = np.array([float(r[1]) for r in rows[1:]])
-    assert np.array_equal(vals, dens.values)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowfilter.ensemble import Ensemble, density_from_function
+from flowfilter.ensemble import density_from_function
 from flowfilter.errors import DimensionError, ModelMismatch
 from flowfilter.filters import FilterKind, run_filter, step
 from flowfilter.gain import CoefficientSet, continuous_gain
@@ -157,7 +157,7 @@ def test_crisan_alpha_drift_oracle_at_zero_slope():
 def test_ito_correction_constant_gain_vanishes():
     model = _lg_model()
     rng = np.random.default_rng(1)
-    ens = Ensemble(1.0 + rng.standard_normal((300, 1)))
+    ens = 1.0 + rng.standard_normal((300, 1))
     K, ito, _ = continuous_gain(ens, model, "exact_gaussian")
     assert np.all(ito == 0.0)
 
@@ -170,7 +170,7 @@ def test_ito_correction_linear_gain_is_half_x():
     dens = density_from_function(
         lambda x: np.exp(-x**2 / 2) / np.sqrt(2 * np.pi), half_width=10.0)
     pts = np.linspace(-2, 2, 41).reshape(-1, 1)
-    ens = Ensemble(pts)
+    ens = pts
     K, ito, _ = continuous_gain(ens, model, "integral_1d", density=dens)
     np.testing.assert_allclose(ito[:, 0], 0.5 * pts[:, 0], atol=1e-4)
 

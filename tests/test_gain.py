@@ -3,12 +3,11 @@ import pytest
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import quad
 
-from flowfilter.ensemble import Ensemble, compute_moments, density_from_function
+from flowfilter.ensemble import compute_moments, density_from_function
 from flowfilter.errors import DimensionError, IllConditioned, UnresolvedTail
 from flowfilter.gain import (BasisFunction, GridIntervals,
                              assemble_filter_coefficients, cumulative_simpson,
                              monomial_basis, multivariate_kde_at_points,
-                             reich_identity_continuous_drift,
                              solve_1d_integral, solve_constant_gain,
                              solve_exact_gaussian, solve_fundamental_mc,
                              solve_galerkin, unit_sphere_area)
@@ -36,24 +35,23 @@ def _gaussian_density(var=1.0, half_width_sigmas=10.0, points=4001):
 # exact Gaussian and constant gain
 
 def test_exact_gaussian_scalar():
-    ens = Ensemble(np.random.default_rng(0).normal(size=(50, 1)))
+    ens = np.random.default_rng(0).normal(size=(50, 1))
     m = compute_moments(ens, _linear_model())
     m = type(m)(n=m.n, mean=m.mean, cov=np.array([[2.0]]), h_bar=m.h_bar,
                 h2_bar=m.h2_bar, cov_xh=m.cov_xh)
     fld = solve_exact_gaussian(m, [3.0])
     assert np.all(fld.at_particles == 6.0)
-    assert np.all(fld.aux_drift == 0.0)
 
 
 def test_exact_gaussian_zero_h():
-    ens = Ensemble(np.random.default_rng(0).normal(size=(50, 1)))
+    ens = np.random.default_rng(0).normal(size=(50, 1))
     m = compute_moments(ens, _linear_model())
     assert np.all(solve_exact_gaussian(m, [0.0]).at_particles == 0.0)
 
 
 def test_exact_gaussian_2d_matrix_product():
     rng = np.random.default_rng(1)
-    ens = Ensemble(rng.normal(size=(100, 2)))
+    ens = rng.normal(size=(100, 2))
     model = make_linear_gaussian(np.zeros((2, 2)), [1.0, 0.0])
     m = compute_moments(ens, model)
     m = type(m)(n=m.n, mean=m.mean, cov=np.eye(2), h_bar=m.h_bar,
@@ -67,7 +65,7 @@ def test_constant_gain_linear_h_matches_sample_measure_covariance():
     x = rng.normal(size=(300, 1)) * 0.8
     H = 1.3
     model = _linear_model(H)
-    m = compute_moments(Ensemble(x), model)
+    m = compute_moments(x, model)
     K = solve_constant_gain(m).at_particles
     biased = np.mean((x[:, 0] - x.mean()) * (H * x[:, 0] - H * x.mean()))
     assert abs(K[0, 0] - biased) <= 1e-14
@@ -78,7 +76,7 @@ def test_constant_gain_constant_h_is_zero():
     model = SystemModel(dim=1, drift=lambda v: np.zeros_like(v),
                         obs=lambda v: np.full(v.shape[0], 2.5),
                         obs_grad=lambda v: np.zeros_like(v))
-    K = solve_constant_gain(compute_moments(Ensemble(x), model)).at_particles
+    K = solve_constant_gain(compute_moments(x, model)).at_particles
     assert np.max(np.abs(K)) <= 1e-13
 
 
@@ -86,7 +84,7 @@ def test_constant_gain_quadratic_h_near_zero_odd_moment():
     rng = np.random.default_rng(5)
     n = 40_000
     x = rng.standard_normal((n, 1))
-    K = solve_constant_gain(compute_moments(Ensemble(x), _square_model()))
+    K = solve_constant_gain(compute_moments(x, _square_model()))
     # K estimates E[x^3] = 0; fluctuation scale sqrt(Var(x(x^2-1))/n) ~ sqrt(10/n)
     assert abs(K.at_particles[0, 0]) <= 4 * np.sqrt(10.0 / n)
 
@@ -218,7 +216,7 @@ def test_grid_intervals_match_np_interp_bitwise():
 def test_galerkin_linear_basis_matches_constant_gain():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(500, 1)) * 1.2
-    ens = Ensemble(x)
+    ens = x
     model = _linear_model(0.9)
     fld = solve_galerkin(ens, model, "fpf_phi", basis=monomial_basis(1))
     K_const = solve_constant_gain(compute_moments(ens, model)).at_particles
@@ -227,7 +225,7 @@ def test_galerkin_linear_basis_matches_constant_gain():
 
 def test_galerkin_psi_coefficients_vanish_for_linear_h():
     rng = np.random.default_rng(8)
-    ens = Ensemble(rng.standard_normal((2000, 1)))
+    ens = rng.standard_normal((2000, 1))
     model = _linear_model(1.0)
     phi = solve_galerkin(ens, model, "fpf_phi", basis=monomial_basis(1))
     psi = solve_galerkin(ens, model, "fpf_psi", prior_gain=phi.at_particles)
@@ -236,7 +234,7 @@ def test_galerkin_psi_coefficients_vanish_for_linear_h():
 
 def test_galerkin_constant_h_zero_coefficients():
     rng = np.random.default_rng(9)
-    ens = Ensemble(rng.standard_normal((200, 1)))
+    ens = rng.standard_normal((200, 1))
     model = SystemModel(dim=1, drift=lambda v: np.zeros_like(v),
                         obs=lambda v: np.full(v.shape[0], 1.0),
                         obs_grad=lambda v: np.zeros_like(v))
@@ -247,7 +245,7 @@ def test_galerkin_constant_h_zero_coefficients():
 
 def test_galerkin_weak_form_residual():
     rng = np.random.default_rng(10)
-    ens = Ensemble(rng.standard_normal((1000, 2)))
+    ens = rng.standard_normal((1000, 2))
     model = make_linear_gaussian(np.zeros((2, 2)), [1.0, -0.5])
     fld = solve_galerkin(ens, model, "fpf_phi",
                          basis=monomial_basis(2, quadratic=True))
@@ -256,7 +254,7 @@ def test_galerkin_weak_form_residual():
 
 def test_galerkin_ill_conditioned_duplicate_basis():
     rng = np.random.default_rng(11)
-    ens = Ensemble(rng.standard_normal((100, 1)))
+    ens = rng.standard_normal((100, 1))
     b = monomial_basis(1)[0]
     dup = BasisFunction("x_again", b.value, b.grad, b.hess)
     with pytest.raises(IllConditioned):
@@ -265,7 +263,7 @@ def test_galerkin_ill_conditioned_duplicate_basis():
 
 def test_galerkin_cov_inverse_mass_reproduces_constant_gain():
     rng = np.random.default_rng(12)
-    ens = Ensemble(rng.normal(size=(400, 1)) * 0.7)
+    ens = rng.normal(size=(400, 1)) * 0.7
     model = _linear_model(1.1)
     moments = compute_moments(ens, model)
     fld = solve_galerkin(ens, model, "fpf_phi", basis=monomial_basis(1),
@@ -279,7 +277,7 @@ def test_galerkin_cov_inverse_mass_reproduces_constant_gain():
 
 def test_fundamental_constant_m_gives_zero_field():
     rng = np.random.default_rng(13)
-    ens = Ensemble(rng.standard_normal((50, 2)))
+    ens = rng.standard_normal((50, 2))
     fld = solve_fundamental_mc(ens, np.full(50, 3.3))
     out = fld.evaluate(rng.standard_normal((10, 2)))
     # centred rhs vanishes; the mean of identical values rounds at ulp scale
@@ -289,7 +287,7 @@ def test_fundamental_constant_m_gives_zero_field():
 def test_fundamental_two_particle_hand_value():
     # y1=(1,0), y2=(-1,0), m=(1,-1), x=(0,1): both kernel terms have
     # |y - x|^2 = 2, so the sum is (1,0) and the field is (1/(4 pi), 0)
-    ens = Ensemble(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    ens = np.array([[1.0, 0.0], [-1.0, 0.0]])
     fld = solve_fundamental_mc(ens, np.array([1.0, -1.0]), epsilon=1e-6)
     out = fld.evaluate(np.array([[0.0, 1.0]]))
     expected = np.array([1.0 / (4 * np.pi), 0.0])
@@ -301,15 +299,15 @@ def test_fundamental_two_particle_hand_value():
 def test_fundamental_antisymmetry():
     # swapping the two particles and negating m negates the field
     pts = np.array([[0.3, 0.7], [-0.2, 1.5]])
-    f1 = solve_fundamental_mc(Ensemble(np.array([[1.0, 0.2], [-0.7, 0.0]])),
+    f1 = solve_fundamental_mc(np.array([[1.0, 0.2], [-0.7, 0.0]]),
                               np.array([0.4, -1.1]), epsilon=1e-6)
-    f2 = solve_fundamental_mc(Ensemble(np.array([[-0.7, 0.0], [1.0, 0.2]])),
+    f2 = solve_fundamental_mc(np.array([[-0.7, 0.0], [1.0, 0.2]]),
                               np.array([1.1, -0.4]), epsilon=1e-6)
     np.testing.assert_allclose(f2.evaluate(pts), -f1.evaluate(pts), atol=1e-15)
 
 
 def test_fundamental_rejects_d1():
-    ens = Ensemble(np.array([[0.0], [1.0]]))
+    ens = np.array([[0.0], [1.0]])
     with pytest.raises(DimensionError):
         solve_fundamental_mc(ens, np.array([1.0, -1.0]))
 
@@ -320,7 +318,7 @@ def test_fundamental_weak_divergence_consistency():
     n = 4000
     ys = rng.standard_normal((n, 2))
     h = np.tanh(ys[:, 0])
-    ens = Ensemble(ys)
+    ens = ys
     fld = solve_fundamental_mc(ens, h)
 
     # bump b(x) = exp(-|x|^2): grad b = -2 x b
@@ -339,7 +337,7 @@ def test_fundamental_weak_divergence_consistency():
 
 def test_multivariate_kde_matches_normal_density_scale():
     rng = np.random.default_rng(15)
-    ens = Ensemble(rng.standard_normal((4000, 2)))
+    ens = rng.standard_normal((4000, 2))
     vals, floored, frac = multivariate_kde_at_points(
         ens, points=np.array([[0.0, 0.0]]))
     assert abs(vals[0] - 1.0 / (2 * np.pi)) <= 0.02
@@ -352,7 +350,7 @@ def test_multivariate_kde_matches_normal_density_scale():
 def test_assemble_exact_gives_enkbf_coefficients():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(200, 1))
-    ens = Ensemble(x)
+    ens = x
     model = make_linear_gaussian([[-0.5]], [1.0])
     for kind, mm in [("delta_fpf", "identity"), ("crisan_xiong", "identity"),
                      ("delta_reich", "cov_inverse"), ("enkbf", "identity")]:
@@ -370,7 +368,7 @@ def test_assemble_exact_gives_enkbf_coefficients():
 
 def test_assemble_constant_h_all_kinds_zero():
     rng = np.random.default_rng(17)
-    ens = Ensemble(rng.standard_normal((150, 1)))
+    ens = rng.standard_normal((150, 1))
     model = SystemModel(dim=1, drift=lambda v: np.zeros_like(v),
                         obs=lambda v: np.full(v.shape[0], 2.0),
                         obs_grad=lambda v: np.zeros_like(v))
@@ -384,7 +382,7 @@ def test_assemble_constant_h_all_kinds_zero():
 
 def test_assemble_1d_fpf_equals_crisan_pointwise():
     rng = np.random.default_rng(18)
-    ens = Ensemble(rng.standard_normal((300, 1)))
+    ens = rng.standard_normal((300, 1))
     model = SystemModel(dim=1, drift=lambda v: -v,
                         obs=lambda v: np.tanh(v[:, 0]),
                         obs_grad=lambda v: (1 / np.cosh(v[:, 0]) ** 2)[:, None])
@@ -394,9 +392,3 @@ def test_assemble_1d_fpf_equals_crisan_pointwise():
     assert np.max(np.abs(fpf.K - cx.K)) <= 1e-12
     assert np.max(np.abs(fpf.a - cx.a)) <= 1e-12
 
-
-def test_reich_identity_continuous_drift_formula():
-    K = np.array([[1.0], [2.0]])
-    h = np.array([0.5, -0.5])
-    out = reich_identity_continuous_drift(K, h, 0.1)
-    np.testing.assert_allclose(out, -0.5 * K * (h + 0.1)[:, None])

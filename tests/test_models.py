@@ -153,3 +153,22 @@ def test_initial_density_grid_table_mass():
     d = InitialDensity(kind="grid_table", grid=g, values=v)
     draws = d.sample(4000, np.random.default_rng(1).normal(size=(4000, 1)))
     assert abs(draws.mean()) < 0.06
+
+
+def test_initial_density_grid_table_from_lists():
+    # a config hands the table over as JSON lists
+    g = np.linspace(-5, 5, 801)
+    v = np.exp(-g**2 / 2)
+    v = v / np.trapezoid(v, g)
+    d = InitialDensity(kind="grid_table", grid=g.tolist(), values=v.tolist())
+    assert d.grid.dtype == d.values.dtype == np.float64
+    draws = d.sample(4000, np.random.default_rng(1).normal(size=(4000, 1)))
+    assert abs(draws.mean()) < 0.06
+    uneven = g.copy()
+    uneven[400] += 1e-3
+    negative = v.copy()
+    negative[400] = -negative[400]
+    for grid, values in [(uneven, v), (g[::-1], v), (g, negative), (g, v[1:])]:
+        with pytest.raises(ValueError):
+            InitialDensity(kind="grid_table", grid=grid.tolist(),
+                           values=values.tolist())

@@ -1,14 +1,11 @@
-import os
-
 import numpy as np
 import pytest
 
 from flowfilter.errors import OutOfRange
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import (ObservationPath, TimeGrid, discrete_observation,
-                              load_path_csv, refine_increments, save_path_csv,
-                              simulate_observations, simulate_truth,
-                              smoothed_value, total_variation)
+                              refine_increments, simulate_observations,
+                              simulate_truth, smoothed_value, total_variation)
 from flowfilter.rng import GaussianIncrements, InjectedIncrements, ZeroIncrements
 
 
@@ -173,26 +170,3 @@ def test_refinement_consistency_bounded_h():
     bound = m.obs_sup * g.fine_dt * g.n_fine
     assert np.max(np.abs(path2.z_knots - path.z_knots)) <= bound
 
-
-def test_csv_round_trip_bit_exact(tmp_path):
-    path, tr = _random_path(seed=31, t_end=0.1)
-    fname = os.path.join(tmp_path, "path.csv")
-    save_path_csv(fname, path, tr)
-    times, states, z = load_path_csv(fname)
-    assert np.array_equal(states, tr.states)
-    assert np.array_equal(z, path.z)
-    assert np.array_equal(times, path.grid.fine_times())
-
-
-def test_knots_csv_schema(tmp_path):
-    from flowfilter.paths import save_knots_csv
-
-    path, _ = _random_path(seed=37, t_end=0.05)
-    fname = os.path.join(tmp_path, "knots.csv")
-    save_knots_csv(fname, path)
-    lines = open(fname).read().splitlines()
-    assert lines[0] == "n,t_n,z_knot,slope"
-    assert len(lines) == path.grid.n_mesh + 2
-    last = lines[-1].split(",")
-    assert last[3] == ""                     # no slope on the final knot
-    assert float(last[2]) == path.z_knots[-1]

@@ -1,56 +1,50 @@
 import numpy as np
 import pytest
 
-from flowfilter.errors import CFLViolation, CovarianceBlowup, GridMismatch
+from flowfilter.ensemble import Density1D
+from flowfilter.errors import CovarianceBlowup, GridMismatch
 from flowfilter.models import make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
-from flowfilter.reference import (GridDensity, KalmanBucyState, cfl_bound,
-                                  density_distance, grid_kushner_step,
-                                  kalman_bucy_step, riccati_fixed_point,
-                                  run_grid_kushner, run_kalman_bucy)
+from flowfilter.reference import (cfl_bound, density_distance,
+                                  riccati_fixed_point, run_grid_kushner,
+                                  run_kalman_bucy)
 from flowfilter.rng import GaussianIncrements
 
 
-def _gauss_grid(var=1.0, mean=0.0, half=8.0, points=1601, t=0.0):
+def _gauss_grid(var=1.0, mean=0.0, half=8.0, points=1601):
     g = np.linspace(-half, half, points)
     v = np.exp(-(g - mean) ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
-    return GridDensity(grid=g, values=v, time=t)
+    return Density1D(grid=g, values=v)
+
+
+def _excess_kurtosis(dens):
+    m, v = dens.mean(), dens.var()
+    m4 = float(np.trapezoid((dens.grid - m) ** 4 * dens.values, dens.grid))
+    return m4 / v**2 - 3.0
 
 
 def test_kalman_bucy_riccati_fixed_point():
     # A=0, H=1, P=1: dP/dt = 1 - 1 = 0
-    st = KalmanBucyState([0.0], [[1.0]])
-    for k in range(100):
-        st = kalman_bucy_step(st, [[0.0]], [1.0], 0.0, 0.01)
-    assert st.cov[0, 0] == pytest.approx(1.0, abs=1e-12)
+    _, covs = run_kalman_bucy([[0.0]], [1.0], [0.0], [[1.0]], np.zeros(100), 0.01)
+    assert covs[-1, 0, 0] == pytest.approx(1.0, abs=1e-12)
     assert riccati_fixed_point(0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_kalman_bucy_pure_lyapunov_growth():
-    st = KalmanBucyState([0.0], [[1.0]])
-    st2 = kalman_bucy_step(st, [[0.0]], [0.0], 0.0, 0.01)
-    assert st2.cov[0, 0] == pytest.approx(1.01, abs=1e-15)
+    _, covs = run_kalman_bucy([[0.0]], [0.0], [0.0], [[1.0]], np.zeros(1), 0.01)
+    assert covs[1, 0, 0] == pytest.approx(1.01, abs=1e-15)
 
 
 def test_kalman_bucy_zero_innovation_keeps_mean():
-    st = KalmanBucyState([0.7], [[2.0]])
     h_m_dt = 1.0 * 0.7 * 0.01
-    st2 = kalman_bucy_step(st, [[0.0]], [1.0], h_m_dt, 0.01)
-    assert st2.mean[0] == pytest.approx(0.7, abs=1e-15)
+    means, _ = run_kalman_bucy([[0.0]], [1.0], [0.7], [[2.0]],
+                               np.array([h_m_dt]), 0.01)
+    assert means[1, 0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_kalman_bucy_covariance_blowup():
-    st = KalmanBucyState([0.0], [[1.0]])
     with pytest.raises(CovarianceBlowup):
-        for _ in range(500):
-            st = kalman_bucy_step(st, [[10.0]], [0.0], 0.0, 0.01)
-
-
-def test_grid_kushner_cfl_guard():
-    dens = _gauss_grid(points=401)
-    model = make_linear_gaussian([[0.0]], [0.0])
-    with pytest.raises(CFLViolation):
-        grid_kushner_step(dens, model, 0.0, 10 * cfl_bound(dens))
+        run_kalman_bucy([[10.0]], [0.0], [0.0], [[1.0]], np.zeros(500), 0.01)
 
 
 def test_grid_kushner_pure_heat_variance_growth():
@@ -60,11 +54,10 @@ def test_grid_kushner_pure_heat_variance_growth():
     dt = cfl_bound(dens) * 0.9
     v0 = dens.var()
     steps = 200
-    cur = dens
-    for _ in range(steps):
-        cur = grid_kushner_step(cur, model, 0.0, dt)
-    assert cur.var() - v0 == pytest.approx(steps * dt, abs=1e-4)
-    assert cur.mass() == pytest.approx(1.0, abs=1e-12)
+    _, vars_, snapshots, _ = run_grid_kushner(dens, model, np.zeros(steps), dt,
+                                              1, snapshot_slots=[steps])
+    assert vars_[-1] - v0 == pytest.approx(steps * dt, abs=1e-4)
+    assert snapshots[steps].mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_kushner_tracks_kalman_bucy():
@@ -78,7 +71,7 @@ def test_grid_kushner_tracks_kalman_bucy():
     means, vars_, _, _ = run_grid_kushner(dens, model, path.slopes,
                                           grid.fine_dt, grid.steps_per_mesh)
     drive = np.repeat(path.slopes, grid.steps_per_mesh) * grid.fine_dt
-    km, kc = run_kalman_bucy([[-0.5]], [1.0], KalmanBucyState([1.0], [[0.5]]),
+    km, kc = run_kalman_bucy([[-0.5]], [1.0], [1.0], [[0.5]],
                              drive, grid.fine_dt,
                              record_every=grid.steps_per_mesh)
     assert np.max(np.abs(means - km[:, 0])) <= 1e-3
@@ -95,9 +88,9 @@ def test_grid_kushner_gaussianity_preserved():
     dens = _gauss_grid(var=0.5, mean=1.0, half=8.0, points=1601)
     _, _, snapshots, _ = run_grid_kushner(dens, model, path.slopes,
                                           grid.fine_dt, grid.steps_per_mesh,
-                                          snapshot_times=[1.0])
+                                          snapshot_slots=[grid.n_mesh])
     final = snapshots[grid.n_mesh]
-    assert abs(final.excess_kurtosis()) <= 1e-2
+    assert abs(_excess_kurtosis(final)) <= 1e-2
 
 
 def test_riccati_monotone_bracket():
@@ -105,11 +98,10 @@ def test_riccati_monotone_bracket():
     A, H = -0.5, 1.0
     p_star = riccati_fixed_point(A, H)
     for p0 in (0.1, 2.0):
-        st = KalmanBucyState([0.0], [[p0]])
+        _, covs = run_kalman_bucy([[A]], [H], [0.0], [[p0]], np.zeros(2000), 0.001)
         lo, hi = min(p0, p_star), max(p0, p_star)
-        for _ in range(2000):
-            st = kalman_bucy_step(st, [[A]], [H], 0.0, 0.001)
-            assert lo - 1e-9 <= st.cov[0, 0] <= hi + 1e-9
+        for P in covs[1:, 0, 0]:
+            assert lo - 1e-9 <= P <= hi + 1e-9
 
 
 def test_density_distance_identical_and_shifted():
@@ -124,28 +116,16 @@ def test_density_distance_identical_and_shifted():
 def test_density_distance_disjoint_supports():
     g = np.linspace(-10, 10, 2001)
     bump = lambda c: np.maximum(0.0, 1 - (g - c) ** 2)
-    a = GridDensity(grid=g, values=bump(-5))
-    b = GridDensity(grid=g, values=bump(5))
+    a = Density1D(grid=g, values=bump(-5))
+    b = Density1D(grid=g, values=bump(5))
     l1, _, _ = density_distance(a, b)
     assert l1 == pytest.approx(2.0, abs=1e-9)
 
 
 def test_density_distance_grid_mismatch():
     a = _gauss_grid(points=101)
-    b = GridDensity(grid=np.linspace(-8, 8, 102)[:101],
+    b = Density1D(grid=np.linspace(-8, 8, 102)[:101],
                     values=a.values)
     with pytest.raises(GridMismatch):
         density_distance(a, b)
 
-
-def test_grid_density_csv(tmp_path):
-    import csv as _csv
-    from flowfilter.reference import save_grid_density_csv
-
-    dens = _gauss_grid(points=101)
-    f = tmp_path / "theta.csv"
-    save_grid_density_csv(f, dens)
-    rows = list(_csv.reader(open(f)))
-    assert rows[0] == ["x", "theta"]
-    vals = np.array([float(r[1]) for r in rows[1:]])
-    assert np.array_equal(vals, dens.values)
