@@ -151,25 +151,49 @@ def _kde_eval_points_impl(points, sources, bw):
 #            + (h - hbar) theta * slope) dt
 # conservative flux form with zero-flux boundaries; negatives clipped and
 # the density renormalised (trapezoid) after every substep.
+#
+# The numba loop below keeps the flux form
+# F_i = (M_i theta_i + M_{i+1} theta_{i+1}) / 2 - (theta_{i+1} - theta_i) / (2 dx).
+# The numpy kernel writes the same scheme as F_i = P_i theta_i + Q_i theta_{i+1}
+# and applies one tridiagonal operator per substep, built once per call
+# because drift, h, dt and slope are fixed within it:
+#   new = theta (diag + dt (h2bar/2 - slope hbar)) + lo theta_{i-1} + up theta_{i+1}
+# Only the scalar shift moves between substeps.  The grouping of the sums
+# differs from the flux form, so the two agree to a few ulps of max|theta|
+# (tests/test_kernels.py holds them to 1e-12), not bitwise.
 
 def kushner_substeps_numpy(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
+    P = 0.5 * drift_g[:-1] + 0.5 / dx
+    Q = 0.5 * drift_g[1:] - 0.5 / dx
+    lo = (dt_sub / dx) * P
+    up = (-dt_sub / dx) * Q
+    diag = np.empty_like(theta)
+    diag[0] = -P[0]
+    diag[1:-1] = Q[:-1] - P[1:]
+    diag[-1] = Q[-1]
+    diag = 1.0 + dt_sub * (diag / dx + (slope - 0.5 * h_g) * h_g)
+    moments = np.stack([w * h_g, w * h_g * h_g])
     th = theta.copy()
+    new = np.empty_like(th)
+    scale = np.empty_like(th)
+    band = np.empty(th.shape[0] - 1)
+    neg = np.empty(th.shape[0], dtype=bool)
+    th_head, th_tail, new_head, new_tail = th[:-1], th[1:], new[:-1], new[1:]
     nclip = 0
     for _ in range(nsub):
-        hbar = np.dot(w, th * h_g)
-        h2bar = np.dot(w, th * h_g * h_g)
-        flux = 0.5 * (drift_g[:-1] * th[:-1] + drift_g[1:] * th[1:])
-        flux -= 0.5 * (th[1:] - th[:-1]) / dx
-        dth = np.empty_like(th)
-        dth[1:-1] = -(flux[1:] - flux[:-1]) / dx
-        dth[0] = -flux[0] / dx
-        dth[-1] = flux[-1] / dx
-        dth += (-0.5 * (h_g * h_g - h2bar) + (h_g - hbar) * slope) * th
-        th = th + dt_sub * dth
-        neg = th < 0.0
-        nclip += int(np.count_nonzero(neg))
-        th[neg] = 0.0
-        th /= np.dot(w, th)
+        hbar, h2bar = moments.dot(th).tolist()
+        np.add(diag, dt_sub * (0.5 * h2bar - slope * hbar), out=scale)
+        np.multiply(th, scale, out=new)
+        np.multiply(lo, th_head, out=band)       # new_i += lo_i theta_{i-1}
+        new_tail += band
+        np.multiply(up, th_tail, out=band)       # new_i += up_i theta_{i+1}
+        new_head += band
+        np.less(new, 0.0, out=neg)
+        k = np.count_nonzero(neg)
+        if k:
+            nclip += k
+            new[neg] = 0.0
+        np.divide(new, np.dot(w, new), out=th)
     return th, nclip
 
 

@@ -135,6 +135,19 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
+def _object(d: dict, key: str, default=None) -> dict:
+    """d[key], which must be a JSON object; required unless a default is
+    given for when it is absent."""
+    value = _need(d, key, "") if default is None else d.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(key, "must be an object")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_opts(opts, allowed: dict, path: str):
     """Every key of opts is allowed and its value passes the key's check,
     or the nested spec when the key has one."""
@@ -157,10 +170,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {version}")
-    model = _need(raw, "model", "")
+    model = _object(raw, "model")
     name = _need(model, "name", "model")
 
-    g = _need(raw, "grid", "")
+    g = _object(raw, "grid")
     try:
         grid = TimeGrid(t0=float(g.get("t0", 0.0)), t_end=float(_need(g, "T", "grid")),
                         fine_dt=float(_need(g, "fine_dt", "grid")),
@@ -168,7 +181,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("grid", str(exc)) from None
 
-    init_raw = _need(raw, "init", "")
+    init_raw = _object(raw, "init")
     kind = init_raw.get("kind", "gaussian")
     try:
         if kind == "gaussian":
@@ -182,12 +195,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError("init", str(exc)) from None
 
-    n = int(raw.get("ensemble_size", 0))
-    if n < 2:
-        raise ConfigError("ensemble_size", "need at least 2 particles")
+    n = raw.get("ensemble_size", 0)
+    if not _is_int(n) or n < 2:
+        raise ConfigError("ensemble_size", f"must be an integer >= 2, not {n!r}")
 
     filters = []
-    for i, f in enumerate(raw.get("filters", [])):
+    raw_filters = raw.get("filters", [])
+    if not isinstance(raw_filters, list):
+        raise ConfigError("filters", "must be a list")
+    for i, f in enumerate(raw_filters):
+        if not isinstance(f, dict):
+            raise ConfigError(f"filters[{i}]", "must be an object")
         try:
             fk = FilterKind(tag=_need(f, "kind", f"filters[{i}]"),
                             mass_matrix=f.get("mass_matrix"))
@@ -202,13 +220,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
         filters.append(FilterSpec(kind=fk, gain=gain,
                                   gain_opts=f.get("gain_opts", {})))
 
-    seeds = _need(raw, "seeds", "")
+    seeds = _object(raw, "seeds")
     for key in ("truth", "observation", "filter"):
         if key not in seeds:
             raise ConfigError(f"seeds.{key}", "seeds must be explicit "
                               "(no ambient randomness)")
 
-    sweep = raw.get("sweep", {})
+    sweep = _object(raw, "sweep", {})
+    ns = sweep.get("n", [])
+    if not isinstance(ns, list) or not all(_is_int(v) and v >= 2 for v in ns):
+        raise ConfigError("sweep.n", f"must be a list of integers >= 2, not {ns!r}")
     if "delta" in sweep:
         horizon = grid.t_end - grid.t0
         for dv in sweep["delta"]:
@@ -216,16 +237,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError("sweep.delta", f"delta {dv} does not divide "
                                   f"the horizon {horizon}")
-        for i, spec in enumerate(filters):   # each is compared with its twin
-            twin, twin_gain = CONTINUOUS_TWIN.get(spec.kind.tag, (None, None))
-            if twin is None or (twin_gain or spec.gain) not in ASSEMBLERS[twin]:
-                raise ConfigError(f"filters[{i}].kind", f"{spec.label()} has no "
-                                  "continuous-time twin to sweep delta against")
+        _check_twins(filters)
 
     return ExperimentConfig(model_name=name, model_params=model,
                             grid=grid, init=init, ensemble_size=n,
                             filters=filters, seeds=dict(seeds),
-                            reference=raw.get("reference", {}),
+                            reference=_object(raw, "reference", {}),
                             sweep=sweep,
                             output_dir=raw.get("output_dir", "out"), raw=raw)
 
@@ -262,7 +279,7 @@ def _simulate_paths(config: ExperimentConfig, model: SystemModel,
 
 def _initial_cloud(config: ExperimentConfig, d: int, n: Optional[int] = None,
                    seed: Optional[int] = None) -> np.ndarray:
-    n = n or config.ensemble_size
+    n = config.ensemble_size if n is None else n
     seed = config.seeds["filter"] if seed is None else seed
     return config.init.sample(n, CounterStream(seed, label=0).normals(0, (n, d)))
 
@@ -306,6 +323,7 @@ class RunReport:
     reference_kind: str
     ref_means: np.ndarray
     ref_covs: np.ndarray
+    reference_clip_count: Optional[int]     # None for Kalman-Bucy
     results: list
     slope_checksum: str
     truth_terminal: np.ndarray
@@ -320,23 +338,24 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
                         path: ObservationPath):
     """Mesh-point reference moments driven by the identical slope process:
     Kalman-Bucy for a linear-Gaussian model from a Gaussian law, else the
-    1D grid Kushner filter."""
+    1D grid Kushner filter.  Returns (kind, means, covs, clip_count), the
+    last the grid's count of clipped negative cells (None for Kalman-Bucy)."""
     grid = config.grid
     drive = path.fine_slopes() * path.grid.fine_dt   # smoothed-path increments
     if _kalman_bucy_exact(config, model) and config.reference.get("kalman_bucy", True):
         means, covs = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
                                       config.init.cov, drive, grid.fine_dt,
                                       record_every=grid.steps_per_mesh)
-        return "kalman_bucy", means, covs
+        return "kalman_bucy", means, covs, None
     if model.dim != 1:
         raise ConfigError("reference", "no reference available: grid Kushner "
                           "is 1D only and the model is not linear-Gaussian")
     opts = config.reference.get("grid_kushner", {})
     dens = _init_grid_density(config, float(opts.get("half_width", 6.0)),
                               int(opts.get("points", 1201)))
-    means, vars_, _, _ = run_grid_kushner(dens, model, path.slopes,
-                                          grid.fine_dt, grid.steps_per_mesh)
-    return "grid_kushner", means[:, None], vars_[:, None, None]
+    means, vars_, _, clips = run_grid_kushner(dens, model, path.slopes,
+                                              grid.fine_dt, grid.steps_per_mesh)
+    return "grid_kushner", means[:, None], vars_[:, None, None], clips
 
 
 def _run_one_filter(spec: FilterSpec, config: ExperimentConfig,
@@ -363,7 +382,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
     model = config.build_model()
     truth, path = _simulate_paths(config, model)
     checksum = hashlib.sha256(path.slopes.tobytes()).hexdigest()
-    ref_kind, ref_means, ref_covs = _reference_solution(config, model, path)
+    ref_kind, ref_means, ref_covs, ref_clips = _reference_solution(
+        config, model, path)
     cloud = _initial_cloud(config, model.dim)
 
     if threads > 1 and len(config.filters) > 1:
@@ -385,7 +405,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
         res.terminal_err_mean = float(res.err_mean[-1])
         res.terminal_err_cov = float(res.err_cov[-1])
     return RunReport(config=config, reference_kind=ref_kind,
-                     ref_means=ref_means, ref_covs=ref_covs, results=results,
+                     ref_means=ref_means, ref_covs=ref_covs,
+                     reference_clip_count=ref_clips, results=results,
                      slope_checksum=checksum,
                      truth_terminal=truth.states[-1],
                      wall_clock=time.perf_counter() - t_start)
@@ -400,6 +421,15 @@ CONTINUOUS_TWIN = {
     "delta_reich": ("fpf_continuous", None),
     "crisan_xiong": ("crisan_continuous", None),
 }
+
+
+def _check_twins(filters: list):
+    """A delta sweep compares each filter with its continuous-time twin."""
+    for i, spec in enumerate(filters):
+        twin, twin_gain = CONTINUOUS_TWIN.get(spec.kind.tag, (None, None))
+        if twin is None or (twin_gain or spec.gain) not in ASSEMBLERS[twin]:
+            raise ConfigError(f"filters[{i}].kind", f"{spec.label()} has no "
+                              "continuous-time twin to sweep delta against")
 
 
 @dataclass
@@ -433,6 +463,7 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     RMSE against the exact reference is reported alongside.  The trend
     (Spearman rho and per-seed monotonicity) is reported, not asserted."""
     model = config.build_model()
+    _check_twins(config.filters)    # also when sweep.delta is left to default
     sweep = config.sweep
     deltas = [float(v) for v in sweep.get("delta", [config.grid.delta])]
     seeds = [int(s) for s in sweep.get("seeds", [config.seeds["filter"]])]
@@ -517,7 +548,7 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
             local = ExperimentConfig(**{**config.__dict__, "seeds": cfg_seeds})
             _, path = _simulate_paths(local, model)
             cloud = _initial_cloud(local, model.dim, n=n_val)
-            _, ref_means, _ = _reference_solution(local, model, path)
+            _, ref_means, _, _ = _reference_solution(local, model, path)
             for spec in config.filters:
                 run = run_filter(spec.kind, model, path, cloud, config.grid,
                                  spec.gain, cfg_seeds["filter"],
@@ -642,6 +673,7 @@ def emit_plot_data(report: RunReport, out_dir: str):
     summary = {
         "schema_version": SCHEMA_VERSION,
         "reference": report.reference_kind,
+        "reference_clip_count": report.reference_clip_count,
         "slope_checksum": report.slope_checksum,
         "wall_clock": report.wall_clock,
         "filters": {

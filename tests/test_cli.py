@@ -115,6 +115,38 @@ def test_parse_config_rejects_nondividing_sweep_delta():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("model", [1], "model"),
+    ("grid", "0.1", "grid"),
+    ("init", [1], "init"),
+    ("seeds", [1, 2, 3], "seeds"),
+    ("sweep", 5, "sweep"),
+    ("reference", "grid_kushner", "reference"),
+    ("filters", {"kind": "enkbf"}, "filters"),
+    ("filters", [1], "filters[0]"),
+    ("ensemble_size", "abc", "ensemble_size"),
+    ("ensemble_size", 2.5, "ensemble_size"),
+    ("ensemble_size", True, "ensemble_size"),
+    ("sweep", {"n": [1]}, "sweep.n"),
+    ("sweep", {"n": [0]}, "sweep.n"),
+    ("sweep", {"n": 16}, "sweep.n"),
+])
+def test_wrong_json_types_exit_2_naming_the_field(tmp_path, capsys, key,
+                                                   value, field):
+    # each used to raise out of main (exit 1), or, for ensemble_size 2.5
+    # and sweep.n [0], to run at another size than the config says
+    raw = copy.deepcopy(BASE)
+    raw[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == field
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    command = "sweep" if key == "sweep" else "run"
+    assert main([command, str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: config.{field}:" in capsys.readouterr().err
+
+
 def test_run_experiment_empty_filter_list_references_only():
     cfg = _cfg(filters=[])
     report = run_experiment(cfg)
@@ -145,6 +177,19 @@ def test_emit_plot_data_schema(tmp_path):
     assert set(summary["filters"]) == {"enkbf/exact_gaussian",
                                        "delta_fpf/exact_gaussian"}
     assert summary["slope_checksum"] == report.slope_checksum
+
+
+def test_report_json_reference_clip_count(tmp_path):
+    emit_plot_data(run_experiment(_cfg(filters=[])), str(tmp_path / "kb"))
+    summary = json.load(open(tmp_path / "kb" / "report.json"))
+    assert summary["reference"] == "kalman_bucy"
+    assert summary["reference_clip_count"] is None
+    cfg = _cfg(model={"name": "scalar_tanh"}, filters=[],
+               reference={"grid_kushner": {"half_width": 5.0, "points": 201}})
+    emit_plot_data(run_experiment(cfg), str(tmp_path / "grid"))
+    summary = json.load(open(tmp_path / "grid" / "report.json"))
+    assert summary["reference"] == "grid_kushner"
+    assert summary["reference_clip_count"] == 0
 
 
 def test_emit_plot_data_empty_report_header_only(tmp_path):
@@ -229,6 +274,17 @@ def test_sweep_single_delta_trend_na(tmp_path):
     assert all(np.isnan(v) for v in report.trends.values())
     emit_sweep_csv(report, str(tmp_path))
     assert open(tmp_path / "sweep.csv").readline().startswith("axis,")
+
+
+def test_sweep_without_delta_list_needs_twins(tmp_path):
+    # with sweep.delta left to default, a continuous-time filter used to
+    # raise KeyError out of main (exit 1)
+    raw = copy.deepcopy(BASE)
+    raw["filters"] = [{"kind": "fpf_continuous", "gain": "exact_gaussian"}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_sweep_rejects_non_nested_meshes():

@@ -31,6 +31,10 @@ KDE_OPTS = st.fixed_dictionaries({}, optional={
     "bandwidth": st.sampled_from(["silverman", 0.3, 5.0, -0.1, "scott"]),
     "pad_sigmas": st.sampled_from([8.0, 1.0, float("inf")]),
 })
+# a JSON value of the wrong type for any of the top-level fields below
+WRONG_TYPE = st.sampled_from([[1], "abc", 2.5, True, None, {"k": 1}, 7])
+TYPED_FIELDS = ["model", "grid", "init", "seeds", "sweep", "reference",
+                "filters", "ensemble_size"]
 GAIN_OPTS = st.fixed_dictionaries({}, optional={
     "eps_floor": st.sampled_from([1e-8, 0.5, 0, -1.0, None]),
     "kde_opts": KDE_OPTS,
@@ -75,7 +79,7 @@ def configs(draw):
     filters = draw(st.lists(st.one_of(listed, listed, listed, anything),
                             max_size=2))
     n_mesh = draw(st.integers(1, 5))
-    return draw(st.sampled_from(["run", "sweep"])), {
+    raw = {
         "model": MODELS[model],
         "grid": {"t0": 0.0, "T": 0.01 * n_mesh, "delta": 0.01, "fine_dt": 0.005},
         "init": draw(_inits(dim)),
@@ -86,6 +90,13 @@ def configs(draw):
         "sweep": {"delta": draw(st.sampled_from([[0.01], [0.01], [0.02, 0.01]])),
                   "seeds": [11], "n": draw(st.sampled_from([[], [16]]))},
     }
+    if draw(st.integers(0, 7)) == 0:        # one config in eight
+        field = draw(st.sampled_from(TYPED_FIELDS + ["sweep.n"]))
+        if field == "sweep.n":
+            raw["sweep"]["n"] = draw(st.sampled_from([[1], [0], [True], [2.5], 16]))
+        else:
+            raw[field] = draw(WRONG_TYPE)
+    return draw(st.sampled_from(["run", "sweep"])), raw
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -76,6 +76,31 @@ def test_kushner_substeps_backends_agree():
     assert ca == cb
 
 
+@pytest.mark.parametrize("dt_cfl, nsub, slope, clips", [
+    (None, 50, 0.7, 0),        # smooth: dt 1e-5
+    (0.4, 20, 3000.0, 577),    # forced clipping at the CFL bound
+    (0.4, 20, -3000.0, 577),
+])
+def test_kushner_numpy_matches_flux_form_loop(dt_cfl, nsub, slope, clips):
+    """The numpy kernel's tridiagonal operator against the flux-form loop
+    run as plain Python: equal clip counts, and at most 1e-12 of max|theta|
+    apart (the sums are grouped differently, so not bitwise)."""
+    G = 401
+    g = np.linspace(-6, 6, G)
+    dx = g[1] - g[0]
+    theta = np.exp(-g**2 / 2)
+    theta /= np.trapezoid(theta, g)
+    w = np.full(G, dx)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    dt = 1e-5 if dt_cfl is None else dt_cfl * dx * dx
+    args = (theta, -g, np.tanh(g), w, dx, dt, nsub, slope)
+    a, ca = _kernels.kushner_substeps_numpy(*args)
+    b, cb = _kernels._kushner_substeps_impl(*args)
+    assert ca == cb == clips
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 def test_kushner_numpy_mass_is_one_after_each_call():
     G = 301
     g = np.linspace(-5, 5, G)
