@@ -74,6 +74,13 @@ def kushner_args(points, half_width, drift, obs, dt_sub, nsub, slope):
             slope)
 
 
+def environment() -> dict:
+    """The kernel backend, library versions and usable core count."""
+    return {"backend": _kernels.BACKEND, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "nproc": len(os.sched_getaffinity(0))}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the rows and environment as JSON")
@@ -134,11 +141,8 @@ def main():
         (xs, grid)))
 
     if args.out:
-        env = {"backend": _kernels.BACKEND, "python": platform.python_version(),
-               "numpy": np.__version__, "scipy": scipy.__version__,
-               "nproc": len(os.sched_getaffinity(0))}
         with open(args.out, "w") as fh:
-            json.dump({"environment": env, "rows": rows}, fh, indent=2)
+            json.dump({"environment": environment(), "rows": rows}, fh, indent=2)
 
 
 if __name__ == "__main__":

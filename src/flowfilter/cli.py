@@ -13,12 +13,13 @@ Subcommands:
                                     configured system (theory.csv)
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.  All seeds are
-explicit in the config; re-running a config reproduces every CSV bitwise,
-independent of --threads.
+explicit in the config; re-running a config reproduces every CSV bitwise.
+The filters of a run, and the runs of one sweep seed, share the filter
+seed, so they advance as one lockstep group (filters.run_lockstep) that
+draws each noise block once; --threads is accepted and changes nothing.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -31,9 +32,12 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Density1D
-from .errors import ConfigError, FlowFilterError, NonNestedMeshes
-from .filters import FilterKind, FilterRun, run_filter
-from .gain import ASSEMBLERS, GAIN_OPTS
+from .errors import (ConfigError, FlowFilterError, NonNestedMeshes,
+                     NonPositiveParameter)
+from .filters import FilterKind, FilterRun, Run, run_lockstep
+# bound here only for the tracer in perfbench/layers.py, which wraps it
+from .filters import run_filter  # noqa: F401
+from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE
 from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import ObservationPath, TimeGrid, simulate_observations, simulate_truth
@@ -122,7 +126,10 @@ class ExperimentConfig:
         if builder is None:
             raise ConfigError("model.name", f"unknown model {self.model_name!r}; "
                               f"registered: {sorted(MODEL_REGISTRY)}")
-        model = builder(self.model_params)
+        try:
+            model = builder(self.model_params)
+        except (ValueError, TypeError, NonPositiveParameter) as exc:
+            raise ConfigError("model", str(exc)) from None
         if self.init.dim != model.dim:
             raise ConfigError("init", f"a {self.init.dim}D initial law for a "
                               f"{model.dim}D model")
@@ -146,6 +153,33 @@ def _object(d: dict, key: str, default=None) -> dict:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _seed(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+_SEED = ("an integer >= 0", _seed)
+
+# the checked fields of the seeds, sweep and reference objects, each leaf a
+# (description, check) of its value as in gain.GAIN_OPTS
+SEEDS = {"truth": _SEED, "observation": _SEED, "filter": _SEED}
+SWEEP = {
+    "delta": ("a non-empty list of positive finite numbers",
+              lambda v: _list_of(POSITIVE[1])(v) and len(v) > 0),
+    "seeds": ("a list of integers >= 0", _list_of(_seed)),
+    "n": ("a list of integers >= 2", _list_of(lambda v: _is_int(v) and v >= 2)),
+}
+REFERENCE = {
+    "kalman_bucy": ("true or false", lambda v: isinstance(v, bool)),
+    # cumulative quadrature on the grid needs 3 points
+    "grid_kushner": {"points": ("an int >= 3", lambda v: _is_int(v) and v >= 3),
+                     "half_width": POSITIVE},
+}
 
 
 def _check_opts(opts, allowed: dict, path: str):
@@ -172,13 +206,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("schema_version", f"unsupported version {version}")
     model = _object(raw, "model")
     name = _need(model, "name", "model")
+    if not isinstance(name, str):
+        raise ConfigError("model.name", f"must be a string, not {name!r}")
 
     g = _object(raw, "grid")
     try:
         grid = TimeGrid(t0=float(g.get("t0", 0.0)), t_end=float(_need(g, "T", "grid")),
                         fine_dt=float(_need(g, "fine_dt", "grid")),
                         delta=float(_need(g, "delta", "grid")))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError("grid", str(exc)) from None
 
     init_raw = _object(raw, "init")
@@ -221,28 +257,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                   gain_opts=f.get("gain_opts", {})))
 
     seeds = _object(raw, "seeds")
-    for key in ("truth", "observation", "filter"):
+    for key in SEEDS:
         if key not in seeds:
             raise ConfigError(f"seeds.{key}", "seeds must be explicit "
                               "(no ambient randomness)")
+    _check_opts(seeds, SEEDS, "seeds")
 
     sweep = _object(raw, "sweep", {})
-    ns = sweep.get("n", [])
-    if not isinstance(ns, list) or not all(_is_int(v) and v >= 2 for v in ns):
-        raise ConfigError("sweep.n", f"must be a list of integers >= 2, not {ns!r}")
+    _check_opts(sweep, SWEEP, "sweep")
     if "delta" in sweep:
-        horizon = grid.t_end - grid.t0
-        for dv in sweep["delta"]:
-            ratio = horizon / float(dv)
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigError("sweep.delta", f"delta {dv} does not divide "
-                                  f"the horizon {horizon}")
+        for dv in sweep["delta"]:       # each divides the horizon into steps
+            try:
+                TimeGrid(t0=grid.t0, t_end=grid.t_end, fine_dt=grid.fine_dt,
+                         delta=float(dv))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError("sweep.delta", str(exc)) from None
         _check_twins(filters)
+    reference = _object(raw, "reference", {})
+    _check_opts(reference, REFERENCE, "reference")
 
     return ExperimentConfig(model_name=name, model_params=model,
                             grid=grid, init=init, ensemble_size=n,
                             filters=filters, seeds=dict(seeds),
-                            reference=_object(raw, "reference", {}),
+                            reference=reference,
                             sweep=sweep,
                             output_dir=raw.get("output_dir", "out"), raw=raw)
 
@@ -295,9 +332,13 @@ def _gaussian_grid_density(init: InitialDensity, half_width: float,
 
 def _init_grid_density(config: ExperimentConfig, half_width: float,
                        points: int) -> Density1D:
-    if config.init.kind == "gaussian":
+    if config.init.kind == "grid_table":
+        return Density1D(grid=config.init.grid, values=config.init.values)
+    try:
         return _gaussian_grid_density(config.init, half_width, points)
-    return Density1D(grid=config.init.grid, values=config.init.values)
+    except ValueError as exc:
+        raise ConfigError("reference.grid_kushner", f"the initial law on "
+                          f"{points} points over +-{half_width}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +399,23 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
     return "grid_kushner", means[:, None], vars_[:, None, None], clips
 
 
-def _run_one_filter(spec: FilterSpec, config: ExperimentConfig,
-                    model: SystemModel, path: ObservationPath,
-                    cloud: np.ndarray) -> FilterResult:
-    t0 = time.perf_counter()
-    try:
-        run = run_filter(spec.kind, model, path, cloud, config.grid,
-                         spec.gain, config.seeds["filter"],
-                         gain_opts=spec.gain_opts)
-        return FilterResult(label=spec.label(), run=run, error=None,
-                            wall_clock=time.perf_counter() - t0)
-    except FlowFilterError as exc:
-        return FilterResult(label=spec.label(), run=None,
-                            error=f"{type(exc).__name__}: {exc}",
-                            wall_clock=time.perf_counter() - t0)
+def _filter_result(spec: FilterSpec, out) -> FilterResult:
+    """The report row of a run_lockstep outcome: a FilterRun or the
+    FilterAborted that ended the run."""
+    if isinstance(out, FilterRun):
+        return FilterResult(label=spec.label(), run=out, error=None,
+                            wall_clock=out.seconds)
+    return FilterResult(label=spec.label(), run=None,
+                        error=f"{type(out).__name__}: {out}",
+                        wall_clock=out.partial.seconds)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
     """One truth + observation path; every filter consumes the identical
     path; errors are measured against the reference at mesh points only.
-    One filter's failure never aborts the siblings."""
+    The filters advance as one lockstep group, so threads is accepted but
+    does not change how they run.  One filter's failure never aborts the
+    siblings."""
     t_start = time.perf_counter()
     model = config.build_model()
     truth, path = _simulate_paths(config, model)
@@ -385,15 +423,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
     ref_kind, ref_means, ref_covs, ref_clips = _reference_solution(
         config, model, path)
     cloud = _initial_cloud(config, model.dim)
-
-    if threads > 1 and len(config.filters) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one_filter, spec, config, model, path,
-                                   cloud) for spec in config.filters]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_one_filter(spec, config, model, path, cloud)
-                   for spec in config.filters]
+    runs = [Run(spec.kind, spec.gain, path, config.grid, cloud, spec.gain_opts)
+            for spec in config.filters]
+    results = [_filter_result(spec, out) for spec, out in zip(
+        config.filters, run_lockstep(runs, model, config.seeds["filter"]))]
 
     for res in results:
         if res.run is None:
@@ -457,6 +490,22 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(spearmanr(x, y).statistic)
 
 
+def _mesh_path(fine_path: ObservationPath, grid: TimeGrid) -> ObservationPath:
+    """The fine observation path smoothed on grid's mesh."""
+    z_knots = fine_path.z[::grid.steps_per_mesh].copy()
+    return ObservationPath(grid=grid, z=fine_path.z, z_knots=z_knots,
+                           slopes=np.diff(z_knots) / grid.delta,
+                           seed=fine_path.seed)
+
+
+def _completed(outs: list) -> list:
+    """The FilterRuns of a sweep group; a sweep fails with its first abort."""
+    for out in outs:
+        if not isinstance(out, FilterRun):
+            raise out
+    return outs
+
+
 def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     """Pathwise RMSE of each delta-filter against its continuous-time form
     (identical seeds and particle noise) across the delta list, per seed;
@@ -499,27 +548,26 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
                                     fine_dt, record_every=1)
             exact_means = em[cmp_idx]
 
+        # per filter its continuous-time twin on the finest mesh, then one
+        # run per delta, all in one lockstep group
+        grids = [TimeGrid(t0=config.grid.t0, t_end=config.grid.t_end,
+                          fine_dt=fine_dt, delta=dv) for dv in deltas]
+        paths = [_mesh_path(fine_path, g) for g in grids]
+        runs = []
         for spec in config.filters:
             twin_tag, twin_gain = CONTINUOUS_TWIN[spec.kind.tag]
-            gain = twin_gain or spec.gain
-            twin = run_filter(FilterKind(twin_tag), model, fine_path, cloud,
-                              base_grid, gain, cfg_seeds["filter"],
-                              gain_opts=spec.gain_opts)
+            runs.append(Run(FilterKind(twin_tag), twin_gain or spec.gain,
+                            fine_path, base_grid, cloud, spec.gain_opts))
+            runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
+                     for p, g in zip(paths, grids)]
+        outs = iter(_completed(run_lockstep(runs, model, cfg_seeds["filter"])))
+        for spec in config.filters:
+            twin = next(outs)
             twin_every = round(coarse_delta / base_grid.delta)
             twin_means = twin.means[::twin_every]
             rmses = []
             for dv in deltas:
-                grid_d = TimeGrid(t0=config.grid.t0, t_end=config.grid.t_end,
-                                  fine_dt=fine_dt, delta=dv)
-                spm = grid_d.steps_per_mesh
-                z_knots = fine_path.z[::spm].copy()
-                path_d = ObservationPath(grid=grid_d, z=fine_path.z,
-                                         z_knots=z_knots,
-                                         slopes=np.diff(z_knots) / dv,
-                                         seed=fine_path.seed)
-                run = run_filter(spec.kind, model, path_d, cloud, grid_d,
-                                 spec.gain, cfg_seeds["filter"],
-                                 gain_opts=spec.gain_opts)
+                run = next(outs)
                 every = round(coarse_delta / dv)
                 means_c = run.means[::every]
                 rmse = float(np.sqrt(np.mean(
@@ -549,10 +597,10 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
             _, path = _simulate_paths(local, model)
             cloud = _initial_cloud(local, model.dim, n=n_val)
             _, ref_means, _, _ = _reference_solution(local, model, path)
-            for spec in config.filters:
-                run = run_filter(spec.kind, model, path, cloud, config.grid,
-                                 spec.gain, cfg_seeds["filter"],
-                                 gain_opts=spec.gain_opts)
+            runs = [Run(spec.kind, spec.gain, path, config.grid, cloud,
+                        spec.gain_opts) for spec in config.filters]
+            outs = _completed(run_lockstep(runs, model, cfg_seeds["filter"]))
+            for spec, run in zip(config.filters, outs):
                 rmse = float(np.sqrt(np.mean(np.sum(
                     (run.means - ref_means) ** 2, axis=1))))
                 rows.append(SweepRow(axis="n", value=float(n_val), seed=seed,
@@ -732,12 +780,15 @@ def main(argv=None) -> int:
                        help="override every seed in the config")
         p.add_argument("--out-dir", default=None)
         p.add_argument("--threads", type=int, default=1,
-                       help="threads across the filters of `run`")
+                       help="accepted for compatibility; the filters of a "
+                       "run share one lockstep loop on one thread")
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
         if args.seed is not None:
+            if not _seed(args.seed):
+                raise ConfigError("--seed", f"must be {_SEED[0]}")
             config.seeds = {"truth": args.seed, "observation": args.seed + 1,
                             "filter": args.seed + 2}
             config.sweep = {**config.sweep, "seeds": [args.seed]}

@@ -77,14 +77,16 @@ class Density1D:
         return float(np.trapezoid((self.grid - m) ** 2 * self.values, self.grid))
 
 
-def compute_moments(x: np.ndarray, model: SystemModel) -> Moments:
+def compute_moments(x: np.ndarray, model: SystemModel,
+                    h: Optional[np.ndarray] = None) -> Moments:
     """Single pass over the particles x (n, d): mean, unbiased covariance,
-    h statistics."""
+    h statistics, from h = obs(x) when the caller has it."""
     n = x.shape[0]
     mean = x.mean(axis=0)
     centred = x - mean
     cov = centred.T @ centred / (n - 1)
-    h = model.obs(x)
+    if h is None:
+        h = model.obs(x)
     h_bar = float(h.mean())
     h2_bar = float((h * h).mean())
     cov_xh = centred.T @ (h - h_bar) / (n - 1)

@@ -10,9 +10,16 @@ continuous-time filters slope = dZ/dt of the fine step.  A step solves the
 fields from the current cloud, then moves every particle.  Noise comes from
 counter-based streams (one block per step, one slot per particle), so runs
 are bitwise reproducible for a given seed regardless of scheduling.
+
+Runs that share the filter seed and the particle shape (n, d) need the same
+noise block at every fine step, so run_lockstep advances them as one group:
+it draws a few steps' blocks once into a small buffer, then takes each live
+run through all of those steps in turn, so that a run's working set stays
+in cache across them.  run_filter is the group of one run.
 """
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,7 +27,7 @@ import numpy as np
 from .ensemble import compute_moments
 from .errors import FilterAborted, FlowFilterError, NonFiniteState
 from .gain import (ASSEMBLERS, CoefficientSet, assemble_filter_coefficients,
-                   kind_label)
+                   kind_label, row_reads)
 # bound here only for the tracer in perfbench/layers.py, which wraps them
 from .gain import _exact_coefficients, continuous_gain  # noqa: F401
 from .models import SystemModel
@@ -31,6 +38,11 @@ from .rng import CounterStream
 # a failure inside a step that aborts this filter run only, as FilterAborted
 STEP_ERRORS = (FlowFilterError, ValueError, FloatingPointError,
                ZeroDivisionError, np.linalg.LinAlgError)
+
+# a group draws this many bytes of noise blocks ahead: 13 fine steps at
+# N = 1e4, d = 1, over a mesh interval of the shipped configs; longer
+# chunks gain little and add their size to the peak memory
+NOISE_BUFFER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,15 +66,20 @@ class FilterKind:
 
 def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,
          slope: float, dt: float, dv: np.ndarray, moments=None,
-         coeffs: Optional[CoefficientSet] = None, **gain_opts):
+         coeffs: Optional[CoefficientSet] = None, h=None, **gain_opts):
     """x + M(x) dt + dV + (a + K slope) dt for the particles x (n, d), with
-    (a, K) from coeffs or else the (kind, gain_method) row at the moments of
-    x.  Returns the new particles and the solver diagnostics; a density
-    floor over more than 10% is reported as degenerate_density, not fatal.
+    (a, K) from coeffs or else the (kind, gain_method) row, handed the
+    moments of x and h = obs(x) if it reads them (computed here unless the
+    caller has them).  Returns the new particles and the solver
+    diagnostics; a density floor over more than 10% is reported as
+    degenerate_density, not fatal.
     """
     if coeffs is None:
-        if moments is None:
-            moments = compute_moments(x, model)
+        reads = row_reads(kind.label(), gain_method)
+        if "h" in reads:
+            gain_opts["h"] = h = model.obs(x) if h is None else h
+        if moments is None and "moments" in reads:
+            moments = compute_moments(x, model, h)
         coeffs = assemble_filter_coefficients(
             kind.tag, x, model, moments, gain_method,
             mass_matrix=kind.mass_matrix, **gain_opts)
@@ -81,56 +98,139 @@ class FilterRun:
     h_bars: np.ndarray
     step_log: list
     final_particles: np.ndarray
+    seconds: float = 0.0        # wall time of the run's own steps
+
+
+@dataclass
+class Run:
+    """One run of a lockstep group: the (kind, gain_method) row driven by
+    path on grid, from init_particles (n, d)."""
+    kind: FilterKind
+    gain_method: str
+    path: ObservationPath
+    grid: TimeGrid
+    init_particles: np.ndarray
+    gain_opts: dict = field(default_factory=dict)
+
+
+class _Lane:
+    """A run's particles and records while its group advances it."""
+
+    def __init__(self, run: Run, model: SystemModel):
+        x = np.atleast_2d(np.asarray(run.init_particles, dtype=float))
+        if x.shape[0] < 2:
+            raise ValueError("ensemble needs at least 2 particles")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("ensemble contains non-finite entries")
+        grid = run.grid
+        self.run, self.model, self.x = run, model, x
+        self.takes_h = "h" in row_reads(run.kind.label(), run.gain_method)
+        self.slopes = run.path.fine_slopes() if run.kind.consumes_slope \
+            else run.path.fine_increments() / grid.fine_dt
+        self.times = grid.mesh_times()
+        self.means = np.empty((grid.n_mesh + 1, x.shape[1]))
+        self.covs = np.empty((grid.n_mesh + 1, x.shape[1], x.shape[1]))
+        self.h_bars = np.empty(grid.n_mesh + 1)
+        self.recorded = 0           # mesh points recorded so far
+        self.step_log = []
+        self.seconds = 0.0
+        self.aborted = None         # the FilterAborted that ended the run
+
+    def record(self, m):
+        slot = self.recorded
+        self.means[slot], self.covs[slot], self.h_bars[slot] = m.mean, m.cov, m.h_bar
+        self.recorded += 1
+
+    def result(self) -> FilterRun:       # the run up to its last mesh record
+        upto = slice(self.recorded)
+        return FilterRun(self.times[upto], self.means[upto], self.covs[upto],
+                         self.h_bars[upto], self.step_log,
+                         final_particles=self.x, seconds=self.seconds)
+
+    def advance(self, k0: int, dv: np.ndarray) -> bool:
+        """Take the fine steps k0, k0 + 1, ... with the noise blocks dv;
+        False once the run has aborted."""
+        run, model, x = self.run, self.model, self.x
+        spm, dt = run.grid.steps_per_mesh, run.grid.fine_dt
+        t0 = time.perf_counter()
+        failure = None
+        for k, dv_k in enumerate(dv, start=k0):
+            try:
+                h = model.obs(x) if self.takes_h else None
+                moments = None
+                if k % spm == 0:
+                    moments = compute_moments(x, model, h)
+                    self.record(moments)
+                new, diags = step(run.kind, run.gain_method, model, x,
+                                  self.slopes[k], dt, dv_k, moments=moments,
+                                  h=h, **run.gain_opts)
+                if not np.all(np.isfinite(new)):
+                    raise NonFiniteState(k + 1, run.kind.label())
+            except STEP_ERRORS as exc:
+                failure = (k, exc)
+                break
+            x = new
+            self.step_log.append({"step": k, "method": run.gain_method, **diags})
+        self.x = x
+        self.seconds += time.perf_counter() - t0
+        if failure is not None:
+            k, exc = failure
+            self.aborted = FilterAborted(k, exc, partial=self.result())
+            self.aborted.__cause__ = exc
+        return self.aborted is None
+
+    def finish(self):
+        if self.aborted is not None:
+            return self.aborted
+        self.record(compute_moments(self.x, self.model))
+        return self.result()
+
+
+def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
+    """Advance runs that share the seed and the particle shape (n, d) over
+    one fine grid, each on its own mesh.  Each fine step's noise block
+    sqrt(dt) N(0, I) is drawn once for the group into a buffer of up to
+    NOISE_BUFFER_BYTES, then every live run takes the buffered steps.  A run
+    computes moments at its mesh points and, between them, only if its row
+    reads them.  Returns each run's FilterRun, or the FilterAborted of a run
+    whose step raised one of STEP_ERRORS, carrying its series up to that
+    step; the other runs go on unchanged.
+    """
+    lanes = [_Lane(run, model) for run in runs]
+    if not lanes:
+        return []
+    grid = runs[0].grid
+    n, d = lanes[0].x.shape
+    if any(lane.x.shape != (n, d) or lane.run.grid.fine_dt != grid.fine_dt
+           or lane.run.grid.n_fine != grid.n_fine for lane in lanes):
+        raise ValueError("a lockstep group shares one particle shape (n, d) "
+                         "and one fine grid")
+    noise = CounterStream(seed, label=1)
+    sqdt = np.sqrt(grid.fine_dt)
+    buf = np.empty((max(1, min(grid.n_fine, NOISE_BUFFER_BYTES // (8 * n * d))),
+                    n, d))
+    live = lanes
+    for k0 in range(0, grid.n_fine, len(buf)):
+        dv = buf[:grid.n_fine - k0]
+        for k, block in enumerate(dv, start=k0):
+            np.multiply(sqdt, noise.normals(k, (n, d)), out=block)
+        live = [lane for lane in live if lane.advance(k0, dv)]
+        if not live:
+            break
+    return [lane.finish() for lane in lanes]
 
 
 def run_filter(kind: FilterKind, model: SystemModel, path: ObservationPath,
                init_particles: np.ndarray, grid: TimeGrid, gain_method: str,
                seed: int, gain_opts: Optional[dict] = None) -> FilterRun:
-    """Iterate the filter over the fine grid, reassembling the coefficient
-    fields every fine step since the law evolves continuously.  Moments are
-    computed once a step and recorded at every mesh point.  A STEP_ERRORS
-    failure raises FilterAborted with the run up to that mesh point.
+    """Iterate one filter over the fine grid, a lockstep group of one run:
+    the coefficient fields are reassembled every fine step since the law
+    evolves continuously, and moments are recorded at every mesh point.  A
+    STEP_ERRORS failure raises FilterAborted with the run up to that mesh
+    point.
     """
-    gain_opts = dict(gain_opts or {})
-    x = np.atleast_2d(np.asarray(init_particles, dtype=float))
-    if x.shape[0] < 2:
-        raise ValueError("ensemble needs at least 2 particles")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("ensemble contains non-finite entries")
-    n, d = x.shape
-    noise = CounterStream(seed, label=1)
-    spm = grid.steps_per_mesh
-    sqdt = np.sqrt(grid.fine_dt)
-    slopes = path.fine_slopes() if kind.consumes_slope \
-        else path.fine_increments() / grid.fine_dt
-
-    times = grid.mesh_times()
-    means = np.empty((grid.n_mesh + 1, d))
-    covs = np.empty((grid.n_mesh + 1, d, d))
-    h_bars = np.empty(grid.n_mesh + 1)
-    step_log = []
-
-    def record(slot, m):
-        means[slot], covs[slot], h_bars[slot] = m.mean, m.cov, m.h_bar
-
-    def result(upto_mesh):      # the run up to and including that mesh point
-        upto = slice(upto_mesh + 1)
-        return FilterRun(times[upto], means[upto], covs[upto], h_bars[upto],
-                         step_log, final_particles=x)
-
-    for k in range(grid.n_fine):
-        moments = compute_moments(x, model)
-        if k % spm == 0:
-            record(k // spm, moments)
-        dv = sqdt * noise.normals(k, (n, d))
-        try:
-            new, diags = step(kind, gain_method, model, x, slopes[k],
-                              grid.fine_dt, dv, moments=moments, **gain_opts)
-            if not np.all(np.isfinite(new)):
-                raise NonFiniteState(k + 1, kind.label())
-        except STEP_ERRORS as exc:
-            raise FilterAborted(k, exc, partial=result(k // spm)) from exc
-        x = new
-        step_log.append({"step": k, "method": gain_method, **diags})
-    record(grid.n_mesh, compute_moments(x, model))
-    return result(grid.n_mesh)
+    [out] = run_lockstep([Run(kind, gain_method, path, grid, init_particles,
+                              dict(gain_opts or {}))], model, seed)
+    if isinstance(out, FilterAborted):
+        raise out
+    return out

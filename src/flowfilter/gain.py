@@ -271,13 +271,15 @@ def monomial_basis(dim: int, quadratic: bool = False):
 def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
                    basis=None, m_inv: Optional[np.ndarray] = None,
                    prior_gain: Optional[np.ndarray] = None,
-                   ridge: float = RIDGE) -> GainField:
+                   ridge: float = RIDGE,
+                   h: Optional[np.ndarray] = None) -> GainField:
     """Basis-projected weak form with Monte-Carlo quadrature over the cloud.
 
     Stiffness A_jk = mean(grad b_j . M^{-1} grad b_k); the load vector
     follows the rhs_kind.  The symmetric solve carries a 1e-10 ridge
     followed by two iterative-refinement sweeps, so the ridge stabilises
-    degenerate clouds without biasing well-conditioned systems.
+    degenerate clouds without biasing well-conditioned systems.  h is
+    obs(x), evaluated here when not given; fpf_psi does not read it.
     """
     n, d = x.shape
     if basis is None:
@@ -299,9 +301,10 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     if cond > 1e12:
         raise IllConditioned(cond)
 
-    h = model.obs(x)
-    h_bar = h.mean()
+    if rhs_kind != "fpf_psi" and h is None:
+        h = model.obs(x)
     if rhs_kind in ("fpf_phi", "reich_lambda", "crisan_beta"):
+        h_bar = h.mean()
         load = np.array([np.mean((h - h_bar) * v) for v in vals])
     elif rhs_kind == "fpf_psi":
         if prior_gain is None:
@@ -419,26 +422,49 @@ class CoefficientSet:
     diagnostics: dict
 
 
-def _centred_drift(K, x, model) -> np.ndarray:
+def _reads(*inputs):
+    """Mark a row with what it reads besides x and the model: "moments", the
+    moments of x, which a run computes between mesh points only for the rows
+    that read them, and "h", h = obs(x) at the particles, which the row then
+    takes as h= so that one evaluation serves the whole step (a row handed
+    h=None evaluates it itself)."""
+    def mark(row):
+        row.reads = frozenset(inputs)
+        return row
+    return mark
+
+
+def row_reads(label: str, method: str) -> frozenset:
+    """What the row of (kind label, method) reads; a row without a mark is
+    handed the moments only."""
+    row = ASSEMBLERS.get(label, {}).get(method)
+    return getattr(row, "reads", frozenset({"moments"}))
+
+
+def _centred_drift(K, x, model, h=None) -> np.ndarray:
     """-K (h + hbar) / 2, the whole drift of a constant gain."""
-    h = model.obs(x)
+    if h is None:
+        h = model.obs(x)
     return -0.5 * K * (h + h.mean())[:, None]
 
 
-def _exact_coefficients(x, model, moments) -> CoefficientSet:
+@_reads("moments", "h")
+def _exact_coefficients(x, model, moments, h=None) -> CoefficientSet:
     if model.H is None:
         raise ModelMismatch("exact-Gaussian gain needs a stored H row")
     fld = solve_exact_gaussian(moments, model.h_row())
-    return CoefficientSet(_centred_drift(fld.at_particles, x, model),
+    return CoefficientSet(_centred_drift(fld.at_particles, x, model, h),
                           fld.at_particles, fld.diagnostics)
 
 
-def _constant_coefficients(x, model, moments) -> CoefficientSet:
+@_reads("moments", "h")
+def _constant_coefficients(x, model, moments, h=None) -> CoefficientSet:
     fld = solve_constant_gain(moments)
-    return CoefficientSet(_centred_drift(fld.at_particles, x, model),
+    return CoefficientSet(_centred_drift(fld.at_particles, x, model, h),
                           fld.at_particles, fld.diagnostics)
 
 
+@_reads()
 def _integral_fpf(x, model, moments, density=None, kde_opts=None,
                   eps_floor=EPS_RHO) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
@@ -456,6 +482,7 @@ def _integral_fpf(x, model, moments, density=None, kde_opts=None,
                            "psi_residual": psif.diagnostics["residual"]})
 
 
+@_reads()
 def _integral_beta_alpha(x, model, moments, density=None, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
     """K = grad beta / rho, a = grad alpha / rho; in 1D the Reich fields
@@ -470,44 +497,52 @@ def _integral_beta_alpha(x, model, moments, density=None, kde_opts=None,
                            "drift_residual": af.diagnostics["residual"]})
 
 
+@_reads("h")
 def _integral_continuous(x, model, moments, density=None, kde_opts=None,
-                         eps_floor=EPS_RHO) -> CoefficientSet:
+                         eps_floor=EPS_RHO, h=None) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
     fld = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
     dK = np.gradient(fld.gain_grid, density.dx)
     cells = GridIntervals(density.grid, x[:, 0])
     K = cells.interp(fld.gain_grid).reshape(-1, 1)
     ito = 0.5 * cells.interp(dK * fld.gain_grid).reshape(-1, 1)
-    return CoefficientSet(ito + _centred_drift(K, x, model), K, fld.diagnostics)
+    return CoefficientSet(ito + _centred_drift(K, x, model, h), K, fld.diagnostics)
 
 
-def _galerkin_fpf(x, model, moments, basis=None) -> CoefficientSet:
-    kf = solve_galerkin(x, model, "fpf_phi", basis=basis)
+@_reads("h")
+def _galerkin_fpf(x, model, moments, basis=None, h=None) -> CoefficientSet:
+    h = model.obs(x) if h is None else h
+    kf = solve_galerkin(x, model, "fpf_phi", basis=basis, h=h)
     psif = solve_galerkin(x, model, "fpf_psi", prior_gain=kf.at_particles)
-    return CoefficientSet(_centred_drift(kf.at_particles, x, model)
+    return CoefficientSet(_centred_drift(kf.at_particles, x, model, h)
                           + 0.5 * psif.at_particles,
                           kf.at_particles, dict(kf.diagnostics))
 
 
 def _galerkin_reich(cov_inverse: bool):
-    def assemble(x, model, moments, basis=None) -> CoefficientSet:
+    def assemble(x, model, moments, basis=None, h=None) -> CoefficientSet:
         m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
-        kf = solve_galerkin(x, model, "fpf_phi", basis=basis, m_inv=m_inv)
-        of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv)
+        h = model.obs(x) if h is None else h
+        kf = solve_galerkin(x, model, "fpf_phi", basis=basis, m_inv=m_inv, h=h)
+        of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv, h=h)
         return CoefficientSet(of.at_particles, kf.at_particles,
                               dict(kf.diagnostics))
-    return assemble
+    return _reads("moments", "h")(assemble) if cov_inverse \
+        else _reads("h")(assemble)
 
 
-def _galerkin_continuous(x, model, moments, basis=None) -> CoefficientSet:
-    fld = solve_galerkin(x, model, "fpf_phi", basis=basis)
+@_reads("h")
+def _galerkin_continuous(x, model, moments, basis=None, h=None) -> CoefficientSet:
+    h = model.obs(x) if h is None else h
+    fld = solve_galerkin(x, model, "fpf_phi", basis=basis, h=h)
     ito = galerkin_ito_drift(x, model, fld, basis=basis)
-    return CoefficientSet(ito + _centred_drift(fld.at_particles, x, model),
+    return CoefficientSet(ito + _centred_drift(fld.at_particles, x, model, h),
                           fld.at_particles, fld.diagnostics)
 
 
-def _fundamental_mc(x, model, moments, eps_floor=EPS_RHO) -> CoefficientSet:
-    h = model.obs(x)
+@_reads("h")
+def _fundamental_mc(x, model, moments, eps_floor=EPS_RHO, h=None) -> CoefficientSet:
+    h = model.obs(x) if h is None else h
     beta = solve_fundamental_mc(x, h)
     alpha = solve_fundamental_mc(x, -0.5 * h * h)
     _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
@@ -516,10 +551,11 @@ def _fundamental_mc(x, model, moments, eps_floor=EPS_RHO) -> CoefficientSet:
                           {"epsilon": beta.epsilon, "floor_frac": floor_frac})
 
 
-def _enkbf_coefficients(x, model, moments) -> CoefficientSet:
+@_reads("moments", "h")
+def _enkbf_coefficients(x, model, moments, h=None) -> CoefficientSet:
     if model.kind != "linear_gaussian":
         raise ModelMismatch("enkbf requires a linear-Gaussian model")
-    return _exact_coefficients(x, model, moments)
+    return _exact_coefficients(x, model, moments, h)
 
 
 def _in_1d(row):
@@ -527,7 +563,7 @@ def _in_1d(row):
         if x.shape[1] != 1:
             raise DimensionError("continuous-time Crisan & Xiong needs d = 1")
         return row(x, model, moments, **gain_opts)
-    return assemble
+    return _reads(*row.reads)(assemble)
 
 
 # constant gains have no Ito term, so their continuous-time rows are the
@@ -540,7 +576,10 @@ _CRISAN_XIONG = {"exact_gaussian": _exact_coefficients,
                  "integral_1d": _integral_beta_alpha,
                  "fundamental_mc": _fundamental_mc}
 
-# filter kind label -> gain method -> row
+# filter kind label -> gain method -> row, each row marked by _reads with
+# the inputs it reads: the moments (exact_gaussian, constant and
+# delta_reich(cov_inverse)/galerkin) and h at the particles (all rows but the
+# 1D integral delta rows, which evaluate h on their grid)
 ASSEMBLERS = {
     "delta_fpf": {"exact_gaussian": _exact_coefficients,
                   "constant": _constant_coefficients,
@@ -566,7 +605,7 @@ def _positive_number(value) -> bool:
             and 0 < value <= sys.float_info.max)
 
 
-_POSITIVE = ("a positive finite number", _positive_number)
+POSITIVE = ("a positive finite number", _positive_number)
 
 # the options a config may give each gain, kde_opts nesting those of
 # kde_density_1d, each leaf a (description, check) of its value; library
@@ -574,13 +613,13 @@ _POSITIVE = ("a positive finite number", _positive_number)
 KDE_OPTS = {
     # cumulative_simpson needs 3 grid points
     "grid_points": ("an int >= 3", lambda v: type(v) is int and v >= 3),
-    "half_width": _POSITIVE,
+    "half_width": POSITIVE,
     "bandwidth": ('a positive finite number or "silverman"',
                   lambda v: v == "silverman" or _positive_number(v)),
-    "pad_sigmas": _POSITIVE,
+    "pad_sigmas": POSITIVE,
 }
-GAIN_OPTS = {"integral_1d": {"kde_opts": KDE_OPTS, "eps_floor": _POSITIVE},
-             "fundamental_mc": {"eps_floor": _POSITIVE}}
+GAIN_OPTS = {"integral_1d": {"kde_opts": KDE_OPTS, "eps_floor": POSITIVE},
+             "fundamental_mc": {"eps_floor": POSITIVE}}
 
 
 def kind_label(tag: str, mass_matrix: Optional[str] = None) -> str:

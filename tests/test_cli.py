@@ -435,3 +435,101 @@ def test_register_custom_model():
         assert report.reference_kind == "grid_kushner"
     finally:
         del MODEL_REGISTRY["cubic_well"]
+
+
+def _exit_and_field(tmp_path, capsys, raw, command="run"):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = main([command, str(path), "--out-dir", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+TANH_GRID = {"model": {"name": "scalar_tanh"}, "filters": [],
+             "reference": {"grid_kushner": {"half_width": 5.0, "points": 201}}}
+
+
+@pytest.mark.parametrize("opts, field", [
+    ([1], "reference.grid_kushner"),
+    ({"points": "x"}, "reference.grid_kushner.points"),
+    ({"points": 1}, "reference.grid_kushner.points"),
+    ({"points": 2.5}, "reference.grid_kushner.points"),
+    ({"half_width": 0}, "reference.grid_kushner.half_width"),
+    ({"half_width": "wide"}, "reference.grid_kushner.half_width"),
+    ({"pionts": 201}, "reference.grid_kushner.pionts"),
+])
+def test_grid_kushner_options_checked_at_parse(tmp_path, capsys, opts, field):
+    # each used to raise out of main (exit 1) when the reference was built
+    raw = {**copy.deepcopy(BASE), **TANH_GRID,
+           "reference": {"grid_kushner": opts}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == field
+    for command in ("run", "theory"):
+        code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+        assert code == 2
+        assert f"config.{field}:" in err_text
+
+
+def test_initial_law_without_mass_on_the_reference_grid_exit_2(tmp_path, capsys):
+    raw = {**copy.deepcopy(BASE), **TANH_GRID,
+           "init": {"kind": "gaussian", "mean": [50.0], "cov": [[0.01]]}}
+    for command in ("run", "theory"):
+        code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+        assert code == 2
+        assert "config.reference.grid_kushner:" in err_text
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("sweep", {"delta": "abc"}, "sweep.delta"),
+    ("sweep", {"delta": [0]}, "sweep.delta"),
+    ("sweep", {"delta": []}, "sweep.delta"),
+    ("sweep", {"delta": [0.0015]}, "sweep.delta"),   # not a fine_dt multiple
+    ("sweep", {"delta": [1e308]}, "sweep.delta"),
+    ("sweep", {"seeds": ["a"]}, "sweep.seeds"),
+    ("sweep", {"seeds": [-1]}, "sweep.seeds"),
+    ("sweep", {"seeds": 5}, "sweep.seeds"),
+    ("sweep", {"deltas": [0.01]}, "sweep.deltas"),
+    ("seeds", {"truth": "x", "observation": 2, "filter": 3}, "seeds.truth"),
+    ("seeds", {"truth": 1, "observation": 2.5, "filter": 3},
+     "seeds.observation"),
+    ("seeds", {"truth": 1, "observation": 2, "filter": -3}, "seeds.filter"),
+])
+def test_sweep_and_seed_values_checked(tmp_path, capsys, key, value, field):
+    # the string and list cases used to raise ValueError or
+    # ZeroDivisionError out of main (exit 1)
+    raw = copy.deepcopy(BASE)
+    raw[key] = value
+    if key == "sweep" and value == {"delta": [0.0015]}:
+        raw["grid"] = {"t0": 0.0, "T": 0.003, "delta": 0.001, "fine_dt": 0.001}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == field
+    for command in ("run", "sweep"):
+        code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+        assert code == 2
+        assert f"config.{field}:" in err_text
+
+
+def test_negative_seed_flag_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE))
+    assert main(["run", str(path), "--seed", "-4",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config.--seed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, field", [
+    ({"name": []}, "model.name"),
+    ({"name": 3}, "model.name"),
+    ({"name": "linear_gaussian", "A": "x", "H": [1.0]}, "model"),
+    ({"name": "linear_gaussian", "A": [[-0.5]], "H": [1.0, 0.5]}, "model"),
+    ({"name": "linear_gaussian", "A": [[-0.5]], "H": {"a": 1}}, "model"),
+    ({"name": "log_concave_ou", "c": "x", "H": [1.0]}, "model"),
+    ({"name": "log_concave_ou", "c": 0, "H": [1.0]}, "model"),   # was exit 3
+])
+def test_model_parameters_checked(tmp_path, capsys, model, field):
+    # each used to raise TypeError or ValueError out of main (exit 1)
+    raw = {**copy.deepcopy(BASE), "model": model}
+    code, err_text = _exit_and_field(tmp_path, capsys, raw)
+    assert code == 2
+    assert f"config.{field}:" in err_text

@@ -1,5 +1,8 @@
 """Fuzzed experiment configs: `flowfilter run|sweep` exits 2 on a config
-error, 0 or 3 after running, and never raises out of `main`."""
+error, 0 or 3 after running, and never raises out of `main`.  Besides the
+filters, the initial law and the JSON types of the top-level fields, the
+values of the seeds, the sweep lists, the reference options and the model
+parameters are perturbed."""
 
 import json
 import os
@@ -35,6 +38,24 @@ KDE_OPTS = st.fixed_dictionaries({}, optional={
 WRONG_TYPE = st.sampled_from([[1], "abc", 2.5, True, None, {"k": 1}, 7])
 TYPED_FIELDS = ["model", "grid", "init", "seeds", "sweep", "reference",
                 "filters", "ensemble_size"]
+# good, bad and edge values of the fields below, keyed by their path
+FIELD_VALUES = {
+    "sweep.delta": [[0.01], "abc", [0], [], [-0.01], [0.0075], [1e308],
+                    ["x"], [0.04, 0.01]],
+    "sweep.seeds": [[11], ["a"], [-1], 5, [True], [], [0, 7]],
+    "seeds.truth": ["x", -1, 2.5, None, True, 0, 7],
+    "seeds.observation": ["x", -1, [2], 9],
+    "seeds.filter": ["x", -3, 1e3, 4],
+    "reference.grid_kushner": [[1], {"points": "x"}, {"points": 1},
+                               {"points": 3}, {"points": 2.5},
+                               {"half_width": 0}, {"half_width": 0.5},
+                               {"half_width": 1e308}, {"bogus": 1},
+                               {"points": 31, "half_width": 8.0}],
+    "reference.kalman_bucy": [False, "no", True],
+    "model.name": [[], 3, None, "nosuch", "scalar_tanh"],
+    "model.A": ["x", [[1.0, 0.0]], [[-0.5]], [[-0.5, 0.0], [0.0, -1.0]]],
+    "model.H": ["x", [1.0, 0.5], [1.0], {"a": 1}],
+}
 GAIN_OPTS = st.fixed_dictionaries({}, optional={
     "eps_floor": st.sampled_from([1e-8, 0.5, 0, -1.0, None]),
     "kde_opts": KDE_OPTS,
@@ -90,6 +111,14 @@ def configs(draw):
         "sweep": {"delta": draw(st.sampled_from([[0.01], [0.01], [0.02, 0.01]])),
                   "seeds": [11], "n": draw(st.sampled_from([[], [16]]))},
     }
+    if draw(st.integers(0, 3)) == 0:        # one config in four
+        path = draw(st.sampled_from(sorted(FIELD_VALUES)))
+        *parents, key = path.split(".")
+        owner = raw
+        for name in parents:        # copies, so MODELS stays as it is
+            owner[name] = dict(owner[name])
+            owner = owner[name]
+        owner[key] = draw(st.sampled_from(FIELD_VALUES[path]))
     if draw(st.integers(0, 7)) == 0:        # one config in eight
         field = draw(st.sampled_from(TYPED_FIELDS + ["sweep.n"]))
         if field == "sweep.n":
