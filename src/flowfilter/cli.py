@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -53,22 +53,22 @@ SCHEMA_VERSION = 1
 # model registry
 
 def _build_linear_gaussian(params: dict) -> SystemModel:
-    try:
-        return make_linear_gaussian(params["A"], params["H"])
-    except KeyError as exc:
-        raise ConfigError("model", f"missing parameter {exc}") from None
+    return make_linear_gaussian(params["A"], params["H"])
+
+
+def _ou_spec(params: dict) -> LogConcaveOUSpec:
+    """U = -c|x|^2/2 with the constants (C1)-(C4) of a checked
+    log_concave_ou model; c_r = 2c^2 is the convexity of R."""
+    c = params["c"]
+    return LogConcaveOUSpec(
+        potential=lambda x: -0.5 * c * np.sum(x * x, axis=1),
+        grad=lambda x: -c * x,
+        c_u=c, c_g=params["c_g"], c_r=2.0 * c * c,
+        linear_growth_D=c + 1.0 if params["D"] is None else params["D"])
 
 
 def _build_log_concave_ou(params: dict) -> SystemModel:
-    c = float(params.get("c", 1.0))
-    H = params.get("H", [1.0])
-    d = np.asarray(H, dtype=float).reshape(-1).shape[0]
-    spec = LogConcaveOUSpec(
-        potential=lambda x: -0.5 * c * np.sum(x * x, axis=1),
-        grad=lambda x: -c * x,
-        c_u=c, c_g=float(params.get("c_g", 1.0)), c_r=2.0 * c * c,
-        linear_growth_D=float(params.get("D", c + 1.0)))
-    return make_log_concave_ou(spec, H)
+    return make_log_concave_ou(_ou_spec(params), params["H"])
 
 
 def _build_scalar_tanh(params: dict) -> SystemModel:
@@ -88,7 +88,8 @@ MODEL_REGISTRY = {
 
 
 def register_model(name: str, builder):
-    """Programmatic registration hook for custom drifts."""
+    """Programmatic registration hook for custom drifts; a model without
+    a MODEL_PARAMS table takes its parameters unchecked."""
     MODEL_REGISTRY[name] = builder
 
 
@@ -99,7 +100,7 @@ def register_model(name: str, builder):
 class FilterSpec:
     kind: FilterKind
     gain: str
-    gain_opts: dict = field(default_factory=dict)
+    gain_opts: dict
 
     def label(self) -> str:
         # gain method included so configs running one kind under several
@@ -116,18 +117,13 @@ class ExperimentConfig:
     ensemble_size: int
     filters: list
     seeds: dict
-    reference: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    output_dir: str = "out"
-    raw: dict = field(default_factory=dict)
+    reference: dict
+    sweep: dict
+    output_dir: str
 
     def build_model(self) -> SystemModel:
-        builder = MODEL_REGISTRY.get(self.model_name)
-        if builder is None:
-            raise ConfigError("model.name", f"unknown model {self.model_name!r}; "
-                              f"registered: {sorted(MODEL_REGISTRY)}")
         try:
-            model = builder(self.model_params)
+            model = MODEL_REGISTRY[self.model_name](self.model_params)
         except (ValueError, TypeError, NonPositiveParameter) as exc:
             raise ConfigError("model", str(exc)) from None
         if self.init.dim != model.dim:
@@ -136,162 +132,163 @@ class ExperimentConfig:
         return model
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return d[key]
+# The config schema.  A leaf is (description, check, default): check is a
+# predicate of the JSON value, or [spec] for a list whose items each match
+# spec; default is the value taken when the key is absent, or REQUIRED.  A
+# leaf without a default (gain.GAIN_OPTS, sweep) stays absent when absent.
+# A dict is an object with exactly its keys, walked as {} when absent.
+REQUIRED = object()
 
 
-def _object(d: dict, key: str, default=None) -> dict:
-    """d[key], which must be a JSON object; required unless a default is
-    given for when it is absent."""
-    value = _need(d, key, "") if default is None else d.get(key, default)
+@dataclass(frozen=True)
+class _Pick:
+    """An object whose other keys are those of the table that the value of
+    its key picks; a value without a table leaves them unchecked."""
+    key: str
+    leaf: tuple
+    tables: dict
+
+
+def _at_least(low: int) -> tuple:
+    return f"an integer >= {low}", lambda v: type(v) is int and v >= low
+
+
+# a number field holds a float whether or not its JSON number has a
+# fraction, so that theory.csv prints c_u=1.0 for "c": 1
+NUMBER = ("a finite number",
+          lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_FLOATS = (NUMBER[1], POSITIVE[1])
+VECTOR = ("a list of finite numbers", [NUMBER])
+MATRIX = ("a list of lists of finite numbers", [VECTOR])
+STRING = ("a string", lambda v: isinstance(v, str))
+SEED = _at_least(0)
+GAINS = sorted({gain for row in ASSEMBLERS.values() for gain in row})
+# the grid Kushner points of the run and sweep reference, and of the theory
+# snapshots, when reference.grid_kushner.points is absent
+REFERENCE_POINTS = 1201
+THEORY_POINTS = 2001
+
+# the parameters of the built-in models, by name; apart from MODEL_REGISTRY,
+# whose builders register_model may replace
+MODEL_PARAMS = {
+    "linear_gaussian": {"A": (*MATRIX, REQUIRED), "H": (*VECTOR, REQUIRED)},
+    # D bounds |grad U| <= D (1 + |x|), c + 1 when absent
+    "log_concave_ou": {"c": (*POSITIVE, 1.0), "c_g": (*POSITIVE, 1.0),
+                       "D": (*POSITIVE, None), "H": (*VECTOR, (1.0,))},
+    "scalar_tanh": {},
+}
+
+CONFIG = {
+    "schema_version": (str(SCHEMA_VERSION), lambda v: type(v) is int
+                       and v == SCHEMA_VERSION, SCHEMA_VERSION),
+    "model": _Pick("name", ("a registered model name", lambda v: isinstance(
+        v, str) and v in MODEL_REGISTRY, REQUIRED), MODEL_PARAMS),
+    "grid": {"t0": (*NUMBER, 0.0), "T": (*NUMBER, REQUIRED),
+             "fine_dt": (*POSITIVE, REQUIRED), "delta": (*POSITIVE, REQUIRED)},
+    "init": _Pick("kind", ('"gaussian" or "grid_table"', lambda v: v in (
+        "gaussian", "grid_table"), "gaussian"), {
+        "gaussian": {"mean": (*VECTOR, REQUIRED), "cov": (*MATRIX, REQUIRED)},
+        "grid_table": {"grid": (*VECTOR, REQUIRED), "values": (*VECTOR, REQUIRED)}}),
+    "ensemble_size": (*_at_least(2), REQUIRED),
+    "filters": ("a list of filters", [_Pick("gain", (
+        f"one of {GAINS}", lambda v: v in GAINS, "exact_gaussian"), {gain: {
+            "kind": (*STRING, REQUIRED), "mass_matrix": (*STRING, None),
+            "gain_opts": GAIN_OPTS.get(gain, {})} for gain in GAINS})], ()),
+    "seeds": {key: (*SEED, REQUIRED) for key in ("truth", "observation", "filter")},
+    # absent: the grid's delta, seeds.filter and no n axis (run_delta_sweep)
+    "sweep": {"delta": ("a non-empty list of positive finite numbers", [POSITIVE]),
+              "seeds": ("a list of integers >= 0", [SEED]),
+              "n": ("a list of integers >= 2", [_at_least(2)])},
+    "reference": {
+        "kalman_bucy": ("true or false", lambda v: isinstance(v, bool), True),
+        "grid_kushner": {"points": (*_at_least(3), None),
+                         "half_width": (*POSITIVE, 6.0)}},
+    "output_dir": (*STRING, "out"),
+}
+
+
+def _walk(value, spec, path: str):
+    """value checked against spec, with the defaults filled in; a fault
+    raises ConfigError naming its field."""
+    if isinstance(spec, tuple):
+        what, check = spec[:2]
+        if isinstance(check, list) and isinstance(value, list):
+            return [_walk(v, check[0], path if isinstance(check[0], tuple)
+                          else f"{path}[{i}]") for i, v in enumerate(value)]
+        if not isinstance(check, list) and check(value):
+            return float(value) if check in _FLOATS else value
+        raise ConfigError(path, f"must be {what}, not {value!r}")
     if not isinstance(value, dict):
-        raise ConfigError(key, "must be an object")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _seed(value) -> bool:
-    return _is_int(value) and value >= 0
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-_SEED = ("an integer >= 0", _seed)
-
-# the checked fields of the seeds, sweep and reference objects, each leaf a
-# (description, check) of its value as in gain.GAIN_OPTS
-SEEDS = {"truth": _SEED, "observation": _SEED, "filter": _SEED}
-SWEEP = {
-    "delta": ("a non-empty list of positive finite numbers",
-              lambda v: _list_of(POSITIVE[1])(v) and len(v) > 0),
-    "seeds": ("a list of integers >= 0", _list_of(_seed)),
-    "n": ("a list of integers >= 2", _list_of(lambda v: _is_int(v) and v >= 2)),
-}
-REFERENCE = {
-    "kalman_bucy": ("true or false", lambda v: isinstance(v, bool)),
-    # cumulative quadrature on the grid needs 3 points
-    "grid_kushner": {"points": ("an int >= 3", lambda v: _is_int(v) and v >= 3),
-                     "half_width": POSITIVE},
-}
-
-
-def _check_opts(opts, allowed: dict, path: str):
-    """Every key of opts is allowed and its value passes the key's check,
-    or the nested spec when the key has one."""
-    if not isinstance(opts, dict):
         raise ConfigError(path, "must be an object")
-    for key, value in opts.items():
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", f"unknown; allowed: {sorted(allowed)}")
-        if isinstance(allowed[key], dict):
-            _check_opts(value, allowed[key], f"{path}.{key}")
-            continue
-        what, check = allowed[key]
-        if not check(value):
-            raise ConfigError(f"{path}.{key}", f"must be {what}, not {value!r}")
+    if isinstance(spec, _Pick):
+        choice = _walk({spec.key: value[spec.key]} if spec.key in value else {},
+                       {spec.key: spec.leaf}, path)[spec.key]
+        if spec.tables.get(choice) is None:
+            return dict(value)
+        spec = {spec.key: spec.leaf, **spec.tables[choice]}
+    for key in value:
+        if key not in spec:
+            raise ConfigError(f"{path}.{key}".lstrip("."),
+                              f"unknown; allowed: {sorted(spec)}")
+    out = {}
+    for key, sub in spec.items():
+        where = f"{path}.{key}".lstrip(".")
+        if key in value or not isinstance(sub, tuple):
+            out[key] = _walk(value[key] if key in value else {}, sub, where)
+        elif sub[2:] == (REQUIRED,):
+            raise ConfigError(where, "missing required field")
+        elif sub[2:]:
+            out[key] = sub[2]
+    return out
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("", "config must be a JSON object")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version}")
-    model = _object(raw, "model")
-    name = _need(model, "name", "model")
-    if not isinstance(name, str):
-        raise ConfigError("model.name", f"must be a string, not {name!r}")
-
-    g = _object(raw, "grid")
+def parse_config(raw) -> ExperimentConfig:
+    """The config walked against CONFIG, then the rules across fields."""
+    cfg = _walk(raw, CONFIG, "")
+    g, sweep = cfg["grid"], cfg["sweep"]
+    if g["T"] <= g["t0"]:
+        raise ConfigError("grid.T", f"must be greater than grid.t0 = {g['t0']}")
     try:
-        grid = TimeGrid(t0=float(g.get("t0", 0.0)), t_end=float(_need(g, "T", "grid")),
-                        fine_dt=float(_need(g, "fine_dt", "grid")),
-                        delta=float(_need(g, "delta", "grid")))
+        grid = TimeGrid(g["t0"], g["T"], g["fine_dt"], g["delta"])
     except (ValueError, OverflowError) as exc:
         raise ConfigError("grid", str(exc)) from None
-
-    init_raw = _object(raw, "init")
-    kind = init_raw.get("kind", "gaussian")
     try:
-        if kind == "gaussian":
-            init = InitialDensity(kind="gaussian", mean=_need(init_raw, "mean", "init"),
-                                  cov=_need(init_raw, "cov", "init"))
-        elif kind == "grid_table":
-            init = InitialDensity(kind="grid_table", grid=_need(init_raw, "grid", "init"),
-                                  values=_need(init_raw, "values", "init"))
-        else:
-            raise ConfigError("init.kind", f"unknown kind {kind!r}")
-    except (ValueError, TypeError) as exc:
+        init = InitialDensity(**cfg["init"])
+    except ValueError as exc:
         raise ConfigError("init", str(exc)) from None
-
-    n = raw.get("ensemble_size", 0)
-    if not _is_int(n) or n < 2:
-        raise ConfigError("ensemble_size", f"must be an integer >= 2, not {n!r}")
-
     filters = []
-    raw_filters = raw.get("filters", [])
-    if not isinstance(raw_filters, list):
-        raise ConfigError("filters", "must be a list")
-    for i, f in enumerate(raw_filters):
-        if not isinstance(f, dict):
-            raise ConfigError(f"filters[{i}]", "must be an object")
-        try:
-            fk = FilterKind(tag=_need(f, "kind", f"filters[{i}]"),
-                            mass_matrix=f.get("mass_matrix"))
+    for i, f in enumerate(cfg["filters"]):
+        try:        # also: mass_matrix is delta_reich's only
+            kind = FilterKind(tag=f["kind"], mass_matrix=f["mass_matrix"])
         except ValueError as exc:
             raise ConfigError(f"filters[{i}]", str(exc)) from None
-        gain = f.get("gain", "exact_gaussian")
-        if gain not in ASSEMBLERS[fk.label()]:
-            raise ConfigError(f"filters[{i}].gain", f"{fk.label()} takes "
-                              f"{sorted(ASSEMBLERS[fk.label()])}, not {gain!r}")
-        _check_opts(f.get("gain_opts", {}), GAIN_OPTS.get(gain, {}),
-                    f"filters[{i}].gain_opts")
-        filters.append(FilterSpec(kind=fk, gain=gain,
-                                  gain_opts=f.get("gain_opts", {})))
-
-    seeds = _object(raw, "seeds")
-    for key in SEEDS:
-        if key not in seeds:
-            raise ConfigError(f"seeds.{key}", "seeds must be explicit "
-                              "(no ambient randomness)")
-    _check_opts(seeds, SEEDS, "seeds")
-
-    sweep = _object(raw, "sweep", {})
-    _check_opts(sweep, SWEEP, "sweep")
+        if f["gain"] not in ASSEMBLERS[kind.label()]:
+            raise ConfigError(f"filters[{i}].gain", f"{kind.label()} takes "
+                              f"{sorted(ASSEMBLERS[kind.label()])}, not {f['gain']!r}")
+        filters.append(FilterSpec(kind, f["gain"], f["gain_opts"]))
     if "delta" in sweep:
+        if not sweep["delta"]:
+            raise ConfigError("sweep.delta", "must not be empty")
         for dv in sweep["delta"]:       # each divides the horizon into steps
             try:
-                TimeGrid(t0=grid.t0, t_end=grid.t_end, fine_dt=grid.fine_dt,
-                         delta=float(dv))
+                replace(grid, delta=dv)
             except (ValueError, OverflowError) as exc:
                 raise ConfigError("sweep.delta", str(exc)) from None
         _check_twins(filters)
-    reference = _object(raw, "reference", {})
-    _check_opts(reference, REFERENCE, "reference")
-
-    return ExperimentConfig(model_name=name, model_params=model,
-                            grid=grid, init=init, ensemble_size=n,
-                            filters=filters, seeds=dict(seeds),
-                            reference=reference,
-                            sweep=sweep,
-                            output_dir=raw.get("output_dir", "out"), raw=raw)
+    return ExperimentConfig(
+        model_name=cfg["model"]["name"], model_params=cfg["model"], grid=grid,
+        init=init, ensemble_size=cfg["ensemble_size"], filters=filters,
+        seeds=cfg["seeds"], reference=cfg["reference"], sweep=sweep,
+        output_dir=cfg["output_dir"])
 
 
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("", f"invalid JSON: {exc}") from None
+    # ValueError: invalid JSON or UTF-8; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError("", f"cannot read {path} as JSON: {exc}") from None
     return parse_config(raw)
 
 
@@ -311,31 +308,33 @@ def _simulate_paths(config: ExperimentConfig, model: SystemModel,
                                  GaussianIncrements(s["observation"], 1,
                                                     grid.fine_dt, label=2),
                                  seed=s["observation"])
-    return truth, path
+    return path
 
 
-def _initial_cloud(config: ExperimentConfig, d: int, n: Optional[int] = None,
-                   seed: Optional[int] = None) -> np.ndarray:
+def _initial_cloud(config: ExperimentConfig, d: int,
+                   n: Optional[int] = None) -> np.ndarray:
     n = config.ensemble_size if n is None else n
-    seed = config.seeds["filter"] if seed is None else seed
-    return config.init.sample(n, CounterStream(seed, label=0).normals(0, (n, d)))
+    return config.init.sample(n, CounterStream(config.seeds["filter"], label=0)
+                              .normals(0, (n, d)))
 
 
-def _gaussian_grid_density(init: InitialDensity, half_width: float,
-                           points: int) -> Density1D:
-    mean = float(init.mean[0])
-    var = float(init.cov[0, 0])
-    grid = np.linspace(-half_width, half_width, points)
-    vals = np.exp(-0.5 * (grid - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
-    return Density1D(grid=grid, values=vals)
+def _reseeded(config: ExperimentConfig, seed: int) -> ExperimentConfig:
+    """config with the seeds that --seed and each sweep seed derive."""
+    return replace(config, seeds={"truth": seed, "observation": seed + 1,
+                                  "filter": seed + 2})
 
 
-def _init_grid_density(config: ExperimentConfig, half_width: float,
-                       points: int) -> Density1D:
+def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
+    """The initial law on the grid Kushner grid (of points unless configured)."""
     if config.init.kind == "grid_table":
         return Density1D(grid=config.init.grid, values=config.init.values)
+    half_width = config.reference["grid_kushner"]["half_width"]
+    points = config.reference["grid_kushner"]["points"] or points
+    mean, var = float(config.init.mean[0]), float(config.init.cov[0, 0])
+    grid = np.linspace(-half_width, half_width, points)
     try:
-        return _gaussian_grid_density(config.init, half_width, points)
+        return Density1D(grid=grid, values=np.exp(-0.5 * (grid - mean) ** 2 / var)
+                         / np.sqrt(2 * np.pi * var))
     except ValueError as exc:
         raise ConfigError("reference.grid_kushner", f"the initial law on "
                           f"{points} points over +-{half_width}: {exc}") from None
@@ -360,14 +359,12 @@ class FilterResult:
 
 @dataclass
 class RunReport:
-    config: ExperimentConfig
     reference_kind: str
     ref_means: np.ndarray
     ref_covs: np.ndarray
     reference_clip_count: Optional[int]     # None for Kalman-Bucy
     results: list
     slope_checksum: str
-    truth_terminal: np.ndarray
     wall_clock: float
 
 
@@ -383,7 +380,7 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
     last the grid's count of clipped negative cells (None for Kalman-Bucy)."""
     grid = config.grid
     drive = path.fine_slopes() * path.grid.fine_dt   # smoothed-path increments
-    if _kalman_bucy_exact(config, model) and config.reference.get("kalman_bucy", True):
+    if _kalman_bucy_exact(config, model) and config.reference["kalman_bucy"]:
         means, covs = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
                                       config.init.cov, drive, grid.fine_dt,
                                       record_every=grid.steps_per_mesh)
@@ -391,23 +388,29 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
     if model.dim != 1:
         raise ConfigError("reference", "no reference available: grid Kushner "
                           "is 1D only and the model is not linear-Gaussian")
-    opts = config.reference.get("grid_kushner", {})
-    dens = _init_grid_density(config, float(opts.get("half_width", 6.0)),
-                              int(opts.get("points", 1201)))
+    dens = _init_grid_density(config, REFERENCE_POINTS)
     means, vars_, _, clips = run_grid_kushner(dens, model, path.slopes,
                                               grid.fine_dt, grid.steps_per_mesh)
     return "grid_kushner", means[:, None], vars_[:, None, None], clips
 
 
-def _filter_result(spec: FilterSpec, out) -> FilterResult:
-    """The report row of a run_lockstep outcome: a FilterRun or the
-    FilterAborted that ended the run."""
-    if isinstance(out, FilterRun):
-        return FilterResult(label=spec.label(), run=out, error=None,
-                            wall_clock=out.seconds)
-    return FilterResult(label=spec.label(), run=None,
-                        error=f"{type(out).__name__}: {out}",
-                        wall_clock=out.partial.seconds)
+def _filter_result(spec: FilterSpec, out, ref_means: np.ndarray,
+                   ref_covs: np.ndarray) -> FilterResult:
+    """The report row of a run_lockstep outcome, the FilterAborted that
+    ended the run or a FilterRun with its errors against the reference."""
+    if not isinstance(out, FilterRun):
+        return FilterResult(label=spec.label(), run=None,
+                            error=f"{type(out).__name__}: {out}",
+                            wall_clock=out.partial.seconds)
+    err_mean = np.linalg.norm(out.means - ref_means, axis=1)
+    err_cov = np.linalg.norm((out.covs - ref_covs).reshape(err_mean.size, -1),
+                             axis=1)
+    return FilterResult(label=spec.label(), run=out, error=None,
+                        wall_clock=out.seconds,
+                        rmse_mean=float(np.sqrt(np.mean(err_mean**2))),
+                        terminal_err_mean=float(err_mean[-1]),
+                        terminal_err_cov=float(err_cov[-1]),
+                        err_mean=err_mean, err_cov=err_cov)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
@@ -418,30 +421,18 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
     siblings."""
     t_start = time.perf_counter()
     model = config.build_model()
-    truth, path = _simulate_paths(config, model)
+    path = _simulate_paths(config, model)
     checksum = hashlib.sha256(path.slopes.tobytes()).hexdigest()
     ref_kind, ref_means, ref_covs, ref_clips = _reference_solution(
         config, model, path)
     cloud = _initial_cloud(config, model.dim)
     runs = [Run(spec.kind, spec.gain, path, config.grid, cloud, spec.gain_opts)
             for spec in config.filters]
-    results = [_filter_result(spec, out) for spec, out in zip(
+    results = [_filter_result(spec, out, ref_means, ref_covs) for spec, out in zip(
         config.filters, run_lockstep(runs, model, config.seeds["filter"]))]
-
-    for res in results:
-        if res.run is None:
-            continue
-        res.err_mean = np.linalg.norm(res.run.means - ref_means, axis=1)
-        res.err_cov = np.linalg.norm((res.run.covs - ref_covs)
-                                     .reshape(res.err_mean.size, -1), axis=1)
-        res.rmse_mean = float(np.sqrt(np.mean(res.err_mean**2)))
-        res.terminal_err_mean = float(res.err_mean[-1])
-        res.terminal_err_cov = float(res.err_cov[-1])
-    return RunReport(config=config, reference_kind=ref_kind,
-                     ref_means=ref_means, ref_covs=ref_covs,
-                     reference_clip_count=ref_clips, results=results,
-                     slope_checksum=checksum,
-                     truth_terminal=truth.states[-1],
+    return RunReport(reference_kind=ref_kind, ref_means=ref_means,
+                     ref_covs=ref_covs, reference_clip_count=ref_clips,
+                     results=results, slope_checksum=checksum,
                      wall_clock=time.perf_counter() - t_start)
 
 
@@ -456,11 +447,17 @@ CONTINUOUS_TWIN = {
 }
 
 
+def _twin(spec: FilterSpec) -> Optional[tuple]:
+    """(kind tag, gain, gain_opts) of spec's continuous-time twin, if any."""
+    tag, gain = CONTINUOUS_TWIN.get(spec.kind.tag, (None, None))
+    if tag is not None and (gain or spec.gain) in ASSEMBLERS[tag]:
+        return tag, gain or spec.gain, spec.gain_opts
+
+
 def _check_twins(filters: list):
     """A delta sweep compares each filter with its continuous-time twin."""
     for i, spec in enumerate(filters):
-        twin, twin_gain = CONTINUOUS_TWIN.get(spec.kind.tag, (None, None))
-        if twin is None or (twin_gain or spec.gain) not in ASSEMBLERS[twin]:
+        if _twin(spec) is None:
             raise ConfigError(f"filters[{i}].kind", f"{spec.label()} has no "
                               "continuous-time twin to sweep delta against")
 
@@ -490,6 +487,10 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(spearmanr(x, y).statistic)
 
 
+def _rmse(means: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.sum((means - ref) ** 2, axis=1))))
+
+
 def _mesh_path(fine_path: ObservationPath, grid: TimeGrid) -> ObservationPath:
     """The fine observation path smoothed on grid's mesh."""
     z_knots = fine_path.z[::grid.steps_per_mesh].copy()
@@ -513,69 +514,49 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     (Spearman rho and per-seed monotonicity) is reported, not asserted."""
     model = config.build_model()
     _check_twins(config.filters)    # also when sweep.delta is left to default
-    sweep = config.sweep
-    deltas = [float(v) for v in sweep.get("delta", [config.grid.delta])]
-    seeds = [int(s) for s in sweep.get("seeds", [config.seeds["filter"]])]
-    if len(deltas) > 1:
-        deltas = sorted(deltas, reverse=True)
-        for a, b in zip(deltas[:-1], deltas[1:]):
-            ratio = a / b
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise NonNestedMeshes(f"{a} is not an integer multiple of {b}")
+    sweep = {"delta": [config.grid.delta], "seeds": [config.seeds["filter"]],
+             "n": [], **config.sweep}
+    deltas, seeds = sorted(sweep["delta"], reverse=True), sweep["seeds"]
+    for a, b in zip(deltas[:-1], deltas[1:]):
+        if abs(a / b - round(a / b)) > 1e-9:
+            raise NonNestedMeshes(f"{a} is not an integer multiple of {b}")
     fine_dt = config.grid.fine_dt
-    rows = []
-    trends = {}
-    monotone = {}
+    rows, trends, monotone = [], {}, {}
     coarse_delta = max(deltas)
+    grids = [replace(config.grid, delta=dv) for dv in deltas]
+    base_grid = grids[-1]       # the finest mesh
+    twin_every = round(coarse_delta / base_grid.delta)
+    keys = [_twin(spec) for spec in config.filters]
+    twins = [key for i, key in enumerate(keys) if key not in keys[:i]]   # once each
 
     for seed in seeds:
-        cfg_seeds = dict(config.seeds)
-        cfg_seeds.update({"truth": seed, "observation": seed + 1,
-                          "filter": seed + 2})
-        local = ExperimentConfig(**{**config.__dict__,
-                                    "seeds": cfg_seeds})
-        base_grid = TimeGrid(t0=config.grid.t0, t_end=config.grid.t_end,
-                             fine_dt=fine_dt, delta=min(deltas))
-        _, fine_path = _simulate_paths(local, model, grid=base_grid)
+        local = _reseeded(config, seed)
+        fine_path = _simulate_paths(local, model, grid=base_grid)
         cloud = _initial_cloud(local, model.dim)
-        coarse_every = round(coarse_delta / fine_dt)
-        cmp_idx = np.arange(0, base_grid.n_fine + 1, coarse_every)
-
         exact_means = None
         if _kalman_bucy_exact(config, model):
             em, _ = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
                                     config.init.cov, fine_path.fine_increments(),
                                     fine_dt, record_every=1)
-            exact_means = em[cmp_idx]
+            exact_means = em[::round(coarse_delta / fine_dt)]
 
-        # per filter its continuous-time twin on the finest mesh, then one
-        # run per delta, all in one lockstep group
-        grids = [TimeGrid(t0=config.grid.t0, t_end=config.grid.t_end,
-                          fine_dt=fine_dt, delta=dv) for dv in deltas]
+        # the twins on the finest mesh, then per filter one run per delta,
+        # all in one lockstep group
         paths = [_mesh_path(fine_path, g) for g in grids]
-        runs = []
-        for spec in config.filters:
-            twin_tag, twin_gain = CONTINUOUS_TWIN[spec.kind.tag]
-            runs.append(Run(FilterKind(twin_tag), twin_gain or spec.gain,
-                            fine_path, base_grid, cloud, spec.gain_opts))
-            runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
-                     for p, g in zip(paths, grids)]
-        outs = iter(_completed(run_lockstep(runs, model, cfg_seeds["filter"])))
-        for spec in config.filters:
-            twin = next(outs)
-            twin_every = round(coarse_delta / base_grid.delta)
-            twin_means = twin.means[::twin_every]
+        runs = [Run(FilterKind(tag), gain, fine_path, base_grid, cloud, opts)
+                for tag, gain, opts in twins]
+        runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
+                 for spec in config.filters for p, g in zip(paths, grids)]
+        outs = _completed(run_lockstep(runs, model, local.seeds["filter"]))
+        twin_outs, outs = outs[:len(twins)], iter(outs[len(twins):])
+        for spec, key in zip(config.filters, keys):
+            twin_means = twin_outs[twins.index(key)].means[::twin_every]
             rmses = []
             for dv in deltas:
-                run = next(outs)
-                every = round(coarse_delta / dv)
-                means_c = run.means[::every]
-                rmse = float(np.sqrt(np.mean(
-                    np.sum((means_c - twin_means) ** 2, axis=1))))
-                rmse_exact = float("nan")
-                if exact_means is not None:
-                    rmse_exact = float(np.sqrt(np.mean(
-                        np.sum((means_c - exact_means) ** 2, axis=1))))
+                means_c = next(outs).means[::round(coarse_delta / dv)]
+                rmse = _rmse(means_c, twin_means)
+                rmse_exact = float("nan") if exact_means is None else \
+                    _rmse(means_c, exact_means)
                 rows.append(SweepRow(axis="delta", value=dv, seed=seed,
                                      filter_label=spec.label(), rmse=rmse,
                                      rmse_exact=rmse_exact))
@@ -583,26 +564,22 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
             arr = np.array(rmses)
             # trend vs sweep order (delta descending): improving RMSE <=> rho < 0
             trends[(spec.label(), seed)] = _spearman(
-                np.arange(len(deltas), dtype=float), arr) \
-                if len(deltas) > 1 else float("nan")
+                np.arange(len(deltas), dtype=float), arr)
             monotone[spec.label()] = monotone.get(spec.label(), 0) + int(
                 len(deltas) > 1 and bool(np.all(np.diff(arr) <= 1e-15)))
 
     # ensemble-size sweep at the configured delta
-    for n_val in [int(v) for v in sweep.get("n", [])]:
+    for n_val in sweep["n"]:
         for seed in seeds:
-            cfg_seeds = {"truth": seed, "observation": seed + 1,
-                         "filter": seed + 2}
-            local = ExperimentConfig(**{**config.__dict__, "seeds": cfg_seeds})
-            _, path = _simulate_paths(local, model)
+            local = _reseeded(config, seed)
+            path = _simulate_paths(local, model)
             cloud = _initial_cloud(local, model.dim, n=n_val)
             _, ref_means, _, _ = _reference_solution(local, model, path)
             runs = [Run(spec.kind, spec.gain, path, config.grid, cloud,
                         spec.gain_opts) for spec in config.filters]
-            outs = _completed(run_lockstep(runs, model, cfg_seeds["filter"]))
+            outs = _completed(run_lockstep(runs, model, local.seeds["filter"]))
             for spec, run in zip(config.filters, outs):
-                rmse = float(np.sqrt(np.mean(np.sum(
-                    (run.means - ref_means) ** 2, axis=1))))
+                rmse = _rmse(run.means, ref_means)
                 rows.append(SweepRow(axis="n", value=float(n_val), seed=seed,
                                      filter_label=spec.label(), rmse=rmse,
                                      rmse_exact=rmse))
@@ -628,24 +605,20 @@ def theory_certificates(config: ExperimentConfig) -> list:
     model = config.build_model()
     grid = config.grid
     rows = []
-    _, path = _simulate_paths(config, model)
+    path = _simulate_paths(config, model)
 
-    opts = config.reference.get("grid_kushner", {})
-    dens0 = _init_grid_density(config, float(opts.get("half_width", 6.0)),
-                               int(opts.get("points", 2001)))
+    dens0 = _init_grid_density(config, THEORY_POINTS)
     slots = [0, grid.n_mesh // 2, grid.n_mesh]      # t0, the midpoint, T
     _, _, snapshots, _ = run_grid_kushner(dens0, model, path.slopes,
                                           grid.fine_dt, grid.steps_per_mesh,
                                           snapshot_slots=slots)
-    kappas_emp = {}
-    for slot, snap in snapshots.items():
-        dens = Density1D(grid=snap.grid, values=np.maximum(snap.values, 1e-300))
-        kappas_emp[slot] = empirical_poincare_1d(dens)
+    kappas_emp = {slot: empirical_poincare_1d(Density1D(
+        grid=snap.grid, values=np.maximum(snap.values, 1e-300)))
+        for slot, snap in snapshots.items()}
 
     if config.model_name == "log_concave_ou":
-        c = float(config.model_params.get("c", 1.0))
-        c_g = float(config.model_params.get("c_g", 1.0))
-        c_r = 2.0 * c * c
+        spec = _ou_spec(config.model_params)
+        c, c_g, c_r = spec.c_u, spec.c_g, spec.c_r
         bound = kappa_continuous(c, c_g, c_r)
         for slot in sorted(kappas_emp):
             t = grid.t0 + slot * grid.delta
@@ -667,11 +640,11 @@ def theory_certificates(config: ExperimentConfig) -> list:
         else:
             kappa0 = empirical_poincare_1d(Density1D(grid=config.init.grid,
                                                      values=config.init.values))
-        T = grid.t_end - grid.t0
-        bound = kappa_delta(kappa0, T, model.drift_lipschitz or 0.0,
-                            model.obs_sup, model.obs_sq_sup, grid.delta,
+        bound = kappa_delta(kappa0, grid.t_end - grid.t0,
+                            model.drift_lipschitz or 0.0, model.obs_sup,
+                            model.obs_sq_sup, grid.delta,
                             float(np.max(np.abs(np.diff(path.z_knots)))))
-        emp_max = max(kappas_emp.values()) if kappas_emp else float("nan")
+        emp_max = max(kappas_emp.values())
         rows.append(TheoryRow(
             provenance="lemma51",
             inputs=";".join(f"{k}={v:g}" for k, v in bound.inputs.items()),
@@ -687,82 +660,62 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(out_dir: str, name: str, header: list, rows):
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def emit_plot_data(report: RunReport, out_dir: str):
     """series.csv (long format keyed by t, filter), gain_log.csv, report.json."""
-    os.makedirs(out_dir, exist_ok=True)
     d = report.ref_means.shape[1]
-    mean_cols = [f"mean_{j + 1}" for j in range(d)]
-    cov_cols = [f"cov_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-    with open(os.path.join(out_dir, "series.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "filter"] + mean_cols + cov_cols
-                   + ["h_bar", "err_mean", "err_cov"])
-        for res in report.results:
-            if res.run is None:
-                continue
-            run = res.run
-            for k, t in enumerate(run.times):
-                w.writerow([_f(t), res.label]
-                           + [_f(v) for v in run.means[k]]
-                           + [_f(v) for v in run.covs[k].ravel()]
-                           + [_f(run.h_bars[k]), _f(res.err_mean[k]),
-                              _f(res.err_cov[k])])
+    done = [res for res in report.results if res.run is not None]
+    _write_csv(out_dir, "series.csv", ["t", "filter"]
+               + [f"mean_{j + 1}" for j in range(d)]
+               + [f"cov_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+               + ["h_bar", "err_mean", "err_cov"],
+               ([_f(t), res.label] + [_f(v) for v in res.run.means[k]]
+                + [_f(v) for v in res.run.covs[k].ravel()]
+                + [_f(res.run.h_bars[k]), _f(res.err_mean[k]), _f(res.err_cov[k])]
+                for res in done for k, t in enumerate(res.run.times)))
     diag_keys = ["residual", "centring", "condition_number", "epsilon"]
-    with open(os.path.join(out_dir, "gain_log.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["filter", "step", "method"] + diag_keys)
-        for res in report.results:
-            if res.run is None:
-                continue
-            for entry in res.run.step_log:
-                w.writerow([res.label, entry.get("step"), entry.get("method")]
-                           + [(_f(entry[k]) if k in entry else "")
-                              for k in diag_keys])
+    _write_csv(out_dir, "gain_log.csv", ["filter", "step", "method"] + diag_keys,
+               ([res.label, entry.get("step"), entry.get("method")]
+                + [(_f(entry[k]) if k in entry else "") for k in diag_keys]
+                for res in done for entry in res.run.step_log))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "reference": report.reference_kind,
         "reference_clip_count": report.reference_clip_count,
         "slope_checksum": report.slope_checksum,
         "wall_clock": report.wall_clock,
-        "filters": {
-            res.label: {
-                "error": res.error,
-                "rmse_mean": res.rmse_mean,
-                "terminal_err_mean": res.terminal_err_mean,
-                "terminal_err_cov": res.terminal_err_cov,
-                "wall_clock": res.wall_clock,
-            } for res in report.results
-        },
+        "filters": {res.label: {key: getattr(res, key) for key in (
+            "error", "rmse_mean", "terminal_err_mean", "terminal_err_cov",
+            "wall_clock")} for res in report.results},
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
 
 
 def emit_sweep_csv(report: SweepReport, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["axis", "delta_or_n", "seed", "filter", "rmse", "rmse_exact"])
-        for row in report.rows:
-            w.writerow([row.axis, _f(row.value), row.seed, row.filter_label,
-                        _f(row.rmse), _f(row.rmse_exact)])
-    with open(os.path.join(out_dir, "sweep_trends.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["filter", "seed", "spearman_rho", "monotone_seeds"])
-        for (label, seed), rho in sorted(report.trends.items()):
-            w.writerow([label, seed,
-                        "" if np.isnan(rho) else _f(rho),
-                        report.monotone_counts.get(label, 0)])
+    _write_csv(out_dir, "sweep.csv",
+               ["axis", "delta_or_n", "seed", "filter", "rmse", "rmse_exact"],
+               ([row.axis, _f(row.value), row.seed, row.filter_label,
+                 _f(row.rmse), _f(row.rmse_exact)] for row in report.rows))
+    _write_csv(out_dir, "sweep_trends.csv",
+               ["filter", "seed", "spearman_rho", "monotone_seeds"],
+               ([label, seed, "" if np.isnan(rho) else _f(rho),
+                 report.monotone_counts.get(label, 0)]
+                for (label, seed), rho in sorted(report.trends.items())))
 
 
 def emit_theory_csv(rows: list, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "theory.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["provenance", "inputs", "kappa", "kappa_emp", "margin"])
-        for r in rows:
-            w.writerow([r.provenance, r.inputs, _f(r.kappa), _f(r.kappa_emp),
-                        _f(r.margin)])
+    _write_csv(out_dir, "theory.csv",
+               ["provenance", "inputs", "kappa", "kappa_emp", "margin"],
+               ([r.provenance, r.inputs, _f(r.kappa), _f(r.kappa_emp),
+                 _f(r.margin)] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +723,7 @@ def emit_theory_csv(rows: list, out_dir: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="flowfilter",
-        description="particle-flow filter experiment harness")
+        prog="flowfilter", description="particle-flow filter experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "sweep", "theory"):
         p = sub.add_parser(name)
@@ -787,10 +739,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            if not _seed(args.seed):
-                raise ConfigError("--seed", f"must be {_SEED[0]}")
-            config.seeds = {"truth": args.seed, "observation": args.seed + 1,
-                            "filter": args.seed + 2}
+            config = _reseeded(config, _walk(args.seed, SEED, "--seed"))
             config.sweep = {**config.sweep, "seeds": [args.seed]}
         out_dir = args.out_dir or config.output_dir
         if args.command == "run":

@@ -11,7 +11,8 @@ from flowfilter.cli import (SCHEMA_VERSION, emit_plot_data, emit_sweep_csv,
                             emit_theory_csv, main, parse_config,
                             run_delta_sweep, run_experiment,
                             theory_certificates)
-from flowfilter import gain
+from flowfilter import cli, gain
+from flowfilter.filters import run_lockstep
 from flowfilter.errors import ConfigError, NonNestedMeshes
 
 BASE = {
@@ -130,11 +131,26 @@ def test_parse_config_rejects_nondividing_sweep_delta():
     ("sweep", {"n": [1]}, "sweep.n"),
     ("sweep", {"n": [0]}, "sweep.n"),
     ("sweep", {"n": 16}, "sweep.n"),
+    ("filters", [{"kind": []}], "filters[0].kind"),
+    ("filters", [{"kind": "enkbf", "gain": []}], "filters[0].gain"),
+    ("filters", [{"kind": "enkbf", "gain": {}}], "filters[0].gain"),
+    ("grid", {"t0": 0.0, "T": [], "delta": 0.01, "fine_dt": 0.001}, "grid.T"),
+    ("grid", {"t0": None, "T": 0.1, "delta": 0.01, "fine_dt": 0.001}, "grid.t0"),
+    ("grid", {"t0": 0.0, "T": 0.1, "delta": 0.01, "fine_dt": {}}, "grid.fine_dt"),
+    ("output_dir", 5, "output_dir"),
+    ("filters", [{"kind": "delta_fpf", "gain": "integral_1d",
+                  "gain_opt": {"eps_floor": 1e-6}}], "filters[0].gain_opt"),
+    ("refrence", {"kalman_bucy": False}, "refrence"),
+    ("grid", {"t_0": 0.0, "T": 0.1, "delta": 0.01, "fine_dt": 0.001}, "grid.t_0"),
+    ("init", {"kind": "gaussian", "mean": [1.0], "cov": [[0.5]],
+              "covariance": [[0.5]]}, "init.covariance"),
+    ("grid", {"t0": 0.0, "T": "0.02", "delta": 0.01, "fine_dt": 0.001}, "grid.T"),
 ])
 def test_wrong_json_types_exit_2_naming_the_field(tmp_path, capsys, key,
                                                    value, field):
     # each used to raise out of main (exit 1), or, for ensemble_size 2.5
-    # and sweep.n [0], to run at another size than the config says
+    # and sweep.n [0], to run at another size than the config says; the
+    # unknown keys and the string T were silently dropped or accepted
     raw = copy.deepcopy(BASE)
     raw[key] = value
     with pytest.raises(ConfigError) as err:
@@ -285,6 +301,31 @@ def test_sweep_without_delta_list_needs_twins(tmp_path):
     path.write_text(json.dumps(raw))
     assert main(["sweep", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
+
+def test_sweep_runs_each_continuous_twin_once(monkeypatch, tmp_path):
+    # three filters twinned with fpf_continuous/exact_gaussian on the same
+    # cloud, grid and options used to run that twin three times per seed
+    groups = []
+
+    def recording(runs, model, seed):
+        groups.append([f"{run.kind.label()}/{run.gain_method}" for run in runs])
+        return run_lockstep(runs, model, seed)
+
+    monkeypatch.setattr(cli, "run_lockstep", recording)
+    cfg = _cfg(filters=[{"kind": "delta_fpf", "gain": "exact_gaussian"},
+                        {"kind": "delta_reich", "mass_matrix": "identity",
+                         "gain": "exact_gaussian"},
+                        {"kind": "enkbf", "gain": "exact_gaussian"},
+                        {"kind": "crisan_xiong", "gain": "exact_gaussian"}],
+               sweep={"delta": [0.02, 0.01], "seeds": [4]})
+    report = run_delta_sweep(cfg)
+    assert len(groups) == 1
+    assert groups[0].count("fpf_continuous/exact_gaussian") == 1
+    assert groups[0].count("crisan_continuous/exact_gaussian") == 1
+    assert len(groups[0]) == 2 + 4 * 2
+    assert len(report.rows) == 4 * 2 and all(np.isfinite(r.rmse)
+                                             for r in report.rows)
 
 
 def test_sweep_rejects_non_nested_meshes():
@@ -493,6 +534,8 @@ def test_initial_law_without_mass_on_the_reference_grid_exit_2(tmp_path, capsys)
     ("seeds", {"truth": 1, "observation": 2.5, "filter": 3},
      "seeds.observation"),
     ("seeds", {"truth": 1, "observation": 2, "filter": -3}, "seeds.filter"),
+    ("grid", {"t0": 0.0, "T": -0.1, "delta": 0.01, "fine_dt": 0.001}, "grid.T"),     # was exit 1
+    ("grid", {"t0": 0.1, "T": 0.1, "delta": 0.01, "fine_dt": 0.001}, "grid.T"),      # theory: exit 1
 ])
 def test_sweep_and_seed_values_checked(tmp_path, capsys, key, value, field):
     # the string and list cases used to raise ValueError or
@@ -510,6 +553,16 @@ def test_sweep_and_seed_values_checked(tmp_path, capsys, key, value, field):
         assert f"config.{field}:" in err_text
 
 
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000])
+def test_unreadable_config_file_exit_2(tmp_path, capsys, text):
+    # undecodable UTF-8 and JSON nested past the recursion limit used to
+    # raise UnicodeDecodeError and RecursionError out of main (exit 1)
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_negative_seed_flag_exit_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(BASE))
@@ -521,14 +574,19 @@ def test_negative_seed_flag_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("model, field", [
     ({"name": []}, "model.name"),
     ({"name": 3}, "model.name"),
-    ({"name": "linear_gaussian", "A": "x", "H": [1.0]}, "model"),
+    ({"name": "linear_gaussian", "A": "x", "H": [1.0]}, "model.A"),
     ({"name": "linear_gaussian", "A": [[-0.5]], "H": [1.0, 0.5]}, "model"),
-    ({"name": "linear_gaussian", "A": [[-0.5]], "H": {"a": 1}}, "model"),
-    ({"name": "log_concave_ou", "c": "x", "H": [1.0]}, "model"),
-    ({"name": "log_concave_ou", "c": 0, "H": [1.0]}, "model"),   # was exit 3
+    ({"name": "linear_gaussian", "A": [[-0.5]], "H": {"a": 1}}, "model.H"),
+    ({"name": "log_concave_ou", "c": "x", "H": [1.0]}, "model.c"),
+    ({"name": "log_concave_ou", "c": 0, "H": [1.0]}, "model.c"),   # was exit 3
+    ({"name": "linear_gaussian", "A": [[-0.5]], "H": [1.0], "Q": [[1.0]]},
+     "model.Q"),
+    ({"name": "log_concave_ou", "c": "2.0", "H": [1.0]}, "model.c"),
+    ({"name": "log_concave_ou", "c": True, "H": [1.0]}, "model.c"),
 ])
 def test_model_parameters_checked(tmp_path, capsys, model, field):
-    # each used to raise TypeError or ValueError out of main (exit 1)
+    # each used to raise TypeError or ValueError out of main (exit 1); Q
+    # was ignored, and c as a string or a bool was read as a number
     raw = {**copy.deepcopy(BASE), "model": model}
     code, err_text = _exit_and_field(tmp_path, capsys, raw)
     assert code == 2

@@ -1,9 +1,12 @@
 """Fuzzed experiment configs: `flowfilter run|sweep` exits 2 on a config
-error, 0 or 3 after running, and never raises out of `main`.  Besides the
-filters, the initial law and the JSON types of the top-level fields, the
-values of the seeds, the sweep lists, the reference options and the model
-parameters are perturbed."""
+error, 0 or 3 after running, and never raises out of `main`.  Besides
+random filters, initial laws and sizes, each config perturbs paths of the
+schema `cli.CONFIG`, every one of them (each built-in model's parameters and
+each gain's options included) in the course of the run: a path takes a
+value from a pool shared by all paths (wrong JSON types, or left out), its
+table default, or a hand list of edge values."""
 
+import copy
 import json
 import os
 import tempfile
@@ -12,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfilter.cli import main
+from flowfilter.cli import CONFIG, REQUIRED, _Pick, main
 from flowfilter.gain import ASSEMBLERS
 
 MODELS = {
@@ -34,15 +37,21 @@ KDE_OPTS = st.fixed_dictionaries({}, optional={
     "bandwidth": st.sampled_from(["silverman", 0.3, 5.0, -0.1, "scott"]),
     "pad_sigmas": st.sampled_from([8.0, 1.0, float("inf")]),
 })
-# a JSON value of the wrong type for any of the top-level fields below
-WRONG_TYPE = st.sampled_from([[1], "abc", 2.5, True, None, {"k": 1}, 7])
-TYPED_FIELDS = ["model", "grid", "init", "seeds", "sweep", "reference",
-                "filters", "ensemble_size"]
-# good, bad and edge values of the fields below, keyed by their path
+GAIN_OPTS = st.fixed_dictionaries({}, optional={
+    "eps_floor": st.sampled_from([1e-8, 0.5, 0, -1.0, None]),
+    "kde_opts": KDE_OPTS,
+    "bogus": st.just(1),
+})
+
+ABSENT = object()       # the perturbed key is left out
+# wrong JSON types for any field, shared by every path
+POOL = [ABSENT, [1], "abc", 2.5, True, None, {"k": 1}, 7]
+# edge values of some paths, on top of the pool and the table default
 FIELD_VALUES = {
     "sweep.delta": [[0.01], "abc", [0], [], [-0.01], [0.0075], [1e308],
                     ["x"], [0.04, 0.01]],
     "sweep.seeds": [[11], ["a"], [-1], 5, [True], [], [0, 7]],
+    "sweep.n": [[1], [0], [True], [2.5], 16, [16]],
     "seeds.truth": ["x", -1, 2.5, None, True, 0, 7],
     "seeds.observation": ["x", -1, [2], 9],
     "seeds.filter": ["x", -3, 1e3, 4],
@@ -53,42 +62,141 @@ FIELD_VALUES = {
                                {"points": 31, "half_width": 8.0}],
     "reference.kalman_bucy": [False, "no", True],
     "model.name": [[], 3, None, "nosuch", "scalar_tanh"],
-    "model.A": ["x", [[1.0, 0.0]], [[-0.5]], [[-0.5, 0.0], [0.0, -1.0]]],
-    "model.H": ["x", [1.0, 0.5], [1.0], {"a": 1}],
+    "model.A": ["x", [[1.0, 0.0]], [[-0.5]], [[-0.5, 0.0], [0.0, -1.0]],
+                [[1.0, 2.0], [3.0]]],
+    "model.H": ["x", [1.0, 0.5], [1.0], {"a": 1}, [float("inf")]],
+    "model.c": ["2.0", 0, 1e-200, 2.0, 1e200],
+    "grid.T": [0.0, -0.01, "0.02", 0.015, 1e308],
+    "grid.t0": [0.01, -1e308],
+    "grid.fine_dt": [0.0025, 0.003, 1e-300],
+    "filters[].kind": KINDS,
+    "filters[].gain": GAINS,
+    "filters[].mass_matrix": MASS_MATRICES,
+    "init.cov": [[[-1.0]], [[1.0, 2.0], [3.0]], [[0.5]]],
+    "filters": [[]],
 }
-GAIN_OPTS = st.fixed_dictionaries({}, optional={
-    "eps_floor": st.sampled_from([1e-8, 0.5, 0, -1.0, None]),
-    "kde_opts": KDE_OPTS,
-    "bogus": st.just(1),
-})
 
 
-def _table(grid, values):
-    return {"kind": "grid_table", "grid": list(grid), "values": list(values)}
+def _nodes(spec, path="", picks=()):
+    """(path, picks, spec) of every field below spec, where picks are the
+    (object path, key, value) choices under which the field exists; the
+    items of a list of objects are at path[]."""
+    if isinstance(spec, tuple):
+        if isinstance(spec[1], list) and not isinstance(spec[1][0], tuple):
+            yield path + "[]", picks, spec[1][0]
+            yield from _nodes(spec[1][0], path + "[]", picks)
+    elif isinstance(spec, _Pick):
+        yield f"{path}.{spec.key}", picks, spec.leaf
+        for choice, table in spec.tables.items():
+            yield from _nodes(table or {}, path, picks + ((path, spec.key, choice),))
+    else:
+        for key, sub in spec.items():
+            where = f"{path}.{key}".lstrip(".")
+            yield where, picks, sub
+            yield from _nodes(sub, where, picks)
+
+
+NODES = {}
+for _path, _picks, _spec in _nodes(CONFIG):
+    NODES.setdefault(_path, []).append((_picks, _spec))
+PATHS = sorted(NODES)
+FUZZED = set()
 
 
 def _inits(dim):
-    """As many good initial laws as malformed ones."""
     g = np.linspace(-4.0, 4.0, 81)
     v = np.exp(-0.5 * g * g)
     v /= np.trapezoid(v, g)
-    negative = v.copy()
-    negative[40] = -negative[40]
-    good = [{"kind": "gaussian", "mean": [0.5] * dim, "cov": np.eye(dim).tolist()},
-            _table(g, v)]
-    return st.sampled_from(3 * good + [
-        {"kind": "gaussian", "mean": [0.0] * dim, "cov": (-np.eye(dim)).tolist()},
-        {"kind": "gaussian", "mean": [0.0] * (dim + 1), "cov": np.eye(dim).tolist()},
-        _table(g, negative),
-        _table(g + np.where(np.arange(81) == 40, 0.05, 0.0), v),
-        _table(g, v[:-1]),
-        _table(g[::-1], v)])
+    return {"gaussian": {"kind": "gaussian", "mean": [0.5] * dim,
+                         "cov": np.eye(dim).tolist()},
+            "grid_table": {"kind": "grid_table", "grid": g.tolist(),
+                           "values": v.tolist()}}
+
+
+def _malformed_inits(dim):
+    good = _inits(dim)["grid_table"]
+    negative = copy.deepcopy(good)
+    negative["values"][40] = -negative["values"][40]
+    uneven = copy.deepcopy(good)
+    uneven["grid"][40] += 0.05
+    return [{"kind": "gaussian", "mean": [0.0] * dim, "cov": (-np.eye(dim)).tolist()},
+            {"kind": "gaussian", "mean": [0.0] * (dim + 1), "cov": np.eye(dim).tolist()},
+            negative, uneven, {**good, "values": good["values"][:-1]},
+            {**good, "grid": good["grid"][::-1]}]
+
+
+# the object a pick puts in place, by (object path, value of its key)
+BASES = {
+    **{("model", name): {"name": name} for name in ("log_concave_ou", "scalar_tanh")},
+    ("model", "linear_gaussian"): MODELS["linear_1d"],
+    **{("init", kind): law for kind, law in _inits(1).items()},
+    **{("filters[]", gain): {"kind": kind, "gain": gain,
+                             **({"mass_matrix": mm} if mm else {})}
+       for kind, mm, gain in reversed(TABLE)},
+}
+
+
+def _owner(raw, path):
+    """The object holding the last key of path, and that key, with the
+    objects on the way added where absent; None when a field on the way is
+    not an object (or a list of objects)."""
+    *names, last = path.split(".")
+    owner = raw
+    for name in names:
+        item = name.endswith("[]")
+        owner = owner.setdefault(name[:-2] if item else name, [] if item else {}) \
+            if isinstance(owner, dict) else None
+        if item:
+            owner = owner[0] if isinstance(owner, list) and owner else None
+    if last.endswith("[]"):
+        owner = owner.get(last[:-2]) if isinstance(owner, dict) else None
+        return (owner, 0) if isinstance(owner, list) and owner else (None, None)
+    return (owner, last) if isinstance(owner, dict) else (None, None)
+
+
+def _perturb(raw, path, picks, value) -> bool:
+    """Put each pick's object in place, then the value at path."""
+    for where, _, choice in picks:
+        owner, key = _owner(raw, where)
+        if owner is None:
+            return False
+        owner[key] = copy.deepcopy(BASES[(where, choice)])
+    owner, key = _owner(raw, path)
+    if owner is None:
+        return False
+    if value is ABSENT:
+        if isinstance(owner, dict):
+            owner.pop(key, None)
+        else:
+            owner.pop(key)
+    else:
+        owner[key] = copy.deepcopy(value)
+    return True
+
+
+def _values(path, spec):
+    """The values a path is perturbed by: the pool, its default, its edges."""
+    default = [spec[2]] if isinstance(spec, tuple) and spec[2:] \
+        and spec[2] is not REQUIRED else []
+    return POOL + default + FIELD_VALUES.get(path, [])
+
+
+def _raw(model, init, filters, n_mesh=2, ensemble_size=16, delta=(0.01,), n=()):
+    return copy.deepcopy({
+        "model": MODELS[model],
+        "grid": {"t0": 0.0, "T": 0.01 * n_mesh, "delta": 0.01, "fine_dt": 0.005},
+        "init": init,
+        "ensemble_size": ensemble_size,
+        "filters": filters,
+        "seeds": {"truth": 1, "observation": 2, "filter": 3},
+        "reference": {"grid_kushner": {"half_width": 5.0, "points": 201}},
+        "sweep": {"delta": list(delta), "seeds": [11], "n": list(n)},
+    })
 
 
 @st.composite
 def configs(draw):
     model = draw(st.sampled_from(sorted(MODELS)))
-    dim = 2 if model.endswith("2d") else 1
     listed = st.builds(lambda row, opts: {
         "kind": row[0], "gain": row[2], **({"mass_matrix": row[1]} if row[1] else {}),
         **({"gain_opts": opts} if opts else {})},
@@ -99,42 +207,53 @@ def configs(draw):
                   "gain_opts": GAIN_OPTS})
     filters = draw(st.lists(st.one_of(listed, listed, listed, anything),
                             max_size=2))
-    n_mesh = draw(st.integers(1, 5))
-    raw = {
-        "model": MODELS[model],
-        "grid": {"t0": 0.0, "T": 0.01 * n_mesh, "delta": 0.01, "fine_dt": 0.005},
-        "init": draw(_inits(dim)),
-        "ensemble_size": draw(st.sampled_from([16, 64, 2, 5, 40, 0, 1])),
-        "filters": filters,
-        "seeds": {"truth": 1, "observation": 2, "filter": 3},
-        "reference": {"grid_kushner": {"half_width": 5.0, "points": 201}},
-        "sweep": {"delta": draw(st.sampled_from([[0.01], [0.01], [0.02, 0.01]])),
-                  "seeds": [11], "n": draw(st.sampled_from([[], [16]]))},
-    }
-    if draw(st.integers(0, 3)) == 0:        # one config in four
-        path = draw(st.sampled_from(sorted(FIELD_VALUES)))
-        *parents, key = path.split(".")
-        owner = raw
-        for name in parents:        # copies, so MODELS stays as it is
-            owner[name] = dict(owner[name])
-            owner = owner[name]
-        owner[key] = draw(st.sampled_from(FIELD_VALUES[path]))
-    if draw(st.integers(0, 7)) == 0:        # one config in eight
-        field = draw(st.sampled_from(TYPED_FIELDS + ["sweep.n"]))
-        if field == "sweep.n":
-            raw["sweep"]["n"] = draw(st.sampled_from([[1], [0], [True], [2.5], 16]))
-        else:
-            raw[field] = draw(WRONG_TYPE)
-    return draw(st.sampled_from(["run", "sweep"])), raw
+    # about one config in two perturbs a path, one in four a second one
+    perturbed = [draw(st.sampled_from(PATHS)) for share in (2, 4)
+                 if draw(st.integers(1, share)) == share]
+    if any(path.startswith("model.") for path in perturbed):
+        model = "linear_1d"         # the 1D laws fit every built-in model
+    dim = 2 if model.endswith("2d") else 1
+    raw = _raw(model, draw(st.sampled_from(3 * list(_inits(dim).values())
+                                           + _malformed_inits(dim))),
+               filters, n_mesh=draw(st.integers(1, 5)),
+               ensemble_size=draw(st.sampled_from([16, 64, 2, 5, 40, 0, 1])),
+               delta=draw(st.sampled_from([[0.01], [0.01], [0.02, 0.01]])),
+               n=draw(st.sampled_from([[], [16]])))
+    applied = []
+    for path in perturbed:
+        picks, spec = draw(st.sampled_from(NODES[path]))
+        if _perturb(raw, path, picks, draw(st.sampled_from(_values(path, spec)))):
+            applied.append(path)
+    return draw(st.sampled_from(["run", "sweep"])), raw, applied
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(configs())
-def test_fuzzed_configs_exit_0_2_or_3(case):
-    command, raw = case
+def _one_per_path():
+    """One config per path of the table, perturbing that path by one of its
+    values, so that every path is fuzzed whatever hypothesis draws."""
+    for i, path in enumerate(PATHS):
+        picks, spec = NODES[path][i % len(NODES[path])]
+        values = _values(path, spec)
+        raw = _raw("linear_1d", _inits(1)["gaussian"],
+                   [{"kind": "delta_fpf", "gain": "integral_1d"}])
+        applied = _perturb(raw, path, picks, values[i % len(values)])
+        yield ("run", "sweep")[i % 2], raw, [path] if applied else []
+
+
+def _exits_0_2_or_3(case):
+    command, raw, applied = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(raw, fh)
         assert main([command, path, "--out-dir", os.path.join(tmp, "out")]) \
             in (0, 2, 3)
+    FUZZED.update(applied)
+
+
+def test_fuzzed_configs_exit_0_2_or_3():
+    FUZZED.clear()
+    for case in _one_per_path():
+        _exits_0_2_or_3(case)
+    settings(max_examples=300, derandomize=True, deadline=None)(
+        given(configs())(_exits_0_2_or_3))()
+    assert FUZZED == set(PATHS)

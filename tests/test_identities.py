@@ -1,0 +1,133 @@
+"""The paper's exact identities as properties of one step: on drawn clouds,
+slopes, step sizes, models and gain options, the rows of gain.ASSEMBLERS
+that the theory makes equal give the same step.  The tolerances are those
+of the example tests (tests/test_filters.py and criterion 2):
+
+* the exact-Gaussian row of every kind is the EnKBF step, within 1e-14;
+* delta_reich(rho_identity) is Crisan & Xiong, bitwise;
+* in 1D the integral FPF field (a, K) is the Crisan & Xiong field, within
+  1e-12;
+* in 1D fpf_continuous and crisan_continuous agree, within 1e-12."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowfilter.ensemble import compute_moments
+from flowfilter.filters import STEP_ERRORS, FilterKind, step
+from flowfilter.gain import ASSEMBLERS, assemble_filter_coefficients
+from flowfilter.models import SystemModel, make_linear_gaussian
+from flowfilter.rng import CounterStream
+
+
+def _tanh(draw):
+    return SystemModel(dim=1, drift=lambda x: -x,
+                       obs=lambda x: np.tanh(x[:, 0]),
+                       obs_grad=lambda x: (1 / np.cosh(x[:, 0]) ** 2)[:, None],
+                       drift_lipschitz=1.0, obs_sup=1.0, obs_sq_sup=1.0)
+
+
+def _linear_1d(draw):
+    return make_linear_gaussian([[-draw(st.floats(0.1, 2.0))]],
+                                [draw(st.floats(0.5, 2.0))])
+
+
+def _linear_2d(draw):
+    a, b, c = (draw(st.floats(lo, hi)) for lo, hi in
+               ((0.1, 2.0), (-0.5, 0.5), (0.1, 2.0)))
+    return make_linear_gaussian([[-a, b], [0.0, -c]],
+                                [draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0))])
+
+
+SHAPES = {"linear_1d": _linear_1d, "tanh_1d": _tanh, "linear_2d": _linear_2d}
+INTEGRAL_OPTS = st.fixed_dictionaries({}, optional={
+    "eps_floor": st.sampled_from([1e-8, 1e-6, 1e-3]),
+    "kde_opts": st.fixed_dictionaries({}, optional={
+        "grid_points": st.integers(3, 801),
+        "half_width": st.floats(0.5, 12.0),
+        "bandwidth": st.one_of(st.just("silverman"), st.floats(0.05, 2.0)),
+        "pad_sigmas": st.floats(1.0, 10.0),
+    }),
+})
+
+
+def _kind(label):
+    tag, _, mass = label[:-1].partition("(") if "(" in label else (label, "", None)
+    return FilterKind(tag, mass)
+
+
+@st.composite
+def cases(draw):
+    model = SHAPES[draw(st.sampled_from(sorted(SHAPES)))](draw)
+    n = draw(st.integers(3, 300))
+    seed = draw(st.integers(0, 10_000))
+    dt = draw(st.floats(1e-4, 1e-2))
+    x = draw(st.floats(-2.0, 2.0)) + draw(st.floats(0.2, 2.0)) * \
+        CounterStream(seed, label=0).normals(0, (n, model.dim))
+    dv = np.sqrt(dt) * CounterStream(seed, label=1).normals(0, (n, model.dim))
+    return model, x, dv, draw(st.floats(-5.0, 5.0)), dt, draw(INTEGRAL_OPTS)
+
+
+def _outcome(label, gain, case, opts):
+    """The step of the row, or the type of the error it raised."""
+    model, x, dv, slope, dt, _ = case
+    try:
+        return step(_kind(label), gain, model, x, slope, dt, dv, **opts)
+    except STEP_ERRORS as exc:      # the rows compared must refuse alike
+        return type(exc)
+
+
+def _gap(a, b) -> float:
+    if not isinstance(a, tuple) or not isinstance(b, tuple):
+        assert a is b, (a, b)
+        return 0.0
+    return float(np.max(np.abs(a[0] - b[0])))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cases())
+def test_identities_hold_at_the_step(case):
+    model, x, dv, slope, dt, integral_opts = case
+    d = model.dim
+
+    def opts(gain):
+        return integral_opts if gain == "integral_1d" else {}
+
+    if model.H is not None:     # the exact gain needs a linear model
+        enkbf = _outcome("enkbf", "exact_gaussian", case, {})
+        assert isinstance(enkbf, tuple)
+        for label, row in ASSEMBLERS.items():
+            if "exact_gaussian" in row and (d == 1 or label != "crisan_continuous"):
+                assert _gap(_outcome(label, "exact_gaussian", case, {}),
+                            enkbf) <= 1e-14, label
+
+    for gain in ASSEMBLERS["crisan_xiong"]:
+        reich = _outcome("delta_reich(rho_identity)", gain, case, opts(gain))
+        crisan = _outcome("crisan_xiong", gain, case, opts(gain))
+        if isinstance(crisan, tuple):
+            assert reich[0].tobytes() == crisan[0].tobytes(), gain
+            assert repr(reich[1]) == repr(crisan[1]), gain
+        else:
+            assert reich is crisan, gain
+
+    if d != 1:
+        return
+    fields = []
+    for label in ("delta_fpf", "crisan_xiong"):
+        try:
+            fields.append(assemble_filter_coefficients(
+                label, x, model, compute_moments(x, model), "integral_1d",
+                **integral_opts))
+        except STEP_ERRORS as exc:
+            fields.append(type(exc))
+    if isinstance(fields[1], type):
+        assert fields[0] is fields[1]
+    else:
+        assert np.max(np.abs(fields[0].K - fields[1].K)) <= 1e-12
+        assert np.max(np.abs(fields[0].a - fields[1].a)) <= 1e-12
+    assert _gap(_outcome("delta_fpf", "integral_1d", case, integral_opts),
+                _outcome("crisan_xiong", "integral_1d", case, integral_opts)) <= 1e-12
+
+    for gain in ASSEMBLERS["fpf_continuous"]:
+        assert _gap(_outcome("fpf_continuous", gain, case, opts(gain)),
+                    _outcome("crisan_continuous", gain, case, opts(gain))) <= 1e-12, gain
