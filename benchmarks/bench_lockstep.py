@@ -31,15 +31,15 @@ from bench_kernels import environment
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# one execution: pin, import the version under test, time the call, hash
+# one execution, pinned by child(): import the version under test, time
+# the call, hash its outputs
 CHILD = r"""
 import hashlib, json, os, sys, tempfile, time
-os.sched_setaffinity(0, {int(sys.argv[1])})
 import flowfilter.cli as cli
-config = cli.load_config(sys.argv[2])
+config = cli.load_config(sys.argv[1])
 out = tempfile.mkdtemp()
 t0 = time.perf_counter()
-if sys.argv[3] == "run":
+if sys.argv[2] == "run":
     report = cli.run_experiment(config)
     wall = time.perf_counter() - t0
     cli.emit_plot_data(report, out)
@@ -63,14 +63,35 @@ def git(*args, cwd=ROOT) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def execute(src: Path, cpu: int, config: Path, command: str) -> dict:
+def clone_base(rev: str, into: Path) -> str:
+    """Check rev out in a fresh `git clone` of this repository at into;
+    return its commit."""
+    git("clone", "--quiet", "--no-checkout", str(ROOT), str(into))
+    git("checkout", "--quiet", rev, cwd=into)
+    return git("rev-parse", "HEAD", cwd=into)
+
+
+def child(code: str, src: Path, cpu: int, *args) -> tuple[list, dict]:
+    """Command and environment of a Python process that runs code pinned
+    to cpu, with BLAS threads at 1 and flowfilter imported from src; code
+    reads args as sys.argv[1:]."""
+    pin = f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n"
     env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", CHILD, str(cpu), str(config),
-                          command], env=env, check=True, capture_output=True,
+    return [sys.executable, "-c", pin + code, *map(str, args)], env
+
+
+def check_imported(module: str, src: Path):
+    """Raise unless the module a child imported lies under src."""
+    if not Path(module).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"imported {module}, not {src}")
+
+
+def execute(src: Path, cpu: int, config: Path, command: str) -> dict:
+    argv, env = child(CHILD, src, cpu, config, command)
+    out = subprocess.run(argv, env=env, check=True, capture_output=True,
                          text=True).stdout
     result = json.loads(out.splitlines()[-1])
-    if not Path(result["module"]).resolve().is_relative_to(src.resolve()):
-        raise RuntimeError(f"imported {result['module']}, not {src}")
+    check_imported(result["module"], src)
     return result
 
 
@@ -87,8 +108,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
-        git("clone", "--quiet", "--no-checkout", str(ROOT), str(base))
-        git("checkout", "--quiet", args.base, cwd=base)
+        base_commit = clone_base(args.base, base)
         sweep = json.loads((ROOT / "configs" / "delta_sweep.json").read_text())
         sweep["sweep"]["seeds"] = sweep["sweep"]["seeds"][:1]
         (tmp / "sweep.json").write_text(json.dumps(sweep))
@@ -114,7 +134,6 @@ def main():
                   f"{medians['change']:7.3f} s   "
                   f"{record[name]['change_vs_parent']:+.1%}   outputs "
                   f"{'identical' if record[name]['outputs_identical'] else 'DIFFER'}")
-        base_commit = git("rev-parse", "HEAD", cwd=base)
 
     if args.out:
         with open(args.out, "w") as fh:

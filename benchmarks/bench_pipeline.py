@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Time one filter step of every row the shipped configs use, against an
+earlier commit.
+
+Run:  PYTHONPATH=src python benchmarks/bench_pipeline.py [--base REV]
+          [--pairs N] [--cpu K] [--out PATH]
+
+A row is a (filter kind, gain, gain_opts) of a config in configs/, with
+the model of that config; a delta sweep also runs each filter's
+continuous-time twin, so the twin's row counts too.  For each row and each
+ensemble size N in 1e3, 1e4 and 4e4, one `filters.step` is timed from that
+config's initial cloud of N particles, with its h and moments computed
+inside the step as a run computes them at a mesh point.  A time is the
+best of 5 repeats of a loop of about 20 ms.
+
+The base commit (default HEAD~1) is taken from a `git clone` of this
+repository into a temporary directory; the change is this checkout's src.
+One process per version imports that version, pinned to one CPU (the last
+usable one unless --cpu is given) with BLAS threads at 1.  The two
+processes take turns on each (row, N), which one goes first alternating,
+N pairs (default 7, about a minute in all).  A row's change is the median
+over pairs of change / parent - 1, each pair timed back to back, so a slow
+phase of a shared host hits both sides of a pair alike.  The rows whose
+code a change leaves alone show how far the remaining noise moves it.
+With --out, the per-row microseconds, medians and the environment block of
+bench_kernels.py are written to PATH as JSON.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import tempfile
+from pathlib import Path
+
+from bench_kernels import environment
+from bench_lockstep import ROOT, check_imported, child, clone_base, git
+
+SIZES = (1000, 10000, 40000)
+
+# one version, pinned by child(): import it, list every (config, row, N)
+# case, then time the case named on each line of standard input.  A case's
+# cloud is built when it is timed and dropped after, so both versions time
+# each case from the same heap state, not one shaped by every other case's
+# arrays.
+CHILD = r"""
+import json, sys, timeit
+from pathlib import Path
+import numpy as np
+import flowfilter.cli as cli
+from flowfilter.filters import FilterKind, step
+from flowfilter.rng import CounterStream
+
+cases = {}
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    config = cli.load_config(str(path))
+    model = config.build_model()
+    rows = [(spec.kind, spec.gain, spec.gain_opts) for spec in config.filters]
+    if config.sweep.get("delta"):
+        twins = [cli._twin(spec) for spec in config.filters]
+        rows += [(FilterKind(tag), gain, opts) for tag, gain, opts in twins]
+    for kind, gain, opts in rows:
+        label = f"{kind.label()}/{gain}"
+        shown = {key: value for key, value in opts.items() if value != {}}
+        if shown:
+            label += " " + json.dumps(shown, sort_keys=True)
+        for n in json.loads(sys.argv[2]):
+            cases[json.dumps([path.name, label, n])] = (config, model, kind,
+                                                        gain, opts, n)
+# glibc raises its mmap threshold to the size of the largest block freed
+# so far, so which arrays come fresh from the kernel (and fault their
+# pages in) would depend on what a version happened to free first; freeing
+# one 8 MiB block puts both versions in the same state
+np.ones(1 << 20)
+print(json.dumps({"cases": list(cases), "module": cli.__file__}), flush=True)
+
+
+def best_us(config, model, kind, gain, opts, n):
+    x = cli._initial_cloud(config, model.dim, n=n)
+    dt = config.grid.fine_dt
+    dv = np.sqrt(dt) * CounterStream(1, label=1).normals(0, x.shape)
+    run = lambda: step(kind, gain, model, x, 0.5, dt, dv, **opts)
+    run()
+    number = max(1, int(0.02 / min(timeit.repeat(run, number=1, repeat=3))))
+    return min(timeit.repeat(run, number=number, repeat=5)) / number * 1e6
+
+
+for line in sys.stdin:
+    print(best_us(*cases[line.strip()]), flush=True)
+"""
+
+class Version:
+    """A child process that times the cases of one version's src."""
+
+    def __init__(self, src: Path, cpu: int):
+        argv, env = child(CHILD, src, cpu, ROOT / "configs", json.dumps(SIZES))
+        self.proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+        head = json.loads(self.proc.stdout.readline())
+        check_imported(head["module"], src)
+        self.cases = head["cases"]
+
+    def time(self, case: str) -> float:
+        self.proc.stdin.write(case + "\n")
+        self.proc.stdin.flush()
+        return float(self.proc.stdout.readline())
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD~1",
+                        help="the commit to compare with (default HEAD~1)")
+    parser.add_argument("--pairs", type=int, default=7)
+    parser.add_argument("--cpu", type=int,
+                        default=max(os.sched_getaffinity(0)))
+    parser.add_argument("--out", help="write the record as JSON")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        base_commit = clone_base(args.base, base)
+        versions = {"parent": Version(base / "src", args.cpu),
+                    "change": Version(ROOT / "src", args.cpu)}
+        cases = [c for c in versions["parent"].cases
+                 if c in versions["change"].cases]
+        times = {c: {v: [] for v in versions} for c in cases}
+        for pair in range(args.pairs):
+            order = list(versions) if pair % 2 == 0 else list(versions)[::-1]
+            for case in cases:
+                for name in order:
+                    times[case][name].append(versions[name].time(case))
+        for version in versions.values():
+            version.close()
+
+    rows = []
+    for case, us in times.items():
+        config, row, n = json.loads(case)
+        medians = {v: statistics.median(t) for v, t in us.items()}
+        change = statistics.median(c / p - 1 for p, c in zip(us["parent"],
+                                                              us["change"]))
+        rows.append({"config": config, "row": row, "n": n, "us": us,
+                     "median_us": medians, "change_vs_parent": change})
+        print(f"{config:22s} {row:40s} N={n:<6d} parent "
+              f"{medians['parent']:8.1f} us   change {medians['change']:8.1f} us"
+              f"   {change:+.1%}")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({
+                "what": "microseconds per filters.step of every row of the "
+                        "shipped configs, best of 5 repeats, before and "
+                        "after the change; change_vs_parent is the median "
+                        "over pairs of change / parent - 1; both processes "
+                        "first free one 8 MiB block, which lifts glibc's "
+                        "mmap threshold above the step's temporaries, so "
+                        "the page faults a fresh process pays on them at "
+                        "N = 4e4 are left out",
+                "script": "benchmarks/bench_pipeline.py",
+                "parent_commit": base_commit,
+                "change": f"working tree on {git('rev-parse', 'HEAD')}",
+                "pinned_cpu": args.cpu, "pairs": args.pairs, "sizes": SIZES,
+                "environment": environment(), "rows": rows}, fh, indent=2)
+
+
+if __name__ == "__main__":
+    main()

@@ -529,9 +529,11 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     keys = [_twin(spec) for spec in config.filters]
     twins = [key for i, key in enumerate(keys) if key not in keys[:i]]   # once each
 
+    fine_paths = {}             # seed -> its path on the fine grid
     for seed in seeds:
         local = _reseeded(config, seed)
-        fine_path = _simulate_paths(local, model, grid=base_grid)
+        fine_path = fine_paths[seed] = _simulate_paths(local, model,
+                                                       grid=base_grid)
         cloud = _initial_cloud(local, model.dim)
         exact_means = None
         if _kalman_bucy_exact(config, model):
@@ -568,13 +570,18 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
             monotone[spec.label()] = monotone.get(spec.label(), 0) + int(
                 len(deltas) > 1 and bool(np.all(np.diff(arr) <= 1e-15)))
 
-    # ensemble-size sweep at the configured delta
+    # ensemble-size sweep at the configured delta; a seed's path (the same
+    # fine path on the configured mesh) and reference do not depend on n
+    references = {}             # seed -> (path, reference means)
     for n_val in sweep["n"]:
         for seed in seeds:
             local = _reseeded(config, seed)
-            path = _simulate_paths(local, model)
+            if seed not in references:
+                path = _mesh_path(fine_paths[seed], config.grid)
+                references[seed] = path, _reference_solution(local, model,
+                                                             path)[1]
+            path, ref_means = references[seed]
             cloud = _initial_cloud(local, model.dim, n=n_val)
-            _, ref_means, _, _ = _reference_solution(local, model, path)
             runs = [Run(spec.kind, spec.gain, path, config.grid, cloud,
                         spec.gain_opts) for spec in config.filters]
             outs = _completed(run_lockstep(runs, model, local.seeds["filter"]))

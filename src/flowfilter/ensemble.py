@@ -94,11 +94,6 @@ def compute_moments(x: np.ndarray, model: SystemModel,
                    cov_xh=cov_xh)
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    sigma = float(np.std(samples, ddof=1))
-    return 1.06 * sigma * samples.size ** (-0.2)
-
-
 def kde_density_1d(x: np.ndarray, grid_points: int = 801,
                    half_width: Optional[float] = None,
                    bandwidth=None, pad_sigmas: float = 8.0) -> Density1D:
@@ -106,24 +101,28 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
 
     Linear binning followed by convolution with the discretised kernel
     (kernel truncated at 8 bandwidths; truncation error ~ 1e-15 relative).
-    The grid half-width defaults to max(|mean| + pad_sigmas * std, user
-    value) so the tail mass off the grid is negligible for near-Gaussian
-    clouds.
+    The default bandwidth is Silverman's 1.06 sigma n^{-1/5}.  The grid
+    half-width defaults to max(|mean| + pad_sigmas * sigma, user value) so
+    the tail mass off the grid is negligible for near-Gaussian clouds.
     """
     if x.shape[1] != 1:
         raise DimensionError("kde_density_1d requires 1D particles")
     xs = x[:, 0]
-    var = float(np.var(xs, ddof=1))
+    n = xs.size
+    # the sample mean and unbiased variance once, in np.var's arithmetic
+    mean = xs.sum() / n
+    dev = xs - mean
+    var = float(np.sum(np.square(dev, out=dev)) / (n - 1))
     if var < 1e-14:
         raise DegenerateCloud(f"sample variance {var:.3e} below 1e-14")
+    sigma = np.sqrt(var)
     if bandwidth is None or bandwidth == "silverman":
-        bw = silverman_bandwidth(xs)
+        bw = 1.06 * float(sigma) * n ** (-0.2)
     else:
         bw = float(bandwidth)
         if bw <= 0:
             raise ValueError("bandwidth must be positive")
-    sigma = np.sqrt(var)
-    auto_l = abs(float(np.mean(xs))) + pad_sigmas * sigma + 4.0 * bw
+    auto_l = abs(float(mean)) + pad_sigmas * sigma + 4.0 * bw
     half = max(auto_l, half_width) if half_width is not None else auto_l
     grid = np.linspace(-half, half, grid_points)
     dx = grid[1] - grid[0]

@@ -85,6 +85,10 @@ class NonPositiveDensity(FlowFilterError):
     pass
 
 
+class CertificateFailed(FlowFilterError):
+    """A numerical certificate did not verify on the computed values."""
+
+
 class NotLogConcave(FlowFilterError):
     def __init__(self, witness_x: float, value: float):
         self.witness_x = witness_x

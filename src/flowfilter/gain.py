@@ -44,6 +44,9 @@ from .models import SystemModel
 
 EPS_RHO = 1e-8
 RIDGE = 1e-10
+# the rhs kinds whose solution is a gain: -(h - hbar) on the right; only
+# these report the centring of their potential
+GAIN_KINDS = ("fpf_phi", "reich_lambda", "crisan_beta")
 
 
 @dataclass
@@ -142,6 +145,21 @@ class GridIntervals:
         return out
 
 
+def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
+    """np.trapezoid(y, grid) with spacing = np.diff(grid), in its arithmetic."""
+    return float((spacing * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
+    """np.gradient(f, dx) on a uniform grid, in its arithmetic: central
+    differences inside, one-sided ones at the two ends."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2. * dx)
+    out[0] = (f[1] - f[0]) / dx
+    out[-1] = (f[-1] - f[-2]) / dx
+    return out
+
+
 def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
                       particles: Optional[np.ndarray] = None,
                       h_bar: Optional[float] = None,
@@ -155,13 +173,15 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     the gradient field of the respective potential (grad psi, grad Omega,
     or grad alpha / rho, the last two being the same formula).  fpf_psi
     takes h, hbar, I and the gain from phi, the fpf_phi field of the same
-    density, and solves for it when phi is None.
+    density, and solves for it when phi is None.  Only the gain kinds
+    report the centring of their potential.
     """
     if model.dim != 1:
         raise DimensionError("solve_1d_integral requires d = 1")
     g = density.grid
     rho = density.values
     dx = density.dx
+    spacing = np.diff(g)
     x2 = g.reshape(-1, 1)
     rho_f = np.maximum(rho, eps_floor)
     # density mass below the floor, not the share of (mostly tail) grid points
@@ -169,18 +189,18 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     phi_terms = None
     diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
 
-    if rhs_kind in ("fpf_phi", "crisan_beta", "reich_lambda"):
+    if rhs_kind in GAIN_KINDS:
         h = model.obs(x2)
-        hb = float(np.trapezoid(h * rho, g)) if h_bar is None else float(h_bar)
+        hb = _trapezoid(h * rho, spacing) if h_bar is None else float(h_bar)
         I = cumulative_simpson((h - hb) * rho, dx)
         gain_grid = -I / rho_f
         # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
-        resid = float(np.max(np.abs(np.gradient(-I, dx) + (h - hb) * rho)))
+        resid = float(np.max(np.abs(_gradient(-I, dx) + (h - hb) * rho)))
         phi_terms = (h, hb, I)
         # centred potential of the gain, read only by the centring diagnostic
         potential = cumulative_simpson(gain_grid, dx)
-        potential -= np.trapezoid(potential * rho, g)
-        diagnostics["centring"] = float(abs(np.trapezoid(potential * rho, g)))
+        potential -= _trapezoid(potential * rho, spacing)
+        diagnostics["centring"] = abs(_trapezoid(potential * rho, spacing))
     elif rhs_kind == "fpf_psi":
         # integrate by parts with rbar = h2bar - hbar^2 (the weak-form value):
         # rho psi' = S - (h + hbar) I, S = int (h^2 - h2bar) rho,
@@ -190,19 +210,19 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
             phi = solve_1d_integral(density, model, "fpf_phi", h_bar=h_bar,
                                     eps_floor=eps_floor)
         h, hb, I = phi.phi_terms
-        h2b = float(np.trapezoid(h * h * rho, g))
+        h2b = _trapezoid(h * h * rho, spacing)
         S = cumulative_simpson((h * h - h2b) * rho, dx)
         rho_psi_p = S - (h + hb) * I
         gain_grid = rho_psi_p / rho_f
         r = model.obs_grad(x2)[:, 0] * phi.gain_grid
         rb = h2b - hb * hb
-        resid = float(np.max(np.abs(np.gradient(rho_psi_p, dx) - (r - rb) * rho)))
+        resid = float(np.max(np.abs(_gradient(rho_psi_p, dx) - (r - rb) * rho)))
     elif rhs_kind in ("reich_omega", "crisan_alpha"):
         h = model.obs(x2)
-        h2b = float(np.trapezoid(h * h * rho, g))
+        h2b = _trapezoid(h * h * rho, spacing)
         I = cumulative_simpson(0.5 * (h * h - h2b) * rho, dx)
         gain_grid = I / rho_f
-        resid = float(np.max(np.abs(np.gradient(I, dx) - 0.5 * (h * h - h2b) * rho)))
+        resid = float(np.max(np.abs(_gradient(I, dx) - 0.5 * (h * h - h2b) * rho)))
     else:
         raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
     if abs(I[-1]) > 1e-6:       # every rhs integrates to 0 over the line
@@ -276,10 +296,14 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     """Basis-projected weak form with Monte-Carlo quadrature over the cloud.
 
     Stiffness A_jk = mean(grad b_j . M^{-1} grad b_k); the load vector
-    follows the rhs_kind.  The symmetric solve carries a 1e-10 ridge
-    followed by two iterative-refinement sweeps, so the ridge stabilises
-    degenerate clouds without biasing well-conditioned systems.  h is
-    obs(x), evaluated here when not given; fpf_psi does not read it.
+    follows the rhs_kind.  The basis (by default the linear monomials, plus
+    the quadratic ones for the drift kinds) is evaluated once per solve and
+    stacked into value and gradient arrays.  The symmetric solve
+    carries a 1e-10 ridge followed by two iterative-refinement sweeps, so
+    the ridge stabilises degenerate clouds without biasing well-conditioned
+    systems.  Only the gain kinds (fpf_phi, reich_lambda, crisan_beta)
+    report the centring of their potential.  h is obs(x), evaluated here
+    when not given; fpf_psi does not read it.
     """
     n, d = x.shape
     if basis is None:
@@ -288,35 +312,37 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     nb = len(basis)
     if n <= nb:
         raise ValueError("need more particles than basis functions")
-    grads = [b.grad(x) for b in basis]
-    vals = [b.value(x) for b in basis]
-    Minv = np.eye(d) if m_inv is None else np.atleast_2d(np.asarray(m_inv, dtype=float))
+    vals = np.stack([b.value(x) for b in basis])        # (nb, n)
+    grads = np.stack([b.grad(x) for b in basis])        # (nb, n, d)
+    # M^{-1} grad b_j; M = I leaves the gradients as they are
+    mg = grads if m_inv is None else \
+        grads @ np.atleast_2d(np.asarray(m_inv, dtype=float)).T
 
+    # A_jk = A_kj for j <= k: the per-particle dot product grad b_j .
+    # M^{-1} grad b_k averaged over the cloud, through two work arrays
     A = np.empty((nb, nb))
-    mg = [g @ Minv.T for g in grads]
+    prod, dots = np.empty((n, d)), np.empty(n)
     for j in range(nb):
         for k in range(j, nb):
-            A[j, k] = A[k, j] = np.mean(np.sum(grads[j] * mg[k], axis=1))
+            np.multiply(grads[j], mg[k], out=prod)
+            A[j, k] = A[k, j] = np.mean(np.sum(prod, axis=1, out=dots))
     cond = float(np.linalg.cond(A))
     if cond > 1e12:
         raise IllConditioned(cond)
 
     if rhs_kind != "fpf_psi" and h is None:
         h = model.obs(x)
-    if rhs_kind in ("fpf_phi", "reich_lambda", "crisan_beta"):
-        h_bar = h.mean()
-        load = np.array([np.mean((h - h_bar) * v) for v in vals])
+    if rhs_kind in GAIN_KINDS:
+        load = np.mean((h - h.mean()) * vals, axis=1)
     elif rhs_kind == "fpf_psi":
         if prior_gain is None:
-            prior_gain = solve_galerkin(x, model, "fpf_phi",
-                                        basis=monomial_basis(d), m_inv=m_inv,
+            prior_gain = solve_galerkin(x, model, "fpf_phi", m_inv=m_inv,
                                         ridge=ridge).at_particles
         r = np.sum(model.obs_grad(x) * prior_gain, axis=1)
-        r_bar = r.mean()
-        load = np.array([-np.mean((r - r_bar) * v) for v in vals])
+        load = -np.mean((r - r.mean()) * vals, axis=1)
     elif rhs_kind in ("reich_omega", "crisan_alpha"):
-        h2_bar = (h * h).mean()
-        load = np.array([-0.5 * np.mean((h * h - h2_bar) * v) for v in vals])
+        h2 = h * h
+        load = -0.5 * np.mean((h2 - h2.mean()) * vals, axis=1)
     else:
         raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
 
@@ -324,19 +350,20 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     c = np.linalg.solve(damped, load)
     for _ in range(2):                       # refine away the ridge bias
         c = c + np.linalg.solve(damped, load - A @ c)
-    residual = float(np.max(np.abs(A @ c - load)))
+    diagnostics = {"residual": float(np.max(np.abs(A @ c - load)))}
+    if rhs_kind in GAIN_KINDS:
+        # centred potential of the gain, read only by the centring diagnostic
+        pot = np.zeros(n)
+        for j in range(nb):
+            pot += c[j] * vals[j]
+        pot -= pot.mean()
+        diagnostics["centring"] = float(abs(pot.mean()))
+    diagnostics["condition_number"] = cond
 
     K = np.zeros((n, d))
     for j in range(nb):
         K += c[j] * mg[j]
-    pot = np.zeros(n)
-    for j in range(nb):
-        pot += c[j] * vals[j]
-    pot -= pot.mean()
-    centring = float(abs(pot.mean()))
-    return GainField(at_particles=K, coefficients=c,
-                     diagnostics={"residual": residual, "centring": centring,
-                                  "condition_number": cond})
+    return GainField(at_particles=K, coefficients=c, diagnostics=diagnostics)
 
 
 def galerkin_ito_drift(x: np.ndarray, model: SystemModel, fld: GainField,
@@ -502,7 +529,7 @@ def _integral_continuous(x, model, moments, density=None, kde_opts=None,
                          eps_floor=EPS_RHO, h=None) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
     fld = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
-    dK = np.gradient(fld.gain_grid, density.dx)
+    dK = _gradient(fld.gain_grid, density.dx)
     cells = GridIntervals(density.grid, x[:, 0])
     K = cells.interp(fld.gain_grid).reshape(-1, 1)
     ito = 0.5 * cells.interp(dK * fld.gain_grid).reshape(-1, 1)

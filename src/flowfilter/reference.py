@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .ensemble import Density1D
-from .errors import CovarianceBlowup, GridMismatch
+from .errors import CovarianceBlowup, GridMismatch, NonFiniteState
 from .models import SystemModel
 
 CFL_FACTOR = 0.4
@@ -63,7 +63,8 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
     zero-flux boundaries, negative clipping and renormalisation, substepped
     under the CFL bound.  Returns (means, vars, snapshots, clip_count):
     moments at every mesh point and the Density1D at each requested mesh
-    index (0 = the initial density)."""
+    index (0 = the initial density).  Raises NonFiniteState, with the fine
+    step, at the first mesh point whose mean is not finite."""
     bound = cfl_bound(dens)
     nsub = max(1, int(np.ceil(fine_dt / bound)))
     dt_sub = fine_dt / nsub
@@ -83,9 +84,12 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
         for _ in range(steps_per_mesh):
             theta, nclip = _kernels.kushner_substeps(
                 theta, drift_g, h_g, w, dens.dx, dt_sub, nsub, float(slopes[m]))
-            nclip_total += nclip
+            nclip_total += int(nclip)     # a Python int for report.json
         cur = Density1D(grid=dens.grid, values=theta)
         means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
+        if not np.isfinite(means[m + 1]):
+            raise NonFiniteState((m + 1) * steps_per_mesh,
+                                 "grid Kushner reference density")
         if (m + 1) in snapshot_slots:
             snapshots[m + 1] = cur
     return means, vars_, snapshots, nclip_total

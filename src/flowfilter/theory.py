@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .ensemble import Density1D
-from .errors import (NonPositiveDelta, NonPositiveDensity,
+from .errors import (CertificateFailed, NonPositiveDelta, NonPositiveDensity,
                      NonPositiveParameter, NotLogConcave)
 
 
@@ -77,20 +77,21 @@ def gamma_recursion(c_g: float, c_r: float, dt: float, steps: int) -> GammaTrace
     """Iterate the log-concavity recursion from gamma_0 = c_g.
 
     The trace approaches the stable fixed point monotonically; the
-    construction asserts m(gamma*) = gamma* to 1e-12 and the floor
-    min_i gamma_i >= min(c_g, gamma*) - 1e-12.
+    construction checks m(gamma*) = gamma* to 1e-12 and the floor
+    min_i gamma_i >= min(c_g, gamma*) - 1e-12, and raises CertificateFailed
+    if either fails.
     """
     if not (c_g > 0 and c_r > 0 and dt > 0):
         raise NonPositiveParameter("c_g, c_r, dt must be positive")
     star = gamma_fixed_point(c_r, dt)
     if abs(gamma_map(star, c_r, dt) - star) > 1e-12:
-        raise AssertionError("closed-form fixed point fails m(gamma*) = gamma*")
+        raise CertificateFailed("closed-form fixed point fails m(gamma*) = gamma*")
     gam = np.empty(steps + 1)
     gam[0] = c_g
     for i in range(steps):
         gam[i + 1] = gamma_map(gam[i], c_r, dt)
     if np.min(gam) < min(c_g, star) - 1e-12:
-        raise AssertionError("gamma trace dipped below min(c_g, gamma*)")
+        raise CertificateFailed("gamma trace dipped below min(c_g, gamma*)")
     return GammaTrace(gamma=gam, dt=dt, c_g=c_g, c_r=c_r, fixed_point=star)
 
 
@@ -139,7 +140,8 @@ def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8) -> float:
     with the Dirichlet-form stiffness and trapezoid mass, symmetrised to a
     tridiagonal standard problem; the constant eigenvector is an exact null
     vector, so lambda_1 is the second-smallest eigenvalue.  The returned
-    constant is Rayleigh-certified on the computed eigenfunction.
+    constant is Rayleigh-certified on the computed eigenfunction, to a
+    relative certify_tol; CertificateFailed if that check fails.
     """
     rho = dens.values
     if np.any(rho <= 0):
@@ -167,7 +169,7 @@ def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8) -> float:
     var_form = float(np.sum(B * f1 * f1))
     dir_form = float(np.sum(rh * np.diff(f1) ** 2 / dx))
     if var_form > kappa * dir_form * (1.0 + certify_tol):
-        raise AssertionError("Rayleigh certificate failed for kappa_emp")
+        raise CertificateFailed("Rayleigh certificate failed for kappa_emp")
     return kappa
 
 

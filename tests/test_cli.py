@@ -11,7 +11,7 @@ from flowfilter.cli import (SCHEMA_VERSION, emit_plot_data, emit_sweep_csv,
                             emit_theory_csv, main, parse_config,
                             run_delta_sweep, run_experiment,
                             theory_certificates)
-from flowfilter import cli, gain
+from flowfilter import cli, gain, theory
 from flowfilter.filters import run_lockstep
 from flowfilter.errors import ConfigError, NonNestedMeshes
 
@@ -328,6 +328,30 @@ def test_sweep_runs_each_continuous_twin_once(monkeypatch, tmp_path):
                                              for r in report.rows)
 
 
+def test_sweep_n_axis_takes_each_seed_path_and_reference_once(monkeypatch):
+    # neither the path nor the reference of a seed depends on n: the n axis
+    # meshes the fine path of the delta axis and solves each seed's
+    # reference once (8 path simulations and 6 references before)
+    calls = {"paths": 0, "references": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_simulate_paths",
+                        counted("paths", cli._simulate_paths))
+    monkeypatch.setattr(cli, "_reference_solution",
+                        counted("references", cli._reference_solution))
+    cfg = _cfg(filters=[{"kind": "enkbf", "gain": "exact_gaussian"}],
+               sweep={"n": [20, 40, 80], "seeds": [5, 6]})
+    report = run_delta_sweep(cfg)
+    assert calls == {"paths": 2, "references": 2}
+    rows = [(r.value, r.seed) for r in report.rows if r.axis == "n"]
+    assert rows == [(n, s) for n in (20.0, 40.0, 80.0) for s in (5, 6)]
+
+
 def test_sweep_rejects_non_nested_meshes():
     cfg = _cfg()
     cfg.sweep = {"delta": [0.05, 0.02], "seeds": [1]}
@@ -442,6 +466,48 @@ def test_main_exit_codes(tmp_path):
     invalid_path = tmp_path / "invalid.json"
     invalid_path.write_text(json.dumps(invalid))
     assert main(["run", str(invalid_path), "--out-dir", str(tmp_path / "o4")]) == 2
+
+
+OVERFLOWING_OU = {"model": {"name": "log_concave_ou", "c": 1.0, "c_g": 1.0,
+                             "H": [1e308]},
+                  "grid": {"t0": 0.0, "T": 0.05, "delta": 0.01, "fine_dt": 0.001},
+                  "init": {"kind": "gaussian", "mean": [0.0], "cov": [[0.5]]},
+                  "filters": [],
+                  "reference": {"grid_kushner": {"half_width": 6.0,
+                                                 "points": 201}}}
+
+
+@pytest.mark.parametrize("command", ["run", "theory"])
+def test_non_finite_reference_density_exit_3(tmp_path, capsys, recwarn,
+                                             command):
+    # h = 1e308 x overflows the grid Kushner density: run used to exit 0
+    # with NaN reference means and theory exit 1 inside scipy
+    code, err = _exit_and_field(tmp_path, capsys, {**BASE, **OVERFLOWING_OU},
+                                command)
+    assert code == 3
+    assert "NonFiniteState" in err and "grid Kushner" in err
+
+
+def test_clipping_reference_writes_its_count(tmp_path, capsys, recwarn):
+    # h = 1000 x drives grid cells negative: the clip count, a numpy integer
+    # from the kernel, used to stop report.json with a TypeError (exit 1)
+    raw = {**BASE, **OVERFLOWING_OU, "model": {"name": "log_concave_ou",
+                                              "c": 1.0, "c_g": 1.0, "H": [1e3]}}
+    code, _ = _exit_and_field(tmp_path, capsys, raw, "run")
+    assert code == 0
+    summary = json.load(open(tmp_path / "o" / "report.json"))
+    assert summary["reference_clip_count"] > 0
+
+
+def test_failed_certificate_exit_3(tmp_path, capsys, monkeypatch):
+    # a Rayleigh certificate that fails is a numerical failure, not a crash
+    monkeypatch.setattr(cli, "empirical_poincare_1d", lambda dens:
+                        theory.empirical_poincare_1d(dens, certify_tol=-1e-3))
+    raw = {**BASE, **OVERFLOWING_OU, "model": {"name": "log_concave_ou",
+                                              "c": 1.0, "c_g": 1.0, "H": [1.0]}}
+    code, err = _exit_and_field(tmp_path, capsys, raw, "theory")
+    assert code == 3
+    assert "CertificateFailed" in err
 
 
 def test_main_threads_flag_bitwise_identical(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from flowfilter.ensemble import Density1D
-from flowfilter.errors import CovarianceBlowup, GridMismatch
-from flowfilter.models import make_linear_gaussian
+from flowfilter.errors import CovarianceBlowup, GridMismatch, NonFiniteState
+from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
 from flowfilter.reference import (cfl_bound, density_distance,
                                   riccati_fixed_point, run_grid_kushner,
@@ -58,6 +58,17 @@ def test_grid_kushner_pure_heat_variance_growth():
                                               1, snapshot_slots=[steps])
     assert vars_[-1] - v0 == pytest.approx(steps * dt, abs=1e-4)
     assert snapshots[steps].mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_kushner_non_finite_density_raises(recwarn):
+    # h = 1e308 x overflows the Kushner update in the first mesh interval:
+    # the density turns NaN, and the solver stops at that mesh point
+    dens = _gauss_grid(points=201, half=6.0)
+    model = SystemModel(dim=1, drift=lambda x: -x, obs=lambda x: 1e308 * x[:, 0],
+                        obs_grad=lambda x: np.full_like(x, 1e308))
+    with pytest.raises(NonFiniteState, match="grid Kushner") as err:
+        run_grid_kushner(dens, model, np.zeros(5), 1e-3, 10)
+    assert err.value.step == 10
 
 
 def test_grid_kushner_tracks_kalman_bucy():

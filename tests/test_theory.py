@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from flowfilter.ensemble import Density1D, density_from_function
-from flowfilter.errors import (NonPositiveDelta, NonPositiveDensity,
+from flowfilter import theory
+from flowfilter.errors import (CertificateFailed, FlowFilterError,
+                               NonPositiveDelta, NonPositiveDensity,
                                NonPositiveParameter, NotLogConcave)
 from flowfilter.theory import (affine_pushforward, brascamp_lieb_check,
                                empirical_poincare_1d, gamma_fixed_point,
@@ -66,6 +68,20 @@ def test_gamma_recursion_monotone_and_floored():
         # the stated floor min(c_g, sqrt(c_r/2)) holds up to the O(dt)
         # defect of the fixed point, c_r dt / 4
         assert tr.floor() >= min(c_g, np.sqrt(c_r / 2)) - c_r * dt / 4 - 1e-9
+
+
+def test_gamma_recursion_failed_checks_are_typed(monkeypatch):
+    # the closed-form fixed point loses m(gamma*) = gamma* to cancellation
+    with pytest.raises(CertificateFailed, match="fixed point"):
+        gamma_recursion(1.0, 1e20, 1.0, 5)
+    # a map that keeps gamma* fixed but halves any other value dips
+    # the trace below min(c_g, gamma*)
+    star = gamma_fixed_point(2.0, 0.5)
+    monkeypatch.setattr(theory, "gamma_map", lambda g, c_r, dt:
+                        g if g == star else 0.5 * g)
+    with pytest.raises(CertificateFailed, match="dipped"):
+        gamma_recursion(1.0, 2.0, 0.5, 3)
+    assert issubclass(CertificateFailed, FlowFilterError)
 
 
 def test_kappa_delta_empty_horizon():
@@ -147,6 +163,15 @@ def test_empirical_poincare_scaling_property():
         scaled = affine_pushforward(dens, a)
         ratio = empirical_poincare_1d(scaled) / empirical_poincare_1d(dens)
         assert ratio == pytest.approx(a * a, rel=1e-6)
+
+
+def test_empirical_poincare_failed_certificate_is_typed():
+    # a negative tolerance asks the Rayleigh quotient of the computed
+    # eigenfunction to beat 1/lambda_1 itself, which it cannot
+    dens = _normal_density(1.0, points=801)
+    assert empirical_poincare_1d(dens) > 0
+    with pytest.raises(CertificateFailed, match="Rayleigh"):
+        empirical_poincare_1d(dens, certify_tol=-1e-3)
 
 
 def test_empirical_poincare_rejects_nonpositive():
