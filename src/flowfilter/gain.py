@@ -29,6 +29,7 @@ a(x_i) and gain field K(x_i) of its McKean-Vlasov representation; the
 pairs it holds are the only ones that exist.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -288,6 +289,19 @@ def monomial_basis(dim: int, quadratic: bool = False):
     return basis
 
 
+@functools.lru_cache(maxsize=16)
+def _work_array(name: str, shape: tuple) -> np.ndarray:
+    """A work array kept for every call that asks for this name and shape.
+
+    The Galerkin solve stacks its basis into (nb, n) and (nb, n, d) arrays;
+    at N = 1e4 with the quadratic basis they take 160 KiB, above glibc's
+    initial 128 KiB mmap threshold, so made afresh on every call each one
+    is a new mapping whose pages fault in again.  The solves run on one
+    thread, and no array taken from here outlives the call.
+    """
+    return np.empty(shape)
+
+
 def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
                    basis=None, m_inv: Optional[np.ndarray] = None,
                    prior_gain: Optional[np.ndarray] = None,
@@ -312,8 +326,14 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     nb = len(basis)
     if n <= nb:
         raise ValueError("need more particles than basis functions")
-    vals = np.stack([b.value(x) for b in basis])        # (nb, n)
-    grads = np.stack([b.grad(x) for b in basis])        # (nb, n, d)
+    if rhs_kind == "fpf_psi" and prior_gain is None:
+        # before the work arrays are filled: this solve takes them too
+        prior_gain = solve_galerkin(x, model, "fpf_phi", m_inv=m_inv,
+                                    ridge=ridge).at_particles
+    vals = np.stack([b.value(x) for b in basis],
+                    out=_work_array("vals", (nb, n)))
+    grads = np.stack([b.grad(x) for b in basis],
+                     out=_work_array("grads", (nb, n, d)))
     # M^{-1} grad b_j; M = I leaves the gradients as they are
     mg = grads if m_inv is None else \
         grads @ np.atleast_2d(np.asarray(m_inv, dtype=float)).T
@@ -332,17 +352,16 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
 
     if rhs_kind != "fpf_psi" and h is None:
         h = model.obs(x)
+    weighted = _work_array("weighted", (nb, n))
     if rhs_kind in GAIN_KINDS:
-        load = np.mean((h - h.mean()) * vals, axis=1)
+        load = np.mean(np.multiply(h - h.mean(), vals, out=weighted), axis=1)
     elif rhs_kind == "fpf_psi":
-        if prior_gain is None:
-            prior_gain = solve_galerkin(x, model, "fpf_phi", m_inv=m_inv,
-                                        ridge=ridge).at_particles
         r = np.sum(model.obs_grad(x) * prior_gain, axis=1)
-        load = -np.mean((r - r.mean()) * vals, axis=1)
+        load = -np.mean(np.multiply(r - r.mean(), vals, out=weighted), axis=1)
     elif rhs_kind in ("reich_omega", "crisan_alpha"):
         h2 = h * h
-        load = -0.5 * np.mean((h2 - h2.mean()) * vals, axis=1)
+        load = -0.5 * np.mean(np.multiply(h2 - h2.mean(), vals, out=weighted),
+                              axis=1)
     else:
         raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
 
@@ -368,10 +387,14 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
 
 def galerkin_ito_drift(x: np.ndarray, model: SystemModel, fld: GainField,
                        basis=None) -> np.ndarray:
-    """(1/2) (grad K)^T K for a Galerkin field, from the basis Hessians."""
+    """(1/2) (grad K)^T K for a Galerkin field, from the basis Hessians.
+
+    The default basis is the linear monomials, whose Hessians vanish, so
+    its drift is zero.
+    """
     n, d = x.shape
     if basis is None:
-        basis = monomial_basis(d)
+        return np.zeros((n, d))
     K = fld.at_particles
     out = np.zeros((n, d))
     for j, b in enumerate(basis):

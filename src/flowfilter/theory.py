@@ -15,7 +15,9 @@ Poisson equations solvable:
   * lipschitz_transfer - transport of a Poincare constant under a Lipschitz
     map (squared rule operative, see inputs for the stated linear rule);
   * empirical_poincare_1d - spectral-gap estimate of the weighted operator
-    -(1/rho)(rho f')' with zero flux, Rayleigh-certified;
+    -(1/rho)(rho f')' with zero flux, by inverse iteration through the 1D
+    weighted Poisson solve (two cumulative sums, numpy only),
+    Rayleigh-certified;
   * brascamp_lieb_check - numerical Brascamp-Lieb variance bound for
     strictly log-concave grid densities.
 """
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .ensemble import Density1D
 from .errors import (CertificateFailed, NonPositiveDelta, NonPositiveDensity,
@@ -133,41 +134,70 @@ def lipschitz_transfer(base: PoincareBound, lip: float) -> PoincareBound:
                                  "stated_linear_rule": base.constant * lip})
 
 
-def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8) -> float:
+def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8,
+                          max_iter: int = 500) -> float:
     """1/lambda_1 of -(1/rho)(rho f')' with zero-flux boundary.
 
     Discretised as the generalized symmetric eigenproblem A f = lambda B f
-    with the Dirichlet-form stiffness and trapezoid mass, symmetrised to a
-    tridiagonal standard problem; the constant eigenvector is an exact null
-    vector, so lambda_1 is the second-smallest eigenvalue.  The returned
-    constant is Rayleigh-certified on the computed eigenfunction, to a
-    relative certify_tol; CertificateFailed if that check fails.
+    with the Dirichlet-form stiffness A = D^T diag(rh/dx) D (rh the edge
+    midpoint density) and the trapezoid mass B = rho w.  The constants are
+    its null space, so lambda_1 is the smallest eigenvalue on the functions
+    of mean zero under B, found by inverse iteration from x - mean (never
+    orthogonal to the first eigenfunction: both are increasing).  Each
+    iteration solves the weighted Poisson equation A f = B g in 1D by two
+    cumulative sums: the edge flux -sum_{k<=i} (Bg)_k, which equals
+    sum_{k>i} (Bg)_k, is summed from the nearer tail (from the left where
+    the B mass left of the edge is at most half, from the right elsewhere),
+    so a tail flux is not the difference of two O(1) sums; then f, the
+    cumulative sum of flux dx/rh, is summed outward from that mass median,
+    so its values there do not sit on a tail's offset, and is centred
+    under B and normalised.  lambda is the Rayleigh quotient
+    sum rh (Df)^2/dx / sum B f^2, a ratio of sums of non-negative terms;
+    the iteration stops when it changes by at most 1e-14 relative.
+
+    A mode confined to a flat tail floored to ~1e-300 carries that mass in
+    B, so the iteration does not reach it: on such a density it returns
+    the gap of the density above the floor, where a dense eigensolver
+    returns the tail mode's lower eigenvalue if it has one.
+
+    NonPositiveDensity if rho or the gap is not positive and finite;
+    CertificateFailed if the iteration has not converged within max_iter,
+    or if the Rayleigh check of the returned constant on the computed
+    eigenfunction fails at a relative certify_tol.
     """
     rho = dens.values
     if np.any(rho <= 0):
         raise NonPositiveDensity("empirical Poincare needs a strictly "
                                  "positive grid density")
-    g = dens.grid
     dx = dens.dx
-    G = g.size
     rh = 0.5 * (rho[:-1] + rho[1:])
-    Ad = np.empty(G)
-    Ad[1:-1] = (rh[:-1] + rh[1:]) / dx
-    Ad[0] = rh[0] / dx
-    Ad[-1] = rh[-1] / dx
-    Ao = -rh / dx
     B = rho * dens.trapz_weights()
-    s = 1.0 / np.sqrt(B)
-    vals, vecs = eigh_tridiagonal(Ad * s * s, Ao * s[:-1] * s[1:],
-                                  select="i", select_range=(0, 1))
-    lam1 = float(vals[1])
-    if lam1 <= 0:
-        raise NonPositiveDensity(f"spectral gap {lam1} not positive")
-    kappa = 1.0 / lam1
-    f1 = vecs[:, 1] * s
-    f1 = f1 - np.sum(B * f1)                 # mean-zero under rho
-    var_form = float(np.sum(B * f1 * f1))
-    dir_form = float(np.sum(rh * np.diff(f1) ** 2 / dx))
+    mass = np.cumsum(B)
+    # edges [0, split) hold at most half the mass on their left
+    split = int(np.count_nonzero(mass[:-1] <= 0.5 * mass[-1]))
+    step = dx / rh
+    f = dens.grid - np.sum(B * dens.grid) / mass[-1]
+    lam = np.inf
+    for _ in range(max_iter):
+        Bg = B * f / np.sqrt(np.sum(B * f * f))
+        flux = np.concatenate((-np.cumsum(Bg[:split]),
+                               np.cumsum(Bg[:split:-1])[::-1]))
+        df = flux * step
+        f = np.concatenate((-np.cumsum(df[:split][::-1])[::-1], [0.0],
+                            np.cumsum(df[split:])))
+        f -= np.sum(B * f) / mass[-1]        # mean-zero under rho
+        prev, lam = lam, float(np.sum(rh * np.diff(f) ** 2 / dx)
+                               / np.sum(B * f * f))
+        if not 0 < lam < np.inf:
+            raise NonPositiveDensity(f"spectral gap {lam} not positive")
+        if abs(lam - prev) <= 1e-14 * lam:
+            break
+    else:
+        raise CertificateFailed(f"inverse iteration for kappa_emp did not "
+                                f"converge in {max_iter} iterations")
+    kappa = 1.0 / lam
+    var_form = float(np.sum(B * f * f))
+    dir_form = float(np.sum(rh * np.diff(f) ** 2 / dx))
     if var_form > kappa * dir_form * (1.0 + certify_tol):
         raise CertificateFailed("Rayleigh certificate failed for kappa_emp")
     return kappa

@@ -158,6 +158,18 @@ def oracle_integral(density, model, rhs_kind, particles=None, h_bar=None,
                      diagnostics={"residual": resid, **diagnostics})
 
 
+def oracle_galerkin_continuous(x, model, basis=None):
+    """(a, K) of a continuous-time Galerkin row, the Ito drift summed over
+    the basis Hessians (the default basis's zero ones included)."""
+    h = model.obs(x)
+    fld = oracle_galerkin(x, model, "fpf_phi", basis=basis, h=h)
+    K = fld.at_particles
+    ito = np.zeros(x.shape)
+    for j, b in enumerate(basis or monomial_basis(x.shape[1])):
+        ito += fld.coefficients[j] * np.einsum("nij,nj->ni", b.hess(x), K)
+    return 0.5 * ito + -0.5 * K * (h + h.mean())[:, None], K
+
+
 # ---------------------------------------------------------------------------
 # drawn inputs
 
@@ -270,6 +282,20 @@ def test_solve_galerkin_matches_oracle_bitwise(data, d, rhs_kind, mass, basis_ki
     _assert_same_field(new, old, rhs_kind)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_fpf_psi_inner_solve_leaves_a_same_size_basis_alone(d):
+    # without a prior gain, fpf_psi first solves fpf_phi on the monomials,
+    # whose work arrays have the shape of a basis of d elements
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((300, d))
+    model = tanh_model(1.2, 0.1) if d == 1 else make_linear_gaussian(
+        np.zeros((2, 2)), [0.8, -0.4])
+    basis = _trig_basis(d)[::2]
+    _assert_same_field(solve_galerkin(x, model, "fpf_psi", basis=basis),
+                       oracle_galerkin(x, model, "fpf_psi", basis=basis),
+                       "fpf_psi")
+
+
 @st.composite
 def kde_opts(draw):
     opts = {}
@@ -332,6 +358,24 @@ def test_solve_1d_integral_matches_oracle_bitwise(data, x, opts, rhs_kind):
         h = model.obs(x)
         assert _same(cs.K, K)
         assert _same(cs.a, ito + -0.5 * K * (h + h.mean())[:, None])
+
+
+@SETTINGS
+@given(data=st.data(), d=st.sampled_from([1, 2]),
+       kind=st.sampled_from(["fpf_continuous", "crisan_continuous"]),
+       basis_kind=st.sampled_from(["default", "quadratic"]))
+def test_galerkin_continuous_rows_match_oracle_bitwise(data, d, kind, basis_kind):
+    if kind == "crisan_continuous":
+        d = 1
+    x = data.draw(clouds(d))
+    model = data.draw(models(d))
+    basis = None if basis_kind == "default" else monomial_basis(d, quadratic=True)
+    new = _outcome(ASSEMBLERS[kind]["galerkin"], x, model, None, basis=basis)
+    old = _outcome(oracle_galerkin_continuous, x, model, basis)
+    if isinstance(old, Exception) or isinstance(new, Exception):
+        assert type(new) is type(old), (new, old)
+        return
+    assert _same(new.a, old[0]) and _same(new.K, old[1])
 
 
 @pytest.mark.parametrize("n", [10000, 40000])

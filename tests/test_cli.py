@@ -282,6 +282,43 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+SCIPY_FREE = r"""
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from flowfilter import cli
+run_cfg, ou_cfg, out = sys.argv[1:]
+cli.load_config(run_cfg)
+seen = {"import": scipy_modules()}
+codes = {"run": cli.main(["run", run_cfg, "--out-dir", out + "/run"])}
+seen["run"] = scipy_modules()
+codes["theory"] = cli.main(["theory", ou_cfg, "--out-dir", out + "/theory"])
+seen["theory"] = scipy_modules()
+print(json.dumps({"codes": codes, "scipy": seen}))
+"""
+
+
+def test_run_and_theory_load_no_scipy(tmp_path):
+    # scipy is left to sweep's Spearman trend and grid_table sampling
+    raw = {**copy.deepcopy(BASE), **TANH_GRID, "ensemble_size": 300,
+           "filters": [{"kind": "delta_fpf", "gain": "integral_1d"},
+                       {"kind": "crisan_xiong", "gain": "integral_1d"},
+                       {"kind": "delta_fpf", "gain": "galerkin"}]}
+    run_cfg = tmp_path / "tanh.json"
+    run_cfg.write_text(json.dumps(raw))
+    src = os.path.dirname(os.path.dirname(gain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, str(run_cfg),
+         os.path.join(os.path.dirname(src), "configs", "ou_theory.json"),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == {"run": 0, "theory": 0}
+    assert result["scipy"] == {"import": [], "run": [], "theory": []}
+
+
 def test_sweep_single_delta_trend_na(tmp_path):
     cfg = _cfg()
     cfg.sweep = {"delta": [0.01], "seeds": [11]}
