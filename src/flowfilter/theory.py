@@ -17,7 +17,7 @@ Poisson equations solvable:
   * empirical_poincare_1d - spectral-gap estimate of the weighted operator
     -(1/rho)(rho f')' with zero flux, by inverse iteration through the 1D
     weighted Poisson solve (two cumulative sums, numpy only),
-    Rayleigh-certified;
+    certified by its Rayleigh quotient and a Sturm count;
   * brascamp_lieb_check - numerical Brascamp-Lieb variance bound for
     strictly log-concave grid densities.
 """
@@ -134,36 +134,73 @@ def lipschitz_transfer(base: PoincareBound, lip: float) -> PoincareBound:
                                  "stated_linear_rule": base.constant * lip})
 
 
-def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8,
-                          max_iter: int = 500) -> float:
+# cap on the inverse iterations of empirical_poincare_1d
+_MAX_ITER = 500
+
+
+def _count_below(c: np.ndarray, B: np.ndarray, sigma: float) -> int:
+    """Eigenvalues of A f = lambda B f below sigma, A = D^T diag(c) D.
+
+    By Sylvester's law of inertia this is the number of negative pivots of
+    the LDL^T factorisation of A - sigma B.  Its pivots are c_i - e_i
+    (the last one -e_{G-1}) with e_0 = sigma B_0 and e_i = sigma B_i
+    + e_{i-1} c_{i-1} / (c_{i-1} - e_{i-1}): the differential form, which
+    never subtracts the O(c) stiffness entries from each other.  Each
+    rounding then acts as a relative change of a few ulps in one c_i or
+    B_i, which moves every eigenvalue of the pencil by a few ulps
+    relative, so the count is exact for a pencil that close to this one
+    however widely c and B are scaled.  A zero pivot is taken as negative,
+    that is, as if its c_i were one ulp smaller.
+    """
+    count, t = 0, 0.0
+    for ci, bi in zip(c.tolist(), B.tolist()):
+        e = sigma * bi + t
+        d = ci - e
+        if d <= 0.0:
+            count += 1
+            d = d or -ci * 2.0 ** -52
+        t = e * (ci / d)
+    return count + int(sigma * B[-1] + t >= 0.0)
+
+
+def empirical_poincare_1d(dens: Density1D,
+                          certify_tol: float = 1e-8) -> float:
     """1/lambda_1 of -(1/rho)(rho f')' with zero-flux boundary.
 
     Discretised as the generalized symmetric eigenproblem A f = lambda B f
     with the Dirichlet-form stiffness A = D^T diag(rh/dx) D (rh the edge
     midpoint density) and the trapezoid mass B = rho w.  The constants are
     its null space, so lambda_1 is the smallest eigenvalue on the functions
-    of mean zero under B, found by inverse iteration from x - mean (never
-    orthogonal to the first eigenfunction: both are increasing).  Each
-    iteration solves the weighted Poisson equation A f = B g in 1D by two
-    cumulative sums: the edge flux -sum_{k<=i} (Bg)_k, which equals
-    sum_{k>i} (Bg)_k, is summed from the nearer tail (from the left where
-    the B mass left of the edge is at most half, from the right elsewhere),
-    so a tail flux is not the difference of two O(1) sums; then f, the
-    cumulative sum of flux dx/rh, is summed outward from that mass median,
-    so its values there do not sit on a tail's offset, and is centred
-    under B and normalised.  lambda is the Rayleigh quotient
-    sum rh (Df)^2/dx / sum B f^2, a ratio of sums of non-negative terms;
-    the iteration stops when it changes by at most 1e-14 relative.
+    of mean zero under B.  It is found by inverse iteration on a pair of
+    such functions, started from x - mean (never orthogonal to the first
+    eigenfunction: both are increasing) and (x - mean)^2 - mean, with a
+    Rayleigh-Ritz step on the pair after every solve, so the convergence
+    rate is lambda_1 / lambda_3 and two nearly equal lowest eigenvalues do
+    not slow it.  Each solve is the weighted Poisson equation A f = B g in
+    1D, by two cumulative sums: the edge flux -sum_{k<=i} (Bg)_k, which
+    equals sum_{k>i} (Bg)_k, is summed from the nearer tail (from the left
+    where the B mass left of the edge is at most half, from the right
+    elsewhere), so a tail flux is not the difference of two O(1) sums;
+    then f, the cumulative sum of flux dx/rh, is summed outward from that
+    mass median, so its values there do not sit on a tail's offset, and is
+    centred under B.  lambda is the Rayleigh quotient
+    sum rh (Df)^2/dx / sum B f^2 of the lower Ritz function, a ratio of
+    sums of non-negative terms; the iteration stops when it changes by at
+    most 1e-14 relative.
 
-    A mode confined to a flat tail floored to ~1e-300 carries that mass in
-    B, so the iteration does not reach it: on such a density it returns
-    the gap of the density above the floor, where a dense eigensolver
-    returns the tail mode's lower eigenvalue if it has one.
+    Certificate: lambda, a Rayleigh quotient on the mean-zero functions,
+    is at least lambda_1; a Sturm count (`_count_below`) then shows that
+    the pencil has no eigenvalue but the constant mode's 0 below
+    lambda (1 - certify_tol).  So the returned kappa lies within
+    certify_tol relative below the discrete 1/lambda_1, whatever the
+    scaling of rho.  A mode confined to a flat tail floored to ~1e-300
+    carries that mass in B, so the iteration does not reach it; if its
+    eigenvalue lies below the gap of the density above the floor, the
+    count finds it and the certificate fails.
 
     NonPositiveDensity if rho or the gap is not positive and finite;
-    CertificateFailed if the iteration has not converged within max_iter,
-    or if the Rayleigh check of the returned constant on the computed
-    eigenfunction fails at a relative certify_tol.
+    CertificateFailed if the iteration has not converged within _MAX_ITER
+    steps, or if the Sturm count fails.
     """
     rho = dens.values
     if np.any(rho <= 0):
@@ -171,22 +208,34 @@ def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8,
                                  "positive grid density")
     dx = dens.dx
     rh = 0.5 * (rho[:-1] + rho[1:])
+    c = rh / dx
     B = rho * dens.trapz_weights()
     mass = np.cumsum(B)
     # edges [0, split) hold at most half the mass on their left
     split = int(np.count_nonzero(mass[:-1] <= 0.5 * mass[-1]))
     step = dx / rh
-    f = dens.grid - np.sum(B * dens.grid) / mass[-1]
+    x = dens.grid - np.sum(B * dens.grid) / mass[-1]
+    F = np.stack((x, x * x))[:rho.size - 1]    # G - 1 mean-zero dimensions
+    F -= (F @ B / mass[-1])[:, None]
     lam = np.inf
-    for _ in range(max_iter):
-        Bg = B * f / np.sqrt(np.sum(B * f * f))
-        flux = np.concatenate((-np.cumsum(Bg[:split]),
-                               np.cumsum(Bg[:split:-1])[::-1]))
+    for _ in range(_MAX_ITER):
+        BG = B * F
+        flux = np.concatenate((-np.cumsum(BG[:, :split], axis=1),
+                               np.cumsum(BG[:, :split:-1], axis=1)[:, ::-1]),
+                              axis=1)
         df = flux * step
-        f = np.concatenate((-np.cumsum(df[:split][::-1])[::-1], [0.0],
-                            np.cumsum(df[split:])))
-        f -= np.sum(B * f) / mass[-1]        # mean-zero under rho
-        prev, lam = lam, float(np.sum(rh * np.diff(f) ** 2 / dx)
+        left = -np.cumsum(df[:, :split][:, ::-1], axis=1)[:, ::-1]
+        F = np.concatenate((left, np.zeros((len(F), 1)),
+                            np.cumsum(df[:, split:], axis=1)), axis=1)
+        F -= (F @ B / mass[-1])[:, None]     # mean-zero under rho
+        for j in range(len(F)):          # B-orthonormalise, then Rayleigh-Ritz
+            F[j] -= (F[:j] @ (B * F[j])) @ F[:j]
+            F[j] /= np.sqrt(np.sum(B * F[j] * F[j]))
+        dF = np.diff(F, axis=1)
+        _, U = np.linalg.eigh((dF * c) @ dF.T)
+        F = U.T @ F
+        f = F[0]
+        prev, lam = lam, float(np.sum(c * np.diff(f) ** 2)
                                / np.sum(B * f * f))
         if not 0 < lam < np.inf:
             raise NonPositiveDensity(f"spectral gap {lam} not positive")
@@ -194,13 +243,13 @@ def empirical_poincare_1d(dens: Density1D, certify_tol: float = 1e-8,
             break
     else:
         raise CertificateFailed(f"inverse iteration for kappa_emp did not "
-                                f"converge in {max_iter} iterations")
-    kappa = 1.0 / lam
-    var_form = float(np.sum(B * f * f))
-    dir_form = float(np.sum(rh * np.diff(f) ** 2 / dx))
-    if var_form > kappa * dir_form * (1.0 + certify_tol):
-        raise CertificateFailed("Rayleigh certificate failed for kappa_emp")
-    return kappa
+                                f"converge in {_MAX_ITER} iterations")
+    below = _count_below(c, B, lam * (1.0 - certify_tol))
+    if below != 1:
+        raise CertificateFailed(f"Rayleigh-Sturm certificate failed for "
+                                f"kappa_emp: {below - 1} nonzero eigenvalues "
+                                f"below 1/kappa_emp = {lam:.6g}")
+    return 1.0 / lam
 
 
 @dataclass

@@ -166,8 +166,8 @@ def test_empirical_poincare_scaling_property():
 
 
 def test_empirical_poincare_failed_certificate_is_typed():
-    # a negative tolerance asks the Rayleigh quotient of the computed
-    # eigenfunction to beat 1/lambda_1 itself, which it cannot
+    # a negative tolerance asks the Sturm count to find no eigenvalue but
+    # the constant mode's below lambda_1 (1 + 1e-3), where lambda_1 is
     dens = _normal_density(1.0, points=801)
     assert empirical_poincare_1d(dens) > 0
     with pytest.raises(CertificateFailed, match="Rayleigh"):
