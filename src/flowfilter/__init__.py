@@ -12,11 +12,10 @@ from .gain import (GainField, assemble_filter_coefficients, continuous_gain,
 from .models import (InitialDensity, LogConcaveOUSpec, SystemModel,
                      make_linear_gaussian, make_log_concave_ou,
                      validate_conditions)
-from .paths import (ObservationPath, TimeGrid, TruthTrajectory,
-                    discrete_observation, simulate_observations,
-                    simulate_truth, smoothed_value)
-from .reference import density_distance, run_grid_kushner, run_kalman_bucy
-from .rng import CounterStream, GaussianIncrements, InjectedIncrements, ZeroIncrements
+from .paths import (ObservationPath, TimeGrid, simulate_observations,
+                    simulate_truth, smoothed_path)
+from .reference import run_grid_kushner, run_kalman_bucy
+from .rng import CounterStream
 from .theory import (GammaTrace, PoincareBound, brascamp_lieb_check,
                      empirical_poincare_1d, gamma_recursion, kappa_continuous,
                      kappa_delta, lipschitz_transfer)

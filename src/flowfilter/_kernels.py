@@ -25,7 +25,7 @@ try:
     from numba import njit, prange
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional extra `numba`
     _HAVE_NUMBA = False
 
 NUMBA_ENABLED = _HAVE_NUMBA and _want_numba()

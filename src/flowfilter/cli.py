@@ -33,16 +33,17 @@ import numpy as np
 
 from .ensemble import Density1D
 from .errors import (ConfigError, FlowFilterError, NonNestedMeshes,
-                     NonPositiveParameter)
+                     NonPositiveDensity, NonPositiveParameter)
 from .filters import FilterKind, FilterRun, Run, run_lockstep
 # bound here only for the tracer in perfbench/layers.py, which wraps it
 from .filters import run_filter  # noqa: F401
 from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE
 from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
-from .paths import ObservationPath, TimeGrid, simulate_observations, simulate_truth
+from .paths import (ObservationPath, TimeGrid, simulate_observations,
+                    simulate_truth, smoothed_path)
 from .reference import run_grid_kushner, run_kalman_bucy
-from .rng import CounterStream, GaussianIncrements
+from .rng import CounterStream
 from .theory import (empirical_poincare_1d, gamma_recursion,
                      kappa_continuous, kappa_delta)
 
@@ -301,14 +302,12 @@ def _simulate_paths(config: ExperimentConfig, model: SystemModel,
     d = model.dim
     s = config.seeds
     x0 = config.init.sample(1, CounterStream(s["truth"], label=0).normals(0, (1, d)))
-    truth = simulate_truth(model, grid, x0,
-                           GaussianIncrements(s["truth"], d, grid.fine_dt, label=1),
-                           seed=s["truth"])
-    path = simulate_observations(model, truth, grid,
-                                 GaussianIncrements(s["observation"], 1,
-                                                    grid.fine_dt, label=2),
-                                 seed=s["observation"])
-    return path
+    dv = CounterStream(s["truth"], label=1).increments(
+        np.empty((grid.n_fine, 1, d)), grid.fine_dt)
+    dw = CounterStream(s["observation"], label=2).increments(
+        np.empty((grid.n_fine, 1, 1)), grid.fine_dt)
+    states = simulate_truth(model, grid, x0, dv.reshape(grid.n_fine, d))
+    return simulate_observations(model, states, grid, dw.reshape(grid.n_fine))
 
 
 def _initial_cloud(config: ExperimentConfig, d: int,
@@ -491,14 +490,6 @@ def _rmse(means: np.ndarray, ref: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((means - ref) ** 2, axis=1))))
 
 
-def _mesh_path(fine_path: ObservationPath, grid: TimeGrid) -> ObservationPath:
-    """The fine observation path smoothed on grid's mesh."""
-    z_knots = fine_path.z[::grid.steps_per_mesh].copy()
-    return ObservationPath(grid=grid, z=fine_path.z, z_knots=z_knots,
-                           slopes=np.diff(z_knots) / grid.delta,
-                           seed=fine_path.seed)
-
-
 def _completed(outs: list) -> list:
     """The FilterRuns of a sweep group; a sweep fails with its first abort."""
     for out in outs:
@@ -544,7 +535,7 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
 
         # the twins on the finest mesh, then per filter one run per delta,
         # all in one lockstep group
-        paths = [_mesh_path(fine_path, g) for g in grids]
+        paths = [smoothed_path(fine_path.z, g) for g in grids]
         runs = [Run(FilterKind(tag), gain, fine_path, base_grid, cloud, opts)
                 for tag, gain, opts in twins]
         runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
@@ -577,7 +568,7 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
         for seed in seeds:
             local = _reseeded(config, seed)
             if seed not in references:
-                path = _mesh_path(fine_paths[seed], config.grid)
+                path = smoothed_path(fine_paths[seed].z, config.grid)
                 references[seed] = path, _reference_solution(local, model,
                                                              path)[1]
             path, ref_means = references[seed]
@@ -605,6 +596,20 @@ class TheoryRow:
     margin: float
 
 
+def _certificate_density(grid: np.ndarray, values: np.ndarray) -> Density1D:
+    """The density whose spectral gap is certified: values cut to the points
+    from the first to the last at or above 1e-300, and floored at 1e-300
+    between them.  An underflowed or zero run at either end would add
+    modes of its own, confined to that run, below the gap of the law."""
+    kept = np.flatnonzero(values >= 1e-300)
+    if kept.size < 2:
+        raise NonPositiveDensity("the density is at or above 1e-300 on "
+                                 f"{kept.size} grid point(s); a spectral gap "
+                                 "needs two")
+    cut = slice(kept[0], kept[-1] + 1)
+    return Density1D(grid=grid[cut], values=np.maximum(values[cut], 1e-300))
+
+
 def theory_certificates(config: ExperimentConfig) -> list:
     """Certificate table for the configured system: the continuous-time
     bound with empirical posterior checks (log-concave OU), the gamma
@@ -619,8 +624,8 @@ def theory_certificates(config: ExperimentConfig) -> list:
     _, _, snapshots, _ = run_grid_kushner(dens0, model, path.slopes,
                                           grid.fine_dt, grid.steps_per_mesh,
                                           snapshot_slots=slots)
-    kappas_emp = {slot: empirical_poincare_1d(Density1D(
-        grid=snap.grid, values=np.maximum(snap.values, 1e-300)))
+    kappas_emp = {slot: empirical_poincare_1d(
+        _certificate_density(snap.grid, snap.values))
         for slot, snap in snapshots.items()}
 
     if config.model_name == "log_concave_ou":
@@ -645,8 +650,8 @@ def theory_certificates(config: ExperimentConfig) -> list:
         if config.init.kind == "gaussian":
             kappa0 = float(np.max(np.linalg.eigvalsh(config.init.cov)))
         else:
-            kappa0 = empirical_poincare_1d(Density1D(grid=config.init.grid,
-                                                     values=config.init.values))
+            kappa0 = empirical_poincare_1d(
+                _certificate_density(config.init.grid, config.init.values))
         bound = kappa_delta(kappa0, grid.t_end - grid.t0,
                             model.drift_lipschitz or 0.0, model.obs_sup,
                             model.obs_sq_sup, grid.delta,

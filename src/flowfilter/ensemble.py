@@ -66,9 +66,6 @@ class Density1D:
         w[-1] *= 0.5
         return w
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
-
     def mean(self) -> float:
         return float(np.trapezoid(self.grid * self.values, self.grid))
 

@@ -13,10 +13,6 @@ class NonFiniteState(FlowFilterError):
         super().__init__(f"non-finite state at step {step}" + (f": {detail}" if detail else ""))
 
 
-class OutOfRange(FlowFilterError):
-    pass
-
-
 class FilterAborted(FlowFilterError):
     """A filter run failed mid-trajectory; carries the cause and the moments
     recorded up to the failing mesh point."""
@@ -62,10 +58,6 @@ class DimensionError(FlowFilterError):
 
 
 class ModelMismatch(FlowFilterError):
-    pass
-
-
-class GridMismatch(FlowFilterError):
     pass
 
 

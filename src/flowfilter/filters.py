@@ -206,14 +206,11 @@ def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
         raise ValueError("a lockstep group shares one particle shape (n, d) "
                          "and one fine grid")
     noise = CounterStream(seed, label=1)
-    sqdt = np.sqrt(grid.fine_dt)
     buf = np.empty((max(1, min(grid.n_fine, NOISE_BUFFER_BYTES // (8 * n * d))),
                     n, d))
     live = lanes
     for k0 in range(0, grid.n_fine, len(buf)):
-        dv = buf[:grid.n_fine - k0]
-        for k, block in enumerate(dv, start=k0):
-            np.multiply(sqdt, noise.normals(k, (n, d)), out=block)
+        dv = noise.increments(buf[:grid.n_fine - k0], grid.fine_dt, k0)
         live = [lane for lane in live if lane.advance(k0, dv)]
         if not live:
             break

@@ -176,12 +176,6 @@ class ConditionReport:
     n_points: int = 0
     vacuous: bool = False
 
-    def passed(self, name: str) -> bool:
-        for c in self.checks:
-            if c.name == name:
-                return c.passed
-        raise KeyError(name)
-
 
 def _fd_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a batched scalar function, (n,d)->(n,d)."""

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .ensemble import Density1D
-from .errors import CovarianceBlowup, GridMismatch, NonFiniteState
+from .errors import CovarianceBlowup, NonFiniteState
 from .models import SystemModel
 
 CFL_FACTOR = 0.4
@@ -93,15 +93,6 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
         if (m + 1) in snapshot_slots:
             snapshots[m + 1] = cur
     return means, vars_, snapshots, nclip_total
-
-
-def density_distance(a: Density1D, b: Density1D):
-    """(L1, mean gap, variance gap) on a common grid."""
-    if a.grid.shape != b.grid.shape or not np.allclose(a.grid, b.grid,
-                                                       rtol=0, atol=1e-12):
-        raise GridMismatch("densities live on different grids")
-    l1 = float(np.trapezoid(np.abs(a.values - b.values), a.grid))
-    return l1, abs(a.mean() - b.mean()), abs(a.var() - b.var())
 
 
 def riccati_fixed_point(A: float, H: float) -> float:

@@ -23,49 +23,11 @@ class CounterStream:
         bg = np.random.Philox(key=self._key, counter=[0, 0, 0, int(step)])
         return np.random.Generator(bg).standard_normal(shape)
 
-
-class GaussianIncrements:
-    """Supplies iid N(0, dt*I) increment blocks, one block per step."""
-
-    def __init__(self, seed: int, dim: int, dt: float, label: int = 0):
-        self.stream = CounterStream(seed, label)
-        self.dim = int(dim)
-        self.dt = float(dt)
-        self._scale = np.sqrt(self.dt)
-
-    def increments(self, step: int, n: int) -> np.ndarray:
-        return self._scale * self.stream.normals(step, (n, self.dim))
-
-
-class InjectedIncrements:
-    """Deterministic increments for tests: a (steps, n, dim) array, or a
-    (steps, dim) array for single-path use, or a constant array broadcast
-    to every step."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def increments(self, step: int, n: int) -> np.ndarray:
-        v = self.values
-        if v.ndim == 3:
-            block = v[step]
-        elif v.ndim == 2 and v.shape[0] > 1 and n == 1:
-            block = v[step][None, :]
-        else:
-            block = np.broadcast_to(v, (n, v.shape[-1]) if v.ndim else (n, 1))
-        block = np.asarray(block, dtype=float)
-        if block.ndim == 1:
-            block = block[None, :]
-        if block.shape[0] != n:
-            block = np.broadcast_to(block, (n, block.shape[-1]))
-        return np.array(block)
-
-
-class ZeroIncrements:
-    """All-zero increments (noise-free dynamics)."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def increments(self, step: int, n: int) -> np.ndarray:
-        return np.zeros((n, self.dim))
+    def increments(self, out: np.ndarray, dt: float, first: int = 0) -> np.ndarray:
+        """Fill out (steps, *shape) with the N(0, dt I) increment blocks
+        sqrt(dt) * normals(first + i, shape), one draw per step, and
+        return it."""
+        sqdt = np.sqrt(dt)
+        for i, block in enumerate(out):
+            np.multiply(sqdt, self.normals(first + i, block.shape), out=block)
+        return out

@@ -16,10 +16,21 @@ from flowfilter.gain import solve_1d_integral, solve_galerkin, monomial_basis
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
 from flowfilter.reference import run_grid_kushner
-from flowfilter.rng import CounterStream, GaussianIncrements
+from flowfilter.rng import CounterStream
 from flowfilter.theory import (brascamp_lieb_check, empirical_poincare_1d,
                                gamma_fixed_point, gamma_map, kappa_continuous,
                                kappa_delta)
+
+
+def _path(model, grid, x0, truth_seed, obs_seed):
+    """The truth and observation path driven by the increment streams
+    (truth_seed, label 1) and (obs_seed, label 2)."""
+    dv = CounterStream(truth_seed, label=1).increments(
+        np.empty((grid.n_fine, 1, model.dim)), grid.fine_dt)
+    dw = CounterStream(obs_seed, label=2).increments(
+        np.empty((grid.n_fine, 1, 1)), grid.fine_dt)
+    states = simulate_truth(model, grid, x0, dv[:, 0])
+    return simulate_observations(model, states, grid, dw[:, 0, 0])
 
 
 def _verdict(num: int, ok: bool, detail: str):
@@ -88,11 +99,7 @@ def test_criterion_2_exact_equivalences():
     # (b,c) trajectory equivalences on a 1D nonlinear model
     tanh = _tanh_model()
     grid = TimeGrid(0.0, 0.3, 0.001, 0.01)
-    truth = simulate_truth(tanh, grid, [0.4],
-                           GaussianIncrements(21, 1, grid.fine_dt, label=1))
-    path = simulate_observations(tanh, truth, grid,
-                                 GaussianIncrements(22, 1, grid.fine_dt,
-                                                    label=2))
+    path = _path(tanh, grid, [0.4], 21, 22)
     cloud1 = CounterStream(23, 0).normals(0, (500, 1))
     reich = run_filter(FilterKind("delta_reich", "rho_identity"), tanh, path,
                        cloud1, grid, "integral_1d", seed=23)
@@ -166,11 +173,7 @@ def test_criterion_3_gain_solver_oracles():
 def _nonlinear_rmse(seed: int, n: int) -> float:
     model = _tanh_model()
     grid = TimeGrid(0.0, 1.0, 0.001, 0.01)
-    truth = simulate_truth(model, grid, [0.0],
-                           GaussianIncrements(seed, 1, grid.fine_dt, label=1))
-    path = simulate_observations(model, truth, grid,
-                                 GaussianIncrements(seed + 1, 1, grid.fine_dt,
-                                                    label=2))
+    path = _path(model, grid, [0.0], seed, seed + 1)
     g = np.linspace(-6.0, 6.0, 1201)
     theta0 = np.exp(-g**2 / 2) / np.sqrt(2 * np.pi)
     means, _, _, _ = run_grid_kushner(Density1D(grid=g, values=theta0),

@@ -1,4 +1,6 @@
 import copy
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -694,3 +696,71 @@ def test_model_parameters_checked(tmp_path, capsys, model, field):
     code, err_text = _exit_and_field(tmp_path, capsys, raw)
     assert code == 2
     assert f"config.{field}:" in err_text
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("nonlinear_tanh",
+     "b7b747ab4810354a1e6330f78d17e09b645a0a99a7668f19725a2345b1ae29da"),
+    ("linear_gaussian",
+     "8141f9ce758f9dc82fbabb1e96160f576e7ff14ef4f81de4e89bbf2eb3c3e243"),
+    ("ou_theory",
+     "bde1b3a5530f0002551ac22c85dd542ebb5ce2e9dd2baa23a209b9a5fc86d8dc"),
+    ("delta_sweep",
+     "ce2f22bce4255708fffd2066979a0bb8e477f2100ba7b3f5860a199280633c56"),
+])
+def test_shipped_observation_paths_are_pinned(name, digest):
+    # the sha256 of each shipped config's fine observation path: a change
+    # in how the increments are drawn or summed moves every output
+    config = cli.load_config(os.path.join(CONFIGS, f"{name}.json"))
+    z = cli._simulate_paths(config, config.build_model()).z
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+def _theory_rows(tmp_path, capsys, raw):
+    code, err = _exit_and_field(tmp_path, capsys, raw, "theory")
+    assert code == 0, err
+    with open(tmp_path / "o" / "theory.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_compact_support_initial_table_certifies_kappa0(tmp_path, capsys):
+    # the zeros of max(0, 1 - (x/2)^2) at the ends of [-3, 3] are cut
+    # before the certificate, which needs a positive density
+    with open(os.path.join(CONFIGS, "nonlinear_tanh.json")) as fh:
+        raw = json.load(fh)
+    x = np.linspace(-3.0, 3.0, 61)
+    v = np.maximum(0.0, 1.0 - (x / 2) ** 2)
+    raw.update(filters=[], grid={**raw["grid"], "T": 0.1},
+               init={"kind": "grid_table", "grid": x.tolist(),
+                     "values": (v / np.trapezoid(v, x)).tolist()})
+    [row] = _theory_rows(tmp_path, capsys, raw)
+    assert row["provenance"] == "lemma51"
+    assert row["inputs"].startswith("kappa0=0.856178;")
+
+
+def test_narrow_posterior_certified_above_its_underflowed_tails(tmp_path,
+                                                                 capsys):
+    # with H = 300 the snapshots underflow over most of [-6, 6]; floored
+    # there instead of cut, their tail modes fail the Sturm count
+    with open(os.path.join(CONFIGS, "ou_theory.json")) as fh:
+        raw = json.load(fh)
+    raw["model"]["H"] = [300]
+    rows = _theory_rows(tmp_path, capsys, raw)
+    kappa = {r["inputs"].rsplit("t=", 1)[1]: float(r["kappa_emp"])
+             for r in rows if r["provenance"] == "lemma42"}
+    assert kappa["0.5"] == pytest.approx(0.0033200, abs=5e-8)
+    assert kappa["1"] == pytest.approx(0.0033199, abs=5e-8)
+
+
+def test_initial_table_on_one_point_is_a_numerical_failure(tmp_path, capsys):
+    # a unit spike has no gap to certify once its zero ends are cut
+    raw = {**BASE, **TANH_GRID,
+           "init": {"kind": "grid_table", "grid": [-1.0, 0.0, 1.0],
+                    "values": [0.0, 1.0, 0.0]}}
+    code, err = _exit_and_field(tmp_path, capsys, raw, "theory")
+    assert code == 3
+    assert "NonPositiveDensity" in err and "1 grid point" in err

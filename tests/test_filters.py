@@ -7,7 +7,7 @@ from flowfilter.filters import FilterKind, run_filter, step
 from flowfilter.gain import CoefficientSet, continuous_gain
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
-from flowfilter.rng import CounterStream, GaussianIncrements
+from flowfilter.rng import CounterStream
 
 
 def _tanh_model():
@@ -22,11 +22,12 @@ def _lg_model():
 
 
 def _make_path(model, grid, seed=5, x0=1.0):
-    truth = simulate_truth(model, grid, [x0],
-                           GaussianIncrements(seed, model.dim, grid.fine_dt, label=1))
-    return simulate_observations(model, truth, grid,
-                                 GaussianIncrements(seed + 1, 1, grid.fine_dt,
-                                                    label=2))
+    dv = CounterStream(seed, label=1).increments(
+        np.empty((grid.n_fine, 1, model.dim)), grid.fine_dt)
+    dw = CounterStream(seed + 1, label=2).increments(
+        np.empty((grid.n_fine, 1, 1)), grid.fine_dt)
+    states = simulate_truth(model, grid, [x0], dv[:, 0])
+    return simulate_observations(model, states, grid, dw[:, 0, 0])
 
 
 def test_delta_fpf_frozen_hand_step():

@@ -15,7 +15,7 @@ from flowfilter.filters import (STEP_ERRORS, FilterKind, FilterRun, Run,
 from flowfilter.gain import ASSEMBLERS
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
-from flowfilter.rng import CounterStream, GaussianIncrements
+from flowfilter.rng import CounterStream
 
 FINE_DT = 0.01
 N_FINE = 6
@@ -59,11 +59,12 @@ def _kind(label):
 
 def _path(model, spm, seed=5):
     grid = TimeGrid(0.0, N_FINE * FINE_DT, FINE_DT, spm * FINE_DT)
-    truth = simulate_truth(model, grid, [0.3] * model.dim,
-                           GaussianIncrements(seed, model.dim, FINE_DT, label=1))
-    path = simulate_observations(model, truth, grid,
-                                 GaussianIncrements(seed + 1, 1, FINE_DT, label=2))
-    return path, grid
+    dv = CounterStream(seed, label=1).increments(
+        np.empty((N_FINE, 1, model.dim)), FINE_DT)
+    dw = CounterStream(seed + 1, label=2).increments(
+        np.empty((N_FINE, 1, 1)), FINE_DT)
+    states = simulate_truth(model, grid, [0.3] * model.dim, dv[:, 0])
+    return simulate_observations(model, states, grid, dw[:, 0, 0]), grid
 
 
 def _bytes_equal(a: FilterRun, b: FilterRun):

@@ -112,7 +112,7 @@ def test_quadratic_family_certifies_cr_2c2():
         spec = _quadratic_spec(c=c, c_r=2 * c * c, c_g=1.0, D=c * 10 + 1)
         m = make_log_concave_ou(spec, H)
         report = validate_conditions(m, spec, default_cloud(m.dim))
-        assert report.passed("C3")
+        assert {c.name: c.passed for c in report.checks}["C3"]
 
 
 def test_cubic_drift_fails_linear_growth():
@@ -125,7 +125,7 @@ def test_cubic_drift_fails_linear_growth():
                     kind="log_concave_ou", H=np.array([[1.0]]))
     cloud = np.array([[0.0], [1.0], [10.0]])
     report = validate_conditions(m, spec, cloud)
-    assert not report.passed("C4")
+    assert not {c.name: c.passed for c in report.checks}["C4"]
 
 
 def test_empty_cloud_is_vacuous():

@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 from flowfilter.ensemble import Density1D
-from flowfilter.errors import CovarianceBlowup, GridMismatch, NonFiniteState
+from flowfilter.errors import CovarianceBlowup, NonFiniteState
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
-from flowfilter.reference import (cfl_bound, density_distance,
-                                  riccati_fixed_point, run_grid_kushner,
-                                  run_kalman_bucy)
-from flowfilter.rng import GaussianIncrements
+from flowfilter.reference import (cfl_bound, riccati_fixed_point,
+                                  run_grid_kushner, run_kalman_bucy)
+from flowfilter.rng import CounterStream
+
+
+def _path(model, grid, x0, truth_seed, obs_seed):
+    """The truth and observation path driven by the increment streams
+    (truth_seed, label 1) and (obs_seed, label 2)."""
+    dv = CounterStream(truth_seed, label=1).increments(
+        np.empty((grid.n_fine, 1, model.dim)), grid.fine_dt)
+    dw = CounterStream(obs_seed, label=2).increments(
+        np.empty((grid.n_fine, 1, 1)), grid.fine_dt)
+    states = simulate_truth(model, grid, x0, dv[:, 0])
+    return simulate_observations(model, states, grid, dw[:, 0, 0])
 
 
 def _gauss_grid(var=1.0, mean=0.0, half=8.0, points=1601):
@@ -57,7 +67,8 @@ def test_grid_kushner_pure_heat_variance_growth():
     _, vars_, snapshots, _ = run_grid_kushner(dens, model, np.zeros(steps), dt,
                                               1, snapshot_slots=[steps])
     assert vars_[-1] - v0 == pytest.approx(steps * dt, abs=1e-4)
-    assert snapshots[steps].mass() == pytest.approx(1.0, abs=1e-12)
+    final = snapshots[steps]
+    assert np.trapezoid(final.values, final.grid) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_kushner_non_finite_density_raises(recwarn):
@@ -74,10 +85,7 @@ def test_grid_kushner_non_finite_density_raises(recwarn):
 def test_grid_kushner_tracks_kalman_bucy():
     model = make_linear_gaussian([[-0.5]], [1.0])
     grid = TimeGrid(0.0, 1.0, 0.001, 0.01)
-    truth = simulate_truth(model, grid, [1.0],
-                           GaussianIncrements(3, 1, grid.fine_dt, label=1))
-    path = simulate_observations(model, truth, grid,
-                                 GaussianIncrements(4, 1, grid.fine_dt, label=2))
+    path = _path(model, grid, [1.0], 3, 4)
     dens = _gauss_grid(var=0.5, mean=1.0, half=8.0, points=1601)
     means, vars_, _, _ = run_grid_kushner(dens, model, path.slopes,
                                           grid.fine_dt, grid.steps_per_mesh)
@@ -92,10 +100,7 @@ def test_grid_kushner_tracks_kalman_bucy():
 def test_grid_kushner_gaussianity_preserved():
     model = make_linear_gaussian([[-0.5]], [1.0])
     grid = TimeGrid(0.0, 1.0, 0.001, 0.01)
-    truth = simulate_truth(model, grid, [1.0],
-                           GaussianIncrements(5, 1, grid.fine_dt, label=1))
-    path = simulate_observations(model, truth, grid,
-                                 GaussianIncrements(6, 1, grid.fine_dt, label=2))
+    path = _path(model, grid, [1.0], 5, 6)
     dens = _gauss_grid(var=0.5, mean=1.0, half=8.0, points=1601)
     _, _, snapshots, _ = run_grid_kushner(dens, model, path.slopes,
                                           grid.fine_dt, grid.steps_per_mesh,
@@ -113,30 +118,4 @@ def test_riccati_monotone_bracket():
         lo, hi = min(p0, p_star), max(p0, p_star)
         for P in covs[1:, 0, 0]:
             assert lo - 1e-9 <= P <= hi + 1e-9
-
-
-def test_density_distance_identical_and_shifted():
-    a = _gauss_grid(points=4001, half=12.0)
-    assert density_distance(a, a) == (0.0, 0.0, 0.0)
-    b = _gauss_grid(mean=1.0, points=4001, half=12.0)
-    l1, dm, dv = density_distance(a, b)
-    assert dm == pytest.approx(1.0, abs=1e-6)
-    assert dv <= 1e-6
-
-
-def test_density_distance_disjoint_supports():
-    g = np.linspace(-10, 10, 2001)
-    bump = lambda c: np.maximum(0.0, 1 - (g - c) ** 2)
-    a = Density1D(grid=g, values=bump(-5))
-    b = Density1D(grid=g, values=bump(5))
-    l1, _, _ = density_distance(a, b)
-    assert l1 == pytest.approx(2.0, abs=1e-9)
-
-
-def test_density_distance_grid_mismatch():
-    a = _gauss_grid(points=101)
-    b = Density1D(grid=np.linspace(-8, 8, 102)[:101],
-                    values=a.values)
-    with pytest.raises(GridMismatch):
-        density_distance(a, b)
 
