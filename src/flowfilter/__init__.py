@@ -7,7 +7,7 @@ from .ensemble import (Density1D, Moments, compute_moments,
                        density_from_function, kde_density_1d)
 from .filters import FilterKind, FilterRun, run_filter, step
 from .gain import (GainField, assemble_filter_coefficients, continuous_gain,
-                   monomial_basis, solve_1d_integral, solve_constant_gain,
+                   solve_1d_integral, solve_constant_gain,
                    solve_exact_gaussian, solve_fundamental_mc, solve_galerkin)
 from .models import (InitialDensity, LogConcaveOUSpec, SystemModel,
                      make_linear_gaussian, make_log_concave_ou,

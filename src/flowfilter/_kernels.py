@@ -27,6 +27,7 @@ try:
     _HAVE_NUMBA = True
 except ImportError:  # numba is the optional extra `numba`
     _HAVE_NUMBA = False
+    prange = range      # so the loops below also run as plain Python
 
 NUMBA_ENABLED = _HAVE_NUMBA and _want_numba()
 BACKEND = "numba" if NUMBA_ENABLED else "numpy"

@@ -18,8 +18,10 @@ with rhs one of -(h - hbar), (r - rbar) with r = grad h . K, or
     Crisan & Xiong routes, which coincide in 1D), by a direct equal-
     interval Simpson rule; GridIntervals carries the grid fields to the
     particles;
-  * solve_galerkin        - basis-projected weak form with Monte-Carlo
-    quadrature over the cloud (any dimension);
+  * solve_galerkin        - the drift equations (fpf_psi, reich_omega)
+    projected on the linear and quadratic monomials, with Monte-Carlo
+    quadrature over the cloud (any dimension); the Galerkin gain itself,
+    on the linear monomials, is the constant gain;
   * solve_fundamental_mc  - particle sum of the fundamental-solution
     gradient for the unweighted equation in d >= 2, with an epsilon
     cutoff of the singular kernel.
@@ -55,7 +57,7 @@ class GainField:
     """Per-particle gain vectors plus solver diagnostics.
 
     1D grid solvers keep the gain on their grid so it can be interpolated
-    or differentiated; Galerkin solvers keep the basis coefficients.
+    or differentiated; the Galerkin solver keeps the basis coefficients.
     """
 
     at_particles: Optional[np.ndarray]      # (n, d)
@@ -240,100 +242,59 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
 # ---------------------------------------------------------------------------
 # Galerkin route
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """C^1 basis element with batched value/gradient (and Hessian for the
-    Ito-correction term of the continuous-time filters)."""
-
-    name: str
-    value: callable             # (n, d) -> (n,)
-    grad: callable              # (n, d) -> (n, d)
-    hess: Optional[callable] = None   # (n, d) -> (n, d, d)
-
-
-def monomial_basis(dim: int, quadratic: bool = False):
-    """Coordinate monomials x_1..x_d, optionally plus all quadratics."""
-    basis = []
-    for j in range(dim):
-        def value(x, j=j):
-            return x[:, j]
-
-        def grad(x, j=j):
-            out = np.zeros_like(x)
-            out[:, j] = 1.0
-            return out
-
-        def hess(x, j=j):
-            return np.zeros((x.shape[0], x.shape[1], x.shape[1]))
-
-        basis.append(BasisFunction(f"x{j + 1}", value, grad, hess))
-    if quadratic:
-        for j in range(dim):
-            for k in range(j, dim):
-                def value(x, j=j, k=k):
-                    return x[:, j] * x[:, k]
-
-                def grad(x, j=j, k=k):
-                    out = np.zeros_like(x)
-                    out[:, j] += x[:, k]
-                    out[:, k] += x[:, j]
-                    return out
-
-                def hess(x, j=j, k=k):
-                    out = np.zeros((x.shape[0], x.shape[1], x.shape[1]))
-                    out[:, j, k] += 1.0
-                    out[:, k, j] += 1.0
-                    return out
-
-                basis.append(BasisFunction(f"x{j + 1}x{k + 1}", value, grad, hess))
-    return basis
-
-
 @functools.lru_cache(maxsize=16)
 def _work_array(name: str, shape: tuple) -> np.ndarray:
     """A work array kept for every call that asks for this name and shape.
 
-    The Galerkin solve stacks its basis into (nb, n) and (nb, n, d) arrays;
-    at N = 1e4 with the quadratic basis they take 160 KiB, above glibc's
-    initial 128 KiB mmap threshold, so made afresh on every call each one
-    is a new mapping whose pages fault in again.  The solves run on one
-    thread, and no array taken from here outlives the call.
+    The Galerkin solve writes the values and gradients of its monomials
+    into (nb, n) and (nb, n, d) arrays; at N = 1e4 in d = 1 they take
+    160 KiB, above glibc's initial 128 KiB mmap threshold, so made afresh
+    on every call each one is a new mapping whose pages fault in again.
+    The solves run on one thread, and no array taken from here outlives
+    the call.
     """
     return np.empty(shape)
 
 
 def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
-                   basis=None, m_inv: Optional[np.ndarray] = None,
+                   m_inv: Optional[np.ndarray] = None,
                    prior_gain: Optional[np.ndarray] = None,
-                   ridge: float = RIDGE,
                    h: Optional[np.ndarray] = None) -> GainField:
-    """Basis-projected weak form with Monte-Carlo quadrature over the cloud.
+    """Weak form of a drift equation (fpf_psi or reich_omega) projected on
+    the monomials x_j and x_j x_k (j <= k), with Monte-Carlo quadrature
+    over the cloud.
 
     Stiffness A_jk = mean(grad b_j . M^{-1} grad b_k); the load vector
-    follows the rhs_kind.  The basis (by default the linear monomials, plus
-    the quadratic ones for the drift kinds) is evaluated once per solve and
-    stacked into value and gradient arrays.  The symmetric solve
-    carries a 1e-10 ridge followed by two iterative-refinement sweeps, so
-    the ridge stabilises degenerate clouds without biasing well-conditioned
-    systems.  Only the gain kinds (fpf_phi, reich_lambda, crisan_beta)
-    report the centring of their potential.  h is obs(x), evaluated here
-    when not given; fpf_psi does not read it.
+    follows the rhs_kind, fpf_psi reading r = grad h . prior_gain.  The
+    basis values and gradients are written once per solve into work
+    arrays.  The symmetric solve carries a 1e-10 ridge followed by two
+    iterative-refinement sweeps, so the ridge stabilises degenerate clouds
+    without biasing well-conditioned systems.  h is obs(x), evaluated here
+    when not given; fpf_psi does not read it.  (The gain itself needs no
+    solve: on the linear monomials the Galerkin gain is the constant gain
+    Cov(x, h) for every M, see solve_constant_gain.)
     """
+    if rhs_kind not in ("fpf_psi", "reich_omega"):
+        raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
+    if rhs_kind == "fpf_psi" and prior_gain is None:
+        raise ValueError("the fpf_psi solve needs the prior gain")
     n, d = x.shape
-    if basis is None:
-        basis = monomial_basis(d, quadratic=rhs_kind in ("fpf_psi", "reich_omega",
-                                                         "crisan_alpha"))
-    nb = len(basis)
+    nb = d + d * (d + 1) // 2
     if n <= nb:
         raise ValueError("need more particles than basis functions")
-    if rhs_kind == "fpf_psi" and prior_gain is None:
-        # before the work arrays are filled: this solve takes them too
-        prior_gain = solve_galerkin(x, model, "fpf_phi", m_inv=m_inv,
-                                    ridge=ridge).at_particles
-    vals = np.stack([b.value(x) for b in basis],
-                    out=_work_array("vals", (nb, n)))
-    grads = np.stack([b.grad(x) for b in basis],
-                     out=_work_array("grads", (nb, n, d)))
+    vals = _work_array("vals", (nb, n))
+    grads = _work_array("grads", (nb, n, d))
+    grads.fill(0.0)
+    for j in range(d):
+        vals[j] = x[:, j]
+        grads[j, :, j] = 1.0
+    i = d
+    for j in range(d):
+        for k in range(j, d):
+            np.multiply(x[:, j], x[:, k], out=vals[i])
+            grads[i, :, j] += x[:, k]
+            grads[i, :, k] += x[:, j]
+            i += 1
     # M^{-1} grad b_j; M = I leaves the gradients as they are
     mg = grads if m_inv is None else \
         grads @ np.atleast_2d(np.asarray(m_inv, dtype=float)).T
@@ -350,59 +311,27 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     if cond > 1e12:
         raise IllConditioned(cond)
 
-    if rhs_kind != "fpf_psi" and h is None:
-        h = model.obs(x)
     weighted = _work_array("weighted", (nb, n))
-    if rhs_kind in GAIN_KINDS:
-        load = np.mean(np.multiply(h - h.mean(), vals, out=weighted), axis=1)
-    elif rhs_kind == "fpf_psi":
+    if rhs_kind == "fpf_psi":
         r = np.sum(model.obs_grad(x) * prior_gain, axis=1)
         load = -np.mean(np.multiply(r - r.mean(), vals, out=weighted), axis=1)
-    elif rhs_kind in ("reich_omega", "crisan_alpha"):
+    else:
+        h = model.obs(x) if h is None else h
         h2 = h * h
         load = -0.5 * np.mean(np.multiply(h2 - h2.mean(), vals, out=weighted),
                               axis=1)
-    else:
-        raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
 
-    damped = A + ridge * np.eye(nb)
+    damped = A + RIDGE * np.eye(nb)
     c = np.linalg.solve(damped, load)
     for _ in range(2):                       # refine away the ridge bias
         c = c + np.linalg.solve(damped, load - A @ c)
-    diagnostics = {"residual": float(np.max(np.abs(A @ c - load)))}
-    if rhs_kind in GAIN_KINDS:
-        # centred potential of the gain, read only by the centring diagnostic
-        pot = np.zeros(n)
-        for j in range(nb):
-            pot += c[j] * vals[j]
-        pot -= pot.mean()
-        diagnostics["centring"] = float(abs(pot.mean()))
-    diagnostics["condition_number"] = cond
+    diagnostics = {"residual": float(np.max(np.abs(A @ c - load))),
+                   "condition_number": cond}
 
     K = np.zeros((n, d))
     for j in range(nb):
         K += c[j] * mg[j]
     return GainField(at_particles=K, coefficients=c, diagnostics=diagnostics)
-
-
-def galerkin_ito_drift(x: np.ndarray, model: SystemModel, fld: GainField,
-                       basis=None) -> np.ndarray:
-    """(1/2) (grad K)^T K for a Galerkin field, from the basis Hessians.
-
-    The default basis is the linear monomials, whose Hessians vanish, so
-    its drift is zero.
-    """
-    n, d = x.shape
-    if basis is None:
-        return np.zeros((n, d))
-    K = fld.at_particles
-    out = np.zeros((n, d))
-    for j, b in enumerate(basis):
-        if b.hess is None:
-            raise ValueError(f"basis {b.name} lacks a Hessian")
-        Hj = b.hess(x)                       # (n, d, d)
-        out += fld.coefficients[j] * np.einsum("nij,nj->ni", Hj, K)
-    return 0.5 * out
 
 
 # ---------------------------------------------------------------------------
@@ -559,35 +488,23 @@ def _integral_continuous(x, model, moments, density=None, kde_opts=None,
     return CoefficientSet(ito + _centred_drift(K, x, model, h), K, fld.diagnostics)
 
 
-@_reads("h")
-def _galerkin_fpf(x, model, moments, basis=None, h=None) -> CoefficientSet:
-    h = model.obs(x) if h is None else h
-    kf = solve_galerkin(x, model, "fpf_phi", basis=basis, h=h)
-    psif = solve_galerkin(x, model, "fpf_psi", prior_gain=kf.at_particles)
-    return CoefficientSet(_centred_drift(kf.at_particles, x, model, h)
-                          + 0.5 * psif.at_particles,
-                          kf.at_particles, dict(kf.diagnostics))
+@_reads("moments", "h")
+def _galerkin_fpf(x, model, moments, h=None) -> CoefficientSet:
+    K = solve_constant_gain(moments).at_particles
+    psif = solve_galerkin(x, model, "fpf_psi", prior_gain=K)
+    return CoefficientSet(_centred_drift(K, x, model, h) + 0.5 * psif.at_particles,
+                          K, psif.diagnostics)
 
 
 def _galerkin_reich(cov_inverse: bool):
-    def assemble(x, model, moments, basis=None, h=None) -> CoefficientSet:
+    @_reads("moments", "h")
+    def assemble(x, model, moments, h=None) -> CoefficientSet:
         m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
-        h = model.obs(x) if h is None else h
-        kf = solve_galerkin(x, model, "fpf_phi", basis=basis, m_inv=m_inv, h=h)
         of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv, h=h)
-        return CoefficientSet(of.at_particles, kf.at_particles,
-                              dict(kf.diagnostics))
-    return _reads("moments", "h")(assemble) if cov_inverse \
-        else _reads("h")(assemble)
-
-
-@_reads("h")
-def _galerkin_continuous(x, model, moments, basis=None, h=None) -> CoefficientSet:
-    h = model.obs(x) if h is None else h
-    fld = solve_galerkin(x, model, "fpf_phi", basis=basis, h=h)
-    ito = galerkin_ito_drift(x, model, fld, basis=basis)
-    return CoefficientSet(ito + _centred_drift(fld.at_particles, x, model, h),
-                          fld.at_particles, fld.diagnostics)
+        return CoefficientSet(of.at_particles,
+                              solve_constant_gain(moments).at_particles,
+                              of.diagnostics)
+    return assemble
 
 
 @_reads("h")
@@ -617,19 +534,20 @@ def _in_1d(row):
 
 
 # constant gains have no Ito term, so their continuous-time rows are the
-# delta rows themselves
+# delta rows themselves; on the linear monomials the Galerkin gain is the
+# constant gain
 _CONTINUOUS = {"exact_gaussian": _exact_coefficients,
                "constant": _constant_coefficients,
                "integral_1d": _integral_continuous,
-               "galerkin": _galerkin_continuous}
+               "galerkin": _constant_coefficients}
 _CRISAN_XIONG = {"exact_gaussian": _exact_coefficients,
                  "integral_1d": _integral_beta_alpha,
                  "fundamental_mc": _fundamental_mc}
 
 # filter kind label -> gain method -> row, each row marked by _reads with
-# the inputs it reads: the moments (exact_gaussian, constant and
-# delta_reich(cov_inverse)/galerkin) and h at the particles (all rows but the
-# 1D integral delta rows, which evaluate h on their grid)
+# the inputs it reads: the moments (exact_gaussian, constant and galerkin)
+# and h at the particles (all rows but the 1D integral delta rows, which
+# evaluate h on their grid)
 ASSEMBLERS = {
     "delta_fpf": {"exact_gaussian": _exact_coefficients,
                   "constant": _constant_coefficients,
@@ -659,7 +577,7 @@ POSITIVE = ("a positive finite number", _positive_number)
 
 # the options a config may give each gain, kde_opts nesting those of
 # kde_density_1d, each leaf a (description, check) of its value; library
-# callers may also pass density= and basis=
+# callers may also pass density=
 KDE_OPTS = {
     # cumulative_simpson needs 3 grid points
     "grid_points": ("an int >= 3", lambda v: type(v) is int and v >= 3),

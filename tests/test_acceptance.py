@@ -10,9 +10,9 @@ import numpy as np
 
 from flowfilter.cli import (emit_plot_data, parse_config, run_delta_sweep,
                             run_experiment, theory_certificates)
-from flowfilter.ensemble import Density1D, density_from_function
+from flowfilter.ensemble import Density1D, compute_moments, density_from_function
 from flowfilter.filters import FilterKind, run_filter, step
-from flowfilter.gain import solve_1d_integral, solve_galerkin, monomial_basis
+from flowfilter.gain import solve_1d_integral, solve_constant_gain, solve_galerkin
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
 from flowfilter.reference import run_grid_kushner
@@ -148,7 +148,7 @@ def test_criterion_3_gain_solver_oracles():
     # (c) Galerkin psi-coefficients vanish for linear h (psi = 0)
     rng_cloud = CounterStream(31, 0).normals(0, (4000, 1))
     ens = rng_cloud
-    phi = solve_galerkin(ens, lin, "fpf_phi", basis=monomial_basis(1))
+    phi = solve_constant_gain(compute_moments(ens, lin))
     psi = solve_galerkin(ens, lin, "fpf_psi", prior_gain=phi.at_particles)
     err_c = float(np.max(np.abs(psi.coefficients)))
 

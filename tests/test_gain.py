@@ -5,9 +5,8 @@ from scipy.integrate import quad
 
 from flowfilter.ensemble import compute_moments, density_from_function
 from flowfilter.errors import DimensionError, IllConditioned, UnresolvedTail
-from flowfilter.gain import (BasisFunction, GridIntervals,
-                             assemble_filter_coefficients, cumulative_simpson,
-                             monomial_basis, multivariate_kde_at_points,
+from flowfilter.gain import (GridIntervals, assemble_filter_coefficients,
+                             cumulative_simpson, multivariate_kde_at_points,
                              solve_1d_integral, solve_constant_gain,
                              solve_exact_gaussian, solve_fundamental_mc,
                              solve_galerkin, unit_sphere_area)
@@ -213,63 +212,57 @@ def test_grid_intervals_match_np_interp_bitwise():
 # ---------------------------------------------------------------------------
 # Galerkin solver
 
-def test_galerkin_linear_basis_matches_constant_gain():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(500, 1)) * 1.2
-    ens = x
-    model = _linear_model(0.9)
-    fld = solve_galerkin(ens, model, "fpf_phi", basis=monomial_basis(1))
-    K_const = solve_constant_gain(compute_moments(ens, model)).at_particles
-    assert np.max(np.abs(fld.at_particles - K_const)) <= 1e-12
+def _drift_solve(x, model, rhs_kind):
+    """The Galerkin drift solve of rhs_kind as the galerkin rows call it,
+    fpf_psi with the constant gain as its prior gain."""
+    if rhs_kind == "reich_omega":
+        return solve_galerkin(x, model, rhs_kind)
+    K = solve_constant_gain(compute_moments(x, model)).at_particles
+    return solve_galerkin(x, model, rhs_kind, prior_gain=K)
 
 
 def test_galerkin_psi_coefficients_vanish_for_linear_h():
     rng = np.random.default_rng(8)
     ens = rng.standard_normal((2000, 1))
     model = _linear_model(1.0)
-    phi = solve_galerkin(ens, model, "fpf_phi", basis=monomial_basis(1))
-    psi = solve_galerkin(ens, model, "fpf_psi", prior_gain=phi.at_particles)
+    psi = _drift_solve(ens, model, "fpf_psi")
     assert np.max(np.abs(psi.coefficients)) <= 1e-10
 
 
-def test_galerkin_constant_h_zero_coefficients():
+@pytest.mark.parametrize("rhs_kind", ["fpf_psi", "reich_omega"])
+def test_galerkin_constant_h_zero_coefficients(rhs_kind):
     rng = np.random.default_rng(9)
     ens = rng.standard_normal((200, 1))
     model = SystemModel(dim=1, drift=lambda v: np.zeros_like(v),
                         obs=lambda v: np.full(v.shape[0], 1.0),
                         obs_grad=lambda v: np.zeros_like(v))
-    fld = solve_galerkin(ens, model, "fpf_phi",
-                         basis=monomial_basis(1, quadratic=True))
+    fld = _drift_solve(ens, model, rhs_kind)
     assert np.max(np.abs(fld.coefficients)) <= 1e-12
 
 
-def test_galerkin_weak_form_residual():
+@pytest.mark.parametrize("rhs_kind", ["fpf_psi", "reich_omega"])
+def test_galerkin_weak_form_residual(rhs_kind):
     rng = np.random.default_rng(10)
     ens = rng.standard_normal((1000, 2))
     model = make_linear_gaussian(np.zeros((2, 2)), [1.0, -0.5])
-    fld = solve_galerkin(ens, model, "fpf_phi",
-                         basis=monomial_basis(2, quadratic=True))
+    fld = _drift_solve(ens, model, rhs_kind)
     assert fld.diagnostics["residual"] <= 1e-9
 
 
-def test_galerkin_ill_conditioned_duplicate_basis():
-    rng = np.random.default_rng(11)
-    ens = rng.standard_normal((100, 1))
-    b = monomial_basis(1)[0]
-    dup = BasisFunction("x_again", b.value, b.grad, b.hess)
+@pytest.mark.parametrize("rhs_kind", ["fpf_psi", "reich_omega"])
+def test_galerkin_collapsed_cloud_is_ill_conditioned(rhs_kind):
+    # x and x^2 have proportional gradients on a cloud of one point
+    ens = np.full((50, 1), 0.7)
     with pytest.raises(IllConditioned):
-        solve_galerkin(ens, _linear_model(), "fpf_phi", basis=[b, dup])
+        _drift_solve(ens, _linear_model(), rhs_kind)
 
 
-def test_galerkin_cov_inverse_mass_reproduces_constant_gain():
-    rng = np.random.default_rng(12)
-    ens = rng.normal(size=(400, 1)) * 0.7
-    model = _linear_model(1.1)
-    moments = compute_moments(ens, model)
-    fld = solve_galerkin(ens, model, "fpf_phi", basis=monomial_basis(1),
-                         m_inv=moments.cov)
-    K_const = solve_constant_gain(moments).at_particles
-    assert np.max(np.abs(fld.at_particles - K_const)) <= 1e-12
+def test_galerkin_refuses_a_gain_solve_and_psi_without_prior_gain():
+    ens = np.random.default_rng(11).standard_normal((100, 1))
+    with pytest.raises(ValueError, match="rhs_kind"):
+        solve_galerkin(ens, _linear_model(), "fpf_phi")
+    with pytest.raises(ValueError, match="prior gain"):
+        solve_galerkin(ens, _linear_model(), "fpf_psi")
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ of the example tests (tests/test_filters.py and criterion 2):
 * delta_reich(rho_identity) is Crisan & Xiong, bitwise;
 * in 1D the integral FPF field (a, K) is the Crisan & Xiong field, within
   1e-12;
-* in 1D fpf_continuous and crisan_continuous agree, within 1e-12."""
+* in 1D fpf_continuous and crisan_continuous agree, within 1e-12;
+* every galerkin row's gain is the Galerkin gain on the linear monomials
+  (tests/test_bitwise.py's oracle), within 1e-12 of max|K|."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_bitwise import oracle_galerkin
 
 from flowfilter.ensemble import compute_moments
 from flowfilter.filters import STEP_ERRORS, FilterKind, step
@@ -131,3 +135,49 @@ def test_identities_hold_at_the_step(case):
     for gain in ASSEMBLERS["fpf_continuous"]:
         assert _gap(_outcome("fpf_continuous", gain, case, opts(gain)),
                     _outcome("crisan_continuous", gain, case, opts(gain))) <= 1e-12, gain
+
+
+# the drift solve of each galerkin row, None for the continuous-time rows,
+# which have none
+GALERKIN_DRIFTS = {"delta_fpf": "fpf_psi", "delta_reich(identity)": "reich_omega",
+                   "delta_reich(cov_inverse)": "reich_omega",
+                   "fpf_continuous": None, "crisan_continuous": None}
+
+
+def _assert_linear_galerkin_gains(model, x):
+    moments = compute_moments(x, model)
+    for label, drift_kind in GALERKIN_DRIFTS.items():
+        if label == "crisan_continuous" and model.dim != 1:
+            continue
+        # M = P^{-1} for delta_reich(cov_inverse), M = I for the others
+        m_inv = moments.cov if label == "delta_reich(cov_inverse)" else None
+        try:
+            K = oracle_galerkin(x, model, "fpf_phi", m_inv=m_inv).at_particles
+        except STEP_ERRORS:
+            continue                # no gain to compare: the case is skipped
+        try:
+            row = ASSEMBLERS[label]["galerkin"](x, model, moments)
+        except STEP_ERRORS as exc:
+            # only a delta row's drift solve may refuse, and as its oracle does
+            assert drift_kind is not None, (label, exc)
+            with pytest.raises(type(exc)):
+                oracle_galerkin(x, model, drift_kind, m_inv=m_inv, prior_gain=K)
+            continue
+        assert np.max(np.abs(row.K - K)) <= 1e-12 * np.max(np.abs(K)), label
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cases())
+def test_galerkin_rows_take_the_linear_galerkin_gain(case):
+    _assert_linear_galerkin_gains(*case[:2])
+
+
+@pytest.mark.parametrize("n", [10000, 40000])
+@pytest.mark.parametrize("shape", ["tanh_1d", "linear_2d"])
+def test_galerkin_rows_take_the_linear_galerkin_gain_at_run_sizes(n, shape):
+    # the ensemble sizes the shipped configs run, above numpy's
+    # 8192-element reduction buffer
+    model = _tanh(None) if shape == "tanh_1d" else make_linear_gaussian(
+        [[-1.0, 0.3], [0.0, -0.5]], [1.1, -0.3])
+    x = 0.4 + 1.3 * CounterStream(n, label=0).normals(0, (n, model.dim))
+    _assert_linear_galerkin_gains(model, x)

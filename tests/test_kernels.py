@@ -58,6 +58,40 @@ def test_kde_eval_backends_agree():
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+# Each kernel's loop, the body numba compiles, run as plain Python against
+# its numpy kernel at the tolerance of its backend test, on inputs small
+# enough for the interpreter; the Kushner loop is held the same way by
+# test_kushner_numpy_matches_flux_form_loop below.
+
+def test_deposit_linear_loop_matches_numpy():
+    rng = np.random.default_rng(1)
+    xs = 3.0 * rng.normal(size=3000)            # some past both grid ends
+    a = _kernels.deposit_linear_numpy(xs, -7.0, 14.0 / 800, 801)
+    b = _kernels._deposit_linear_impl(xs, -7.0, 14.0 / 800, 801)
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_pairwise_field_loop_matches_numpy():
+    rng = np.random.default_rng(2)
+    src = rng.normal(size=(200, 2))
+    # exact self-interactions, and pairs closer than the cutoff
+    pts = np.vstack([src[:5], src[5:10] + 0.01, rng.normal(size=(40, 2))])
+    mc = rng.normal(size=200)
+    a = _kernels.pairwise_grad_field_numpy(pts, src, mc, 0.05)
+    b = _kernels._pairwise_grad_field_impl(pts, src, mc, 0.05)
+    np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-13)
+
+
+def test_kde_eval_loop_matches_numpy():
+    rng = np.random.default_rng(3)
+    src = rng.normal(size=(100, 3))
+    pts = rng.normal(size=(30, 3))
+    bw = np.array([0.4, 0.3, 0.5])
+    a = _kernels.kde_eval_points_numpy(pts, src, bw)
+    b = _kernels._kde_eval_points_impl(pts, src, bw)
+    np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
 @needs_numba
 def test_kushner_substeps_backends_agree():
     G = 401
