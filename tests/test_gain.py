@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import quad
+from test_bitwise import oracle_galerkin
 
 from flowfilter.ensemble import compute_moments, density_from_function
 from flowfilter.errors import DimensionError, IllConditioned, UnresolvedTail
@@ -212,6 +213,31 @@ def test_grid_intervals_match_np_interp_bitwise():
 # ---------------------------------------------------------------------------
 # Galerkin solver
 
+# On the linear monomials the Galerkin gain solve has stiffness M^{-1} and
+# load Cov(x, h), so its gain is the constant gain for M = I and M = P^{-1}
+# alike; the galerkin rows take their gain from solve_constant_gain on that
+# ground.  The two tests below hold the full solve (tests/test_bitwise.py's
+# oracle) to the constant gain.
+
+def test_galerkin_linear_basis_matches_constant_gain():
+    rng = np.random.default_rng(7)
+    ens = rng.normal(size=(500, 1)) * 1.2
+    model = _linear_model(0.9)
+    fld = oracle_galerkin(ens, model, "fpf_phi")
+    K_const = solve_constant_gain(compute_moments(ens, model)).at_particles
+    assert np.max(np.abs(fld.at_particles - K_const)) <= 1e-12
+
+
+def test_galerkin_cov_inverse_mass_reproduces_constant_gain():
+    rng = np.random.default_rng(12)
+    ens = rng.normal(size=(400, 1)) * 0.7
+    model = _linear_model(1.1)
+    moments = compute_moments(ens, model)
+    fld = oracle_galerkin(ens, model, "fpf_phi", m_inv=moments.cov)
+    K_const = solve_constant_gain(moments).at_particles
+    assert np.max(np.abs(fld.at_particles - K_const)) <= 1e-12
+
+
 def _drift_solve(x, model, rhs_kind):
     """The Galerkin drift solve of rhs_kind as the galerkin rows call it,
     fpf_psi with the constant gain as its prior gain."""
@@ -257,10 +283,17 @@ def test_galerkin_collapsed_cloud_is_ill_conditioned(rhs_kind):
         _drift_solve(ens, _linear_model(), rhs_kind)
 
 
-def test_galerkin_refuses_a_gain_solve_and_psi_without_prior_gain():
+@pytest.mark.parametrize("rhs_kind", ["fpf_phi", "reich_lambda",
+                                      "crisan_beta", "crisan_alpha"])
+def test_galerkin_refuses_a_gain_solve(rhs_kind):
+    # the gain solves have no Galerkin form left; only the drift solves do
     ens = np.random.default_rng(11).standard_normal((100, 1))
     with pytest.raises(ValueError, match="rhs_kind"):
-        solve_galerkin(ens, _linear_model(), "fpf_phi")
+        solve_galerkin(ens, _linear_model(), rhs_kind)
+
+
+def test_galerkin_refuses_psi_without_prior_gain():
+    ens = np.random.default_rng(11).standard_normal((100, 1))
     with pytest.raises(ValueError, match="prior gain"):
         solve_galerkin(ens, _linear_model(), "fpf_psi")
 

@@ -9,7 +9,8 @@ of the example tests (tests/test_filters.py and criterion 2):
   1e-12;
 * in 1D fpf_continuous and crisan_continuous agree, within 1e-12;
 * every galerkin row's gain is the Galerkin gain on the linear monomials
-  (tests/test_bitwise.py's oracle), within 1e-12 of max|K|."""
+  (tests/test_bitwise.py's oracle), within 1e-12 of max|K|;
+* the continuous-time galerkin rows are their constant rows, bitwise."""
 
 import numpy as np
 import pytest
@@ -144,40 +145,61 @@ GALERKIN_DRIFTS = {"delta_fpf": "fpf_psi", "delta_reich(identity)": "reich_omega
                    "fpf_continuous": None, "crisan_continuous": None}
 
 
-def _assert_linear_galerkin_gains(model, x):
+def _assert_linear_galerkin_gain(label, model, x):
+    if label == "crisan_continuous" and model.dim != 1:
+        return                      # a 1D-only kind
     moments = compute_moments(x, model)
-    for label, drift_kind in GALERKIN_DRIFTS.items():
-        if label == "crisan_continuous" and model.dim != 1:
-            continue
-        # M = P^{-1} for delta_reich(cov_inverse), M = I for the others
-        m_inv = moments.cov if label == "delta_reich(cov_inverse)" else None
-        try:
-            K = oracle_galerkin(x, model, "fpf_phi", m_inv=m_inv).at_particles
-        except STEP_ERRORS:
-            continue                # no gain to compare: the case is skipped
-        try:
-            row = ASSEMBLERS[label]["galerkin"](x, model, moments)
-        except STEP_ERRORS as exc:
-            # only a delta row's drift solve may refuse, and as its oracle does
-            assert drift_kind is not None, (label, exc)
-            with pytest.raises(type(exc)):
-                oracle_galerkin(x, model, drift_kind, m_inv=m_inv, prior_gain=K)
-            continue
-        assert np.max(np.abs(row.K - K)) <= 1e-12 * np.max(np.abs(K)), label
+    drift_kind = GALERKIN_DRIFTS[label]
+    # M = P^{-1} for delta_reich(cov_inverse), M = I for the others
+    m_inv = moments.cov if label == "delta_reich(cov_inverse)" else None
+    try:
+        K = oracle_galerkin(x, model, "fpf_phi", m_inv=m_inv).at_particles
+    except STEP_ERRORS:
+        return                      # no gain to compare: the case is skipped
+    try:
+        row = ASSEMBLERS[label]["galerkin"](x, model, moments)
+    except STEP_ERRORS as exc:
+        # only a delta row's drift solve may refuse, and as its oracle does
+        assert drift_kind is not None, (label, exc)
+        with pytest.raises(type(exc)):
+            oracle_galerkin(x, model, drift_kind, m_inv=m_inv, prior_gain=K)
+        return
+    assert np.max(np.abs(row.K - K)) <= 1e-12 * np.max(np.abs(K)), label
 
 
+@pytest.mark.parametrize("label", sorted(GALERKIN_DRIFTS))
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(cases())
-def test_galerkin_rows_take_the_linear_galerkin_gain(case):
-    _assert_linear_galerkin_gains(*case[:2])
+@given(case=cases())
+def test_galerkin_rows_take_the_linear_galerkin_gain(label, case):
+    _assert_linear_galerkin_gain(label, *case[:2])
 
 
 @pytest.mark.parametrize("n", [10000, 40000])
-@pytest.mark.parametrize("shape", ["tanh_1d", "linear_2d"])
-def test_galerkin_rows_take_the_linear_galerkin_gain_at_run_sizes(n, shape):
+@pytest.mark.parametrize("shape, label", [
+    (shape, label) for shape in ("tanh_1d", "linear_2d")
+    for label in sorted(GALERKIN_DRIFTS)
+    if shape == "tanh_1d" or label != "crisan_continuous"])
+def test_galerkin_rows_take_the_linear_galerkin_gain_at_run_sizes(shape, label, n):
     # the ensemble sizes the shipped configs run, above numpy's
     # 8192-element reduction buffer
     model = _tanh(None) if shape == "tanh_1d" else make_linear_gaussian(
         [[-1.0, 0.3], [0.0, -0.5]], [1.1, -0.3])
     x = 0.4 + 1.3 * CounterStream(n, label=0).normals(0, (n, model.dim))
-    _assert_linear_galerkin_gains(model, x)
+    _assert_linear_galerkin_gain(label, model, x)
+
+
+@pytest.mark.parametrize("label", ["fpf_continuous", "crisan_continuous"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=cases())
+def test_continuous_galerkin_rows_are_the_constant_rows(label, case):
+    """The config name galerkin stays accepted for the continuous-time
+    kinds and gives their constant step, bitwise, or the same refusal."""
+    if label == "crisan_continuous" and case[0].dim != 1:
+        return
+    galerkin = _outcome(label, "galerkin", case, {})
+    constant = _outcome(label, "constant", case, {})
+    if isinstance(constant, tuple):
+        assert galerkin[0].tobytes() == constant[0].tobytes()
+        assert repr(galerkin[1]) == repr(constant[1])
+    else:
+        assert galerkin is constant
