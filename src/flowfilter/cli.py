@@ -615,6 +615,9 @@ def theory_certificates(config: ExperimentConfig) -> list:
     bound with empirical posterior checks (log-concave OU), the gamma
     fixed point, and the per-path delta bound for bounded observations."""
     model = config.build_model()
+    if model.dim != 1:
+        raise ConfigError("model", "theory needs a 1D model: its grid Kushner "
+                          "snapshots are 1D only")
     grid = config.grid
     rows = []
     path = _simulate_paths(config, model)

@@ -26,8 +26,7 @@ import numpy as np
 
 from .ensemble import compute_moments
 from .errors import FilterAborted, FlowFilterError, NonFiniteState
-from .gain import (ASSEMBLERS, CoefficientSet, assemble_filter_coefficients,
-                   kind_label, row_reads)
+from .gain import ASSEMBLERS, assemble_filter_coefficients, kind_label
 # bound here only for the tracer in perfbench/layers.py, which wraps them
 from .gain import _exact_coefficients, continuous_gain  # noqa: F401
 from .models import SystemModel
@@ -65,24 +64,15 @@ class FilterKind:
 
 
 def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,
-         slope: float, dt: float, dv: np.ndarray, moments=None,
-         coeffs: Optional[CoefficientSet] = None, h=None, **gain_opts):
+         slope: float, dt: float, dv: np.ndarray, **gain_opts):
     """x + M(x) dt + dV + (a + K slope) dt for the particles x (n, d), with
-    (a, K) from coeffs or else the (kind, gain_method) row, handed the
-    moments of x and h = obs(x) if it reads them (computed here unless the
-    caller has them).  Returns the new particles and the solver
-    diagnostics; a density floor over more than 10% is reported as
-    degenerate_density, not fatal.
+    (a, K) from the (kind, gain_method) row, which computes from x all it
+    reads.  Returns the new particles and the solver diagnostics; a density
+    floor over more than 10% is reported as degenerate_density, not fatal.
     """
-    if coeffs is None:
-        reads = row_reads(kind.label(), gain_method)
-        if "h" in reads:
-            gain_opts["h"] = h = model.obs(x) if h is None else h
-        if moments is None and "moments" in reads:
-            moments = compute_moments(x, model, h)
-        coeffs = assemble_filter_coefficients(
-            kind.tag, x, model, moments, gain_method,
-            mass_matrix=kind.mass_matrix, **gain_opts)
+    coeffs = assemble_filter_coefficients(kind.tag, x, model, gain_method,
+                                          mass_matrix=kind.mass_matrix,
+                                          **gain_opts)
     new = x + model.drift(x) * dt + dv + (coeffs.a + coeffs.K * slope) * dt
     diags = dict(coeffs.diagnostics)
     if diags.get("floor_frac", 0.0) > 0.10:
@@ -124,7 +114,6 @@ class _Lane:
             raise ValueError("ensemble contains non-finite entries")
         grid = run.grid
         self.run, self.model, self.x = run, model, x
-        self.takes_h = "h" in row_reads(run.kind.label(), run.gain_method)
         self.slopes = run.path.fine_slopes() if run.kind.consumes_slope \
             else run.path.fine_increments() / grid.fine_dt
         self.times = grid.mesh_times()
@@ -156,14 +145,10 @@ class _Lane:
         failure = None
         for k, dv_k in enumerate(dv, start=k0):
             try:
-                h = model.obs(x) if self.takes_h else None
-                moments = None
                 if k % spm == 0:
-                    moments = compute_moments(x, model, h)
-                    self.record(moments)
+                    self.record(compute_moments(x, model))
                 new, diags = step(run.kind, run.gain_method, model, x,
-                                  self.slopes[k], dt, dv_k, moments=moments,
-                                  h=h, **run.gain_opts)
+                                  self.slopes[k], dt, dv_k, **run.gain_opts)
                 if not np.all(np.isfinite(new)):
                     raise NonFiniteState(k + 1, run.kind.label())
             except STEP_ERRORS as exc:
@@ -190,11 +175,11 @@ def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
     """Advance runs that share the seed and the particle shape (n, d) over
     one fine grid, each on its own mesh.  Each fine step's noise block
     sqrt(dt) N(0, I) is drawn once for the group into a buffer of up to
-    NOISE_BUFFER_BYTES, then every live run takes the buffered steps.  A run
-    computes moments at its mesh points and, between them, only if its row
-    reads them.  Returns each run's FilterRun, or the FilterAborted of a run
-    whose step raised one of STEP_ERRORS, carrying its series up to that
-    step; the other runs go on unchanged.
+    NOISE_BUFFER_BYTES, then every live run takes the buffered steps,
+    recording the moments of its cloud at its mesh points.  Returns each
+    run's FilterRun, or the FilterAborted of a run whose step raised one of
+    STEP_ERRORS, carrying its series up to that step; the other runs go on
+    unchanged.
     """
     lanes = [_Lane(run, model) for run in runs]
     if not lanes:

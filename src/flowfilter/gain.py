@@ -49,7 +49,7 @@ EPS_RHO = 1e-8
 RIDGE = 1e-10
 # the rhs kinds whose solution is a gain: -(h - hbar) on the right; only
 # these report the centring of their potential
-GAIN_KINDS = ("fpf_phi", "reich_lambda", "crisan_beta")
+GAIN_KINDS = ("fpf_phi", "crisan_beta")
 
 
 @dataclass
@@ -173,8 +173,9 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     For the gain kinds, rho(x) K(x) = -int_{-inf}^x (h - hbar) rho dy and
     the same cumulative integral serves the unweighted crisan_beta case
     since K = beta'/rho with beta'' = -(h - hbar) rho.  Drift kinds return
-    the gradient field of the respective potential (grad psi, grad Omega,
-    or grad alpha / rho, the last two being the same formula).  fpf_psi
+    the gradient field of their potential, grad psi or grad alpha / rho
+    (in 1D the Reich fields grad Lambda and grad Omega with M = I are the
+    crisan_beta and crisan_alpha fields).  fpf_psi
     takes h, hbar, I and the gain from phi, the fpf_phi field of the same
     density, and solves for it when phi is None.  Only the gain kinds
     report the centring of their potential.
@@ -220,7 +221,7 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
         r = model.obs_grad(x2)[:, 0] * phi.gain_grid
         rb = h2b - hb * hb
         resid = float(np.max(np.abs(_gradient(rho_psi_p, dx) - (r - rb) * rho)))
-    elif rhs_kind in ("reich_omega", "crisan_alpha"):
+    elif rhs_kind == "crisan_alpha":
         h = model.obs(x2)
         h2b = _trapezoid(h * h * rho, spacing)
         I = cumulative_simpson(0.5 * (h * h - h2b) * rho, dx)
@@ -390,9 +391,10 @@ def multivariate_kde_at_points(x: np.ndarray, points: Optional[np.ndarray] = Non
 
 
 # ---------------------------------------------------------------------------
-# filter-coefficient assembly: a row maps (particles x, model, moments of x,
-# **gain options) to the (a, K) of the update x + M dt + dV + (a + K slope) dt;
-# continuous-time rows see slope = dZ/dt, a = (1/2)(grad K)^T K - K(h + hbar)/2
+# filter-coefficient assembly: a row maps (particles x, model, **gain options)
+# to the (a, K) of the update x + M dt + dV + (a + K slope) dt, computing
+# from x whatever else it reads (h = obs(x), the moments of x); continuous-
+# time rows see slope = dZ/dt, a = (1/2)(grad K)^T K - K(h + hbar)/2
 
 @dataclass
 class CoefficientSet:
@@ -401,50 +403,28 @@ class CoefficientSet:
     diagnostics: dict
 
 
-def _reads(*inputs):
-    """Mark a row with what it reads besides x and the model: "moments", the
-    moments of x, which a run computes between mesh points only for the rows
-    that read them, and "h", h = obs(x) at the particles, which the row then
-    takes as h= so that one evaluation serves the whole step (a row handed
-    h=None evaluates it itself)."""
-    def mark(row):
-        row.reads = frozenset(inputs)
-        return row
-    return mark
-
-
-def row_reads(label: str, method: str) -> frozenset:
-    """What the row of (kind label, method) reads; a row without a mark is
-    handed the moments only."""
-    row = ASSEMBLERS.get(label, {}).get(method)
-    return getattr(row, "reads", frozenset({"moments"}))
-
-
-def _centred_drift(K, x, model, h=None) -> np.ndarray:
+def _centred_drift(K, h) -> np.ndarray:
     """-K (h + hbar) / 2, the whole drift of a constant gain."""
-    if h is None:
-        h = model.obs(x)
     return -0.5 * K * (h + h.mean())[:, None]
 
 
-@_reads("moments", "h")
-def _exact_coefficients(x, model, moments, h=None) -> CoefficientSet:
+def _exact_coefficients(x, model) -> CoefficientSet:
     if model.H is None:
         raise ModelMismatch("exact-Gaussian gain needs a stored H row")
-    fld = solve_exact_gaussian(moments, model.h_row())
-    return CoefficientSet(_centred_drift(fld.at_particles, x, model, h),
+    h = model.obs(x)
+    fld = solve_exact_gaussian(compute_moments(x, model, h), model.h_row())
+    return CoefficientSet(_centred_drift(fld.at_particles, h),
                           fld.at_particles, fld.diagnostics)
 
 
-@_reads("moments", "h")
-def _constant_coefficients(x, model, moments, h=None) -> CoefficientSet:
-    fld = solve_constant_gain(moments)
-    return CoefficientSet(_centred_drift(fld.at_particles, x, model, h),
+def _constant_coefficients(x, model) -> CoefficientSet:
+    h = model.obs(x)
+    fld = solve_constant_gain(compute_moments(x, model, h))
+    return CoefficientSet(_centred_drift(fld.at_particles, h),
                           fld.at_particles, fld.diagnostics)
 
 
-@_reads()
-def _integral_fpf(x, model, moments, density=None, kde_opts=None,
+def _integral_fpf(x, model, density=None, kde_opts=None,
                   eps_floor=EPS_RHO) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
     kf = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
@@ -461,8 +441,7 @@ def _integral_fpf(x, model, moments, density=None, kde_opts=None,
                            "psi_residual": psif.diagnostics["residual"]})
 
 
-@_reads()
-def _integral_beta_alpha(x, model, moments, density=None, kde_opts=None,
+def _integral_beta_alpha(x, model, density=None, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
     """K = grad beta / rho, a = grad alpha / rho; in 1D the Reich fields
     grad Lambda and grad Omega (M = I) solve the same equations."""
@@ -476,29 +455,30 @@ def _integral_beta_alpha(x, model, moments, density=None, kde_opts=None,
                            "drift_residual": af.diagnostics["residual"]})
 
 
-@_reads("h")
-def _integral_continuous(x, model, moments, density=None, kde_opts=None,
-                         eps_floor=EPS_RHO, h=None) -> CoefficientSet:
+def _integral_continuous(x, model, density=None, kde_opts=None,
+                         eps_floor=EPS_RHO) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
     fld = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
     dK = _gradient(fld.gain_grid, density.dx)
     cells = GridIntervals(density.grid, x[:, 0])
     K = cells.interp(fld.gain_grid).reshape(-1, 1)
     ito = 0.5 * cells.interp(dK * fld.gain_grid).reshape(-1, 1)
-    return CoefficientSet(ito + _centred_drift(K, x, model, h), K, fld.diagnostics)
+    return CoefficientSet(ito + _centred_drift(K, model.obs(x)), K,
+                          fld.diagnostics)
 
 
-@_reads("moments", "h")
-def _galerkin_fpf(x, model, moments, h=None) -> CoefficientSet:
-    K = solve_constant_gain(moments).at_particles
+def _galerkin_fpf(x, model) -> CoefficientSet:
+    h = model.obs(x)
+    K = solve_constant_gain(compute_moments(x, model, h)).at_particles
     psif = solve_galerkin(x, model, "fpf_psi", prior_gain=K)
-    return CoefficientSet(_centred_drift(K, x, model, h) + 0.5 * psif.at_particles,
+    return CoefficientSet(_centred_drift(K, h) + 0.5 * psif.at_particles,
                           K, psif.diagnostics)
 
 
 def _galerkin_reich(cov_inverse: bool):
-    @_reads("moments", "h")
-    def assemble(x, model, moments, h=None) -> CoefficientSet:
+    def assemble(x, model) -> CoefficientSet:
+        h = model.obs(x)
+        moments = compute_moments(x, model, h)
         m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
         of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv, h=h)
         return CoefficientSet(of.at_particles,
@@ -507,9 +487,8 @@ def _galerkin_reich(cov_inverse: bool):
     return assemble
 
 
-@_reads("h")
-def _fundamental_mc(x, model, moments, eps_floor=EPS_RHO, h=None) -> CoefficientSet:
-    h = model.obs(x) if h is None else h
+def _fundamental_mc(x, model, eps_floor=EPS_RHO) -> CoefficientSet:
+    h = model.obs(x)
     beta = solve_fundamental_mc(x, h)
     alpha = solve_fundamental_mc(x, -0.5 * h * h)
     _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
@@ -518,19 +497,19 @@ def _fundamental_mc(x, model, moments, eps_floor=EPS_RHO, h=None) -> Coefficient
                           {"epsilon": beta.epsilon, "floor_frac": floor_frac})
 
 
-@_reads("moments", "h")
-def _enkbf_coefficients(x, model, moments, h=None) -> CoefficientSet:
+def _enkbf_coefficients(x, model) -> CoefficientSet:
     if model.kind != "linear_gaussian":
         raise ModelMismatch("enkbf requires a linear-Gaussian model")
-    return _exact_coefficients(x, model, moments, h)
+    return _exact_coefficients(x, model)
 
 
 def _in_1d(row):
-    def assemble(x, model, moments, **gain_opts) -> CoefficientSet:
+    @functools.wraps(row)
+    def assemble(x, model, **gain_opts) -> CoefficientSet:
         if x.shape[1] != 1:
             raise DimensionError("continuous-time Crisan & Xiong needs d = 1")
-        return row(x, model, moments, **gain_opts)
-    return _reads(*row.reads)(assemble)
+        return row(x, model, **gain_opts)
+    return assemble
 
 
 # constant gains have no Ito term, so their continuous-time rows are the
@@ -544,10 +523,9 @@ _CRISAN_XIONG = {"exact_gaussian": _exact_coefficients,
                  "integral_1d": _integral_beta_alpha,
                  "fundamental_mc": _fundamental_mc}
 
-# filter kind label -> gain method -> row, each row marked by _reads with
-# the inputs it reads: the moments (exact_gaussian, constant and galerkin)
-# and h at the particles (all rows but the 1D integral delta rows, which
-# evaluate h on their grid)
+# filter kind label -> gain method -> row, each row a function
+# row(x, model, **its GAIN_OPTS) that reads nothing but the cloud, the model
+# and its options
 ASSEMBLERS = {
     "delta_fpf": {"exact_gaussian": _exact_coefficients,
                   "constant": _constant_coefficients,
@@ -595,16 +573,15 @@ def kind_label(tag: str, mass_matrix: Optional[str] = None) -> str:
 
 
 def assemble_filter_coefficients(kind: str, x: np.ndarray, model: SystemModel,
-                                 moments: Moments, method: str,
-                                 mass_matrix: str = "identity",
+                                 method: str, mass_matrix: str = "identity",
                                  **gain_opts) -> CoefficientSet:
-    """(a, K) at the particles x (n, d) from the (kind, method) row, given
-    the moments of x; delta_reich picks its row by mass_matrix."""
+    """(a, K) at the particles x (n, d) from the (kind, method) row;
+    delta_reich picks its row by mass_matrix."""
     row = ASSEMBLERS.get(kind_label(kind, mass_matrix), {}).get(method)
     if row is None:
         raise ValueError(f"no {method!r} gain for filter kind "
                          f"{kind_label(kind, mass_matrix)!r}")
-    return row(x, model, moments, **gain_opts)
+    return row(x, model, **gain_opts)
 
 
 def continuous_gain(x: np.ndarray, model: SystemModel, method: str,
@@ -612,6 +589,6 @@ def continuous_gain(x: np.ndarray, model: SystemModel, method: str,
     """Gain K(x_i) and Ito drift (1/2)(grad K)^T K(x_i) of the fpf_continuous
     row: its drift a with the centring term -K (h + hbar) / 2 taken out."""
     row = ASSEMBLERS["fpf_continuous"][method]
-    cs = row(x, model, compute_moments(x, model), **gain_opts)
-    return cs.K, cs.a - _centred_drift(cs.K, x, model), cs.diagnostics
+    cs = row(x, model, **gain_opts)
+    return cs.K, cs.a - _centred_drift(cs.K, model.obs(x)), cs.diagnostics
 

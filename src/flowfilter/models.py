@@ -102,7 +102,6 @@ class InitialDensity:
     cov: Optional[np.ndarray] = None
     grid: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    log_concavity: Optional[float] = None
 
     def __post_init__(self):
         if self.kind == "gaussian":

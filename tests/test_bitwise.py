@@ -28,8 +28,7 @@ from flowfilter.gain import (ASSEMBLERS, EPS_RHO, RIDGE, GainField,
                              solve_galerkin)
 from flowfilter.models import SystemModel, make_linear_gaussian
 
-RHS_KINDS = ("fpf_phi", "fpf_psi", "reich_lambda", "reich_omega",
-             "crisan_beta", "crisan_alpha")
+RHS_KINDS = ("fpf_phi", "fpf_psi", "crisan_beta", "crisan_alpha")
 # the rhs kinds solve_galerkin serves
 DRIFT_KINDS = ("fpf_psi", "reich_omega")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -134,7 +133,7 @@ def oracle_integral(density, model, rhs_kind, particles=None, h_bar=None,
     floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
     phi_terms = None
     diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
-    if rhs_kind in ("fpf_phi", "crisan_beta", "reich_lambda"):
+    if rhs_kind in ("fpf_phi", "crisan_beta"):
         h = model.obs(x2)
         hb = float(np.trapezoid(h * rho, g)) if h_bar is None else float(h_bar)
         I = cumulative_simpson((h - hb) * rho, dx)
@@ -322,7 +321,7 @@ def test_solve_1d_integral_matches_oracle_bitwise(data, x, opts, rhs_kind):
     if rhs_kind == "fpf_phi" and not isinstance(old, Exception):
         # the continuous-time row differentiates the gain on the grid
         row = ASSEMBLERS["fpf_continuous"]["integral_1d"]
-        cs = row(x, model, None, density=density, eps_floor=kw["eps_floor"])
+        cs = row(x, model, density=density, eps_floor=kw["eps_floor"])
         old = oracle_integral(density, model, "fpf_phi", eps_floor=kw["eps_floor"])
         cells = GridIntervals(density.grid, x[:, 0])
         K = cells.interp(old.gain_grid).reshape(-1, 1)

@@ -238,7 +238,7 @@ def test_crash_isolation_one_filter_cannot_abort_siblings():
 
 
 def test_numerical_error_in_a_step_spares_siblings(tmp_path, monkeypatch):
-    def singular(x, model, moments):
+    def singular(x, model):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "constant", singular)
@@ -696,6 +696,20 @@ def test_model_parameters_checked(tmp_path, capsys, model, field):
     code, err_text = _exit_and_field(tmp_path, capsys, raw)
     assert code == 2
     assert f"config.{field}:" in err_text
+
+
+def test_theory_on_a_2d_model_exit_2(tmp_path, capsys):
+    # the grid Kushner snapshots are 1D: a 2D model raised a numpy matmul
+    # ValueError out of main (exit 1) after simulating the paths
+    raw = {**copy.deepcopy(BASE), "filters": [],
+           "model": {"name": "linear_gaussian", "A": [[-0.5, 0.2], [0.0, -1.0]],
+                     "H": [1.0, 0.5]},
+           "init": {"kind": "gaussian", "mean": [1.0, 0.0],
+                    "cov": [[0.5, 0.0], [0.0, 0.5]]}}
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, "theory")
+    assert code == 2
+    assert "config.model:" in err_text
+    assert _exit_and_field(tmp_path, capsys, raw, "run")[0] == 0
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -1,5 +1,5 @@
-"""Fuzzed experiment configs: `flowfilter run|sweep` exits 2 on a config
-error, 0 or 3 after running, and never raises out of `main`.  Besides
+"""Fuzzed experiment configs: `flowfilter run|sweep|theory` exits 2 on a
+config error, 0 or 3 after running, and never raises out of `main`.  Besides
 random filters, initial laws and sizes, each config perturbs paths of the
 schema `cli.CONFIG`, every one of them (each built-in model's parameters and
 each gain's options included) in the course of the run: a path takes a
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from flowfilter.cli import CONFIG, REQUIRED, _Pick, main
 from flowfilter.gain import ASSEMBLERS
 
+COMMANDS = ("run", "sweep", "theory")
 MODELS = {
     "linear_1d": {"name": "linear_gaussian", "A": [[-0.5]], "H": [1.0]},
     "tanh_1d": {"name": "scalar_tanh"},
@@ -224,7 +225,7 @@ def configs(draw):
         picks, spec = draw(st.sampled_from(NODES[path]))
         if _perturb(raw, path, picks, draw(st.sampled_from(_values(path, spec)))):
             applied.append(path)
-    return draw(st.sampled_from(["run", "sweep"])), raw, applied
+    return draw(st.sampled_from(COMMANDS)), raw, applied
 
 
 def _one_per_path():
@@ -236,7 +237,7 @@ def _one_per_path():
         raw = _raw("linear_1d", _inits(1)["gaussian"],
                    [{"kind": "delta_fpf", "gain": "integral_1d"}])
         applied = _perturb(raw, path, picks, values[i % len(values)])
-        yield ("run", "sweep")[i % 2], raw, [path] if applied else []
+        yield COMMANDS[i % len(COMMANDS)], raw, [path] if applied else []
 
 
 def _exits_0_2_or_3(case):

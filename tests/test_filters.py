@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowfilter import gain
 from flowfilter.ensemble import density_from_function
 from flowfilter.errors import DimensionError, ModelMismatch
 from flowfilter.filters import FilterKind, run_filter, step
@@ -30,7 +31,7 @@ def _make_path(model, grid, seed=5, x0=1.0):
     return simulate_observations(model, states, grid, dw[:, 0, 0])
 
 
-def test_delta_fpf_frozen_hand_step():
+def test_delta_fpf_frozen_hand_step(monkeypatch):
     # x=1, K=2, h(x)=x with hbar frozen at 0, psi=0, drift=0, dV=0,
     # slope=3, dt=0.1: x' = 1 + 2*(0.3 - 0.05) = 1.5
     model = SystemModel(dim=1, drift=lambda x: np.zeros_like(x),
@@ -41,19 +42,22 @@ def test_delta_fpf_frozen_hand_step():
                             K=np.array([[2.0]]), diagnostics={})
     coeffs2 = CoefficientSet(a=np.tile(coeffs.a, (2, 1)),
                              K=np.tile(coeffs.K, (2, 1)), diagnostics={})
+    monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "exact_gaussian",
+                        lambda x, model: coeffs2)
     out, _ = step(FilterKind("delta_fpf"), "exact_gaussian", model,
-                  np.vstack([x, x]), 3.0, 0.1, np.zeros((2, 1)), coeffs=coeffs2)
+                  np.vstack([x, x]), 3.0, 0.1, np.zeros((2, 1)))
     assert out[0, 0] == pytest.approx(1.5, abs=1e-15)
 
 
-def test_enkbf_frozen_hand_step():
+def test_enkbf_frozen_hand_step(monkeypatch):
     # x=1, xbar=0, P=2, A=0, H=1, slope=3, dt=0.1 -> 1 + 2(0.3 - 0.05) = 1.5
     model = make_linear_gaussian([[0.0]], [1.0])
     coeffs = CoefficientSet(a=np.array([[-0.5 * 2 * 1.0], [0.5 * 2 * 1.0]]),
                             K=np.array([[2.0], [2.0]]), diagnostics={})
+    monkeypatch.setitem(gain.ASSEMBLERS["enkbf"], "exact_gaussian",
+                        lambda x, model: coeffs)
     out, _ = step(FilterKind("enkbf"), "exact_gaussian", model,
-                  np.array([[1.0], [-1.0]]), 3.0, 0.1, np.zeros((2, 1)),
-                  coeffs=coeffs)
+                  np.array([[1.0], [-1.0]]), 3.0, 0.1, np.zeros((2, 1)))
     assert out[0, 0] == pytest.approx(1.5, abs=1e-15)
 
 

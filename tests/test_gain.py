@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
@@ -6,7 +8,8 @@ from test_bitwise import oracle_galerkin
 
 from flowfilter.ensemble import compute_moments, density_from_function
 from flowfilter.errors import DimensionError, IllConditioned, UnresolvedTail
-from flowfilter.gain import (GridIntervals, assemble_filter_coefficients,
+from flowfilter.gain import (ASSEMBLERS, GAIN_OPTS, GridIntervals,
+                             assemble_filter_coefficients,
                              cumulative_simpson, multivariate_kde_at_points,
                              solve_1d_integral, solve_constant_gain,
                              solve_exact_gaussian, solve_fundamental_mc,
@@ -149,6 +152,14 @@ def test_integral_1d_rbar_identity_on_grid():
         hbar = np.trapezoid(h * dens.values, g)
         h2bar = np.trapezoid(h * h * dens.values, g)
         assert abs(lhs - (h2bar - hbar**2)) <= 1e-6
+
+
+@pytest.mark.parametrize("rhs_kind", ["reich_lambda", "reich_omega"])
+def test_integral_1d_refuses_the_reich_names(rhs_kind):
+    # in 1D the Reich fields (M = I) are the crisan_beta and crisan_alpha
+    # fields, so the route takes those names only
+    with pytest.raises(ValueError, match="rhs_kind"):
+        solve_1d_integral(_gaussian_density(), _linear_model(), rhs_kind)
 
 
 def test_integral_1d_crisan_alpha_quadrature_oracle():
@@ -380,9 +391,8 @@ def test_assemble_exact_gives_enkbf_coefficients():
     model = make_linear_gaussian([[-0.5]], [1.0])
     for kind, mm in [("delta_fpf", "identity"), ("crisan_xiong", "identity"),
                      ("delta_reich", "cov_inverse"), ("enkbf", "identity")]:
-        cs = assemble_filter_coefficients(kind, ens, model,
-                                          compute_moments(ens, model),
-                                          "exact_gaussian", mass_matrix=mm)
+        cs = assemble_filter_coefficients(kind, ens, model, "exact_gaussian",
+                                          mass_matrix=mm)
         m = compute_moments(ens, model)
         K_expect = float(m.cov[0, 0] * 1.0)
         h = model.obs(x)
@@ -400,7 +410,7 @@ def test_assemble_constant_h_all_kinds_zero():
                         obs_grad=lambda v: np.zeros_like(v))
     for kind in ("delta_fpf", "crisan_xiong", "delta_reich"):
         cs = assemble_filter_coefficients(
-            kind, ens, model, compute_moments(ens, model), "integral_1d",
+            kind, ens, model, "integral_1d",
             mass_matrix="identity" if kind == "delta_reich" else "identity")
         assert np.max(np.abs(cs.K)) <= 1e-10
         assert np.max(np.abs(cs.a)) <= 1e-10
@@ -412,9 +422,21 @@ def test_assemble_1d_fpf_equals_crisan_pointwise():
     model = SystemModel(dim=1, drift=lambda v: -v,
                         obs=lambda v: np.tanh(v[:, 0]),
                         obs_grad=lambda v: (1 / np.cosh(v[:, 0]) ** 2)[:, None])
-    m = compute_moments(ens, model)
-    fpf = assemble_filter_coefficients("delta_fpf", ens, model, m, "integral_1d")
-    cx = assemble_filter_coefficients("crisan_xiong", ens, model, m, "integral_1d")
+    fpf = assemble_filter_coefficients("delta_fpf", ens, model, "integral_1d")
+    cx = assemble_filter_coefficients("crisan_xiong", ens, model, "integral_1d")
     assert np.max(np.abs(fpf.K - cx.K)) <= 1e-12
     assert np.max(np.abs(fpf.a - cx.a)) <= 1e-12
 
+
+def test_rows_take_only_the_cloud_the_model_and_their_gain_options():
+    # a row computes what it reads from x, so its parameters beyond x and
+    # the model are the options a config may give its gain (and density,
+    # which library callers may pass to the 1D integral rows)
+    for label, rows in ASSEMBLERS.items():
+        for gain, row in rows.items():
+            params = list(inspect.signature(row).parameters)
+            allowed = set(GAIN_OPTS.get(gain, {}))
+            if gain == "integral_1d":
+                allowed.add("density")
+            assert params[:2] == ["x", "model"], (label, gain)
+            assert set(params[2:]) <= allowed, (label, gain, params)

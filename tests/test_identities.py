@@ -121,8 +121,7 @@ def test_identities_hold_at_the_step(case):
     for label in ("delta_fpf", "crisan_xiong"):
         try:
             fields.append(assemble_filter_coefficients(
-                label, x, model, compute_moments(x, model), "integral_1d",
-                **integral_opts))
+                label, x, model, "integral_1d", **integral_opts))
         except STEP_ERRORS as exc:
             fields.append(type(exc))
     if isinstance(fields[1], type):
@@ -157,7 +156,7 @@ def _assert_linear_galerkin_gain(label, model, x):
     except STEP_ERRORS:
         return                      # no gain to compare: the case is skipped
     try:
-        row = ASSEMBLERS[label]["galerkin"](x, model, moments)
+        row = ASSEMBLERS[label]["galerkin"](x, model)
     except STEP_ERRORS as exc:
         # only a delta row's drift solve may refuse, and as its oracle does
         assert drift_kind is not None, (label, exc)

@@ -83,8 +83,9 @@ def _solo(run, model, seed):
 
 
 def _every_step(run, model, seed):
-    """The run as a plain loop that computes the moments of every step and
-    lets the row evaluate h itself: what run_lockstep saves must not show."""
+    """The run as a plain loop of step calls, one noise draw per step, that
+    records the moments of its cloud at its mesh points: what run_lockstep
+    saves must not show."""
     x = np.array(run.init_particles, dtype=float)
     grid, kind = run.grid, run.kind
     slopes = run.path.fine_slopes() if kind.consumes_slope \
@@ -92,13 +93,13 @@ def _every_step(run, model, seed):
     noise = CounterStream(seed, label=1)
     means, covs, h_bars, log = [], [], [], []
     for k in range(grid.n_fine):
-        m = compute_moments(x, model)
         if k % grid.steps_per_mesh == 0:
+            m = compute_moments(x, model)
             means.append(m.mean), covs.append(m.cov), h_bars.append(m.h_bar)
         dv = np.sqrt(grid.fine_dt) * noise.normals(k, x.shape)
         try:
             new, diags = step(kind, run.gain_method, model, x, slopes[k],
-                              grid.fine_dt, dv, moments=m, **run.gain_opts)
+                              grid.fine_dt, dv, **run.gain_opts)
             if not np.all(np.isfinite(new)):
                 raise NonFiniteState(k + 1)
         except STEP_ERRORS:
@@ -195,11 +196,11 @@ def test_aborted_run_leaves_its_siblings_bitwise_unchanged(monkeypatch):
     row = ASSEMBLERS["delta_fpf"]["constant"]
     calls = []
 
-    def fails_at_step_3(x, model, moments, **opts):
+    def fails_at_step_3(x, model, **opts):
         calls.append(1)
         if len(calls) == 4:
             raise np.linalg.LinAlgError("Singular matrix")
-        return row(x, model, moments, **opts)
+        return row(x, model, **opts)
 
     runs = [Run(FilterKind("enkbf"), "exact_gaussian", path, grid, cloud),
             Run(FilterKind("delta_fpf"), "constant", path, grid, cloud),
