@@ -12,17 +12,19 @@ Subcommands:
   flowfilter theory <config.json>   Poincare certificates for the
                                     configured system (theory.csv)
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.  All seeds are
-explicit in the config; re-running a config reproduces every CSV bitwise.
-The filters of a run, and the runs of one sweep seed, share the filter
-seed, so they advance as one lockstep group (filters.run_lockstep) that
-draws each noise block once; --threads is accepted and changes nothing.
+Exit codes: 0 success, 2 config error, 3 numerical or allocation failure.
+All seeds are explicit in the config; re-running a config reproduces every
+CSV bitwise.  The filters of a run, and the runs of one sweep seed, share
+the filter seed, so they advance as one lockstep group
+(filters.run_lockstep) that draws each noise block once; --threads is
+accepted and changes nothing.
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -42,7 +44,7 @@ from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import (ObservationPath, TimeGrid, simulate_observations,
                     simulate_truth, smoothed_path)
-from .reference import run_grid_kushner, run_kalman_bucy
+from .reference import CFL_FACTOR, run_grid_kushner, run_kalman_bucy
 from .rng import CounterStream
 from .theory import (empirical_poincare_1d, gamma_recursion,
                      kappa_continuous, kappa_delta)
@@ -324,19 +326,30 @@ def _reseeded(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 
 def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
-    """The initial law on the grid Kushner grid (of points unless configured)."""
+    """The initial law on the grid Kushner grid (of points unless configured),
+    whose CFL step 0.4 dx^2 must split a fine step into a finite number of
+    substeps."""
     if config.init.kind == "grid_table":
-        return Density1D(grid=config.init.grid, values=config.init.values)
-    half_width = config.reference["grid_kushner"]["half_width"]
-    points = config.reference["grid_kushner"]["points"] or points
-    mean, var = float(config.init.mean[0]), float(config.init.cov[0, 0])
-    grid = np.linspace(-half_width, half_width, points)
-    try:
-        return Density1D(grid=grid, values=np.exp(-0.5 * (grid - mean) ** 2 / var)
-                         / np.sqrt(2 * np.pi * var))
-    except ValueError as exc:
-        raise ConfigError("reference.grid_kushner", f"the initial law on "
-                          f"{points} points over +-{half_width}: {exc}") from None
+        where = "init"
+        dens = Density1D(grid=config.init.grid, values=config.init.values)
+    else:
+        where = "reference.grid_kushner"
+        half_width = config.reference["grid_kushner"]["half_width"]
+        points = config.reference["grid_kushner"]["points"] or points
+        mean, var = float(config.init.mean[0]), float(config.init.cov[0, 0])
+        grid = np.linspace(-half_width, half_width, points)
+        values = np.exp(-0.5 * (grid - mean) ** 2 / var)
+        try:
+            dens = Density1D(grid=grid, values=values / np.sqrt(2 * np.pi * var))
+        except ValueError as exc:
+            raise ConfigError(where, f"the initial law on {points} points over "
+                              f"+-{half_width}: {exc}") from None
+    cfl = CFL_FACTOR * dens.dx * dens.dx
+    if not (0 < cfl < math.inf and config.grid.fine_dt / cfl < math.inf):
+        raise ConfigError(where, f"the grid spacing {dens.dx:g} gives the CFL "
+                          f"step {cfl:g}, which splits no fine step of "
+                          f"{config.grid.fine_dt:g} into a finite count")
+    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +793,9 @@ def main(argv=None) -> int:
         return 2
     except FlowFilterError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"allocation failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -23,16 +23,15 @@ from .models import SystemModel
 class Moments:
     """Empirical mean/covariance and observation statistics.
 
-    cov and cov_xh carry the unbiased 1/(n-1) normalization; h_bar and
-    h2_bar are plain sample means (the empirical-measure averages used in
-    the weak forms).
+    cov and cov_xh carry the unbiased 1/(n-1) normalization; h_bar is the
+    plain sample mean (the empirical-measure average used in the weak
+    forms).
     """
 
     n: int
     mean: np.ndarray            # (d,)
     cov: np.ndarray             # (d, d)
     h_bar: float
-    h2_bar: float
     cov_xh: np.ndarray          # (d,)
 
 
@@ -77,7 +76,7 @@ class Density1D:
 def compute_moments(x: np.ndarray, model: SystemModel,
                     h: Optional[np.ndarray] = None) -> Moments:
     """Single pass over the particles x (n, d): mean, unbiased covariance,
-    h statistics, from h = obs(x) when the caller has it."""
+    hbar and Cov(x, h), from h = obs(x) when the caller has it."""
     n = x.shape[0]
     mean = x.mean(axis=0)
     centred = x - mean
@@ -85,10 +84,8 @@ def compute_moments(x: np.ndarray, model: SystemModel,
     if h is None:
         h = model.obs(x)
     h_bar = float(h.mean())
-    h2_bar = float((h * h).mean())
     cov_xh = centred.T @ (h - h_bar) / (n - 1)
-    return Moments(n=n, mean=mean, cov=cov, h_bar=h_bar, h2_bar=h2_bar,
-                   cov_xh=cov_xh)
+    return Moments(n=n, mean=mean, cov=cov, h_bar=h_bar, cov_xh=cov_xh)
 
 
 def kde_density_1d(x: np.ndarray, grid_points: int = 801,

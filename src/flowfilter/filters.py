@@ -34,9 +34,10 @@ from .paths import ObservationPath, TimeGrid
 from .rng import CounterStream
 
 
-# a failure inside a step that aborts this filter run only, as FilterAborted
+# a failure inside a step that aborts this filter run only, as FilterAborted;
+# numpy raises MemoryError before it allocates, so the siblings run on
 STEP_ERRORS = (FlowFilterError, ValueError, FloatingPointError,
-               ZeroDivisionError, np.linalg.LinAlgError)
+               ZeroDivisionError, np.linalg.LinAlgError, MemoryError)
 
 # a group draws this many bytes of noise blocks ahead: 13 fine steps at
 # N = 1e4, d = 1, over a mesh interval of the shipped configs; longer

@@ -60,7 +60,8 @@ class GainField:
     or differentiated; the Galerkin solver keeps the basis coefficients.
     """
 
-    at_particles: Optional[np.ndarray]      # (n, d)
+    # (n, d), or (1, d) for a gain constant over the cloud, which broadcasts
+    at_particles: Optional[np.ndarray]
     diagnostics: dict = field(default_factory=dict)
     gain_grid: Optional[np.ndarray] = None
     coefficients: Optional[np.ndarray] = None
@@ -71,23 +72,21 @@ class GainField:
 
 def solve_exact_gaussian(moments: Moments, H) -> GainField:
     """Gaussian closed form: phi = (x - xbar)^T P H^T, so K = P H^T for
-    every particle; the auxiliary psi potential is identically zero."""
+    every particle, one (1, d) row; the auxiliary psi potential is
+    identically zero."""
     Hrow = np.asarray(H, dtype=float).reshape(-1)
     P = np.atleast_2d(moments.cov)
     if np.any(np.linalg.eigvalsh(P) <= 0):
         raise SingularCovariance(f"covariance eigenvalues {np.linalg.eigvalsh(P)}")
-    K = P @ Hrow
-    at = np.tile(K, (moments.n, 1))
-    return GainField(at_particles=at,
+    return GainField(at_particles=(P @ Hrow)[None, :],
                      diagnostics={"residual": 0.0, "centring": 0.0})
 
 
 def solve_constant_gain(moments: Moments) -> GainField:
     """Constant-gain approximation: the weak form tested against x gives
-    K = Cov(x, h) under the empirical (1/n) measure."""
+    K = Cov(x, h) under the empirical (1/n) measure, one (1, d) row."""
     K = moments.cov_xh * (moments.n - 1) / moments.n
-    at = np.tile(K, (moments.n, 1))
-    return GainField(at_particles=at,
+    return GainField(at_particles=K[None, :],
                      diagnostics={"residual": 0.0, "centring": 0.0})
 
 
@@ -165,7 +164,6 @@ def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
 
 def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
                       particles: Optional[np.ndarray] = None,
-                      h_bar: Optional[float] = None,
                       phi: Optional[GainField] = None,
                       eps_floor: float = EPS_RHO) -> GainField:
     """Integrate the 1D Poisson equation once on the grid.
@@ -177,8 +175,8 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     (in 1D the Reich fields grad Lambda and grad Omega with M = I are the
     crisan_beta and crisan_alpha fields).  fpf_psi
     takes h, hbar, I and the gain from phi, the fpf_phi field of the same
-    density, and solves for it when phi is None.  Only the gain kinds
-    report the centring of their potential.
+    density, and raises ValueError without it.  Only the gain kinds report
+    the centring of their potential.
     """
     if model.dim != 1:
         raise DimensionError("solve_1d_integral requires d = 1")
@@ -195,7 +193,7 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
 
     if rhs_kind in GAIN_KINDS:
         h = model.obs(x2)
-        hb = _trapezoid(h * rho, spacing) if h_bar is None else float(h_bar)
+        hb = _trapezoid(h * rho, spacing)
         I = cumulative_simpson((h - hb) * rho, dx)
         gain_grid = -I / rho_f
         # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
@@ -211,8 +209,7 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
         # I = int (h - hbar) rho.  Exact in 1D; the residual below checks it
         # against the direct rhs (r - rbar) rho with r = h' K.
         if phi is None:
-            phi = solve_1d_integral(density, model, "fpf_phi", h_bar=h_bar,
-                                    eps_floor=eps_floor)
+            raise ValueError("the fpf_psi solve needs the fpf_phi field")
         h, hb, I = phi.phi_terms
         h2b = _trapezoid(h * h * rho, spacing)
         S = cumulative_simpson((h * h - h2b) * rho, dx)
@@ -399,7 +396,7 @@ def multivariate_kde_at_points(x: np.ndarray, points: Optional[np.ndarray] = Non
 @dataclass
 class CoefficientSet:
     a: np.ndarray               # (n, d) drift field
-    K: np.ndarray               # (n, d) gain field
+    K: np.ndarray               # (n, d) gain field, or (1, d) if constant
     diagnostics: dict
 
 

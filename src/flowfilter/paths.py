@@ -40,6 +40,10 @@ class TimeGrid:
         if abs(nm - round(nm)) > 1e-12 * max(1.0, nm):
             raise ValueError(f"horizon {self.t_end - self.t0} is not an "
                              f"integer multiple of delta={self.delta}")
+        # numpy shapes no array over intp max bytes: the path's n_fine + 1 floats
+        if 8 * (self.n_fine + 1) > np.iinfo(np.intp).max:
+            raise ValueError(f"fine_dt={self.fine_dt} gives more fine steps "
+                             "than an array of one float per step can hold")
 
     @property
     def steps_per_mesh(self) -> int:

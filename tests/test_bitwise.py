@@ -125,8 +125,8 @@ def oracle_kde(x, grid_points=801, half_width=None, bandwidth=None,
     return Density1D(grid=grid, values=np.maximum(values, 0.0))
 
 
-def oracle_integral(density, model, rhs_kind, particles=None, h_bar=None,
-                    phi=None, eps_floor=EPS_RHO):
+def oracle_integral(density, model, rhs_kind, particles=None, phi=None,
+                    eps_floor=EPS_RHO):
     g, rho, dx = density.grid, density.values, density.dx
     x2 = g.reshape(-1, 1)
     rho_f = np.maximum(rho, eps_floor)
@@ -135,7 +135,7 @@ def oracle_integral(density, model, rhs_kind, particles=None, h_bar=None,
     diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
     if rhs_kind in ("fpf_phi", "crisan_beta"):
         h = model.obs(x2)
-        hb = float(np.trapezoid(h * rho, g)) if h_bar is None else float(h_bar)
+        hb = float(np.trapezoid(h * rho, g))
         I = cumulative_simpson((h - hb) * rho, dx)
         gain_grid = -I / rho_f
         resid = float(np.max(np.abs(np.gradient(-I, dx) + (h - hb) * rho)))
@@ -144,9 +144,6 @@ def oracle_integral(density, model, rhs_kind, particles=None, h_bar=None,
         potential -= np.trapezoid(potential * rho, g)
         diagnostics["centring"] = float(abs(np.trapezoid(potential * rho, g)))
     elif rhs_kind == "fpf_psi":
-        if phi is None:
-            phi = oracle_integral(density, model, "fpf_phi", h_bar=h_bar,
-                                  eps_floor=eps_floor)
         h, hb, I = phi.phi_terms
         h2b = float(np.trapezoid(h * h * rho, g))
         S = cumulative_simpson((h * h - h2b) * rho, dx)
@@ -304,10 +301,8 @@ def test_solve_1d_integral_matches_oracle_bitwise(data, x, opts, rhs_kind):
         return
     kw = {"eps_floor": data.draw(st.sampled_from([EPS_RHO, 1e-12, 1e-4])),
           "particles": x if data.draw(st.booleans()) else None}
-    if data.draw(st.booleans()):
-        kw["h_bar"] = data.draw(st.floats(-1.0, 1.0))
     new_phi = old_phi = None
-    if rhs_kind == "fpf_psi" and data.draw(st.booleans()):
+    if rhs_kind == "fpf_psi":
         old_phi = _outcome(oracle_integral, density, model, "fpf_phi",
                            eps_floor=kw["eps_floor"])
         new_phi = _outcome(solve_1d_integral, density, model, "fpf_phi",
@@ -358,7 +353,11 @@ def test_kde_and_integral_match_oracle_bitwise_at_run_sizes(n):
     new, old = kde_density_1d(x), oracle_kde(x)
     assert _same(new.grid, old.grid) and _same(new.values, old.values)
     model = tanh_model(1.5, 0.2)
+    new_phi = solve_1d_integral(old, model, "fpf_phi")
+    old_phi = oracle_integral(old, model, "fpf_phi")
     for rhs_kind in RHS_KINDS:
         _assert_same_field(
-            _outcome(solve_1d_integral, old, model, rhs_kind, particles=x),
-            _outcome(oracle_integral, old, model, rhs_kind, particles=x))
+            _outcome(solve_1d_integral, old, model, rhs_kind, particles=x,
+                     phi=new_phi),
+            _outcome(oracle_integral, old, model, rhs_kind, particles=x,
+                     phi=old_phi))

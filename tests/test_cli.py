@@ -625,6 +625,62 @@ def test_initial_law_without_mass_on_the_reference_grid_exit_2(tmp_path, capsys)
         assert "config.reference.grid_kushner:" in err_text
 
 
+def _table(spacing):
+    return {"kind": "grid_table", "grid": [-spacing, 0.0, spacing],
+            "values": [0.0, 1.0 / spacing, 0.0]}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    *[({"reference": {"grid_kushner": {"half_width": half_width, "points": 5}}},
+       "reference.grid_kushner") for half_width in (1e-300, 1e-170, 1e-156,
+                                                    1e155, 1e200)],
+    *[({"init": _table(spacing)}, "init") for spacing in (1e-200, 1e200)],
+], ids=["half_width_1e-300", "half_width_1e-170", "half_width_1e-156",
+        "half_width_1e155", "half_width_1e200", "table_1e-200", "table_1e200"])
+def test_reference_grid_spacing_out_of_range_exit_2(tmp_path, capsys, recwarn,
+                                                    overrides, field):
+    # 0.4 dx^2 underflowed to 0, split a fine step into an infinite count,
+    # or overflowed: ZeroDivisionError or OverflowError out of main (exit 1)
+    raw = {**copy.deepcopy(BASE), **TANH_GRID, **overrides}
+    for command in ("run", "theory"):
+        code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+        assert code == 2
+        assert f"config.{field}:" in err_text
+
+
+@pytest.mark.parametrize("overrides, commands", [
+    ({"ensemble_size": 10**12}, ("run", "sweep")),
+    ({**TANH_GRID, "reference": {"grid_kushner": {"points": 10**12}}},
+     ("run", "theory")),
+    ({"sweep": {"n": [10**12]}}, ("sweep",)),
+    ({"grid": {"t0": 0.0, "T": 1e12, "delta": 0.01, "fine_dt": 0.001}},
+     ("run", "sweep", "theory")),
+], ids=["ensemble_size", "reference_points", "sweep_n", "grid_T"])
+def test_unallocatable_sizes_exit_3(tmp_path, capsys, overrides, commands):
+    # numpy refuses each array at once, allocating nothing; the MemoryError
+    # used to leave main (exit 1)
+    raw = {**copy.deepcopy(BASE), **copy.deepcopy(overrides)}
+    for command in commands:
+        code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+        assert code == 3
+        assert "allocation failure:" in err_text
+
+
+def test_unallocatable_kde_aborts_its_filter_only(tmp_path, capsys):
+    raw = copy.deepcopy(BASE)
+    raw["filters"] = [{"kind": "delta_fpf", "gain": "integral_1d",
+                       "gain_opts": {"kde_opts": {"grid_points": 10**12}}},
+                      {"kind": "enkbf", "gain": "exact_gaussian"}]
+    code, _ = _exit_and_field(tmp_path, capsys, raw)
+    assert code == 3
+    series = open(tmp_path / "o" / "series.csv").read()
+    assert ",enkbf/exact_gaussian," in series
+    assert "delta_fpf/integral_1d" not in series
+    report = json.loads(open(tmp_path / "o" / "report.json").read())
+    assert "MemoryError" in report["filters"]["delta_fpf/integral_1d"]["error"]
+    assert report["filters"]["enkbf/exact_gaussian"]["error"] is None
+
+
 @pytest.mark.parametrize("key, value, field", [
     ("sweep", {"delta": "abc"}, "sweep.delta"),
     ("sweep", {"delta": [0]}, "sweep.delta"),
@@ -641,6 +697,8 @@ def test_initial_law_without_mass_on_the_reference_grid_exit_2(tmp_path, capsys)
     ("seeds", {"truth": 1, "observation": 2, "filter": -3}, "seeds.filter"),
     ("grid", {"t0": 0.0, "T": -0.1, "delta": 0.01, "fine_dt": 0.001}, "grid.T"),     # was exit 1
     ("grid", {"t0": 0.1, "T": 0.1, "delta": 0.01, "fine_dt": 0.001}, "grid.T"),      # theory: exit 1
+    # numpy's "Maximum allowed dimension exceeded" ValueError: exit 1
+    ("grid", {"t0": 0.0, "T": 0.1, "delta": 0.01, "fine_dt": 1e-300}, "grid"),
 ])
 def test_sweep_and_seed_values_checked(tmp_path, capsys, key, value, field):
     # the string and list cases used to raise ValueError or

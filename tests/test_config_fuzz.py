@@ -4,9 +4,11 @@ random filters, initial laws and sizes, each config perturbs paths of the
 schema `cli.CONFIG`, every one of them (each built-in model's parameters and
 each gain's options included) in the course of the run: a path takes a
 value from a pool shared by all paths (wrong JSON types, or left out), its
-table default, or a hand list of edge values."""
+table default, or a hand list of edge values.  Each edge value also runs
+once under every command on a fixed base config."""
 
 import copy
+import itertools
 import json
 import os
 import tempfile
@@ -52,7 +54,7 @@ FIELD_VALUES = {
     "sweep.delta": [[0.01], "abc", [0], [], [-0.01], [0.0075], [1e308],
                     ["x"], [0.04, 0.01]],
     "sweep.seeds": [[11], ["a"], [-1], 5, [True], [], [0, 7]],
-    "sweep.n": [[1], [0], [True], [2.5], 16, [16]],
+    "sweep.n": [[1], [0], [True], [2.5], 16, [16], [10**12]],
     "seeds.truth": ["x", -1, 2.5, None, True, 0, 7],
     "seeds.observation": ["x", -1, [2], 9],
     "seeds.filter": ["x", -3, 1e3, 4],
@@ -60,14 +62,16 @@ FIELD_VALUES = {
                                {"points": 3}, {"points": 2.5},
                                {"half_width": 0}, {"half_width": 0.5},
                                {"half_width": 1e308}, {"bogus": 1},
-                               {"points": 31, "half_width": 8.0}],
+                               {"points": 31, "half_width": 8.0},
+                               {"half_width": 1e-300}, {"half_width": 1e200},
+                               {"points": 10**12}],
     "reference.kalman_bucy": [False, "no", True],
     "model.name": [[], 3, None, "nosuch", "scalar_tanh"],
     "model.A": ["x", [[1.0, 0.0]], [[-0.5]], [[-0.5, 0.0], [0.0, -1.0]],
                 [[1.0, 2.0], [3.0]]],
     "model.H": ["x", [1.0, 0.5], [1.0], {"a": 1}, [float("inf")]],
     "model.c": ["2.0", 0, 1e-200, 2.0, 1e200],
-    "grid.T": [0.0, -0.01, "0.02", 0.015, 1e308],
+    "grid.T": [0.0, -0.01, "0.02", 0.015, 1e308, 10**12],
     "grid.t0": [0.01, -1e308],
     "grid.fine_dt": [0.0025, 0.003, 1e-300],
     "filters[].kind": KINDS,
@@ -75,6 +79,7 @@ FIELD_VALUES = {
     "filters[].mass_matrix": MASS_MATRICES,
     "init.cov": [[[-1.0]], [[1.0, 2.0], [3.0]], [[0.5]]],
     "filters": [[]],
+    "ensemble_size": [10**12],
 }
 
 
@@ -228,16 +233,32 @@ def configs(draw):
     return draw(st.sampled_from(COMMANDS)), raw, applied
 
 
+def _base():
+    return _raw("linear_1d", _inits(1)["gaussian"],
+                [{"kind": "delta_fpf", "gain": "integral_1d"}])
+
+
 def _one_per_path():
     """One config per path of the table, perturbing that path by one of its
     values, so that every path is fuzzed whatever hypothesis draws."""
     for i, path in enumerate(PATHS):
         picks, spec = NODES[path][i % len(NODES[path])]
         values = _values(path, spec)
-        raw = _raw("linear_1d", _inits(1)["gaussian"],
-                   [{"kind": "delta_fpf", "gain": "integral_1d"}])
+        raw = _base()
         applied = _perturb(raw, path, picks, values[i % len(values)])
         yield COMMANDS[i % len(COMMANDS)], raw, [path] if applied else []
+
+
+def _every_edge_value():
+    """One config per listed edge value and command, so that every edge
+    value runs whatever hypothesis draws."""
+    for path, values in FIELD_VALUES.items():
+        picks, _ = NODES[path][0]
+        for value in values:
+            for command in COMMANDS:
+                raw = _base()
+                applied = _perturb(raw, path, picks, value)
+                yield command, raw, [path] if applied else []
 
 
 def _exits_0_2_or_3(case):
@@ -253,7 +274,7 @@ def _exits_0_2_or_3(case):
 
 def test_fuzzed_configs_exit_0_2_or_3():
     FUZZED.clear()
-    for case in _one_per_path():
+    for case in itertools.chain(_one_per_path(), _every_edge_value()):
         _exits_0_2_or_3(case)
     settings(max_examples=300, derandomize=True, deadline=None)(
         given(configs())(_exits_0_2_or_3))()

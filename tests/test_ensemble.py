@@ -37,7 +37,6 @@ def test_gaussian_moment_oracle():
     x = rng.standard_normal((100_000, 1))
     m = compute_moments(x, _square_model())
     assert abs(m.h_bar - 1.0) <= 0.02          # E x^2 = 1
-    assert abs(m.h2_bar - 3.0) <= 0.1          # E x^4 = 3
 
 
 def _gaussian_fit(x):
@@ -136,7 +135,8 @@ def test_rbar_identity_constant_gain_linear_h():
     m = compute_moments(x, model)
     K = solve_constant_gain(m).at_particles
     lhs = np.mean(np.sum(model.obs_grad(x) * K, axis=1))
-    rhs = m.h2_bar - m.h_bar**2
+    h = model.obs(x)
+    rhs = np.mean(h * h) - m.h_bar**2
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -149,6 +149,5 @@ def test_moments_invariants_random_clouds():
                        size=(n, 1))
         m = compute_moments(x, model)
         assert np.min(np.linalg.eigvalsh(m.cov)) >= -1e-10
-        assert m.h2_bar >= m.h_bar**2 - 1e-10
         np.testing.assert_allclose(m.cov, m.cov.T, atol=0)
 

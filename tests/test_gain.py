@@ -41,7 +41,7 @@ def test_exact_gaussian_scalar():
     ens = np.random.default_rng(0).normal(size=(50, 1))
     m = compute_moments(ens, _linear_model())
     m = type(m)(n=m.n, mean=m.mean, cov=np.array([[2.0]]), h_bar=m.h_bar,
-                h2_bar=m.h2_bar, cov_xh=m.cov_xh)
+                cov_xh=m.cov_xh)
     fld = solve_exact_gaussian(m, [3.0])
     assert np.all(fld.at_particles == 6.0)
 
@@ -58,9 +58,9 @@ def test_exact_gaussian_2d_matrix_product():
     model = make_linear_gaussian(np.zeros((2, 2)), [1.0, 0.0])
     m = compute_moments(ens, model)
     m = type(m)(n=m.n, mean=m.mean, cov=np.eye(2), h_bar=m.h_bar,
-                h2_bar=m.h2_bar, cov_xh=m.cov_xh)
+                cov_xh=m.cov_xh)
     fld = solve_exact_gaussian(m, [1.0, 0.0])
-    np.testing.assert_allclose(fld.at_particles, np.tile([1.0, 0.0], (100, 1)))
+    np.testing.assert_allclose(fld.at_particles, [[1.0, 0.0]])
 
 
 def test_constant_gain_linear_h_matches_sample_measure_covariance():
@@ -127,15 +127,20 @@ def test_integral_1d_constant_h_zero_gain():
 
 
 def test_integral_1d_unresolved_tail():
-    dens = _gaussian_density(1.0, half_width_sigmas=10.0)
-    # an externally supplied (wrong) h_bar leaves the rhs uncentred
+    # on 11 points the trapezoid hbar and the Simpson integral disagree:
+    # h(x) = x on N(1, 1) over +-10 leaves |I[-1]| = 0.31
+    dens = density_from_function(
+        lambda x: np.exp(-(x - 1.0)**2 / 2) / np.sqrt(2 * np.pi),
+        half_width=10.0, grid_points=11)
     with pytest.raises(UnresolvedTail):
-        solve_1d_integral(dens, _linear_model(), "fpf_phi", h_bar=0.5)
+        solve_1d_integral(dens, _linear_model(), "fpf_phi")
 
 
 def test_integral_1d_psi_zero_for_linear_h():
     dens = _gaussian_density(0.7)
-    fld = solve_1d_integral(dens, _linear_model(1.3), "fpf_psi")
+    model = _linear_model(1.3)
+    phi = solve_1d_integral(dens, model, "fpf_phi")
+    fld = solve_1d_integral(dens, model, "fpf_psi", phi=phi)
     bulk = np.abs(dens.grid) <= 5 * np.sqrt(0.7)
     assert np.max(np.abs(fld.gain_grid[bulk])) <= 1e-7
 
@@ -162,6 +167,12 @@ def test_integral_1d_refuses_the_reich_names(rhs_kind):
         solve_1d_integral(_gaussian_density(), _linear_model(), rhs_kind)
 
 
+def test_integral_1d_refuses_psi_without_phi():
+    # fpf_psi reads h, hbar, I and the gain of the fpf_phi field it is handed
+    with pytest.raises(ValueError, match="fpf_phi"):
+        solve_1d_integral(_gaussian_density(), _linear_model(), "fpf_psi")
+
+
 def test_integral_1d_crisan_alpha_quadrature_oracle():
     # a(x) = (1/rho) * (1/2) int_{-inf}^x (h^2 - h2bar) rho dy for h = x^2,
     # rho = N(0,1); checked at x in {0, 1} against adaptive quadrature
@@ -174,18 +185,6 @@ def test_integral_1d_crisan_alpha_quadrature_oracle():
         oracle = 0.5 * quad(lambda y: (y**4 - h2bar) * pdf(y),
                             -np.inf, xv)[0] / pdf(xv)
         assert abs(fld.at_particles[idx, 0] - oracle) <= 1e-6
-
-
-def test_integral_1d_psi_reuses_phi_bitwise():
-    dens = _gaussian_density(0.8, points=801)
-    model = SystemModel(dim=1, drift=lambda x: -x,
-                        obs=lambda x: np.tanh(x[:, 0]),
-                        obs_grad=lambda x: 1.0 / np.cosh(x) ** 2)
-    phi = solve_1d_integral(dens, model, "fpf_phi")
-    shared = solve_1d_integral(dens, model, "fpf_psi", phi=phi)
-    alone = solve_1d_integral(dens, model, "fpf_psi")
-    assert shared.gain_grid.tobytes() == alone.gain_grid.tobytes()
-    assert shared.diagnostics == alone.diagnostics
 
 
 def test_cumulative_simpson_matches_scipy_bitwise():
@@ -426,6 +425,25 @@ def test_assemble_1d_fpf_equals_crisan_pointwise():
     cx = assemble_filter_coefficients("crisan_xiong", ens, model, "integral_1d")
     assert np.max(np.abs(fpf.K - cx.K)) <= 1e-12
     assert np.max(np.abs(fpf.a - cx.a)) <= 1e-12
+
+
+# the closed-form rows: every row built on solve_exact_gaussian or
+# solve_constant_gain, in 1D and, where the row applies, in 2D
+CLOSED_FORM_ROWS = [(label, gain, d) for label, rows in sorted(ASSEMBLERS.items())
+                    for gain in rows if gain in ("exact_gaussian", "constant",
+                                                 "galerkin")
+                    for d in ((1,) if label == "crisan_continuous" else (1, 2))]
+
+
+@pytest.mark.parametrize("label, gain, d", CLOSED_FORM_ROWS)
+def test_closed_form_rows_give_one_gain_row(label, gain, d):
+    # K is constant over the cloud: one (1, d) row that broadcasts, and a
+    # drift for every particle
+    x = np.random.default_rng(20).standard_normal((200, d))
+    model = make_linear_gaussian(-0.5 * np.eye(d), [1.0, -0.5][:d])
+    cs = ASSEMBLERS[label][gain](x, model)
+    assert cs.K.shape == (1, d)
+    assert cs.a.shape == (200, d)
 
 
 def test_rows_take_only_the_cloud_the_model_and_their_gain_options():
