@@ -170,6 +170,9 @@ GAINS = sorted({gain for row in ASSEMBLERS.values() for gain in row})
 # snapshots, when reference.grid_kushner.points is absent
 REFERENCE_POINTS = 1201
 THEORY_POINTS = 2001
+# the most cell updates (points x CFL substeps x fine steps) that a grid
+# Kushner solve may take: about 18 minutes at some 10 ns per cell update
+MAX_REFERENCE_CELL_UPDATES = 10**11
 
 # the parameters of the built-in models, by name; apart from MODEL_REGISTRY,
 # whose builders register_model may replace
@@ -200,7 +203,7 @@ CONFIG = {
     "seeds": {key: (*SEED, REQUIRED) for key in ("truth", "observation", "filter")},
     # absent: the grid's delta, seeds.filter and no n axis (run_delta_sweep)
     "sweep": {"delta": ("a non-empty list of positive finite numbers", [POSITIVE]),
-              "seeds": ("a list of integers >= 0", [SEED]),
+              "seeds": ("a non-empty list of integers >= 0", [SEED]),
               "n": ("a list of integers >= 2", [_at_least(2)])},
     "reference": {
         "kalman_bucy": ("true or false", lambda v: isinstance(v, bool), True),
@@ -259,6 +262,7 @@ def parse_config(raw) -> ExperimentConfig:
         init = InitialDensity(**cfg["init"])
     except ValueError as exc:
         raise ConfigError("init", str(exc)) from None
+    _check_path_size(grid, init.dim)
     filters = []
     for i, f in enumerate(cfg["filters"]):
         try:        # also: mass_matrix is delta_reich's only
@@ -269,12 +273,13 @@ def parse_config(raw) -> ExperimentConfig:
             raise ConfigError(f"filters[{i}].gain", f"{kind.label()} takes "
                               f"{sorted(ASSEMBLERS[kind.label()])}, not {f['gain']!r}")
         filters.append(FilterSpec(kind, f["gain"], f["gain_opts"]))
+    for key in ("delta", "seeds"):
+        if key in sweep and not sweep[key]:
+            raise ConfigError(f"sweep.{key}", "must not be empty")
     if "delta" in sweep:
-        if not sweep["delta"]:
-            raise ConfigError("sweep.delta", "must not be empty")
         for dv in sweep["delta"]:       # each divides the horizon into steps
             try:
-                replace(grid, delta=dv)
+                _check_path_size(replace(grid, delta=dv), init.dim)
             except (ValueError, OverflowError) as exc:
                 raise ConfigError("sweep.delta", str(exc)) from None
         _check_twins(filters)
@@ -283,6 +288,14 @@ def parse_config(raw) -> ExperimentConfig:
         init=init, ensemble_size=cfg["ensemble_size"], filters=filters,
         seeds=cfg["seeds"], reference=cfg["reference"], sweep=sweep,
         output_dir=cfg["output_dir"])
+
+
+def _check_path_size(grid: TimeGrid, dim: int):
+    """The truth increments (n_fine, 1, dim) must fit one numpy array."""
+    if 8 * (grid.n_fine + 1) * dim > np.iinfo(np.intp).max:
+        raise ConfigError("grid", f"fine_dt={grid.fine_dt} gives {grid.n_fine} "
+                          f"fine steps of {dim} floats each, more than one "
+                          "array can hold")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -298,9 +311,8 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # simulation plumbing
 
-def _simulate_paths(config: ExperimentConfig, model: SystemModel,
-                    grid: Optional[TimeGrid] = None):
-    grid = grid or config.grid
+def _simulate_paths(config: ExperimentConfig, model: SystemModel):
+    grid = config.grid
     d = model.dim
     s = config.seeds
     x0 = config.init.sample(1, CounterStream(s["truth"], label=0).normals(0, (1, d)))
@@ -328,7 +340,8 @@ def _reseeded(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
     """The initial law on the grid Kushner grid (of points unless configured),
     whose CFL step 0.4 dx^2 must split a fine step into a finite number of
-    substeps."""
+    substeps, and the solve into at most MAX_REFERENCE_CELL_UPDATES cell
+    updates."""
     if config.init.kind == "grid_table":
         where = "init"
         dens = Density1D(grid=config.init.grid, values=config.init.values)
@@ -349,6 +362,14 @@ def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
         raise ConfigError(where, f"the grid spacing {dens.dx:g} gives the CFL "
                           f"step {cfl:g}, which splits no fine step of "
                           f"{config.grid.fine_dt:g} into a finite count")
+    # a float, which may be inf: the substeps can number up to 1e308
+    updates = float(max(1, math.ceil(config.grid.fine_dt / cfl))) \
+        * dens.grid.size * config.grid.n_fine
+    if updates > MAX_REFERENCE_CELL_UPDATES:
+        raise ConfigError(where, f"{dens.grid.size} points at spacing "
+                          f"{dens.dx:g} need {updates:.3g} cell updates over "
+                          f"{config.grid.n_fine} fine steps, more than "
+                          f"{MAX_REFERENCE_CELL_UPDATES:.0e}")
     return dens
 
 
@@ -491,12 +512,19 @@ class SweepReport:
     monotone_counts: dict       # filter -> number of monotone seeds
 
 
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    from scipy.stats import spearmanr
+def _ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks from 1, each tie given the mean of the ranks it spans."""
+    _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inv]
 
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: the correlation of the ranks, taken as the [1, 0]
+    entry, in which scipy.stats.spearmanr divides."""
     if len(set(y)) <= 1 or x.size < 2:
         return float("nan")
-    return float(spearmanr(x, y).statistic)
+    ranks = np.column_stack((_ranks(x), _ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def _rmse(means: np.ndarray, ref: np.ndarray) -> float:
@@ -517,6 +545,8 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     RMSE against the exact reference is reported alongside.  The trend
     (Spearman rho and per-seed monotonicity) is reported, not asserted."""
     model = config.build_model()
+    if not config.filters:
+        raise ConfigError("filters", "a sweep needs at least one filter")
     _check_twins(config.filters)    # also when sweep.delta is left to default
     sweep = {"delta": [config.grid.delta], "seeds": [config.seeds["filter"]],
              "n": [], **config.sweep}
@@ -524,39 +554,37 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     for a, b in zip(deltas[:-1], deltas[1:]):
         if abs(a / b - round(a / b)) > 1e-9:
             raise NonNestedMeshes(f"{a} is not an integer multiple of {b}")
-    fine_dt = config.grid.fine_dt
     rows, trends, monotone = [], {}, {}
     coarse_delta = max(deltas)
-    grids = [replace(config.grid, delta=dv) for dv in deltas]
-    base_grid = grids[-1]       # the finest mesh
-    twin_every = round(coarse_delta / base_grid.delta)
+    grids = [replace(config.grid, delta=dv) for dv in deltas]   # coarsest first
     keys = [_twin(spec) for spec in config.filters]
     twins = [key for i, key in enumerate(keys) if key not in keys[:i]]   # once each
 
-    fine_paths = {}             # seed -> its path on the fine grid
+    # seed -> its path on the configured mesh; the fine observation depends
+    # only on fine_dt and the horizon, which every mesh of the sweep shares
+    fine_paths = {}
     for seed in seeds:
         local = _reseeded(config, seed)
-        fine_path = fine_paths[seed] = _simulate_paths(local, model,
-                                                       grid=base_grid)
+        fine_path = fine_paths[seed] = _simulate_paths(local, model)
         cloud = _initial_cloud(local, model.dim)
+        paths = [smoothed_path(fine_path.z, g) for g in grids]
         exact_means = None
         if _kalman_bucy_exact(config, model):
-            em, _ = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
-                                    config.init.cov, fine_path.fine_increments(),
-                                    fine_dt, record_every=1)
-            exact_means = em[::round(coarse_delta / fine_dt)]
+            exact_means, _ = run_kalman_bucy(
+                model.A, model.h_row(), config.init.mean, config.init.cov,
+                fine_path.fine_increments(), config.grid.fine_dt,
+                record_every=grids[0].steps_per_mesh)
 
-        # the twins on the finest mesh, then per filter one run per delta,
-        # all in one lockstep group
-        paths = [smoothed_path(fine_path.z, g) for g in grids]
-        runs = [Run(FilterKind(tag), gain, fine_path, base_grid, cloud, opts)
+        # the twins, which read the fine increments, recorded on the coarsest
+        # mesh, then per filter one run per delta, all in one lockstep group
+        runs = [Run(FilterKind(tag), gain, paths[0], grids[0], cloud, opts)
                 for tag, gain, opts in twins]
         runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
                  for spec in config.filters for p, g in zip(paths, grids)]
         outs = _completed(run_lockstep(runs, model, local.seeds["filter"]))
         twin_outs, outs = outs[:len(twins)], iter(outs[len(twins):])
         for spec, key in zip(config.filters, keys):
-            twin_means = twin_outs[twins.index(key)].means[::twin_every]
+            twin_means = twin_outs[twins.index(key)].means
             rmses = []
             for dv in deltas:
                 means_c = next(outs).means[::round(coarse_delta / dv)]
@@ -574,17 +602,16 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
             monotone[spec.label()] = monotone.get(spec.label(), 0) + int(
                 len(deltas) > 1 and bool(np.all(np.diff(arr) <= 1e-15)))
 
-    # ensemble-size sweep at the configured delta; a seed's path (the same
-    # fine path on the configured mesh) and reference do not depend on n
-    references = {}             # seed -> (path, reference means)
+    # ensemble-size sweep at the configured delta; a seed's path and
+    # reference do not depend on n
+    references = {}             # seed -> reference means
     for n_val in sweep["n"]:
         for seed in seeds:
             local = _reseeded(config, seed)
+            path = fine_paths[seed]
             if seed not in references:
-                path = smoothed_path(fine_paths[seed].z, config.grid)
-                references[seed] = path, _reference_solution(local, model,
-                                                             path)[1]
-            path, ref_means = references[seed]
+                references[seed] = _reference_solution(local, model, path)[1]
+            ref_means = references[seed]
             cloud = _initial_cloud(local, model.dim, n=n_val)
             runs = [Run(spec.kind, spec.gain, path, config.grid, cloud,
                         spec.gain_opts) for spec in config.filters]

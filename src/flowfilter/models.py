@@ -17,6 +17,7 @@ cloud; they are desk-scale certificates, not global proofs, and the
 report records the cloud it was computed on.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -151,13 +152,28 @@ class InitialDensity:
         if self.kind == "gaussian":
             chol = np.linalg.cholesky(self.cov)
             return self.mean[None, :] + normals @ chol.T
-        from scipy.special import ndtr
-
         cdf = np.concatenate([[0.0], np.cumsum(
             0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid))])
         cdf /= cdf[-1]
-        u = ndtr(normals[:, 0])
+        u = _ndtr(normals[:, 0])
         return np.interp(u, cdf, self.grid).reshape(n, 1)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each entry, in the form of cephes' ndtr:
+    with x = a sqrt(1/2), 0.5 + 0.5 erf(x) for |x| < sqrt(1/2), else from
+    erfc(|x|), which keeps the relative accuracy of the lower tail."""
+    out = np.empty(a.shape)
+    for i, x in enumerate(a * _SQRT_HALF):
+        if abs(x) < _SQRT_HALF:
+            out[i] = 0.5 + 0.5 * math.erf(x)
+        else:
+            y = 0.5 * math.erfc(abs(x))
+            out[i] = 1.0 - y if x > 0 else y
+    return out
 
 
 @dataclass

@@ -5,9 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from flowfilter.cli import (SCHEMA_VERSION, emit_plot_data, emit_sweep_csv,
                             emit_theory_csv, main, parse_config,
@@ -274,13 +278,8 @@ def test_sweep_seed_flag_overrides_listed_seeds(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    src = os.path.dirname(os.path.dirname(gain.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, flowfilter.cli; "
-         "print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+    out = _run_src(["-c", "import sys, flowfilter.cli; "
+                    "print('scipy.integrate' in sys.modules)"], check=True)
     assert out.stdout.strip() == "False"
 
 
@@ -289,36 +288,68 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from flowfilter import cli
-run_cfg, ou_cfg, out = sys.argv[1:]
-cli.load_config(run_cfg)
+jobs, out = json.loads(sys.argv[1]), sys.argv[2]
+for _, _, cfg in jobs:
+    cli.load_config(cfg)
 seen = {"import": scipy_modules()}
-codes = {"run": cli.main(["run", run_cfg, "--out-dir", out + "/run"])}
-seen["run"] = scipy_modules()
-codes["theory"] = cli.main(["theory", ou_cfg, "--out-dir", out + "/theory"])
-seen["theory"] = scipy_modules()
+codes = {}
+for name, command, cfg in jobs:
+    codes[name] = cli.main([command, cfg, "--out-dir", out + "/" + name])
+    seen[name] = scipy_modules()
 print(json.dumps({"codes": codes, "scipy": seen}))
 """
 
 
+def _run_src(args, **kwargs):
+    """python args in a fresh process that imports flowfilter from this tree."""
+    src = os.path.dirname(os.path.dirname(gain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
 def test_run_and_theory_load_no_scipy(tmp_path):
-    # scipy is left to sweep's Spearman trend and grid_table sampling
+    # nor do sweep, whose Spearman trend took scipy.stats, and a grid_table
+    # run, whose sampling took scipy.special.ndtr
     raw = {**copy.deepcopy(BASE), **TANH_GRID, "ensemble_size": 300,
            "filters": [{"kind": "delta_fpf", "gain": "integral_1d"},
                        {"kind": "crisan_xiong", "gain": "integral_1d"},
                        {"kind": "delta_fpf", "gain": "galerkin"}]}
-    run_cfg = tmp_path / "tanh.json"
-    run_cfg.write_text(json.dumps(raw))
-    src = os.path.dirname(os.path.dirname(gain.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE, str(run_cfg),
-         os.path.join(os.path.dirname(src), "configs", "ou_theory.json"),
-         str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True)
+    configs = {"run": raw, "table": {**raw, "init": _grid_table()},
+               "sweep": {**copy.deepcopy(BASE), "sweep": {
+                   "delta": [0.02, 0.01], "seeds": [11]}}}
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    jobs = [["run", "run", str(tmp_path / "run.json")],
+            ["table", "run", str(tmp_path / "table.json")],
+            ["sweep", "sweep", str(tmp_path / "sweep.json")],
+            ["theory", "theory", os.path.join(CONFIGS, "ou_theory.json")]]
+    out = _run_src(["-c", SCIPY_FREE, json.dumps(jobs), str(tmp_path)],
+                   check=True)
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result["codes"] == {"run": 0, "theory": 0}
-    assert result["scipy"] == {"import": [], "run": [], "theory": []}
+    assert result["codes"] == {"run": 0, "table": 0, "sweep": 0, "theory": 0}
+    assert result["scipy"] == {"import": [], "run": [], "table": [],
+                               "sweep": [], "theory": []}
+
+
+TIED = st.sampled_from([0.0, 1.0, 1.0, 2.5, -3.0]) | st.floats(-10, 10)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(TIED, min_size=n, max_size=n), st.lists(TIED, min_size=n, max_size=n))))
+def test_spearman_is_scipys_bitwise(xy):
+    x, y = (np.array(v) for v in xy)
+    with warnings.catch_warnings():     # scipy and numpy warn on constant input
+        warnings.simplefilter("ignore")
+        ours, ref = cli._spearman(x, y), float(spearmanr(x, y).statistic)
+    if len(set(y)) <= 1:
+        assert np.isnan(ours) and np.isnan(ref)
+    elif np.isnan(ref):
+        assert np.isnan(ours)
+    else:
+        assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
 
 
 def test_sweep_single_delta_trend_na(tmp_path):
@@ -369,8 +400,8 @@ def test_sweep_runs_each_continuous_twin_once(monkeypatch, tmp_path):
 
 def test_sweep_n_axis_takes_each_seed_path_and_reference_once(monkeypatch):
     # neither the path nor the reference of a seed depends on n: the n axis
-    # meshes the fine path of the delta axis and solves each seed's
-    # reference once (8 path simulations and 6 references before)
+    # takes the path of the delta axis and solves each seed's reference once
+    # (8 path simulations and 6 references before)
     calls = {"paths": 0, "references": 0}
 
     def counted(name, fn):
@@ -389,6 +420,17 @@ def test_sweep_n_axis_takes_each_seed_path_and_reference_once(monkeypatch):
     assert calls == {"paths": 2, "references": 2}
     rows = [(r.value, r.seed) for r in report.rows if r.axis == "n"]
     assert rows == [(n, s) for n in (20.0, 40.0, 80.0) for s in (5, 6)]
+
+
+@pytest.mark.parametrize("sweep", [{"delta": [0.02, 0.01]}, {}])
+def test_sweep_without_filters_exit_2(tmp_path, capsys, sweep):
+    # printed "sweep complete: 0 rows" and wrote header-only CSVs; run and
+    # theory still take an empty filter list
+    raw = {**copy.deepcopy(BASE), "sweep": sweep, "filters": []}
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, "sweep")
+    assert code == 2
+    assert "config.filters:" in err_text
+    assert not os.path.exists(tmp_path / "o" / "sweep.csv")
 
 
 def test_sweep_rejects_non_nested_meshes():
@@ -690,6 +732,7 @@ def test_unallocatable_kde_aborts_its_filter_only(tmp_path, capsys):
     ("sweep", {"seeds": ["a"]}, "sweep.seeds"),
     ("sweep", {"seeds": [-1]}, "sweep.seeds"),
     ("sweep", {"seeds": 5}, "sweep.seeds"),
+    ("sweep", {"seeds": []}, "sweep.seeds"),     # swept nothing, exit 0
     ("sweep", {"deltas": [0.01]}, "sweep.deltas"),
     ("seeds", {"truth": "x", "observation": 2, "filter": 3}, "seeds.truth"),
     ("seeds", {"truth": 1, "observation": 2.5, "filter": 3},
@@ -754,6 +797,42 @@ def test_model_parameters_checked(tmp_path, capsys, model, field):
     code, err_text = _exit_and_field(tmp_path, capsys, raw)
     assert code == 2
     assert f"config.{field}:" in err_text
+
+
+def test_fine_path_too_big_for_the_model_dimension_exit_2(tmp_path, capsys):
+    # 2^59 fine steps of one float fit numpy's size limit, of two do not:
+    # numpy's "array is too big" ValueError left main (exit 1)
+    raw = {**copy.deepcopy(BASE),
+           "grid": {"t0": 0.0, "T": 1.0, "delta": 1.0, "fine_dt": 2.0**-59},
+           "model": {"name": "linear_gaussian", "A": [[-0.5, 0.2], [0.0, -1.0]],
+                     "H": [1.0, 0.5]},
+           "init": {"kind": "gaussian", "mean": [1.0, 0.0],
+                    "cov": [[0.5, 0.0], [0.0, 0.5]]}}
+    for command in ("run", "sweep"):
+        code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+        assert code == 2
+        assert "config.grid:" in err_text
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"reference": {"grid_kushner": {"half_width": 1e-3, "points": 1201}}},
+     "reference.grid_kushner"),
+    ({"reference": {"grid_kushner": {"half_width": 1e-155, "points": 5}}},
+     "reference.grid_kushner"),
+    ({"init": _grid_table(points=1201, half=1e-3)}, "init"),
+], ids=["reference_grid", "substeps_1e308", "table"])
+def test_reference_past_its_cell_update_budget_exit_2(tmp_path, overrides,
+                                                      field):
+    # 9e8 or 1e308 CFL substeps per fine step: the solve ran for hours
+    # without a word
+    raw = {**copy.deepcopy(BASE), **TANH_GRID, **overrides}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    for command in ("run", "theory"):
+        out = _run_src(["-m", "flowfilter.cli", command, str(path),
+                        "--out-dir", str(tmp_path / "o")], timeout=60)
+        assert out.returncode == 2
+        assert f"config.{field}:" in out.stderr
 
 
 def test_theory_on_a_2d_model_exit_2(tmp_path, capsys):

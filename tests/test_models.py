@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from flowfilter.errors import ConditionViolation
 from flowfilter.models import (InitialDensity, LogConcaveOUSpec, SystemModel,
-                               check_gradient, default_cloud,
+                               _ndtr, check_gradient, default_cloud,
                                make_linear_gaussian, make_log_concave_ou,
                                validate_conditions)
 
@@ -153,6 +154,16 @@ def test_initial_density_grid_table_mass():
     d = InitialDensity(kind="grid_table", grid=g, values=v)
     draws = d.sample(4000, np.random.default_rng(1).normal(size=(4000, 1)))
     assert abs(draws.mean()) < 0.06
+
+
+def test_ndtr_matches_scipy_to_last_bits():
+    # math.erf and erfc in cephes' branches; libm and cephes differ in the
+    # last bits, so the match is relative, not bitwise
+    a = np.random.default_rng(7).standard_normal(200000)
+    assert np.all(np.abs(_ndtr(a) - ndtr(a)) <= 1e-14 * ndtr(a))
+    edges = np.array([-np.inf, -40.0, -0.0, 0.0, 40.0, np.inf])
+    assert np.array_equal(_ndtr(edges), ndtr(edges))
+    assert np.isnan(_ndtr(np.array([np.nan]))[0])
 
 
 def test_initial_density_grid_table_from_lists():
