@@ -17,7 +17,9 @@ All seeds are explicit in the config; re-running a config reproduces every
 CSV bitwise.  The filters of a run, and the runs of one sweep seed, share
 the filter seed, so they advance as one lockstep group
 (filters.run_lockstep) that draws each noise block once; --threads is
-accepted and changes nothing.
+accepted and changes nothing.  main first sets the allocator policy of
+its process (_keep_freed_heap), so a step's temporaries are reused from
+the heap in place of faulting in again.
 """
 
 import argparse
@@ -405,6 +407,18 @@ def _kalman_bucy_exact(config: ExperimentConfig, model: SystemModel) -> bool:
     return model.kind == "linear_gaussian" and config.init.kind == "gaussian"
 
 
+def _reference_density(config: ExperimentConfig,
+                       model: SystemModel) -> Optional[Density1D]:
+    """The initial law of the grid Kushner reference, or None where the
+    reference is Kalman-Bucy; a ConfigError where no reference fits."""
+    if _kalman_bucy_exact(config, model) and config.reference["kalman_bucy"]:
+        return None
+    if model.dim != 1:
+        raise ConfigError("reference", "no reference available: grid Kushner "
+                          "is 1D only and the model is not linear-Gaussian")
+    return _init_grid_density(config, REFERENCE_POINTS)
+
+
 def _reference_solution(config: ExperimentConfig, model: SystemModel,
                         path: ObservationPath):
     """Mesh-point reference moments driven by the identical slope process:
@@ -412,16 +426,14 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
     1D grid Kushner filter.  Returns (kind, means, covs, clip_count), the
     last the grid's count of clipped negative cells (None for Kalman-Bucy)."""
     grid = config.grid
-    drive = path.fine_slopes() * path.grid.fine_dt   # smoothed-path increments
-    if _kalman_bucy_exact(config, model) and config.reference["kalman_bucy"]:
+    dens = _reference_density(config, model)
+    if dens is None:
+        # the smoothed path's increments
+        drive = path.fine_slopes() * path.grid.fine_dt
         means, covs = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
                                       config.init.cov, drive, grid.fine_dt,
                                       record_every=grid.steps_per_mesh)
         return "kalman_bucy", means, covs, None
-    if model.dim != 1:
-        raise ConfigError("reference", "no reference available: grid Kushner "
-                          "is 1D only and the model is not linear-Gaussian")
-    dens = _init_grid_density(config, REFERENCE_POINTS)
     means, vars_, _, clips = run_grid_kushner(dens, model, path.slopes,
                                               grid.fine_dt, grid.steps_per_mesh)
     return "grid_kushner", means[:, None], vars_[:, None, None], clips
@@ -554,6 +566,8 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     for a, b in zip(deltas[:-1], deltas[1:]):
         if abs(a / b - round(a / b)) > 1e-9:
             raise NonNestedMeshes(f"{a} is not an integer multiple of {b}")
+    if sweep["n"]:          # refuse a bad reference before the delta axis runs
+        _reference_density(config, model)
     rows, trends, monotone = [], {}, {}
     coarse_delta = max(deltas)
     grids = [replace(config.grid, delta=dv) for dv in deltas]   # coarsest first
@@ -776,7 +790,41 @@ def emit_theory_csv(rows: list, out_dir: str):
 # ---------------------------------------------------------------------------
 # entry point
 
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_heap():
+    """The allocator policy of a CLI process: blocks up to 32 MiB come from
+    the heap, and the heap keeps up to 64 MiB of freed memory at its top.
+
+    Every filter step solves again from the current cloud, so it makes and
+    drops the same particle-sized temporaries (80 KiB at N = 1e4, 320 KiB
+    at N = 4e4).  With glibc's defaults those sit near or above its
+    dynamic mmap threshold, or are trimmed from the heap top, so their
+    pages fault in again on every step, at a rate that depends on the heap
+    layout (even on the length of --out-dir).  Both settings are needed:
+    a trim threshold alone turns the dynamic mmap threshold off, so every
+    block above 128 KiB becomes a fresh mapping.  Where the C library has
+    no mallopt (not glibc) this does nothing.  The library itself sets no
+    policy, so importing it leaves the caller's allocator alone.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), \
+        ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="flowfilter", description="particle-flow filter experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -240,20 +240,6 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
 # ---------------------------------------------------------------------------
 # Galerkin route
 
-@functools.lru_cache(maxsize=16)
-def _work_array(name: str, shape: tuple) -> np.ndarray:
-    """A work array kept for every call that asks for this name and shape.
-
-    The Galerkin solve writes the values and gradients of its monomials
-    into (nb, n) and (nb, n, d) arrays; at N = 1e4 in d = 1 they take
-    160 KiB, above glibc's initial 128 KiB mmap threshold, so made afresh
-    on every call each one is a new mapping whose pages fault in again.
-    The solves run on one thread, and no array taken from here outlives
-    the call.
-    """
-    return np.empty(shape)
-
-
 def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
                    m_inv: Optional[np.ndarray] = None,
                    prior_gain: Optional[np.ndarray] = None,
@@ -264,7 +250,7 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
 
     Stiffness A_jk = mean(grad b_j . M^{-1} grad b_k); the load vector
     follows the rhs_kind, fpf_psi reading r = grad h . prior_gain.  The
-    basis values and gradients are written once per solve into work
+    basis values and gradients are written once per solve into two
     arrays.  The symmetric solve carries a 1e-10 ridge followed by two
     iterative-refinement sweeps, so the ridge stabilises degenerate clouds
     without biasing well-conditioned systems.  h is obs(x), evaluated here
@@ -280,9 +266,7 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     nb = d + d * (d + 1) // 2
     if n <= nb:
         raise ValueError("need more particles than basis functions")
-    vals = _work_array("vals", (nb, n))
-    grads = _work_array("grads", (nb, n, d))
-    grads.fill(0.0)
+    vals, grads = np.empty((nb, n)), np.zeros((nb, n, d))
     for j in range(d):
         vals[j] = x[:, j]
         grads[j, :, j] = 1.0
@@ -309,7 +293,7 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     if cond > 1e12:
         raise IllConditioned(cond)
 
-    weighted = _work_array("weighted", (nb, n))
+    weighted = np.empty((nb, n))
     if rhs_kind == "fpf_psi":
         r = np.sum(model.obs_grad(x) * prior_gain, axis=1)
         load = -np.mean(np.multiply(r - r.mean(), vals, out=weighted), axis=1)

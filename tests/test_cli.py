@@ -835,6 +835,32 @@ def test_reference_past_its_cell_update_budget_exit_2(tmp_path, overrides,
         assert f"config.{field}:" in out.stderr
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({**TANH_GRID, "reference": {"grid_kushner": {"half_width": 1e-3,
+                                                  "points": 1201}}},
+     "reference.grid_kushner"),
+    ({"model": {"name": "linear_gaussian", "A": [[-0.5, 0.2], [0.0, -1.0]],
+                "H": [1.0, 0.5]},
+      "init": {"kind": "gaussian", "mean": [1.0, 0.0],
+               "cov": [[0.5, 0.0], [0.0, 0.5]]},
+      "reference": {"kalman_bucy": False}}, "reference"),
+], ids=["past_budget", "none"])
+def test_sweep_n_axis_reference_checked_before_the_delta_axis(
+        tmp_path, capsys, monkeypatch, overrides, field):
+    # the n axis built its reference only after the whole delta axis had run
+    # (2.4 s for this config) and threw those results away
+    groups = []
+    monkeypatch.setattr(cli, "run_lockstep",
+                        lambda *args: groups.append(args) or [])
+    raw = {**copy.deepcopy(BASE), **overrides,
+           "filters": [{"kind": "delta_fpf", "gain": "exact_gaussian"}],
+           "sweep": {"n": [300], "seeds": [4, 5]}}
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, "sweep")
+    assert code == 2
+    assert f"config.{field}:" in err_text
+    assert groups == []
+
+
 def test_theory_on_a_2d_model_exit_2(tmp_path, capsys):
     # the grid Kushner snapshots are 1D: a 2D model raised a numpy matmul
     # ValueError out of main (exit 1) after simulating the paths
@@ -915,3 +941,46 @@ def test_initial_table_on_one_point_is_a_numerical_failure(tmp_path, capsys):
     code, err = _exit_and_field(tmp_path, capsys, raw, "theory")
     assert code == 3
     assert "NonPositiveDensity" in err and "1 grid point" in err
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+ALLOCATOR_FAULTS = r"""
+import resource
+import numpy as np
+from flowfilter import cli
+cli._keep_freed_heap()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    temporaries = [np.ones(40000) for _ in range(3)]    # 320 KiB each
+    del temporaries
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the policy is glibc's mallopt")
+def test_allocator_policy_reuses_freed_temporaries():
+    # an N = 4e4 filter step's temporaries: with glibc's defaults each one
+    # is trimmed or mapped afresh and faults its 80 pages in again
+    out = _run_src(["-c", ALLOCATOR_FAULTS], check=True)
+    assert int(out.stdout) < 500
+
+
+def _no_handle(name):
+    raise OSError("no C library handle")
+
+
+@pytest.mark.parametrize("libc", [lambda name: object(), _no_handle],
+                         ids=["no_mallopt", "no_handle"])
+def test_allocator_policy_without_mallopt_is_a_silent_no_op(
+        monkeypatch, capsys, libc):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    assert cli._keep_freed_heap() is None
+    assert capsys.readouterr() == ("", "")
