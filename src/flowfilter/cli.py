@@ -41,7 +41,7 @@ from .errors import (ConfigError, FlowFilterError, NonNestedMeshes,
 from .filters import FilterKind, FilterRun, Run, run_lockstep
 # bound here only for the tracer in perfbench/layers.py, which wraps it
 from .filters import run_filter  # noqa: F401
-from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE
+from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE, galerkin_basis_size
 from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import (ObservationPath, TimeGrid, simulate_observations,
@@ -275,6 +275,16 @@ def parse_config(raw) -> ExperimentConfig:
             raise ConfigError(f"filters[{i}].gain", f"{kind.label()} takes "
                               f"{sorted(ASSEMBLERS[kind.label()])}, not {f['gain']!r}")
         filters.append(FilterSpec(kind, f["gain"], f["gain_opts"]))
+    # a delta galerkin row solves its drift on the monomial basis, which
+    # needs more particles than functions; the continuous-time galerkin rows
+    # are constant rows
+    if any(f.gain == "galerkin" and f.kind.consumes_slope for f in filters):
+        nb = galerkin_basis_size(init.dim)
+        for where, n in [("ensemble_size", cfg["ensemble_size"]),
+                         *(("sweep.n", n) for n in sweep.get("n", ()))]:
+            if n <= nb:
+                raise ConfigError(where, f"a galerkin filter in {init.dim}D "
+                                  f"needs more than {nb} particles, not {n}")
     for key in ("delta", "seeds"):
         if key in sweep and not sweep[key]:
             raise ConfigError(f"sweep.{key}", "must not be empty")

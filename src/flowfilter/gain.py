@@ -65,9 +65,6 @@ class GainField:
     diagnostics: dict = field(default_factory=dict)
     gain_grid: Optional[np.ndarray] = None
     coefficients: Optional[np.ndarray] = None
-    # a 1D gain solve's (h, hbar, I = int (h - hbar) rho) on the grid, which
-    # the fpf_psi solve of the same step reuses
-    phi_terms: Optional[tuple] = None
 
 
 def solve_exact_gaussian(moments: Moments, H) -> GainField:
@@ -164,19 +161,17 @@ def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
 
 def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
                       particles: Optional[np.ndarray] = None,
-                      phi: Optional[GainField] = None,
                       eps_floor: float = EPS_RHO) -> GainField:
     """Integrate the 1D Poisson equation once on the grid.
 
     For the gain kinds, rho(x) K(x) = -int_{-inf}^x (h - hbar) rho dy and
     the same cumulative integral serves the unweighted crisan_beta case
-    since K = beta'/rho with beta'' = -(h - hbar) rho.  Drift kinds return
-    the gradient field of their potential, grad psi or grad alpha / rho
-    (in 1D the Reich fields grad Lambda and grad Omega with M = I are the
-    crisan_beta and crisan_alpha fields).  fpf_psi
-    takes h, hbar, I and the gain from phi, the fpf_phi field of the same
-    density, and raises ValueError without it.  Only the gain kinds report
-    the centring of their potential.
+    since K = beta'/rho with beta'' = -(h - hbar) rho.  The drift kind
+    crisan_alpha returns grad alpha / rho.  In 1D the FPF gain K and drift
+    -(h + hbar) K / 2 + grad psi / 2, and the Reich fields grad Lambda and
+    grad Omega with M = I, are the crisan_beta and crisan_alpha fields, so
+    the route takes those names only.  Only the gain kinds report the
+    centring of their potential.
     """
     if model.dim != 1:
         raise DimensionError("solve_1d_integral requires d = 1")
@@ -188,7 +183,6 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     rho_f = np.maximum(rho, eps_floor)
     # density mass below the floor, not the share of (mostly tail) grid points
     floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
-    phi_terms = None
     diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
 
     if rhs_kind in GAIN_KINDS:
@@ -198,26 +192,10 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
         gain_grid = -I / rho_f
         # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
         resid = float(np.max(np.abs(_gradient(-I, dx) + (h - hb) * rho)))
-        phi_terms = (h, hb, I)
         # centred potential of the gain, read only by the centring diagnostic
         potential = cumulative_simpson(gain_grid, dx)
         potential -= _trapezoid(potential * rho, spacing)
         diagnostics["centring"] = abs(_trapezoid(potential * rho, spacing))
-    elif rhs_kind == "fpf_psi":
-        # integrate by parts with rbar = h2bar - hbar^2 (the weak-form value):
-        # rho psi' = S - (h + hbar) I, S = int (h^2 - h2bar) rho,
-        # I = int (h - hbar) rho.  Exact in 1D; the residual below checks it
-        # against the direct rhs (r - rbar) rho with r = h' K.
-        if phi is None:
-            raise ValueError("the fpf_psi solve needs the fpf_phi field")
-        h, hb, I = phi.phi_terms
-        h2b = _trapezoid(h * h * rho, spacing)
-        S = cumulative_simpson((h * h - h2b) * rho, dx)
-        rho_psi_p = S - (h + hb) * I
-        gain_grid = rho_psi_p / rho_f
-        r = model.obs_grad(x2)[:, 0] * phi.gain_grid
-        rb = h2b - hb * hb
-        resid = float(np.max(np.abs(_gradient(rho_psi_p, dx) - (r - rb) * rho)))
     elif rhs_kind == "crisan_alpha":
         h = model.obs(x2)
         h2b = _trapezoid(h * h * rho, spacing)
@@ -233,12 +211,17 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
         at = GridIntervals(g, xs).interp(gain_grid).reshape(-1, 1)
-    return GainField(at_particles=at, gain_grid=gain_grid, phi_terms=phi_terms,
+    return GainField(at_particles=at, gain_grid=gain_grid,
                      diagnostics={"residual": resid, **diagnostics})
 
 
 # ---------------------------------------------------------------------------
 # Galerkin route
+
+def galerkin_basis_size(d: int) -> int:
+    """The d linear and d(d+1)/2 quadratic monomials of the drift basis."""
+    return d + d * (d + 1) // 2
+
 
 def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
                    m_inv: Optional[np.ndarray] = None,
@@ -263,7 +246,7 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     if rhs_kind == "fpf_psi" and prior_gain is None:
         raise ValueError("the fpf_psi solve needs the prior gain")
     n, d = x.shape
-    nb = d + d * (d + 1) // 2
+    nb = galerkin_basis_size(d)
     if n <= nb:
         raise ValueError("need more particles than basis functions")
     vals, grads = np.empty((nb, n)), np.zeros((nb, n, d))
@@ -405,26 +388,10 @@ def _constant_coefficients(x, model) -> CoefficientSet:
                           fld.at_particles, fld.diagnostics)
 
 
-def _integral_fpf(x, model, density=None, kde_opts=None,
-                  eps_floor=EPS_RHO) -> CoefficientSet:
-    density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
-    kf = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
-    psif = solve_1d_integral(density, model, "fpf_psi", phi=kf,
-                             eps_floor=eps_floor)
-    # a on the grid with the grid hbar, so the exact 1D identity
-    # a = -(h+hbar)K/2 + grad psi/2 = grad alpha / rho carries to the particles
-    h, hb, _ = kf.phi_terms
-    a_grid = -0.5 * kf.gain_grid * (h + hb) + 0.5 * psif.gain_grid
-    cells = GridIntervals(density.grid, x[:, 0])
-    return CoefficientSet(cells.interp(a_grid).reshape(-1, 1),
-                          cells.interp(kf.gain_grid).reshape(-1, 1),
-                          {**kf.diagnostics,
-                           "psi_residual": psif.diagnostics["residual"]})
-
-
 def _integral_beta_alpha(x, model, density=None, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
-    """K = grad beta / rho, a = grad alpha / rho; in 1D the Reich fields
+    """K = grad beta / rho, a = grad alpha / rho; in 1D the FPF fields
+    K = grad phi, a = -(h + hbar) K / 2 + grad psi / 2 and the Reich fields
     grad Lambda and grad Omega (M = I) solve the same equations."""
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
     kf, af = (solve_1d_integral(density, model, kind, eps_floor=eps_floor)
@@ -506,11 +473,12 @@ _CRISAN_XIONG = {"exact_gaussian": _exact_coefficients,
 
 # filter kind label -> gain method -> row, each row a function
 # row(x, model, **its GAIN_OPTS) that reads nothing but the cloud, the model
-# and its options
+# and its options; in 1D the delta kinds share one field, so one
+# integral_1d row
 ASSEMBLERS = {
     "delta_fpf": {"exact_gaussian": _exact_coefficients,
                   "constant": _constant_coefficients,
-                  "integral_1d": _integral_fpf,
+                  "integral_1d": _integral_beta_alpha,
                   "galerkin": _galerkin_fpf},
     "delta_reich(identity)": {"exact_gaussian": _exact_coefficients,
                               "integral_1d": _integral_beta_alpha,

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConditionViolation
+from .errors import CertificateFailed, ConditionViolation
 
 _FD_STEP = 1e-4
 # R = |Hx|^2 + (lap U + |grad U|^2) nests second derivatives of U inside a
@@ -267,7 +267,8 @@ def _make_R(spec: LogConcaveOUSpec, Hrow: np.ndarray):
 
 def make_log_concave_ou(spec: LogConcaveOUSpec, H, points=None) -> SystemModel:
     """OU-type benchmark: drift = grad U, observation H x, with (C1)/(C3)
-    checked on a sample cloud (ConditionViolation on failure)."""
+    checked on a sample cloud (ConditionViolation on failure, CertificateFailed
+    where a margin is not finite)."""
     Hrow = np.asarray(H, dtype=float).reshape(-1)
     d = Hrow.shape[0]
 
@@ -301,13 +302,32 @@ def default_cloud(dim: int, half_width: float = 3.0, n: int = 41) -> np.ndarray:
     return half_width / 3.0 * rng.standard_normal((n, dim))
 
 
+def _worst_margin(name: str, pts: np.ndarray, hessian, margin) -> ConditionCheck:
+    """The check of condition name: the smallest margin(eigenvalues of
+    hessian(x)) over the points x, >= 0 required, and the point that attains
+    it.  A Hessian or margin that is not finite certifies nothing, so it
+    raises CertificateFailed naming the condition and the point."""
+    worst, witness = np.inf, None
+    for x in pts:
+        hess = hessian(x)
+        m = margin(np.linalg.eigvalsh(hess)) if np.all(np.isfinite(hess)) \
+            else np.nan
+        if not np.isfinite(m):
+            raise CertificateFailed(f"condition {name} cannot be checked at "
+                                    f"{x}: margin {m}")
+        if m < worst:
+            worst, witness = m, x
+    return ConditionCheck(name, worst >= -_COND_TOL, worst, witness)
+
+
 def validate_conditions(model: SystemModel, spec: LogConcaveOUSpec,
                         points) -> ConditionReport:
     """Check (C1)-(C4) of the log-concave OU hypothesis set on a point cloud.
 
     Report-only: per-condition pass/fail with the worst-case margin and the
     witness point.  (C2) concerns the initial density decomposition and is
-    user-asserted through spec.c_g; it is recorded as such.
+    user-asserted through spec.c_g; it is recorded as such.  A (C1) or (C3)
+    margin that is not finite raises CertificateFailed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -319,14 +339,9 @@ def validate_conditions(model: SystemModel, spec: LogConcaveOUSpec,
     report = ConditionReport(n_points=pts.shape[0])
 
     # C1: hess U <= -c_u I  <=>  lambda_max(hess U) <= -c_u
-    worst = np.inf
-    witness = None
-    for x in pts:
-        lam = np.linalg.eigvalsh(_fd_hessian(spec.potential, x))[-1]
-        margin = -spec.c_u - lam            # >= 0 required
-        if margin < worst:
-            worst, witness = margin, x
-    report.checks.append(ConditionCheck("C1", worst >= -_COND_TOL, worst, witness))
+    report.checks.append(_worst_margin(
+        "C1", pts, lambda x: _fd_hessian(spec.potential, x),
+        lambda lam: -spec.c_u - lam[-1]))
 
     # C2: initial-density convexity parameter, asserted by the caller
     report.checks.append(ConditionCheck(
@@ -334,14 +349,9 @@ def validate_conditions(model: SystemModel, spec: LogConcaveOUSpec,
         "asserted convexity of U + G0 for the chosen initial density"))
 
     # C3: hess R >= c_r I
-    worst = np.inf
-    witness = None
-    for x in pts:
-        lam = np.linalg.eigvalsh(_fd_hessian(R, x, h=_FD_STEP_CHAIN))[0]
-        margin = lam - spec.c_r
-        if margin < worst:
-            worst, witness = margin, x
-    report.checks.append(ConditionCheck("C3", worst >= -_COND_TOL, worst, witness))
+    report.checks.append(_worst_margin(
+        "C3", pts, lambda x: _fd_hessian(R, x, h=_FD_STEP_CHAIN),
+        lambda lam: lam[0] - spec.c_r))
 
     # C4: |grad U| <= D (1 + |x|)
     g = spec.grad_potential(pts)
@@ -351,15 +361,3 @@ def validate_conditions(model: SystemModel, spec: LogConcaveOUSpec,
     report.checks.append(ConditionCheck("C4", slack[i] >= -_COND_TOL,
                                         float(slack[i]), pts[i]))
     return report
-
-
-def check_gradient(model: SystemModel, points, rel_tol: float = 1e-5) -> float:
-    """Max relative error of obs_grad against central differences of obs."""
-    pts = as_batch(points, model.dim)
-    fd = _fd_gradient(model.obs, pts)
-    an = model.obs_grad(pts)
-    scale = np.maximum(np.abs(an), 1.0)
-    err = float(np.max(np.abs(an - fd) / scale))
-    if err > rel_tol:
-        raise ValueError(f"obs_grad disagrees with finite differences: {err:.3e}")
-    return err

@@ -94,8 +94,3 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
             snapshots[m + 1] = cur
     return means, vars_, snapshots, nclip_total
 
-
-def riccati_fixed_point(A: float, H: float) -> float:
-    """Positive root of 2AP + 1 - P^2 H^2 = 0 (scalar stationary variance)."""
-    return (A + np.sqrt(A * A + H * H)) / (H * H)
-

@@ -11,12 +11,7 @@ SRC = ROOT / "src" / "flowfilter"
 
 # name -> why it stays without a caller outside the tests
 KEPT = {
-    "riccati_fixed_point": "the scalar Kalman-Bucy fixed point that the "
-                           "reference tests compare the Riccati flow with",
-    "check_gradient": "the finite-difference check that the model tests "
-                      "hold every obs_grad to",
-    "density_from_function": "builds the reference densities the gain and "
-                             "acceptance tests solve on",
+    "density_from_function": "acceptance criterion 3 imports it",
     "affine_pushforward": "the paper's affine push-forward of a Poincare "
                           "constant (theory API)",
     "lipschitz_transfer": "the paper's Lipschitz transfer of a Poincare "

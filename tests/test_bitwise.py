@@ -7,6 +7,10 @@ Galerkin solve with one closure call per monomial, a matmul by M^{-1}
 component; the kernel density estimate with np.var, np.std and np.mean;
 the 1D integral solve with np.trapezoid and np.gradient.  The rewrites
 must give the same bytes, diagnostics included, or raise the same error.
+The integral oracle also keeps the 1D FPF drift solve fpf_psi, by
+integration by parts, which the library does not have: in 1D its field is
+the crisan_alpha field, and tests/test_identities.py holds the library's
+integral_1d row to oracle_fpf.
 The Galerkin oracle also solves for the gain on the linear monomials,
 which the library takes from the constant gain instead
 (tests/test_identities.py holds the two together).  The drawn clouds are
@@ -28,7 +32,7 @@ from flowfilter.gain import (ASSEMBLERS, EPS_RHO, RIDGE, GainField,
                              solve_galerkin)
 from flowfilter.models import SystemModel, make_linear_gaussian
 
-RHS_KINDS = ("fpf_phi", "fpf_psi", "crisan_beta", "crisan_alpha")
+RHS_KINDS = ("fpf_phi", "crisan_beta", "crisan_alpha")
 # the rhs kinds solve_galerkin serves
 DRIFT_KINDS = ("fpf_psi", "reich_omega")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -125,35 +129,36 @@ def oracle_kde(x, grid_points=801, half_width=None, bandwidth=None,
     return Density1D(grid=grid, values=np.maximum(values, 0.0))
 
 
-def oracle_integral(density, model, rhs_kind, particles=None, phi=None,
+def oracle_integral(density, model, rhs_kind, particles=None,
                     eps_floor=EPS_RHO):
     g, rho, dx = density.grid, density.values, density.dx
     x2 = g.reshape(-1, 1)
     rho_f = np.maximum(rho, eps_floor)
     floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
-    phi_terms = None
     diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
-    if rhs_kind in ("fpf_phi", "crisan_beta"):
-        h = model.obs(x2)
+    h = model.obs(x2)
+    if rhs_kind != "crisan_alpha":      # the gain's integral, which fpf_psi reads
         hb = float(np.trapezoid(h * rho, g))
         I = cumulative_simpson((h - hb) * rho, dx)
+    if rhs_kind in ("fpf_phi", "crisan_beta"):
         gain_grid = -I / rho_f
         resid = float(np.max(np.abs(np.gradient(-I, dx) + (h - hb) * rho)))
-        phi_terms = (h, hb, I)
         potential = cumulative_simpson(gain_grid, dx)
         potential -= np.trapezoid(potential * rho, g)
         diagnostics["centring"] = float(abs(np.trapezoid(potential * rho, g)))
     elif rhs_kind == "fpf_psi":
-        h, hb, I = phi.phi_terms
+        # integrate by parts with rbar = h2bar - hbar^2 (the weak-form
+        # value): rho psi' = S - (h + hbar) I, S = int (h^2 - h2bar) rho,
+        # I = int (h - hbar) rho; the residual checks it against the direct
+        # rhs (r - rbar) rho with r = h' K
         h2b = float(np.trapezoid(h * h * rho, g))
         S = cumulative_simpson((h * h - h2b) * rho, dx)
         rho_psi_p = S - (h + hb) * I
         gain_grid = rho_psi_p / rho_f
-        r = model.obs_grad(x2)[:, 0] * phi.gain_grid
+        r = model.obs_grad(x2)[:, 0] * (-I / rho_f)
         rb = h2b - hb * hb
         resid = float(np.max(np.abs(np.gradient(rho_psi_p, dx) - (r - rb) * rho)))
     else:
-        h = model.obs(x2)
         h2b = float(np.trapezoid(h * h * rho, g))
         I = cumulative_simpson(0.5 * (h * h - h2b) * rho, dx)
         gain_grid = I / rho_f
@@ -164,8 +169,23 @@ def oracle_integral(density, model, rhs_kind, particles=None, phi=None,
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
         at = GridIntervals(g, xs).interp(gain_grid).reshape(-1, 1)
-    return GainField(at_particles=at, gain_grid=gain_grid, phi_terms=phi_terms,
+    return GainField(at_particles=at, gain_grid=gain_grid,
                      diagnostics={"residual": resid, **diagnostics})
+
+
+def oracle_fpf(x, model, kde_opts=None, eps_floor=EPS_RHO):
+    """The 1D FPF coefficients (a, K) at the particles x (n, 1) from the
+    FPF's own two solves: K = grad phi and a = -(h + hbar) K / 2 +
+    grad psi / 2, formed on the grid with the grid hbar."""
+    density = oracle_kde(x, **(kde_opts or {}))
+    phi = oracle_integral(density, model, "fpf_phi", eps_floor=eps_floor)
+    psi = oracle_integral(density, model, "fpf_psi", eps_floor=eps_floor)
+    g = density.grid
+    h = model.obs(g.reshape(-1, 1))
+    hb = float(np.trapezoid(h * density.values, g))
+    a_grid = -0.5 * phi.gain_grid * (h + hb) + 0.5 * psi.gain_grid
+    return (np.interp(x[:, 0], g, a_grid).reshape(-1, 1),
+            np.interp(x[:, 0], g, phi.gain_grid).reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +249,6 @@ def _assert_same_field(new, old):
     assert _same(new.at_particles, old.at_particles)
     assert _same(new.coefficients, old.coefficients)
     assert _same(new.gain_grid, old.gain_grid)
-    assert (new.phi_terms is None) == (old.phi_terms is None)
-    if old.phi_terms is not None:
-        assert all(_same(p, q) for p, q in zip(new.phi_terms, old.phi_terms))
     _assert_same_diagnostics(new.diagnostics, old.diagnostics)
 
 
@@ -301,17 +318,8 @@ def test_solve_1d_integral_matches_oracle_bitwise(data, x, opts, rhs_kind):
         return
     kw = {"eps_floor": data.draw(st.sampled_from([EPS_RHO, 1e-12, 1e-4])),
           "particles": x if data.draw(st.booleans()) else None}
-    new_phi = old_phi = None
-    if rhs_kind == "fpf_psi":
-        old_phi = _outcome(oracle_integral, density, model, "fpf_phi",
-                           eps_floor=kw["eps_floor"])
-        new_phi = _outcome(solve_1d_integral, density, model, "fpf_phi",
-                           eps_floor=kw["eps_floor"])
-        _assert_same_field(new_phi, old_phi)
-        if isinstance(old_phi, Exception):
-            return
-    new = _outcome(solve_1d_integral, density, model, rhs_kind, phi=new_phi, **kw)
-    old = _outcome(oracle_integral, density, model, rhs_kind, phi=old_phi, **kw)
+    new = _outcome(solve_1d_integral, density, model, rhs_kind, **kw)
+    old = _outcome(oracle_integral, density, model, rhs_kind, **kw)
     _assert_same_field(new, old)
     if rhs_kind == "fpf_phi" and not isinstance(old, Exception):
         # the continuous-time row differentiates the gain on the grid
@@ -353,11 +361,7 @@ def test_kde_and_integral_match_oracle_bitwise_at_run_sizes(n):
     new, old = kde_density_1d(x), oracle_kde(x)
     assert _same(new.grid, old.grid) and _same(new.values, old.values)
     model = tanh_model(1.5, 0.2)
-    new_phi = solve_1d_integral(old, model, "fpf_phi")
-    old_phi = oracle_integral(old, model, "fpf_phi")
     for rhs_kind in RHS_KINDS:
         _assert_same_field(
-            _outcome(solve_1d_integral, old, model, rhs_kind, particles=x,
-                     phi=new_phi),
-            _outcome(oracle_integral, old, model, rhs_kind, particles=x,
-                     phi=old_phi))
+            _outcome(solve_1d_integral, old, model, rhs_kind, particles=x),
+            _outcome(oracle_integral, old, model, rhs_kind, particles=x))

@@ -562,11 +562,26 @@ OVERFLOWING_OU = {"model": {"name": "log_concave_ou", "c": 1.0, "c_g": 1.0,
 def test_non_finite_reference_density_exit_3(tmp_path, capsys, recwarn,
                                              command):
     # h = 1e308 x overflows the grid Kushner density: run used to exit 0
-    # with NaN reference means and theory exit 1 inside scipy
+    # with NaN reference means and theory exit 1 inside scipy.  The linear
+    # model reaches the reference; the log-concave OU one stops at its C3
+    # check (below)
+    raw = {**BASE, **OVERFLOWING_OU,
+           "model": {"name": "linear_gaussian", "A": [[-1.0]], "H": [1e308]},
+           "reference": {**OVERFLOWING_OU["reference"], "kalman_bucy": False}}
+    code, err = _exit_and_field(tmp_path, capsys, raw, command)
+    assert code == 3
+    assert "NonFiniteState" in err and "grid Kushner" in err
+
+
+@pytest.mark.parametrize("command", ["run", "theory"])
+def test_overflowing_condition_check_certifies_nothing_exit_3(
+        tmp_path, capsys, recwarn, command):
+    # R = (Hx)^2 + ... overflows, so (C3) cannot be checked: the cause named
+    # used to be the grid Kushner reference's NonFiniteState
     code, err = _exit_and_field(tmp_path, capsys, {**BASE, **OVERFLOWING_OU},
                                 command)
     assert code == 3
-    assert "NonFiniteState" in err and "grid Kushner" in err
+    assert "CertificateFailed: condition C3" in err
 
 
 def test_clipping_reference_writes_its_count(tmp_path, capsys, recwarn):
@@ -984,3 +999,41 @@ def test_allocator_policy_without_mallopt_is_a_silent_no_op(
     monkeypatch.setattr(ctypes, "CDLL", libc)
     assert cli._keep_freed_heap() is None
     assert capsys.readouterr() == ("", "")
+
+
+LINEAR_2D = {"model": {"name": "linear_gaussian", "A": [[-0.5, 0.0], [0.0, -1.0]],
+                       "H": [1.0, 0.5]},
+             "init": {"kind": "gaussian", "mean": [1.0, 0.0],
+                      "cov": [[0.5, 0.0], [0.0, 0.5]]},
+             "filters": [{"kind": "delta_reich", "mass_matrix": "cov_inverse",
+                          "gain": "galerkin"}],
+             "reference": {"kalman_bucy": False}}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"ensemble_size": 2}, "ensemble_size"),
+    ({**LINEAR_2D, "ensemble_size": 5}, "ensemble_size"),
+    ({**LINEAR_2D, "sweep": {"n": [300, 5], "seeds": [4]}}, "sweep.n"),
+], ids=["nonlinear_tanh", "2d", "2d_sweep_n"])
+def test_too_few_particles_for_a_galerkin_filter_exit_2(tmp_path, capsys,
+                                                        overrides, field):
+    # nonlinear_tanh at ensemble_size 2 used to abort delta_fpf/galerkin at
+    # fine step 0 and exit 3; its drift basis has d + d(d+1)/2 functions
+    with open(os.path.join(CONFIGS, "nonlinear_tanh.json")) as fh:
+        raw = {**json.load(fh), **overrides}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == field
+    for command in ("run", "sweep"):
+        if command == "sweep" and "sweep" not in raw:
+            continue
+        code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+        assert code == 2
+        assert f"config.{field}:" in err_text
+
+
+def test_continuous_galerkin_filter_runs_on_two_particles():
+    # the continuous-time galerkin rows are constant rows: no basis to fit
+    cfg = _cfg(ensemble_size=2, filters=[{"kind": "fpf_continuous",
+                                          "gain": "galerkin"}])
+    assert cfg.ensemble_size == 2

@@ -137,12 +137,16 @@ def test_integral_1d_unresolved_tail():
 
 
 def test_integral_1d_psi_zero_for_linear_h():
+    # for linear h on a Gaussian grad psi = 0, so the crisan_alpha field is
+    # the FPF drift -(h + hbar) K / 2 alone
     dens = _gaussian_density(0.7)
     model = _linear_model(1.3)
-    phi = solve_1d_integral(dens, model, "fpf_phi")
-    fld = solve_1d_integral(dens, model, "fpf_psi", phi=phi)
+    K = solve_1d_integral(dens, model, "fpf_phi").gain_grid
+    a = solve_1d_integral(dens, model, "crisan_alpha").gain_grid
+    h = model.obs(dens.grid.reshape(-1, 1))
+    hbar = np.trapezoid(h * dens.values, dens.grid)
     bulk = np.abs(dens.grid) <= 5 * np.sqrt(0.7)
-    assert np.max(np.abs(fld.gain_grid[bulk])) <= 1e-7
+    assert np.max(np.abs(a + 0.5 * (h + hbar) * K)[bulk]) <= 1e-7
 
 
 def test_integral_1d_rbar_identity_on_grid():
@@ -159,18 +163,12 @@ def test_integral_1d_rbar_identity_on_grid():
         assert abs(lhs - (h2bar - hbar**2)) <= 1e-6
 
 
-@pytest.mark.parametrize("rhs_kind", ["reich_lambda", "reich_omega"])
+@pytest.mark.parametrize("rhs_kind", ["reich_lambda", "reich_omega", "fpf_psi"])
 def test_integral_1d_refuses_the_reich_names(rhs_kind):
-    # in 1D the Reich fields (M = I) are the crisan_beta and crisan_alpha
-    # fields, so the route takes those names only
+    # in 1D the Reich fields (M = I) and the FPF drift are the crisan_beta
+    # and crisan_alpha fields, so the route takes those names only
     with pytest.raises(ValueError, match="rhs_kind"):
         solve_1d_integral(_gaussian_density(), _linear_model(), rhs_kind)
-
-
-def test_integral_1d_refuses_psi_without_phi():
-    # fpf_psi reads h, hbar, I and the gain of the fpf_phi field it is handed
-    with pytest.raises(ValueError, match="fpf_phi"):
-        solve_1d_integral(_gaussian_density(), _linear_model(), "fpf_psi")
 
 
 def test_integral_1d_crisan_alpha_quadrature_oracle():

@@ -5,8 +5,9 @@ of the example tests (tests/test_filters.py and criterion 2):
 
 * the exact-Gaussian row of every kind is the EnKBF step, within 1e-14;
 * delta_reich(rho_identity) is Crisan & Xiong, bitwise;
-* in 1D the integral FPF field (a, K) is the Crisan & Xiong field, within
-  1e-12;
+* in 1D every delta kind takes one integral_1d row, the Crisan & Xiong
+  row, and its field (a, K) is the FPF field of the FPF's own two solves
+  (tests/test_bitwise.py's oracle), within 1e-12;
 * in 1D fpf_continuous and crisan_continuous agree, within 1e-12;
 * every galerkin row's gain is the Galerkin gain on the linear monomials
   (tests/test_bitwise.py's oracle), within 1e-12 of max|K|;
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bitwise import oracle_galerkin
+from test_bitwise import oracle_fpf, oracle_galerkin
 
 from flowfilter.ensemble import compute_moments
 from flowfilter.filters import STEP_ERRORS, FilterKind, step
@@ -117,24 +118,37 @@ def test_identities_hold_at_the_step(case):
 
     if d != 1:
         return
-    fields = []
-    for label in ("delta_fpf", "crisan_xiong"):
-        try:
-            fields.append(assemble_filter_coefficients(
-                label, x, model, "integral_1d", **integral_opts))
-        except STEP_ERRORS as exc:
-            fields.append(type(exc))
-    if isinstance(fields[1], type):
-        assert fields[0] is fields[1]
+    try:
+        row = assemble_filter_coefficients("delta_fpf", x, model,
+                                           "integral_1d", **integral_opts)
+    except STEP_ERRORS as exc:
+        row = type(exc)
+    try:
+        a, K = oracle_fpf(x, model, **integral_opts)
+    except STEP_ERRORS as exc:      # the row must refuse as the oracle does
+        assert row is type(exc), (row, exc)
     else:
-        assert np.max(np.abs(fields[0].K - fields[1].K)) <= 1e-12
-        assert np.max(np.abs(fields[0].a - fields[1].a)) <= 1e-12
-    assert _gap(_outcome("delta_fpf", "integral_1d", case, integral_opts),
-                _outcome("crisan_xiong", "integral_1d", case, integral_opts)) <= 1e-12
+        assert not isinstance(row, type), row
+        assert np.max(np.abs(row.K - K)) <= 1e-12
+        assert np.max(np.abs(row.a - a)) <= 1e-12
 
     for gain in ASSEMBLERS["fpf_continuous"]:
         assert _gap(_outcome("fpf_continuous", gain, case, opts(gain)),
                     _outcome("crisan_continuous", gain, case, opts(gain))) <= 1e-12, gain
+
+
+DELTA_KINDS = ("delta_fpf", "delta_reich(identity)", "delta_reich(cov_inverse)",
+               "delta_reich(rho_identity)", "crisan_xiong")
+
+
+def test_delta_kinds_share_one_integral_row():
+    # in 1D the FPF, Reich (M = I, P^{-1} or rho I) and Crisan & Xiong
+    # coefficient fields are one field
+    rows = {ASSEMBLERS[label]["integral_1d"] for label in DELTA_KINDS}
+    assert rows == {ASSEMBLERS["crisan_xiong"]["integral_1d"]}
+    assert set(DELTA_KINDS) == {label for label in ASSEMBLERS
+                                if label not in ("enkbf", "fpf_continuous",
+                                                 "crisan_continuous")}
 
 
 # the drift solve of each galerkin row, None for the continuous-time rows,

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from helpers import check_gradient
 from scipy.special import ndtr
 
-from flowfilter.errors import ConditionViolation
+from flowfilter.errors import CertificateFailed, ConditionViolation
 from flowfilter.models import (InitialDensity, LogConcaveOUSpec, SystemModel,
-                               _ndtr, check_gradient, default_cloud,
-                               make_linear_gaussian, make_log_concave_ou,
-                               validate_conditions)
+                               _ndtr, default_cloud, make_linear_gaussian,
+                               make_log_concave_ou, validate_conditions)
 
 
 def test_linear_gaussian_scalar_evaluation():
@@ -105,6 +105,17 @@ def test_convex_potential_violates_c1():
     with pytest.raises(ConditionViolation) as err:
         make_log_concave_ou(spec, [1.0])
     assert err.value.condition == "C1"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("H", [1e154, 1e155])
+def test_non_finite_c3_margin_certifies_nothing(H):
+    # R = (Hx)^2 - 1 + x^2 overflows: at 1e155 its Hessian read NaN and C3
+    # passed with margin inf, at 1e154 it read violated with margin -inf,
+    # though hess R = 2 H^2 + 2 holds the bound
+    with pytest.raises(CertificateFailed, match="condition C3") as err:
+        make_log_concave_ou(_quadratic_spec(c=1.0, c_r=2.0), [H])
+    assert "at [-3.]" in str(err.value)
 
 
 def test_quadratic_family_certifies_cr_2c2():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from helpers import riccati_fixed_point
 
 from flowfilter.ensemble import Density1D
 from flowfilter.errors import CovarianceBlowup, NonFiniteState
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
-from flowfilter.reference import (cfl_bound, riccati_fixed_point,
-                                  run_grid_kushner, run_kalman_bucy)
+from flowfilter.reference import cfl_bound, run_grid_kushner, run_kalman_bucy
 from flowfilter.rng import CounterStream
 
 
