@@ -41,7 +41,7 @@ from .errors import (ConfigError, FlowFilterError, NonNestedMeshes,
 from .filters import FilterKind, FilterRun, Run, run_lockstep
 # bound here only for the tracer in perfbench/layers.py, which wraps it
 from .filters import run_filter  # noqa: F401
-from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE, galerkin_basis_size
+from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE, galerkin_basis_size, in_dimension
 from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import (ObservationPath, TimeGrid, simulate_observations,
@@ -134,6 +134,10 @@ class ExperimentConfig:
         if self.init.dim != model.dim:
             raise ConfigError("init", f"a {self.init.dim}D initial law for a "
                               f"{model.dim}D model")
+        for i, spec in enumerate(self.filters):
+            if spec.gain == "exact_gaussian" and model.H is None:
+                raise ConfigError(f"filters[{i}].gain", "exact_gaussian needs an "
+                                  f"H row, which {self.model_name} has not")
         return model
 
 
@@ -271,9 +275,11 @@ def parse_config(raw) -> ExperimentConfig:
             kind = FilterKind(tag=f["kind"], mass_matrix=f["mass_matrix"])
         except ValueError as exc:
             raise ConfigError(f"filters[{i}]", str(exc)) from None
-        if f["gain"] not in ASSEMBLERS[kind.label()]:
-            raise ConfigError(f"filters[{i}].gain", f"{kind.label()} takes "
-                              f"{sorted(ASSEMBLERS[kind.label()])}, not {f['gain']!r}")
+        label = kind.label()    # a kind with no row in this dimension is at fault
+        gains = sorted(g for g in ASSEMBLERS[label] if in_dimension(label, g, init.dim))
+        if f["gain"] not in gains:
+            raise ConfigError(f"filters[{i}].{'gain' if gains else 'kind'}", f"{label} "
+                              f"takes {gains or 'no gain'} in {init.dim}D, not {f['gain']!r}")
         filters.append(FilterSpec(kind, f["gain"], f["gain_opts"]))
     # a delta galerkin row solves its drift on the monomial basis, which
     # needs more particles than functions; the continuous-time galerkin rows
@@ -294,7 +300,7 @@ def parse_config(raw) -> ExperimentConfig:
                 _check_path_size(replace(grid, delta=dv), init.dim)
             except (ValueError, OverflowError) as exc:
                 raise ConfigError("sweep.delta", str(exc)) from None
-        _check_twins(filters)
+        _check_twins(filters, init.dim)
     return ExperimentConfig(
         model_name=cfg["model"]["name"], model_params=cfg["model"], grid=grid,
         init=init, ensemble_size=cfg["ensemble_size"], filters=filters,
@@ -362,8 +368,12 @@ def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
         half_width = config.reference["grid_kushner"]["half_width"]
         points = config.reference["grid_kushner"]["points"] or points
         mean, var = float(config.init.mean[0]), float(config.init.cov[0, 0])
+        if not 2.0 * half_width < math.inf:     # linspace spans 2 half_width
+            raise ConfigError(where, f"a grid of half-width {half_width:g} "
+                              "spans more than the float range")
         grid = np.linspace(-half_width, half_width, points)
-        values = np.exp(-0.5 * (grid - mean) ** 2 / var)
+        with np.errstate(over="ignore"):    # a square past it: exp(-inf) = 0
+            values = np.exp(-0.5 * (grid - mean) ** 2 / var)
         try:
             dens = Density1D(grid=grid, values=values / np.sqrt(2 * np.pi * var))
         except ValueError as exc:
@@ -502,17 +512,18 @@ CONTINUOUS_TWIN = {
 }
 
 
-def _twin(spec: FilterSpec) -> Optional[tuple]:
-    """(kind tag, gain, gain_opts) of spec's continuous-time twin, if any."""
+def _twin(spec: FilterSpec, d: int) -> Optional[tuple]:
+    """(kind tag, gain, gain_opts) of spec's continuous-time twin in dD, if any."""
     tag, gain = CONTINUOUS_TWIN.get(spec.kind.tag, (None, None))
-    if tag is not None and (gain or spec.gain) in ASSEMBLERS[tag]:
-        return tag, gain or spec.gain, spec.gain_opts
+    gain = gain or spec.gain
+    if tag is not None and gain in ASSEMBLERS[tag] and in_dimension(tag, gain, d):
+        return tag, gain, spec.gain_opts
 
 
-def _check_twins(filters: list):
+def _check_twins(filters: list, d: int):
     """A delta sweep compares each filter with its continuous-time twin."""
     for i, spec in enumerate(filters):
-        if _twin(spec) is None:
+        if _twin(spec, d) is None:
             raise ConfigError(f"filters[{i}].kind", f"{spec.label()} has no "
                               "continuous-time twin to sweep delta against")
 
@@ -569,7 +580,7 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     model = config.build_model()
     if not config.filters:
         raise ConfigError("filters", "a sweep needs at least one filter")
-    _check_twins(config.filters)    # also when sweep.delta is left to default
+    _check_twins(config.filters, model.dim)     # also when sweep.delta is absent
     sweep = {"delta": [config.grid.delta], "seeds": [config.seeds["filter"]],
              "n": [], **config.sweep}
     deltas, seeds = sorted(sweep["delta"], reverse=True), sweep["seeds"]
@@ -581,7 +592,7 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     rows, trends, monotone = [], {}, {}
     coarse_delta = max(deltas)
     grids = [replace(config.grid, delta=dv) for dv in deltas]   # coarsest first
-    keys = [_twin(spec) for spec in config.filters]
+    keys = [_twin(spec, model.dim) for spec in config.filters]
     twins = [key for i, key in enumerate(keys) if key not in keys[:i]]   # once each
 
     # seed -> its path on the configured mesh; the fine observation depends

@@ -9,6 +9,7 @@ through numpy's pairwise summation in a fixed order, so moments do not
 depend on how particle work is scheduled.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,6 +119,9 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
             raise ValueError("bandwidth must be positive")
     auto_l = abs(float(mean)) + pad_sigmas * sigma + 4.0 * bw
     half = max(auto_l, half_width) if half_width is not None else auto_l
+    if not 2.0 * float(half) < math.inf:     # linspace spans 2 half
+        raise DegenerateCloud(f"the cloud needs a grid of half-width {half:.3e}, "
+                              "whose span is not finite")
     grid = np.linspace(-half, half, grid_points)
     dx = grid[1] - grid[0]
     counts = _kernels.deposit_linear(xs, grid[0], dx, grid_points)

@@ -6,11 +6,13 @@ class FlowFilterError(Exception):
 
 
 class NonFiniteState(FlowFilterError):
-    """A trajectory or particle state became NaN/inf."""
+    """A trajectory or particle state, or the update of one, became NaN/inf;
+    step is None where the raiser does not know the step."""
 
-    def __init__(self, step: int, detail: str = ""):
+    def __init__(self, step: int | None, detail: str = ""):
         self.step = step
-        super().__init__(f"non-finite state at step {step}" + (f": {detail}" if detail else ""))
+        where = "" if step is None else f" at step {step}"
+        super().__init__(f"non-finite state{where}" + (f": {detail}" if detail else ""))
 
 
 class FilterAborted(FlowFilterError):

@@ -26,12 +26,11 @@ with rhs one of -(h - hbar), (r - rbar) with r = grad h . K, or
     gradient for the unweighted equation in d >= 2, with an epsilon
     cutoff of the singular kernel.
 
-ASSEMBLERS maps each (filter kind, gain method) pair to the drift field
-a(x_i) and gain field K(x_i) of its McKean-Vlasov representation; the
-pairs it holds are the only ones that exist.
+ASSEMBLERS maps each (filter kind, gain method) pair to the drift field a(x_i)
+and gain field K(x_i) of its McKean-Vlasov representation; the pairs it holds
+are the only ones that exist, and in_dimension says where each one runs.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -41,8 +40,8 @@ import numpy as np
 
 from . import _kernels
 from .ensemble import Density1D, Moments, compute_moments, kde_density_1d
-from .errors import (DimensionError, IllConditioned, ModelMismatch,
-                     SingularCovariance, UnresolvedTail)
+from .errors import (DegenerateCloud, DimensionError, IllConditioned,
+                     NonFiniteState, SingularCovariance, UnresolvedTail)
 from .models import SystemModel
 
 EPS_RHO = 1e-8
@@ -248,7 +247,8 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     n, d = x.shape
     nb = galerkin_basis_size(d)
     if n <= nb:
-        raise ValueError("need more particles than basis functions")
+        raise DegenerateCloud(f"{n} particles for {nb} basis functions: "
+                              "the drift solve needs more")
     vals, grads = np.empty((nb, n)), np.zeros((nb, n, d))
     for j in range(d):
         vals[j] = x[:, j]
@@ -272,7 +272,10 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
         for k in range(j, nb):
             np.multiply(grads[j], mg[k], out=prod)
             A[j, k] = A[k, j] = np.mean(np.sum(prod, axis=1, out=dots))
-    cond = float(np.linalg.cond(A))
+    try:
+        cond = float(np.linalg.cond(A))
+    except np.linalg.LinAlgError:       # an SVD of overflowed entries
+        cond = math.inf
     if cond > 1e12:
         raise IllConditioned(cond)
 
@@ -372,20 +375,26 @@ def _centred_drift(K, h) -> np.ndarray:
     return -0.5 * K * (h + h.mean())[:, None]
 
 
+def _constant_gain_row(fld: GainField, h) -> CoefficientSet:
+    """(a, K) of a gain constant over the cloud, whose whole drift is the
+    centring term; a cloud so wide that the drift overflows raises
+    NonFiniteState."""
+    a = _centred_drift(fld.at_particles, h)
+    if not np.isfinite(a).all():
+        raise NonFiniteState(None, f"the gain {fld.at_particles[0]} overflows "
+                             "the drift -K (h + hbar) / 2")
+    return CoefficientSet(a, fld.at_particles, fld.diagnostics)
+
+
 def _exact_coefficients(x, model) -> CoefficientSet:
-    if model.H is None:
-        raise ModelMismatch("exact-Gaussian gain needs a stored H row")
     h = model.obs(x)
-    fld = solve_exact_gaussian(compute_moments(x, model, h), model.h_row())
-    return CoefficientSet(_centred_drift(fld.at_particles, h),
-                          fld.at_particles, fld.diagnostics)
+    return _constant_gain_row(
+        solve_exact_gaussian(compute_moments(x, model, h), model.h_row()), h)
 
 
 def _constant_coefficients(x, model) -> CoefficientSet:
     h = model.obs(x)
-    fld = solve_constant_gain(compute_moments(x, model, h))
-    return CoefficientSet(_centred_drift(fld.at_particles, h),
-                          fld.at_particles, fld.diagnostics)
+    return _constant_gain_row(solve_constant_gain(compute_moments(x, model, h)), h)
 
 
 def _integral_beta_alpha(x, model, density=None, kde_opts=None,
@@ -445,21 +454,6 @@ def _fundamental_mc(x, model, eps_floor=EPS_RHO) -> CoefficientSet:
                           {"epsilon": beta.epsilon, "floor_frac": floor_frac})
 
 
-def _enkbf_coefficients(x, model) -> CoefficientSet:
-    if model.kind != "linear_gaussian":
-        raise ModelMismatch("enkbf requires a linear-Gaussian model")
-    return _exact_coefficients(x, model)
-
-
-def _in_1d(row):
-    @functools.wraps(row)
-    def assemble(x, model, **gain_opts) -> CoefficientSet:
-        if x.shape[1] != 1:
-            raise DimensionError("continuous-time Crisan & Xiong needs d = 1")
-        return row(x, model, **gain_opts)
-    return assemble
-
-
 # constant gains have no Ito term, so their continuous-time rows are the
 # delta rows themselves; on the linear monomials the Galerkin gain is the
 # constant gain
@@ -474,7 +468,7 @@ _CRISAN_XIONG = {"exact_gaussian": _exact_coefficients,
 # filter kind label -> gain method -> row, each row a function
 # row(x, model, **its GAIN_OPTS) that reads nothing but the cloud, the model
 # and its options; in 1D the delta kinds share one field, so one
-# integral_1d row
+# integral_1d row, and the continuous-time Crisan & Xiong filter is the FPF
 ASSEMBLERS = {
     "delta_fpf": {"exact_gaussian": _exact_coefficients,
                   "constant": _constant_coefficients,
@@ -489,10 +483,19 @@ ASSEMBLERS = {
     # with M = rho I the Reich filter is the Crisan & Xiong filter
     "delta_reich(rho_identity)": _CRISAN_XIONG,
     "crisan_xiong": _CRISAN_XIONG,
-    "enkbf": {"exact_gaussian": _enkbf_coefficients},
+    "enkbf": {"exact_gaussian": _exact_coefficients},
     "fpf_continuous": _CONTINUOUS,
-    "crisan_continuous": {gain: _in_1d(row) for gain, row in _CONTINUOUS.items()},
+    "crisan_continuous": _CONTINUOUS,
 }
+
+
+def in_dimension(label: str, gain: str, d: int) -> bool:
+    """Whether the (kind label, gain) row of ASSEMBLERS runs in dimension d:
+    the grid quadrature integral_1d and crisan_continuous (the FPF rows) need
+    d = 1, fundamental_mc (the Laplacian's fundamental solution) d >= 2."""
+    if gain == "integral_1d" or label == "crisan_continuous":
+        return d == 1
+    return gain != "fundamental_mc" or d >= 2
 
 
 def _positive_number(value) -> bool:
@@ -524,12 +527,14 @@ def kind_label(tag: str, mass_matrix: Optional[str] = None) -> str:
 def assemble_filter_coefficients(kind: str, x: np.ndarray, model: SystemModel,
                                  method: str, mass_matrix: str = "identity",
                                  **gain_opts) -> CoefficientSet:
-    """(a, K) at the particles x (n, d) from the (kind, method) row;
-    delta_reich picks its row by mass_matrix."""
-    row = ASSEMBLERS.get(kind_label(kind, mass_matrix), {}).get(method)
+    """(a, K) at the particles x (n, d) from the (kind, method) row, which
+    delta_reich picks by mass_matrix; DimensionError outside its dimensions."""
+    label = kind_label(kind, mass_matrix)
+    row = ASSEMBLERS.get(label, {}).get(method)
     if row is None:
-        raise ValueError(f"no {method!r} gain for filter kind "
-                         f"{kind_label(kind, mass_matrix)!r}")
+        raise ValueError(f"no {method!r} gain for filter kind {label!r}")
+    if not in_dimension(label, method, x.shape[1]):
+        raise DimensionError(f"{label}/{method} does not run in {x.shape[1]}D")
     return row(x, model, **gain_opts)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CertificateFailed, ConditionViolation
+from .errors import CertificateFailed, ConditionViolation, ModelMismatch
 
 _FD_STEP = 1e-4
 # R = |Hx|^2 + (lap U + |grad U|^2) nests second derivatives of U inside a
@@ -61,7 +61,7 @@ class SystemModel:
     def h_row(self) -> np.ndarray:
         """Observation row vector for linear models, shape (dim,)."""
         if self.H is None:
-            raise ValueError("model has no stored H row")
+            raise ModelMismatch("the model has no H row (no linear observation)")
         return np.asarray(self.H, dtype=float).reshape(self.dim)
 
 
@@ -260,7 +260,10 @@ def _make_R(spec: LogConcaveOUSpec, Hrow: np.ndarray):
             lap[k] = np.trace(_fd_hessian(spec.potential, x[k],
                                           h=_FD_STEP_CHAIN))
         g = spec.grad_potential(x)
-        return hx**2 + lap + np.sum(g * g, axis=1)
+        # an overflow leaves R and its Hessian non-finite, which
+        # _worst_margin refuses as CertificateFailed
+        with np.errstate(over="ignore", invalid="ignore"):
+            return hx**2 + lap + np.sum(g * g, axis=1)
 
     return R
 

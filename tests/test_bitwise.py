@@ -70,7 +70,7 @@ def oracle_galerkin(x, model, rhs_kind, m_inv=None, prior_gain=None, h=None):
     basis = _monomials(d, quadratic=rhs_kind != "fpf_phi")
     nb = len(basis)
     if n <= nb:
-        raise ValueError("need more particles than basis functions")
+        raise DegenerateCloud("need more particles than basis functions")
     grads = [grad(x) for _, grad in basis]
     vals = [value(x) for value, _ in basis]
     Minv = np.eye(d) if m_inv is None else np.atleast_2d(np.asarray(m_inv, dtype=float))
@@ -79,7 +79,10 @@ def oracle_galerkin(x, model, rhs_kind, m_inv=None, prior_gain=None, h=None):
     for j in range(nb):
         for k in range(j, nb):
             A[j, k] = A[k, j] = np.mean(np.sum(grads[j] * mg[k], axis=1))
-    cond = float(np.linalg.cond(A))
+    try:
+        cond = float(np.linalg.cond(A))
+    except np.linalg.LinAlgError:
+        raise IllConditioned(np.inf) from None
     if cond > 1e12:
         raise IllConditioned(cond)
     if rhs_kind != "fpf_psi" and h is None:

@@ -233,7 +233,9 @@ def test_run_experiment_bitwise_deterministic(tmp_path):
 
 def test_crash_isolation_one_filter_cannot_abort_siblings():
     cfg = _cfg(filters=[
-        {"kind": "crisan_xiong", "gain": "fundamental_mc"},   # d=1: fails
+        # a 3-point KDE grid leaves the tail unresolved: fails at step 0
+        {"kind": "crisan_xiong", "gain": "integral_1d",
+         "gain_opts": {"kde_opts": {"grid_points": 3}}},
         {"kind": "enkbf", "gain": "exact_gaussian"},
     ])
     report = run_experiment(cfg)
@@ -536,7 +538,8 @@ def test_main_exit_codes(tmp_path):
     assert os.path.exists(tmp_path / "o1" / "series.csv")
 
     failing = copy.deepcopy(BASE)
-    failing["filters"] = [{"kind": "crisan_xiong", "gain": "fundamental_mc"}]
+    failing["filters"] = [{"kind": "crisan_xiong", "gain": "integral_1d",
+                           "gain_opts": {"kde_opts": {"grid_points": 3}}}]
     fail_path = tmp_path / "fail.json"
     fail_path.write_text(json.dumps(failing))
     assert main(["run", str(fail_path), "--out-dir", str(tmp_path / "o3")]) == 3
@@ -868,12 +871,60 @@ def test_sweep_n_axis_reference_checked_before_the_delta_axis(
     monkeypatch.setattr(cli, "run_lockstep",
                         lambda *args: groups.append(args) or [])
     raw = {**copy.deepcopy(BASE), **overrides,
-           "filters": [{"kind": "delta_fpf", "gain": "exact_gaussian"}],
+           "filters": [{"kind": "delta_fpf", "gain": "constant"}],
            "sweep": {"n": [300], "seeds": [4, 5]}}
     code, err_text = _exit_and_field(tmp_path, capsys, raw, "sweep")
     assert code == 2
     assert f"config.{field}:" in err_text
     assert groups == []
+
+
+LINEAR_2D = {"model": {"name": "linear_gaussian", "A": [[-0.5, 0.2], [0.0, -1.0]],
+                       "H": [1.0, 0.5]},
+             "init": {"kind": "gaussian", "mean": [1.0, 0.0],
+                      "cov": [[0.5, 0.0], [0.0, 0.5]]}}
+
+
+@pytest.mark.parametrize("command, overrides, kind, gain_name, field", [
+    ("run", LINEAR_2D, "delta_fpf", "integral_1d", "filters[0].gain"),
+    ("run", LINEAR_2D, "crisan_continuous", "exact_gaussian", "filters[0].kind"),
+    ("run", TANH_GRID, "crisan_xiong", "fundamental_mc", "filters[0].gain"),
+    ("run", TANH_GRID, "enkbf", "exact_gaussian", "filters[0].gain"),
+    ("run", TANH_GRID, "delta_fpf", "exact_gaussian", "filters[0].gain"),
+    # the filter runs in 2D, but its twin, crisan_continuous, does not
+    ("sweep", LINEAR_2D, "crisan_xiong", "exact_gaussian", "filters[0].kind"),
+], ids=["integral_1d_in_2d", "crisan_continuous_in_2d", "fundamental_mc_in_1d",
+        "enkbf_without_h", "exact_without_h", "twin_in_2d"])
+def test_filter_that_cannot_run_on_the_model_exit_2_before_any_path(
+        tmp_path, capsys, monkeypatch, command, overrides, kind, gain_name,
+        field):
+    # a row outside its dimensions, or an exact gain without an H row, used
+    # to simulate the paths and the reference, then exit 3 at fine step 0
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate_paths",
+                        lambda *args: simulated.append(args))
+    raw = {**copy.deepcopy(BASE), **overrides,
+           "filters": [{"kind": kind, "gain": gain_name}]}
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+    assert code == 2
+    assert f"config.{field}:" in err_text
+    assert simulated == []
+
+
+def test_enkbf_on_log_concave_ou_is_the_delta_fpf_exact_filter(tmp_path,
+                                                                capsys):
+    # enkbf needs an H row, not a linear-Gaussian model: under a linear
+    # observation its update is the exact-Gaussian row for any drift
+    raw = {**copy.deepcopy(BASE), "model": {"name": "log_concave_ou"},
+           "filters": [{"kind": "enkbf", "gain": "exact_gaussian"},
+                       {"kind": "delta_fpf", "gain": "exact_gaussian"}]}
+    assert _exit_and_field(tmp_path, capsys, raw)[0] == 0
+    with open(tmp_path / "o" / "series.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    enkbf = [row[:1] + row[2:] for row in rows if row[1] == "enkbf/exact_gaussian"]
+    fpf = [row[:1] + row[2:] for row in rows
+           if row[1] == "delta_fpf/exact_gaussian"]
+    assert enkbf and enkbf == fpf
 
 
 def test_theory_on_a_2d_model_exit_2(tmp_path, capsys):

@@ -5,18 +5,22 @@ schema `cli.CONFIG`, every one of them (each built-in model's parameters and
 each gain's options included) in the course of the run: a path takes a
 value from a pool shared by all paths (wrong JSON types, or left out), its
 table default, or a hand list of edge values.  Each edge value also runs
-once under every command on a fixed base config."""
+once under every command on a fixed base config.  No config makes a line
+of the library raise a RuntimeWarning (an overflow or an invalid value):
+an edge case is a typed error or a checked result."""
 
 import copy
 import itertools
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowfilter
 from flowfilter.cli import CONFIG, REQUIRED, _Pick, main
 from flowfilter.gain import ASSEMBLERS
 
@@ -261,14 +265,23 @@ def _every_edge_value():
                 yield command, raw, [path] if applied else []
 
 
+SRC = os.path.dirname(flowfilter.__file__) + os.sep
+
+
 def _exits_0_2_or_3(case):
     command, raw, applied = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(raw, fh)
         assert main([command, path, "--out-dir", os.path.join(tmp, "out")]) \
             in (0, 2, 3)
+    ours = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and w.filename.startswith(SRC)]
+    assert not ours, (command, raw, ours)
     FUZZED.update(applied)
 
 

@@ -2,19 +2,27 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import quad
 from test_bitwise import oracle_galerkin
 
-from flowfilter.ensemble import compute_moments, density_from_function
-from flowfilter.errors import DimensionError, IllConditioned, UnresolvedTail
+from flowfilter.cli import MODEL_REGISTRY
+from flowfilter.ensemble import (compute_moments, density_from_function,
+                                 kde_density_1d)
+from flowfilter.errors import (DegenerateCloud, DimensionError, FlowFilterError,
+                               IllConditioned, UnresolvedTail)
 from flowfilter.gain import (ASSEMBLERS, GAIN_OPTS, GridIntervals,
                              assemble_filter_coefficients,
-                             cumulative_simpson, multivariate_kde_at_points,
+                             cumulative_simpson, galerkin_basis_size,
+                             in_dimension,
+                             multivariate_kde_at_points,
                              solve_1d_integral, solve_constant_gain,
                              solve_exact_gaussian, solve_fundamental_mc,
                              solve_galerkin, unit_sphere_area)
 from flowfilter.models import SystemModel, make_linear_gaussian
+from flowfilter.rng import CounterStream
 
 
 def _linear_model(H=1.0):
@@ -430,7 +438,7 @@ def test_assemble_1d_fpf_equals_crisan_pointwise():
 CLOSED_FORM_ROWS = [(label, gain, d) for label, rows in sorted(ASSEMBLERS.items())
                     for gain in rows if gain in ("exact_gaussian", "constant",
                                                  "galerkin")
-                    for d in ((1,) if label == "crisan_continuous" else (1, 2))]
+                    for d in (1, 2) if in_dimension(label, gain, d)]
 
 
 @pytest.mark.parametrize("label, gain, d", CLOSED_FORM_ROWS)
@@ -456,3 +464,73 @@ def test_rows_take_only_the_cloud_the_model_and_their_gain_options():
                 allowed.add("density")
             assert params[:2] == ["x", "model"], (label, gain)
             assert set(params[2:]) <= allowed, (label, gain, params)
+
+
+# ---------------------------------------------------------------------------
+# typed refusals on the clouds that data can produce
+
+MODELS_1D = {"scalar_tanh": MODEL_REGISTRY["scalar_tanh"]({}),
+             "linear_gaussian": make_linear_gaussian([[-0.5]], [1.0])}
+# each row function of the table once, with a (kind label, gain) it serves
+ROWS_1D = {row: (label, gain) for label, rows in sorted(ASSEMBLERS.items())
+           for gain, row in rows.items() if in_dimension(label, gain, 1)}
+
+
+def test_cloud_past_the_kde_grid_range_is_degenerate():
+    # linspace over +-inf made a NaN grid, and int() of it raised ValueError
+    x = 1e300 * np.random.default_rng(30).standard_normal((50, 1))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateCloud):
+            kde_density_1d(x)
+        for label, rows in ASSEMBLERS.items():
+            if "integral_1d" in rows:
+                with pytest.raises(DegenerateCloud):
+                    rows["integral_1d"](x, MODELS_1D["scalar_tanh"])
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e300])
+def test_galerkin_stiffness_past_the_float_range_is_ill_conditioned(scale):
+    # the SVD behind its condition number raised LinAlgError
+    x = scale * np.random.default_rng(31).standard_normal((50, 1))
+    row = ASSEMBLERS["delta_reich(cov_inverse)"]["galerkin"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IllConditioned):
+            row(x, MODELS_1D["scalar_tanh"])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_galerkin_drift_solve_needs_more_particles_than_functions(d):
+    model = make_linear_gaussian(-np.eye(d), [1.0, 0.5][:d])
+    x = np.random.default_rng(32).standard_normal((galerkin_basis_size(d), d))
+    with pytest.raises(DegenerateCloud):
+        solve_galerkin(x, model, "reich_omega")
+    solve_galerkin(np.vstack([x, x[:1] + 0.5]), model, "reich_omega")
+
+
+@st.composite
+def edge_clouds(draw):
+    """(n, 1) clouds of scale 1e-300 to 1e300, from n = 2, with a run of
+    ties and an outlier drawn in."""
+    n = draw(st.integers(2, 60))
+    z = CounterStream(draw(st.integers(0, 10_000)), label=0).normals(0, (n, 1))
+    z[:draw(st.integers(0, n))] = z[0]
+    z[-1] *= draw(st.sampled_from([1.0, 1.0, 1e3, 1e12, 1e150]))
+    with np.errstate(over="ignore"):
+        x = z * 10.0 ** draw(st.integers(-300, 300)) + draw(
+            st.sampled_from([0.0, 0.0, 1.0, -3.0, 1e8]))
+    assume(np.all(np.isfinite(x)))
+    return x
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=edge_clouds())
+def test_every_1d_row_gives_finite_coefficients_or_a_typed_error(x):
+    for name, model in MODELS_1D.items():
+        for row, where in ROWS_1D.items():
+            try:
+                with np.errstate(all="ignore"):
+                    cs = row(x, model)
+            except FlowFilterError:
+                continue
+            assert np.all(np.isfinite(cs.a)) and np.all(np.isfinite(cs.K)), \
+                (name, where)

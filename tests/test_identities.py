@@ -21,7 +21,8 @@ from test_bitwise import oracle_fpf, oracle_galerkin
 
 from flowfilter.ensemble import compute_moments
 from flowfilter.filters import STEP_ERRORS, FilterKind, step
-from flowfilter.gain import ASSEMBLERS, assemble_filter_coefficients
+from flowfilter.gain import (ASSEMBLERS, _exact_coefficients,
+                             assemble_filter_coefficients, in_dimension)
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.rng import CounterStream
 
@@ -103,7 +104,7 @@ def test_identities_hold_at_the_step(case):
         enkbf = _outcome("enkbf", "exact_gaussian", case, {})
         assert isinstance(enkbf, tuple)
         for label, row in ASSEMBLERS.items():
-            if "exact_gaussian" in row and (d == 1 or label != "crisan_continuous"):
+            if "exact_gaussian" in row and in_dimension(label, "exact_gaussian", d):
                 assert _gap(_outcome(label, "exact_gaussian", case, {}),
                             enkbf) <= 1e-14, label
 
@@ -151,6 +152,14 @@ def test_delta_kinds_share_one_integral_row():
                                                  "crisan_continuous")}
 
 
+def test_enkbf_and_crisan_continuous_are_table_entries():
+    # the EnKBF is the exact-Gaussian row, and in 1D, the only dimension
+    # it runs in, the continuous-time Crisan & Xiong filter is the FPF
+    assert ASSEMBLERS["enkbf"]["exact_gaussian"] is _exact_coefficients
+    assert ASSEMBLERS["crisan_continuous"] is ASSEMBLERS["fpf_continuous"]
+    assert not in_dimension("crisan_continuous", "exact_gaussian", 2)
+
+
 # the drift solve of each galerkin row, None for the continuous-time rows,
 # which have none
 GALERKIN_DRIFTS = {"delta_fpf": "fpf_psi", "delta_reich(identity)": "reich_omega",
@@ -159,8 +168,8 @@ GALERKIN_DRIFTS = {"delta_fpf": "fpf_psi", "delta_reich(identity)": "reich_omega
 
 
 def _assert_linear_galerkin_gain(label, model, x):
-    if label == "crisan_continuous" and model.dim != 1:
-        return                      # a 1D-only kind
+    if not in_dimension(label, "galerkin", model.dim):
+        return
     moments = compute_moments(x, model)
     drift_kind = GALERKIN_DRIFTS[label]
     # M = P^{-1} for delta_reich(cov_inverse), M = I for the others
@@ -191,7 +200,7 @@ def test_galerkin_rows_take_the_linear_galerkin_gain(label, case):
 @pytest.mark.parametrize("shape, label", [
     (shape, label) for shape in ("tanh_1d", "linear_2d")
     for label in sorted(GALERKIN_DRIFTS)
-    if shape == "tanh_1d" or label != "crisan_continuous"])
+    if in_dimension(label, "galerkin", 1 if shape == "tanh_1d" else 2)])
 def test_galerkin_rows_take_the_linear_galerkin_gain_at_run_sizes(shape, label, n):
     # the ensemble sizes the shipped configs run, above numpy's
     # 8192-element reduction buffer
@@ -207,7 +216,7 @@ def test_galerkin_rows_take_the_linear_galerkin_gain_at_run_sizes(shape, label, 
 def test_continuous_galerkin_rows_are_the_constant_rows(label, case):
     """The config name galerkin stays accepted for the continuous-time
     kinds and gives their constant step, bitwise, or the same refusal."""
-    if label == "crisan_continuous" and case[0].dim != 1:
+    if not in_dimension(label, "galerkin", case[0].dim):
         return
     galerkin = _outcome(label, "galerkin", case, {})
     constant = _outcome(label, "constant", case, {})

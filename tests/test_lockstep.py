@@ -12,7 +12,7 @@ from flowfilter.ensemble import compute_moments
 from flowfilter.errors import FilterAborted, NonFiniteState
 from flowfilter.filters import (STEP_ERRORS, FilterKind, FilterRun, Run,
                                 run_filter, run_lockstep, step)
-from flowfilter.gain import ASSEMBLERS
+from flowfilter.gain import ASSEMBLERS, in_dimension
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
 from flowfilter.rng import CounterStream
@@ -41,10 +41,8 @@ def _rows(model):
     refusal."""
     def valid(label, method):
         if method == "exact_gaussian" and model.H is None:
-            return False        # no stored H row, and enkbf needs a linear model
-        if model.dim == 1:
-            return method != "fundamental_mc"
-        return method != "integral_1d" and label != "crisan_continuous"
+            return False        # the exact gain needs an H row
+        return in_dimension(label, method, model.dim)
 
     return [(label, method) for label, row in sorted(ASSEMBLERS.items())
             for method in row if valid(label, method)]
