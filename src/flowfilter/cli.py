@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Density1D
-from .errors import (ConfigError, FlowFilterError, NonNestedMeshes,
-                     NonPositiveDensity, NonPositiveParameter)
+from .errors import (ConfigError, FlowFilterError, NonPositiveDensity,
+                     NonPositiveParameter)
 from .filters import FilterKind, FilterRun, Run, run_lockstep
 # bound here only for the tracer in perfbench/layers.py, which wraps it
 from .filters import run_filter  # noqa: F401
@@ -554,29 +554,30 @@ def _ranks(a: np.ndarray) -> np.ndarray:
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman's rho: the correlation of the ranks, taken as the [1, 0]
     entry, in which scipy.stats.spearmanr divides."""
-    if len(set(y)) <= 1 or x.size < 2:
+    if not np.isfinite(y).all() or len(set(y)) <= 1 or x.size < 2:
         return float("nan")
     ranks = np.column_stack((_ranks(x), _ranks(y)))
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
-def _rmse(means: np.ndarray, ref: np.ndarray) -> float:
+def _means(out, every: int = 1) -> Optional[np.ndarray]:
+    """Every every-th mesh mean of a run_lockstep outcome; None if it aborted."""
+    return out.means[::every] if isinstance(out, FilterRun) else None
+
+
+def _rmse(means: Optional[np.ndarray], ref: Optional[np.ndarray]) -> float:
+    """nan where either side is missing: an aborted run, or no reference."""
+    if means is None or ref is None:
+        return float("nan")
     return float(np.sqrt(np.mean(np.sum((means - ref) ** 2, axis=1))))
-
-
-def _completed(outs: list) -> list:
-    """The FilterRuns of a sweep group; a sweep fails with its first abort."""
-    for out in outs:
-        if not isinstance(out, FilterRun):
-            raise out
-    return outs
 
 
 def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     """Pathwise RMSE of each delta-filter against its continuous-time form
     (identical seeds and particle noise) across the delta list, per seed;
     RMSE against the exact reference is reported alongside.  The trend
-    (Spearman rho and per-seed monotonicity) is reported, not asserted."""
+    (Spearman rho and per-seed monotonicity) is reported, not asserted.  A
+    run that aborts, or whose twin does, reads nan and has no trend."""
     model = config.build_model()
     if not config.filters:
         raise ConfigError("filters", "a sweep needs at least one filter")
@@ -586,7 +587,8 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     deltas, seeds = sorted(sweep["delta"], reverse=True), sweep["seeds"]
     for a, b in zip(deltas[:-1], deltas[1:]):
         if abs(a / b - round(a / b)) > 1e-9:
-            raise NonNestedMeshes(f"{a} is not an integer multiple of {b}")
+            raise ConfigError("sweep.delta",
+                              f"{a} is not an integer multiple of {b}")
     if sweep["n"]:          # refuse a bad reference before the delta axis runs
         _reference_density(config, model)
     rows, trends, monotone = [], {}, {}
@@ -616,19 +618,17 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
                 for tag, gain, opts in twins]
         runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
                  for spec in config.filters for p, g in zip(paths, grids)]
-        outs = _completed(run_lockstep(runs, model, local.seeds["filter"]))
+        outs = run_lockstep(runs, model, local.seeds["filter"])
         twin_outs, outs = outs[:len(twins)], iter(outs[len(twins):])
         for spec, key in zip(config.filters, keys):
-            twin_means = twin_outs[twins.index(key)].means
+            twin_means = _means(twin_outs[twins.index(key)])
             rmses = []
             for dv in deltas:
-                means_c = next(outs).means[::round(coarse_delta / dv)]
+                means_c = _means(next(outs), round(coarse_delta / dv))
                 rmse = _rmse(means_c, twin_means)
-                rmse_exact = float("nan") if exact_means is None else \
-                    _rmse(means_c, exact_means)
                 rows.append(SweepRow(axis="delta", value=dv, seed=seed,
                                      filter_label=spec.label(), rmse=rmse,
-                                     rmse_exact=rmse_exact))
+                                     rmse_exact=_rmse(means_c, exact_means)))
                 rmses.append(rmse)
             arr = np.array(rmses)
             # trend vs sweep order (delta descending): improving RMSE <=> rho < 0
@@ -650,9 +650,9 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
             cloud = _initial_cloud(local, model.dim, n=n_val)
             runs = [Run(spec.kind, spec.gain, path, config.grid, cloud,
                         spec.gain_opts) for spec in config.filters]
-            outs = _completed(run_lockstep(runs, model, local.seeds["filter"]))
-            for spec, run in zip(config.filters, outs):
-                rmse = _rmse(run.means, ref_means)
+            outs = run_lockstep(runs, model, local.seeds["filter"])
+            for spec, out in zip(config.filters, outs):
+                rmse = _rmse(_means(out), ref_means)
                 rows.append(SweepRow(axis="n", value=float(n_val), seed=seed,
                                      filter_label=spec.label(), rmse=rmse,
                                      rmse_exact=rmse))
@@ -870,19 +870,22 @@ def main(argv=None) -> int:
             report = run_experiment(config, threads=args.threads)
             emit_plot_data(report, out_dir)
             failed = [r.label for r in report.results if r.error]
-            if failed:
-                print(f"filters failed: {', '.join(failed)}", file=sys.stderr)
-                return 3
-            print(f"run complete: {len(report.results)} filters, "
-                  f"reference {report.reference_kind}, output in {out_dir}")
+            done = (f"run complete: {len(report.results)} filters, "
+                    f"reference {report.reference_kind}")
         elif args.command == "sweep":
             report = run_delta_sweep(config)
             emit_sweep_csv(report, out_dir)
-            print(f"sweep complete: {len(report.rows)} rows, output in {out_dir}")
+            failed = list(dict.fromkeys(row.filter_label for row in report.rows
+                                        if math.isnan(row.rmse)))
+            done = f"sweep complete: {len(report.rows)} rows"
         else:
             rows = theory_certificates(config)
             emit_theory_csv(rows, out_dir)
-            print(f"theory certificates: {len(rows)} rows, output in {out_dir}")
+            failed, done = [], f"theory certificates: {len(rows)} rows"
+        if failed:
+            print(f"filters failed: {', '.join(failed)}", file=sys.stderr)
+            return 3
+        print(f"{done}, output in {out_dir}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

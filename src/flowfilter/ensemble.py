@@ -104,10 +104,12 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
         raise DimensionError("kde_density_1d requires 1D particles")
     xs = x[:, 0]
     n = xs.size
-    # the sample mean and unbiased variance once, in np.var's arithmetic
-    mean = xs.sum() / n
-    dev = xs - mean
-    var = float(np.sum(np.square(dev, out=dev)) / (n - 1))
+    # the sample mean and unbiased variance once, in np.var's arithmetic;
+    # a cloud past the float range overflows them, and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = xs.sum() / n
+        dev = xs - mean
+        var = float(np.sum(np.square(dev, out=dev)) / (n - 1))
     if var < 1e-14:
         raise DegenerateCloud(f"sample variance {var:.3e} below 1e-14")
     sigma = np.sqrt(var)

@@ -96,7 +96,3 @@ class ConfigError(FlowFilterError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config.{field}: {message}")
-
-
-class NonNestedMeshes(FlowFilterError):
-    pass

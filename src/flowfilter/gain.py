@@ -272,9 +272,12 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
         for k in range(j, nb):
             np.multiply(grads[j], mg[k], out=prod)
             A[j, k] = A[k, j] = np.mean(np.sum(prod, axis=1, out=dots))
+    # entries past the float range: LAPACK's SVD would print its refusal
+    if not np.isfinite(A).all():
+        raise IllConditioned(math.inf)
     try:
         cond = float(np.linalg.cond(A))
-    except np.linalg.LinAlgError:       # an SVD of overflowed entries
+    except np.linalg.LinAlgError:       # an SVD that does not converge
         cond = math.inf
     if cond > 1e12:
         raise IllConditioned(cond)
@@ -375,26 +378,32 @@ def _centred_drift(K, h) -> np.ndarray:
     return -0.5 * K * (h + h.mean())[:, None]
 
 
-def _constant_gain_row(fld: GainField, h) -> CoefficientSet:
-    """(a, K) of a gain constant over the cloud, whose whole drift is the
-    centring term; a cloud so wide that the drift overflows raises
-    NonFiniteState."""
-    a = _centred_drift(fld.at_particles, h)
-    if not np.isfinite(a).all():
-        raise NonFiniteState(None, f"the gain {fld.at_particles[0]} overflows "
-                             "the drift -K (h + hbar) / 2")
-    return CoefficientSet(a, fld.at_particles, fld.diagnostics)
+def _finite_row(a, K, diagnostics) -> CoefficientSet:
+    """The (a, K) that a row computed under np.errstate, or NonFiniteState
+    where the cloud drove them past the float range."""
+    if not (np.isfinite(a).all() and np.isfinite(K).all()):
+        raise NonFiniteState(None, "the cloud drives the coefficients (a, K) "
+                             "past the float range")
+    return CoefficientSet(a, K, diagnostics)
+
+
+def _constant_gain_row(x, model, solve) -> CoefficientSet:
+    """(a, K) of the gain solve(moments), constant over the cloud, whose
+    whole drift is the centring term."""
+    h = model.obs(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fld = solve(compute_moments(x, model, h))
+        a = _centred_drift(fld.at_particles, h)
+    return _finite_row(a, fld.at_particles, fld.diagnostics)
 
 
 def _exact_coefficients(x, model) -> CoefficientSet:
-    h = model.obs(x)
     return _constant_gain_row(
-        solve_exact_gaussian(compute_moments(x, model, h), model.h_row()), h)
+        x, model, lambda moments: solve_exact_gaussian(moments, model.h_row()))
 
 
 def _constant_coefficients(x, model) -> CoefficientSet:
-    h = model.obs(x)
-    return _constant_gain_row(solve_constant_gain(compute_moments(x, model, h)), h)
+    return _constant_gain_row(x, model, solve_constant_gain)
 
 
 def _integral_beta_alpha(x, model, density=None, kde_opts=None,
@@ -426,32 +435,35 @@ def _integral_continuous(x, model, density=None, kde_opts=None,
 
 def _galerkin_fpf(x, model) -> CoefficientSet:
     h = model.obs(x)
-    K = solve_constant_gain(compute_moments(x, model, h)).at_particles
-    psif = solve_galerkin(x, model, "fpf_psi", prior_gain=K)
-    return CoefficientSet(_centred_drift(K, h) + 0.5 * psif.at_particles,
-                          K, psif.diagnostics)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = solve_constant_gain(compute_moments(x, model, h)).at_particles
+        psif = solve_galerkin(x, model, "fpf_psi", prior_gain=K)
+        a = _centred_drift(K, h) + 0.5 * psif.at_particles
+    return _finite_row(a, K, psif.diagnostics)
 
 
 def _galerkin_reich(cov_inverse: bool):
     def assemble(x, model) -> CoefficientSet:
         h = model.obs(x)
-        moments = compute_moments(x, model, h)
-        m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
-        of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv, h=h)
-        return CoefficientSet(of.at_particles,
-                              solve_constant_gain(moments).at_particles,
-                              of.diagnostics)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = compute_moments(x, model, h)
+            m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
+            of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv, h=h)
+        return _finite_row(of.at_particles,
+                           solve_constant_gain(moments).at_particles,
+                           of.diagnostics)
     return assemble
 
 
 def _fundamental_mc(x, model, eps_floor=EPS_RHO) -> CoefficientSet:
     h = model.obs(x)
-    beta = solve_fundamental_mc(x, h)
-    alpha = solve_fundamental_mc(x, -0.5 * h * h)
-    _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
-    return CoefficientSet(alpha.evaluate(x) / rho_f[:, None],
-                          beta.evaluate(x) / rho_f[:, None],
-                          {"epsilon": beta.epsilon, "floor_frac": floor_frac})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta = solve_fundamental_mc(x, h)
+        alpha = solve_fundamental_mc(x, -0.5 * h * h)
+        _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
+        a = alpha.evaluate(x) / rho_f[:, None]
+        K = beta.evaluate(x) / rho_f[:, None]
+    return _finite_row(a, K, {"epsilon": beta.epsilon, "floor_frac": floor_frac})
 
 
 # constant gains have no Ito term, so their continuous-time rows are the

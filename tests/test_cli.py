@@ -19,7 +19,7 @@ from flowfilter.cli import (SCHEMA_VERSION, emit_plot_data, emit_sweep_csv,
                             theory_certificates)
 from flowfilter import cli, gain, theory
 from flowfilter.filters import run_lockstep
-from flowfilter.errors import ConfigError, NonNestedMeshes
+from flowfilter.errors import ConfigError, IllConditioned
 
 BASE = {
     "schema_version": SCHEMA_VERSION,
@@ -245,7 +245,7 @@ def test_crash_isolation_one_filter_cannot_abort_siblings():
 
 def test_numerical_error_in_a_step_spares_siblings(tmp_path, monkeypatch):
     def singular(x, model):
-        raise np.linalg.LinAlgError("Singular matrix")
+        raise IllConditioned(1e13)
 
     monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "constant", singular)
     raw = copy.deepcopy(BASE)
@@ -258,7 +258,7 @@ def test_numerical_error_in_a_step_spares_siblings(tmp_path, monkeypatch):
     assert ",enkbf/exact_gaussian," in series
     assert "delta_fpf/constant" not in series
     report = json.loads(open(tmp_path / "o" / "report.json").read())
-    assert "LinAlgError" in report["filters"]["delta_fpf/constant"]["error"]
+    assert "IllConditioned" in report["filters"]["delta_fpf/constant"]["error"]
 
 
 def test_sweep_seed_flag_overrides_listed_seeds(tmp_path):
@@ -438,8 +438,9 @@ def test_sweep_without_filters_exit_2(tmp_path, capsys, sweep):
 def test_sweep_rejects_non_nested_meshes():
     cfg = _cfg()
     cfg.sweep = {"delta": [0.05, 0.02], "seeds": [1]}
-    with pytest.raises(NonNestedMeshes):
+    with pytest.raises(ConfigError) as err:
         run_delta_sweep(cfg)
+    assert err.value.field == "sweep.delta"
 
 
 def test_sweep_n_axis_scaling():
@@ -1088,3 +1089,82 @@ def test_continuous_galerkin_filter_runs_on_two_particles():
     cfg = _cfg(ensemble_size=2, filters=[{"kind": "fpf_continuous",
                                           "gain": "galerkin"}])
     assert cfg.ensemble_size == 2
+
+
+def _tanh_sweep(filters, sweep):
+    """nonlinear_tanh cut to four mesh steps of 200 particles."""
+    with open(os.path.join(CONFIGS, "nonlinear_tanh.json")) as fh:
+        raw = json.load(fh)
+    return {**raw, "ensemble_size": 200, "filters": filters, "sweep": sweep,
+            "grid": {"t0": 0.0, "T": 0.04, "delta": 0.01, "fine_dt": 0.001}}
+
+
+def test_sweep_keeps_the_siblings_of_a_failed_filter_exit_3(tmp_path, capsys):
+    # the sweep used to raise the first abort of a seed's group, exit 3 and
+    # write no file; run keeps the siblings, and so does the sweep now
+    raw = _tanh_sweep([
+        {"kind": "delta_fpf", "gain": "constant"},
+        # a 3-point KDE grid leaves the tail unresolved at fine step 0, for
+        # this filter and for its twin, which shares the options
+        {"kind": "crisan_xiong", "gain": "integral_1d",
+         "gain_opts": {"kde_opts": {"grid_points": 3}}}],
+        {"delta": [0.02, 0.01], "seeds": [1, 2]})
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, "sweep")
+    assert code == 3
+    assert err_text == "filters failed: crisan_xiong/integral_1d\n"
+    with open(tmp_path / "o" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    for row in rows:
+        rmse = float(row["rmse"])
+        assert np.isfinite(rmse) == (row["filter"] == "delta_fpf/constant")
+        assert np.isnan(float(row["rmse_exact"]))      # no exact reference
+    with open(tmp_path / "o" / "sweep_trends.csv") as fh:
+        trends = list(csv.DictReader(fh))
+    assert len(trends) == 4
+    for trend in trends:
+        failed = trend["filter"] == "crisan_xiong/integral_1d"
+        assert (trend["spearman_rho"] == "") == failed
+        if failed:
+            assert trend["monotone_seeds"] == "0"
+
+
+@pytest.mark.parametrize("label, gain_name, twin_only", [
+    ("delta_fpf", "constant", False),
+    # the twin of delta_fpf/constant is the continuous constant-gain row
+    ("fpf_continuous", "constant", True),
+])
+def test_sweep_rows_of_an_aborted_run_read_nan(monkeypatch, label, gain_name,
+                                               twin_only):
+    def fails(x, model):
+        raise IllConditioned(1e13)
+
+    cfg = _cfg(filters=[{"kind": "delta_fpf", "gain": "constant"},
+                        {"kind": "enkbf", "gain": "exact_gaussian"}])
+    cfg.sweep = {"delta": [0.02, 0.01], "n": [50], "seeds": [1]}
+    monkeypatch.setitem(gain.ASSEMBLERS[label], gain_name, fails)
+    report = run_delta_sweep(cfg)
+    for row in report.rows:
+        if row.filter_label == "enkbf/exact_gaussian":
+            assert np.isfinite([row.rmse, row.rmse_exact]).all()
+        elif row.axis == "n":       # the n axis runs no twin
+            assert np.isfinite(row.rmse_exact) == twin_only
+        else:                       # the twin's failure leaves the exact rmse
+            assert np.isnan(row.rmse)
+            assert np.isfinite(row.rmse_exact) == twin_only
+    assert np.isnan(report.trends[("delta_fpf/constant", 1)])
+    assert report.monotone_counts["delta_fpf/constant"] == 0
+
+
+def test_non_nested_sweep_deltas_exit_2_before_any_path(tmp_path, capsys,
+                                                        monkeypatch):
+    # exited 3 as a numerical failure (NonNestedMeshes) after parsing
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate_paths",
+                        lambda *args: simulated.append(args))
+    raw = _tanh_sweep([{"kind": "delta_fpf", "gain": "constant"}],
+                      {"delta": [0.02, 0.01, 0.004], "seeds": [1, 2]})
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, "sweep")
+    assert code == 2
+    assert "config.sweep.delta:" in err_text
+    assert simulated == []

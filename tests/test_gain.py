@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from flowfilter.cli import MODEL_REGISTRY
 from flowfilter.ensemble import (compute_moments, density_from_function,
                                  kde_density_1d)
 from flowfilter.errors import (DegenerateCloud, DimensionError, FlowFilterError,
-                               IllConditioned, UnresolvedTail)
+                               IllConditioned, NonFiniteState, UnresolvedTail)
 from flowfilter.gain import (ASSEMBLERS, GAIN_OPTS, GridIntervals,
                              assemble_filter_coefficients,
                              cumulative_simpson, galerkin_basis_size,
@@ -508,12 +509,14 @@ def test_galerkin_drift_solve_needs_more_particles_than_functions(d):
 
 
 @st.composite
-def edge_clouds(draw):
-    """(n, 1) clouds of scale 1e-300 to 1e300, from n = 2, with a run of
-    ties and an outlier drawn in."""
+def edge_clouds(draw, d=1):
+    """(n, d) clouds of scale 1e-300 to 1e300, from n = 2, with a run of
+    ties and an outlier drawn in, and in 2D collinear points."""
     n = draw(st.integers(2, 60))
-    z = CounterStream(draw(st.integers(0, 10_000)), label=0).normals(0, (n, 1))
+    z = CounterStream(draw(st.integers(0, 10_000)), label=0).normals(0, (n, d))
     z[:draw(st.integers(0, n))] = z[0]
+    if d == 2 and draw(st.booleans()):
+        z[:, 1] = draw(st.sampled_from([0.0, 1.0, -2.5])) * z[:, 0]
     z[-1] *= draw(st.sampled_from([1.0, 1.0, 1e3, 1e12, 1e150]))
     with np.errstate(over="ignore"):
         x = z * 10.0 ** draw(st.integers(-300, 300)) + draw(
@@ -534,3 +537,67 @@ def test_every_1d_row_gives_finite_coefficients_or_a_typed_error(x):
                 continue
             assert np.all(np.isfinite(cs.a)) and np.all(np.isfinite(cs.K)), \
                 (name, where)
+
+
+MODEL_2D = make_linear_gaussian([[-0.5, 0.2], [0.0, -1.0]], [1.0, 0.5])
+ROWS_2D = {row: (label, gain) for label, rows in sorted(ASSEMBLERS.items())
+           for gain, row in rows.items() if in_dimension(label, gain, 2)}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(x=edge_clouds(d=2))
+def test_every_2d_row_gives_finite_coefficients_or_a_typed_error(x):
+    # fundamental_mc returned non-finite (a, K) on a 1e-300 pair and a
+    # non-finite a at 1e300, with no error
+    for row, where in ROWS_2D.items():
+        try:
+            with np.errstate(all="ignore"):
+                cs = row(x, MODEL_2D)
+        except FlowFilterError:
+            continue
+        assert np.all(np.isfinite(cs.a)) and np.all(np.isfinite(cs.K)), where
+
+
+@pytest.mark.parametrize("seed, n, scale", [(2, 2, 1e-300), (12, 12, 1e300)])
+def test_fundamental_mc_refuses_non_finite_fields(seed, n, scale):
+    x = np.random.default_rng(seed).standard_normal((n, 2)) * scale
+    for label in ("crisan_xiong", "delta_reich(rho_identity)"):
+        with pytest.raises(NonFiniteState):
+            ASSEMBLERS[label]["fundamental_mc"](x, MODEL_2D)
+
+
+def _refuses_quietly(capfd, error, row, *args):
+    """row(*args) raises error with no RuntimeWarning and nothing printed
+    to the process's stdout or stderr, LAPACK's included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            row(*args)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_kde_variance_past_the_float_range_refuses_quietly(capfd):
+    # printed "overflow encountered in square" before DegenerateCloud
+    x = 1e300 * np.random.default_rng(30).standard_normal((50, 1))
+    _refuses_quietly(capfd, DegenerateCloud, kde_density_1d, x)
+
+
+@pytest.mark.parametrize("label, gain_name", [("delta_fpf", "constant"),
+                                              ("enkbf", "exact_gaussian")])
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_constant_gain_drift_past_the_float_range_refuses_quietly(
+        capfd, label, gain_name, scale):
+    # printed "overflow encountered in multiply" (the drift, at 1e150) or
+    # "in matmul" (the moments, at 1e200) before NonFiniteState
+    x = scale * np.random.default_rng(30).standard_normal((50, 1))
+    _refuses_quietly(capfd, NonFiniteState, ASSEMBLERS[label][gain_name], x,
+                     MODELS_1D["linear_gaussian"])
+
+
+def test_non_finite_stiffness_refuses_before_lapack(capfd):
+    # LAPACK printed "On entry to DLASCL parameter number 4 had an illegal
+    # value" (and 5) to stderr, then the SVD's error became IllConditioned
+    x = np.random.default_rng(12).standard_normal((12, 2)) * 1e150
+    x[-1] *= 1e6
+    _refuses_quietly(capfd, IllConditioned,
+                     ASSEMBLERS["delta_fpf"]["galerkin"], x, MODEL_2D)

@@ -3,13 +3,14 @@ each noise block once, and each run of a group is bitwise the run it would
 be alone, whatever its position and siblings."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfilter import gain
 from flowfilter.cli import parse_config, run_delta_sweep, run_experiment
 from flowfilter.ensemble import compute_moments
-from flowfilter.errors import FilterAborted, NonFiniteState
+from flowfilter.errors import FilterAborted, IllConditioned, NonFiniteState
 from flowfilter.filters import (STEP_ERRORS, FilterKind, FilterRun, Run,
                                 run_filter, run_lockstep, step)
 from flowfilter.gain import ASSEMBLERS, in_dimension
@@ -197,7 +198,7 @@ def test_aborted_run_leaves_its_siblings_bitwise_unchanged(monkeypatch):
     def fails_at_step_3(x, model, **opts):
         calls.append(1)
         if len(calls) == 4:
-            raise np.linalg.LinAlgError("Singular matrix")
+            raise IllConditioned(1e13)
         return row(x, model, **opts)
 
     runs = [Run(FilterKind("enkbf"), "exact_gaussian", path, grid, cloud),
@@ -213,3 +214,30 @@ def test_aborted_run_leaves_its_siblings_bitwise_unchanged(monkeypatch):
     assert len(aborted.partial.step_log) == 3
     _bytes_equal(first, alone[0])
     _bytes_equal(last, alone[1])
+
+
+def test_an_untyped_error_in_a_row_propagates(monkeypatch):
+    # only a typed error or MemoryError aborts a run; any other exception
+    # is a bug in the row, and used to read as an aborted filter
+    def singular(x, model, **opts):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    model = make_linear_gaussian([[-0.5]], [1.0])
+    path, grid = _path(model, 2)
+    cloud = 1.0 + CounterStream(4, label=0).normals(0, (30, 1))
+    runs = [Run(FilterKind("enkbf"), "exact_gaussian", path, grid, cloud),
+            Run(FilterKind("delta_fpf"), "constant", path, grid, cloud)]
+    cfg = parse_config({
+        "model": {"name": "linear_gaussian", "A": [[-0.5]], "H": [1.0]},
+        "grid": {"t0": 0.0, "T": 0.05, "delta": 0.01, "fine_dt": 0.001},
+        "init": {"kind": "gaussian", "mean": [1.0], "cov": [[0.5]]},
+        "ensemble_size": 30,
+        "filters": [{"kind": "enkbf", "gain": "exact_gaussian"},
+                    {"kind": "delta_fpf", "gain": "constant"}],
+        "seeds": {"truth": 1, "observation": 2, "filter": 3},
+    })
+    monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "constant", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_lockstep(runs, model, seed=6)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_experiment(cfg)
