@@ -594,8 +594,7 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
     rows, trends, monotone = [], {}, {}
     coarse_delta = max(deltas)
     grids = [replace(config.grid, delta=dv) for dv in deltas]   # coarsest first
-    keys = [_twin(spec, model.dim) for spec in config.filters]
-    twins = [key for i, key in enumerate(keys) if key not in keys[:i]]   # once each
+    twins = [_twin(spec, model.dim) for spec in config.filters]
 
     # seed -> its path on the configured mesh; the fine observation depends
     # only on fine_dt and the horizon, which every mesh of the sweep shares
@@ -612,16 +611,17 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
                 fine_path.fine_increments(), config.grid.fine_dt,
                 record_every=grids[0].steps_per_mesh)
 
-        # the twins, which read the fine increments, recorded on the coarsest
-        # mesh, then per filter one run per delta, all in one lockstep group
+        # each filter's twin, which reads the fine increments, recorded on
+        # the coarsest mesh, then per filter one run per delta, all in one
+        # lockstep group, which computes equal twins and equal runs once
         runs = [Run(FilterKind(tag), gain, paths[0], grids[0], cloud, opts)
                 for tag, gain, opts in twins]
         runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
                  for spec in config.filters for p, g in zip(paths, grids)]
         outs = run_lockstep(runs, model, local.seeds["filter"])
         twin_outs, outs = outs[:len(twins)], iter(outs[len(twins):])
-        for spec, key in zip(config.filters, keys):
-            twin_means = _means(twin_outs[twins.index(key)])
+        for spec, twin_out in zip(config.filters, twin_outs):
+            twin_means = _means(twin_out)
             rmses = []
             for dv in deltas:
                 means_c = _means(next(outs), round(coarse_delta / dv))

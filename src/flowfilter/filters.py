@@ -16,6 +16,13 @@ noise block at every fine step, so run_lockstep advances them as one group:
 it draws a few steps' blocks once into a small buffer, then takes each live
 run through all of those steps in turn, so that a run's working set stays
 in cache across them.  run_filter is the group of one run.
+
+Runs of a group that are one computation, the same row of ASSEMBLERS fed
+the same slopes from the same path and cloud on an equal mesh with equal
+options (in 1D delta_fpf and crisan_xiong on integral_1d, say), are
+computed once: the first of them advances, and each of the others gets its
+own copy of that outcome, whose seconds is the time of the one shared
+computation.
 """
 
 import time
@@ -26,7 +33,8 @@ import numpy as np
 
 from .ensemble import compute_moments
 from .errors import FilterAborted, FlowFilterError, NonFiniteState
-from .gain import ASSEMBLERS, assemble_filter_coefficients, kind_label
+from .gain import (ASSEMBLERS, assemble_filter_coefficients, in_dimension,
+                   kind_label)
 # bound here only for the tracer in perfbench/layers.py, which wraps them
 from .gain import _exact_coefficients, continuous_gain  # noqa: F401
 from .models import SystemModel
@@ -89,7 +97,9 @@ class FilterRun:
     h_bars: np.ndarray
     step_log: list
     final_particles: np.ndarray
-    seconds: float = 0.0        # wall time of the run's own steps
+    # wall time of the steps that computed the run, which the runs of one
+    # shared computation all report
+    seconds: float = 0.0
 
 
 @dataclass
@@ -104,8 +114,30 @@ class Run:
     gain_opts: dict = field(default_factory=dict)
 
 
+def _row(run: Run, d: int):
+    """run's row of ASSEMBLERS, looked up now; None where the row does not
+    run in dimension d, and the first step refuses it naming the kind."""
+    label = run.kind.label()
+    if in_dimension(label, run.gain_method, d):
+        return ASSEMBLERS.get(label, {}).get(run.gain_method)
+
+
+def _same_opts(a, b) -> bool:
+    """Whether two gain_opts values are equal: dicts key by key, str, int,
+    float and None values of one type by repr (so -0.0 is not 0.0), any
+    other value, a Density1D say, by identity."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_opts(a[k], b[k]) for k in a)
+    if isinstance(a, (str, int, float, type(None))):
+        return repr(a) == repr(b)
+    return a is b
+
+
 class _Lane:
-    """A run's particles and records while its group advances it."""
+    """A run's particles and records while its group advances it, shared
+    by every later run of the group that computes the same (computes)."""
 
     def __init__(self, run: Run, model: SystemModel):
         x = np.atleast_2d(np.asarray(run.init_particles, dtype=float))
@@ -115,6 +147,7 @@ class _Lane:
             raise ValueError("ensemble contains non-finite entries")
         grid = run.grid
         self.run, self.model, self.x = run, model, x
+        self.row = _row(run, x.shape[1])
         self.slopes = run.path.fine_slopes() if run.kind.consumes_slope \
             else run.path.fine_increments() / grid.fine_dt
         self.times = grid.mesh_times()
@@ -124,18 +157,38 @@ class _Lane:
         self.recorded = 0           # mesh points recorded so far
         self.step_log = []
         self.seconds = 0.0
-        self.aborted = None         # the FilterAborted that ended the run
+        self.failure = None         # (fine step, cause) that ended the run
+        self.non_finite = None      # (step, detail) of the lane's NonFiniteState
+        self.handed_out = False     # whether outcome has been called
 
-    def record(self, m):
+    def computes(self, run: Run) -> bool:
+        """Whether run is this lane's computation: the same row and kind of
+        slope, the same path and initial cloud objects, an equal mesh and
+        equal gain_opts."""
+        mine = self.run
+        return (self.row is not None and run.path is mine.path
+                and run.init_particles is mine.init_particles
+                and run.kind.consumes_slope == mine.kind.consumes_slope
+                and run.grid == mine.grid
+                and _row(run, self.x.shape[1]) is self.row
+                and _same_opts(run.gain_opts, mine.gain_opts))
+
+    def _non_finite(self, step: int, detail: str = "") -> NonFiniteState:
+        self.non_finite = (step, detail)
+        return NonFiniteState(step, detail + self.run.kind.label())
+
+    def record(self, x: np.ndarray, k: int):
+        """Record the moments of the cloud x at fine step k; NonFiniteState
+        where they leave the float range, as those of a finite cloud far
+        out can, with no numpy warning first."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = compute_moments(x, self.model)
+        if not (np.all(np.isfinite(m.mean)) and np.all(np.isfinite(m.cov))
+                and np.isfinite(m.h_bar)):
+            raise self._non_finite(k, "the recorded moments of ")
         slot = self.recorded
         self.means[slot], self.covs[slot], self.h_bars[slot] = m.mean, m.cov, m.h_bar
         self.recorded += 1
-
-    def result(self) -> FilterRun:       # the run up to its last mesh record
-        upto = slice(self.recorded)
-        return FilterRun(self.times[upto], self.means[upto], self.covs[upto],
-                         self.h_bars[upto], self.step_log,
-                         final_particles=self.x, seconds=self.seconds)
 
     def advance(self, k0: int, dv: np.ndarray) -> bool:
         """Take the fine steps k0, k0 + 1, ... with the noise blocks dv;
@@ -143,33 +196,58 @@ class _Lane:
         run, model, x = self.run, self.model, self.x
         spm, dt = run.grid.steps_per_mesh, run.grid.fine_dt
         t0 = time.perf_counter()
-        failure = None
         for k, dv_k in enumerate(dv, start=k0):
             try:
                 if k % spm == 0:
-                    self.record(compute_moments(x, model))
+                    self.record(x, k)
                 new, diags = step(run.kind, run.gain_method, model, x,
                                   self.slopes[k], dt, dv_k, **run.gain_opts)
                 if not np.all(np.isfinite(new)):
-                    raise NonFiniteState(k + 1, run.kind.label())
+                    raise self._non_finite(k + 1)
             except STEP_ERRORS as exc:
-                failure = (k, exc)
+                self.failure = (k, exc)
                 break
             x = new
             self.step_log.append({"step": k, "method": run.gain_method, **diags})
         self.x = x
         self.seconds += time.perf_counter() - t0
-        if failure is not None:
-            k, exc = failure
-            self.aborted = FilterAborted(k, exc, partial=self.result())
-            self.aborted.__cause__ = exc
-        return self.aborted is None
+        return self.failure is None
 
     def finish(self):
-        if self.aborted is not None:
-            return self.aborted
-        self.record(compute_moments(self.x, self.model))
-        return self.result()
+        """Record the final cloud of a run that has not aborted."""
+        if self.failure is None:
+            n_fine = self.run.grid.n_fine
+            try:
+                self.record(self.x, n_fine)
+            except STEP_ERRORS as exc:
+                self.failure = (n_fine, exc)
+
+    def outcome(self, run: Run):
+        """run's outcome of this lane's computation: a FilterRun, or the
+        FilterAborted that ended it, with the series up to its last mesh
+        record.  The first call, for the lane's own run, gets the lane's
+        arrays; each later run gets copies, its own gain method in its step
+        log and its own kind in a NonFiniteState of the lane."""
+        copy, self.handed_out = self.handed_out, True
+        upto = slice(self.recorded)
+        series = [self.times[upto], self.means[upto], self.covs[upto],
+                  self.h_bars[upto], self.x]
+        log = self.step_log
+        if copy:
+            series = [a.copy() for a in series]
+            log = [{**entry, "method": run.gain_method} for entry in log]
+        times, means, covs, h_bars, x = series
+        result = FilterRun(times, means, covs, h_bars, log, final_particles=x,
+                           seconds=self.seconds)
+        if self.failure is None:
+            return result
+        k, cause = self.failure
+        if copy and self.non_finite is not None:
+            at, detail = self.non_finite
+            cause = NonFiniteState(at, detail + run.kind.label())
+        aborted = FilterAborted(k, cause, partial=result)
+        aborted.__cause__ = cause
+        return aborted
 
 
 def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
@@ -177,14 +255,21 @@ def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
     one fine grid, each on its own mesh.  Each fine step's noise block
     sqrt(dt) N(0, I) is drawn once for the group into a buffer of up to
     NOISE_BUFFER_BYTES, then every live run takes the buffered steps,
-    recording the moments of its cloud at its mesh points.  Returns each
-    run's FilterRun, or the FilterAborted of a run whose step raised one of
+    recording the moments of its cloud at its mesh points; runs that
+    _Lane.computes the same are computed once.  Returns each run's own
+    FilterRun, or the FilterAborted of a run whose step raised one of
     STEP_ERRORS, carrying its series up to that step; the other runs go on
     unchanged.
     """
-    lanes = [_Lane(run, model) for run in runs]
-    if not lanes:
+    if not runs:
         return []
+    lanes, owners = [], []      # owners[i]: the lane that computes runs[i]
+    for run in runs:
+        lane = next((lane for lane in lanes if lane.computes(run)), None)
+        if lane is None:
+            lane = _Lane(run, model)
+            lanes.append(lane)
+        owners.append(lane)
     grid = runs[0].grid
     n, d = lanes[0].x.shape
     if any(lane.x.shape != (n, d) or lane.run.grid.fine_dt != grid.fine_dt
@@ -200,7 +285,9 @@ def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
         live = [lane for lane in live if lane.advance(k0, dv)]
         if not live:
             break
-    return [lane.finish() for lane in lanes]
+    for lane in lanes:
+        lane.finish()
+    return [lane.outcome(run) for lane, run in zip(owners, runs)]
 
 
 def run_filter(kind: FilterKind, model: SystemModel, path: ObservationPath,

@@ -81,10 +81,12 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
     theta = dens.values
     nclip_total = 0
     for m in range(n_mesh):
-        for _ in range(steps_per_mesh):
-            theta, nclip = _kernels.kushner_substeps(
-                theta, drift_g, h_g, w, dens.dx, dt_sub, nsub, float(slopes[m]))
-            nclip_total += int(nclip)     # a Python int for report.json
+        # the slope holds over the mesh interval: its fine steps are one run
+        # of substeps, the same arithmetic as one call per fine step
+        theta, nclip = _kernels.kushner_substeps(
+            theta, drift_g, h_g, w, dens.dx, dt_sub, nsub * steps_per_mesh,
+            float(slopes[m]))
+        nclip_total += int(nclip)     # a Python int for report.json
         cur = Density1D(grid=dens.grid, values=theta)
         means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
         if not np.isfinite(means[m + 1]):

@@ -17,7 +17,7 @@ from flowfilter.cli import (SCHEMA_VERSION, emit_plot_data, emit_sweep_csv,
                             emit_theory_csv, main, parse_config,
                             run_delta_sweep, run_experiment,
                             theory_certificates)
-from flowfilter import cli, gain, theory
+from flowfilter import cli, filters, gain, theory
 from flowfilter.filters import run_lockstep
 from flowfilter.errors import ConfigError, IllConditioned
 
@@ -377,14 +377,21 @@ def test_sweep_without_delta_list_needs_twins(tmp_path):
 
 def test_sweep_runs_each_continuous_twin_once(monkeypatch, tmp_path):
     # three filters twinned with fpf_continuous/exact_gaussian on the same
-    # cloud, grid and options used to run that twin three times per seed
-    groups = []
+    # cloud, grid and options used to run that twin three times per seed;
+    # crisan_continuous/exact_gaussian is the same row, and the four delta
+    # filters are one row too, so the group computes 1 twin and 2 deltas
+    groups, steps, step = [], [], filters.step
 
     def recording(runs, model, seed):
         groups.append([f"{run.kind.label()}/{run.gain_method}" for run in runs])
         return run_lockstep(runs, model, seed)
 
+    def counting(kind, gain_method, *args, **opts):
+        steps.append(f"{kind.label()}/{gain_method}")
+        return step(kind, gain_method, *args, **opts)
+
     monkeypatch.setattr(cli, "run_lockstep", recording)
+    monkeypatch.setattr(filters, "step", counting)
     cfg = _cfg(filters=[{"kind": "delta_fpf", "gain": "exact_gaussian"},
                         {"kind": "delta_reich", "mass_matrix": "identity",
                          "gain": "exact_gaussian"},
@@ -392,10 +399,10 @@ def test_sweep_runs_each_continuous_twin_once(monkeypatch, tmp_path):
                         {"kind": "crisan_xiong", "gain": "exact_gaussian"}],
                sweep={"delta": [0.02, 0.01], "seeds": [4]})
     report = run_delta_sweep(cfg)
-    assert len(groups) == 1
-    assert groups[0].count("fpf_continuous/exact_gaussian") == 1
-    assert groups[0].count("crisan_continuous/exact_gaussian") == 1
-    assert len(groups[0]) == 2 + 4 * 2
+    assert len(groups) == 1 and len(groups[0]) == 4 + 4 * 2
+    n_fine = cfg.grid.n_fine
+    assert steps.count("fpf_continuous/exact_gaussian") == n_fine
+    assert len(steps) == 3 * n_fine
     assert len(report.rows) == 4 * 2 and all(np.isfinite(r.rmse)
                                              for r in report.rows)
 

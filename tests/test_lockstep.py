@@ -2,15 +2,18 @@
 each noise block once, and each run of a group is bitwise the run it would
 be alone, whatever its position and siblings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfilter import gain
+from flowfilter import filters, gain
 from flowfilter.cli import parse_config, run_delta_sweep, run_experiment
-from flowfilter.ensemble import compute_moments
-from flowfilter.errors import FilterAborted, IllConditioned, NonFiniteState
+from flowfilter.ensemble import Density1D, compute_moments
+from flowfilter.errors import (DimensionError, FilterAborted, IllConditioned,
+                               NonFiniteState)
 from flowfilter.filters import (STEP_ERRORS, FilterKind, FilterRun, Run,
                                 run_filter, run_lockstep, step)
 from flowfilter.gain import ASSEMBLERS, in_dimension
@@ -241,3 +244,203 @@ def test_an_untyped_error_in_a_row_propagates(monkeypatch):
         run_lockstep(runs, model, seed=6)
     with pytest.raises(np.linalg.LinAlgError):
         run_experiment(cfg)
+
+
+# runs that are one computation: the same row and kind of slope, fed from
+# the same path and cloud objects on an equal mesh with equal gain_opts
+
+def _counting_steps(monkeypatch):
+    labels, original = [], filters.step
+
+    def counting(kind, gain_method, *args, **opts):
+        labels.append(f"{kind.label()}/{gain_method}")
+        return original(kind, gain_method, *args, **opts)
+
+    monkeypatch.setattr(filters, "step", counting)
+    return labels
+
+
+def _tanh_group(opts=None):
+    model = _tanh_model()
+    path, grid = _path(model, 2)
+    cloud = 0.5 + CounterStream(9, label=0).normals(0, (40, 1))
+    return model, [Run(_kind(label), "integral_1d", path, grid, cloud,
+                       dict(opts or {}))
+                   for label in ("delta_fpf", "crisan_xiong",
+                                 "delta_reich(identity)")]
+
+
+def test_delta_kinds_on_one_integral_row_compute_once(monkeypatch):
+    # in 1D the three delta kinds share gain._integral_beta_alpha: the group
+    # estimates one density per fine step, and each run is its solo run
+    model, runs = _tanh_group({"kde_opts": {"grid_points": 201}})
+    alone = [_solo(run, model, 3) for run in runs]
+    densities, original = [], gain.kde_density_1d
+
+    def counting(x, **opts):
+        densities.append(1)
+        return original(x, **opts)
+
+    monkeypatch.setattr(gain, "kde_density_1d", counting)
+    together = run_lockstep(runs, model, seed=3)
+    assert len(densities) == N_FINE
+    for out, solo in zip(together, alone):
+        assert isinstance(out, FilterRun)
+        _bytes_equal(out, solo)
+        assert out.seconds == together[0].seconds
+
+
+def test_each_shared_outcome_is_its_own():
+    model, runs = _tanh_group()
+    first, second, _ = run_lockstep(runs, model, seed=3)
+    kept = second.means.tobytes(), second.final_particles.tobytes()
+    for name in ("times", "means", "covs", "h_bars", "final_particles"):
+        getattr(first, name)[...] = np.nan
+    first.step_log.append({})
+    first.step_log[0]["residual"] = None
+    assert (second.means.tobytes(), second.final_particles.tobytes()) == kept
+    assert len(second.step_log) == N_FINE
+    assert second.step_log[0]["residual"] is not None
+
+
+@pytest.mark.parametrize("differ", ["kde_opts", "cloud", "mesh",
+                                    "consumes_slope", "density"])
+def test_runs_that_differ_in_one_input_compute_apart(monkeypatch, differ):
+    model, (fpf, cx, _) = _tanh_group()
+    steps = _counting_steps(monkeypatch)
+    if differ == "kde_opts":
+        cx.gain_opts = {"kde_opts": {"grid_points": 201}}
+    elif differ == "cloud":        # equal values, another object
+        cx.init_particles = fpf.init_particles.copy()
+    elif differ == "mesh":         # the same path, recorded on another mesh
+        cx.grid = TimeGrid(0.0, N_FINE * FINE_DT, FINE_DT, 3 * FINE_DT)
+    elif differ == "consumes_slope":    # gain._constant_coefficients both
+        fpf = Run(FilterKind("delta_fpf"), "constant", fpf.path, fpf.grid,
+                  fpf.init_particles)
+        cx = Run(FilterKind("fpf_continuous"), "constant", fpf.path, fpf.grid,
+                 fpf.init_particles)
+    else:                          # a library value compares by identity
+        density = gain.kde_density_1d(fpf.init_particles)
+        fpf.gain_opts = {"density": density}
+        cx.gain_opts = {"density": Density1D(density.grid.copy(),
+                                             density.values.copy())}
+    outs = run_lockstep([fpf, cx], model, seed=3)
+    assert len(steps) == 2 * N_FINE
+    for run, out in zip([fpf, cx], outs):
+        _bytes_equal(out, _solo(run, model, 3))
+    # equal values in other dict objects, and the same library value, share
+    steps.clear()
+    cx = replace(fpf, kind=cx.kind, gain_method=cx.gain_method,
+                 gain_opts=dict(fpf.gain_opts))
+    run_lockstep([fpf, cx], model, seed=3)
+    assert len(steps) == (2 if differ == "consumes_slope" else 1) * N_FINE
+
+
+@pytest.mark.parametrize("tags", [("fpf_continuous", "crisan_continuous"),
+                                  ("crisan_continuous", "fpf_continuous")])
+def test_a_row_refused_in_its_dimension_is_not_shared(tags):
+    # crisan_continuous takes the fpf_continuous rows, but in 1D only
+    model = MODELS["linear_2d"]()
+    path, grid = _path(model, 2)
+    cloud = CounterStream(4, label=0).normals(0, (30, 2))
+    runs = [Run(FilterKind(tag), "constant", path, grid, cloud)
+            for tag in tags]
+    outs = dict(zip(tags, run_lockstep(runs, model, seed=6)))
+    assert isinstance(outs["fpf_continuous"], FilterRun)
+    assert isinstance(outs["crisan_continuous"].cause, DimensionError)
+
+
+def test_a_shared_abort_names_each_run_its_own_kind():
+    # the lane's own check that the update is finite ends all three runs
+    model = replace(_tanh_model(), drift=lambda x: np.full_like(x, np.inf))
+    _, runs = _tanh_group()
+    outs = run_lockstep(runs, model, seed=3)
+    assert len({id(out) for out in outs}) == 3
+    assert len({id(out.partial) for out in outs}) == 3
+    for run, out in zip(runs, outs):
+        assert isinstance(out, FilterAborted) and out.step == 0
+        assert isinstance(out.cause, NonFiniteState) and out.cause.step == 1
+        assert str(out.cause).endswith(": " + run.kind.label())
+        assert out.__cause__ is out.cause
+        assert out.partial.means.shape == (1, 1)
+    outs[0].partial.means[...] = np.nan
+    assert np.isfinite(outs[1].partial.means).all()
+
+
+def test_a_cloud_whose_moments_overflow_aborts_quietly():
+    # a finite cloud far out: its recorded covariance overflows, which is
+    # the run's NonFiniteState, with no numpy warning before it
+    model = make_linear_gaussian([[-0.5]], [1.0])
+    path, grid = _path(model, 2)
+    cloud = 1e160 * CounterStream(4, label=0).normals(0, (30, 1))
+    with pytest.raises(FilterAborted) as err:
+        run_filter(FilterKind("delta_fpf"), model, path, cloud, grid,
+                   "constant", 6)
+    assert err.value.step == 0 and isinstance(err.value.cause, NonFiniteState)
+    assert "recorded moments of delta_fpf" in str(err.value.cause)
+    assert err.value.partial.means.shape == (0, 1)
+
+
+def test_a_final_record_that_overflows_spares_the_siblings(monkeypatch):
+    # the last step throws the cloud far out, so the record after it fails:
+    # that run aborts at step N_FINE, and the other run finishes
+    model = make_linear_gaussian([[-0.5]], [1.0])
+    path, grid = _path(model, 2)
+    cloud = 1.0 + CounterStream(4, label=0).normals(0, (30, 1))
+    row = ASSEMBLERS["delta_fpf"]["constant"]
+    calls = []
+
+    def throws_out_at_the_last_step(x, model, **opts):
+        calls.append(1)
+        cs = row(x, model, **opts)
+        if len(calls) == N_FINE:
+            return gain.CoefficientSet(cs.a + 1e162 * x, cs.K, cs.diagnostics)
+        return cs
+
+    runs = [Run(FilterKind("enkbf"), "exact_gaussian", path, grid, cloud),
+            Run(FilterKind("delta_fpf"), "constant", path, grid, cloud)]
+    alone = _solo(runs[0], model, 6)
+    monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "constant",
+                        throws_out_at_the_last_step)
+    finished, aborted = run_lockstep(runs, model, seed=6)
+    _bytes_equal(finished, alone)
+    assert isinstance(aborted, FilterAborted) and aborted.step == N_FINE
+    assert isinstance(aborted.cause, NonFiniteState)
+    assert aborted.partial.means.shape == (N_FINE // 2, 1)
+    assert len(aborted.partial.step_log) == N_FINE
+
+
+@st.composite
+def shared_groups(draw):
+    """Groups whose runs draw their path, cloud and options from small pools
+    of objects, so that many runs share a computation."""
+    model = _tanh_model()
+    seed = draw(st.integers(0, 50))
+    base = CounterStream(seed + 100, label=0).normals(0, (20, 1))
+    paths = {spm: _path(model, spm) for spm in (2, 3)}
+    clouds = [base, 0.5 + 0.3 * base]
+    opts = [{}, {"kde_opts": {"grid_points": 201}}]
+    runs = []
+    for _ in range(draw(st.integers(2, 5))):
+        label, method = draw(st.sampled_from(_rows(model)))
+        path, grid = paths[draw(st.sampled_from(sorted(paths)))]
+        cloud = clouds[draw(st.integers(0, 1))]
+        gain_opts = dict(draw(st.sampled_from(opts))) \
+            if method == "integral_1d" else {}
+        runs.append(Run(_kind(label), method, path, grid, cloud, gain_opts))
+    return model, seed, runs
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(shared_groups())
+def test_shared_runs_equal_their_solo_runs(case):
+    model, seed, runs = case
+    together = run_lockstep(runs, model, seed)
+    assert len({id(out) for out in together}) == len(runs)
+    for run, out in zip(runs, together):
+        alone = _solo(run, model, seed)
+        assert type(out) is type(alone)
+        if isinstance(out, FilterAborted):
+            assert out.step == alone.step and str(out) == str(alone)
+            out, alone = out.partial, alone.partial
+        _bytes_equal(out, alone)

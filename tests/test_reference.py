@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import riccati_fixed_point
 
+from flowfilter import _kernels
 from flowfilter.ensemble import Density1D
 from flowfilter.errors import CovarianceBlowup, NonFiniteState
 from flowfilter.models import SystemModel, make_linear_gaussian
@@ -80,6 +81,34 @@ def test_grid_kushner_non_finite_density_raises(recwarn):
     with pytest.raises(NonFiniteState, match="grid Kushner") as err:
         run_grid_kushner(dens, model, np.zeros(5), 1e-3, 10)
     assert err.value.step == 10
+
+
+def test_grid_kushner_is_its_loop_of_fine_steps_bitwise():
+    # one kernel call per mesh interval takes the substeps of its fine
+    # steps in one run: the same arithmetic as one call per fine step,
+    # negative clips included (a box density under a drift past 1/dx clips)
+    model = SystemModel(dim=1, drift=lambda x: 30.0 + 0.0 * x,
+                        obs=lambda x: 3.0 * x[:, 0],
+                        obs_grad=lambda x: np.full_like(x, 3.0))
+    g = np.linspace(-2.0, 2.0, 41)
+    dens = Density1D(grid=g, values=(np.abs(g) < 0.5).astype(float))
+    slopes, fine_dt, spm = np.array([40.0, -25.0, 10.0, 0.0]), 0.01, 3
+    means, vars_, snapshots, clips = run_grid_kushner(
+        dens, model, slopes, fine_dt, spm, snapshot_slots=[len(slopes)])
+    nsub = int(np.ceil(fine_dt / cfl_bound(dens)))
+    assert nsub > 1
+    drift_g, h_g = model.drift(g[:, None])[:, 0], model.obs(g[:, None])
+    theta, loop_clips, loop_means = dens.values, 0, [dens.mean()]
+    for slope in slopes:
+        for _ in range(spm):
+            theta, nclip = _kernels.kushner_substeps(
+                theta, drift_g, h_g, dens.trapz_weights(), dens.dx,
+                fine_dt / nsub, nsub, slope)
+            loop_clips += int(nclip)
+        loop_means.append(Density1D(grid=g, values=theta).mean())
+    assert clips == loop_clips > 0
+    assert snapshots[len(slopes)].values.tobytes() == theta.tobytes()
+    assert means.tobytes() == np.array(loop_means).tobytes()
 
 
 def test_grid_kushner_tracks_kalman_bucy():
