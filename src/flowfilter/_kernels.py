@@ -11,6 +11,7 @@ of thread count; switching backends may change the last bits (documented
 in the README).
 """
 
+import math
 import os
 
 import numpy as np
@@ -154,14 +155,22 @@ def _kde_eval_points_impl(points, sources, bw):
 # the density renormalised (trapezoid) after every substep.
 #
 # The numba loop below keeps the flux form
-# F_i = (M_i theta_i + M_{i+1} theta_{i+1}) / 2 - (theta_{i+1} - theta_i) / (2 dx).
-# The numpy kernel writes the same scheme as F_i = P_i theta_i + Q_i theta_{i+1}
-# and applies one tridiagonal operator per substep, built once per call
-# because drift, h, dt and slope are fixed within it:
-#   new = theta (diag + dt (h2bar/2 - slope hbar)) + lo theta_{i-1} + up theta_{i+1}
-# Only the scalar shift moves between substeps.  The grouping of the sums
-# differs from the flux form, so the two agree to a few ulps of max|theta|
-# (tests/test_kernels.py holds them to 1e-12), not bitwise.
+# F_i = (M_i theta_i + M_{i+1} theta_{i+1}) / 2 - (theta_{i+1} - theta_i) / (2 dx)
+# and divides by the mass after every substep.  The numpy kernel writes the
+# same scheme as F_i = P_i theta_i + Q_i theta_{i+1} and applies one
+# tridiagonal operator per substep, built once per call because drift, h,
+# dt and slope are fixed within it:
+#   new = u (diag + dt (m2/2 - slope m1) / m0) + lo u_{i-1} + up u_{i+1}
+# to an unnormalised u, with (m0, m1, m2) = (w.u, w.h u, w.h^2 u) from one
+# (3, G) matvec.  The shift reads only the ratios hbar = m1/m0 and
+# h2bar = m2/m0, the operator is linear and clipping commutes with a
+# positive scale, so this is the renormalised scheme in exact arithmetic;
+# u is divided by its mass once, when the call returns.  Where the bands,
+# theta and diag - 2 dt |slope| max|h| are nonnegative every new cell is a
+# sum of products of nonnegatives (|hbar| <= max|h|, h2bar >= 0), so the
+# clip test is skipped.  The grouping of the sums differs from the flux
+# form, so the two agree to a few ulps of max|theta| (tests/test_kernels.py
+# holds them to 1e-12), not bitwise.
 
 def kushner_substeps_numpy(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
     P = 0.5 * drift_g[:-1] + 0.5 / dx
@@ -173,29 +182,44 @@ def kushner_substeps_numpy(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
     diag[1:-1] = Q[:-1] - P[1:]
     diag[-1] = Q[-1]
     diag = 1.0 + dt_sub * (diag / dx + (slope - 0.5 * h_g) * h_g)
-    moments = np.stack([w * h_g, w * h_g * h_g])
-    th = theta.copy()
-    new = np.empty_like(th)
-    scale = np.empty_like(th)
-    band = np.empty(th.shape[0] - 1)
-    neg = np.empty(th.shape[0], dtype=bool)
-    th_head, th_tail, new_head, new_tail = th[:-1], th[1:], new[:-1], new[1:]
+    moments = np.empty((3, theta.shape[0]))       # rows w, w h, w h^2
+    moments[0] = w
+    np.multiply(w, h_g, out=moments[1])
+    np.multiply(moments[1], h_g, out=moments[2])
+    # the no-clip certificate; a nan input makes its min or max nan, and
+    # the comparison False
+    clip = not (lo.min() >= 0.0 and up.min() >= 0.0 and theta.min() >= 0.0
+                and diag.min() > 2.0 * dt_sub * abs(slope) * np.abs(h_g).max())
+    u = theta.copy()
+    new = np.empty_like(u)
+    cur, nxt = (u, u[:-1], u[1:]), (new, new[:-1], new[1:])
+    scale = np.empty_like(u)
+    band = np.empty(u.shape[0] - 1)
+    neg = np.empty(u.shape[0], dtype=bool)
     nclip = 0
     for _ in range(nsub):
-        hbar, h2bar = moments.dot(th).tolist()
-        np.add(diag, dt_sub * (0.5 * h2bar - slope * hbar), out=scale)
-        np.multiply(th, scale, out=new)
-        np.multiply(lo, th_head, out=band)       # new_i += lo_i theta_{i-1}
+        (u, u_head, u_tail), (new, new_head, new_tail) = cur, nxt
+        m0, m1, m2 = moments.dot(u).tolist()
+        if not 0.0 < m0 < math.inf:     # no mass left: a non-finite state
+            return np.full_like(u, math.nan), nclip
+        np.add(diag, dt_sub * (0.5 * m2 - slope * m1) / m0, out=scale)
+        np.multiply(u, scale, out=new)
+        np.multiply(lo, u_head, out=band)        # new_i += lo_i u_{i-1}
         new_tail += band
-        np.multiply(up, th_tail, out=band)       # new_i += up_i theta_{i+1}
+        np.multiply(up, u_tail, out=band)        # new_i += up_i u_{i+1}
         new_head += band
-        np.less(new, 0.0, out=neg)
-        k = np.count_nonzero(neg)
-        if k:
-            nclip += k
-            new[neg] = 0.0
-        np.divide(new, np.dot(w, new), out=th)
-    return th, nclip
+        if clip:
+            np.less(new, 0.0, out=neg)
+            c = np.count_nonzero(neg)
+            if c:
+                nclip += c
+                new[neg] = 0.0
+        cur, nxt = nxt, cur
+    u = cur[0]
+    mass = float(np.dot(w, u))
+    if not 0.0 < mass < math.inf:
+        return np.full_like(u, math.nan), nclip
+    return np.divide(u, mass, out=u), nclip
 
 
 def _kushner_substeps_impl(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):

@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -35,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .ensemble import Density1D
 from .errors import (ConfigError, FlowFilterError, NonPositiveDensity,
                      NonPositiveParameter)
@@ -46,7 +48,8 @@ from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import (ObservationPath, TimeGrid, simulate_observations,
                     simulate_truth, smoothed_path)
-from .reference import CFL_FACTOR, run_grid_kushner, run_kalman_bucy
+from .reference import (CFL_FACTOR, run_grid_kushner, run_kalman_bucy,
+                        substeps_per_fine_step)
 from .rng import CounterStream
 from .theory import (empirical_poincare_1d, gamma_recursion,
                      kappa_continuous, kappa_delta)
@@ -125,6 +128,7 @@ class ExperimentConfig:
     reference: dict
     sweep: dict
     output_dir: str
+    sha256: str             # of the parsed document, as canonical JSON
 
     def build_model(self) -> SystemModel:
         try:
@@ -305,7 +309,9 @@ def parse_config(raw) -> ExperimentConfig:
         model_name=cfg["model"]["name"], model_params=cfg["model"], grid=grid,
         init=init, ensemble_size=cfg["ensemble_size"], filters=filters,
         seeds=cfg["seeds"], reference=cfg["reference"], sweep=sweep,
-        output_dir=cfg["output_dir"])
+        output_dir=cfg["output_dir"],
+        sha256=hashlib.sha256(json.dumps(raw, sort_keys=True, separators=(
+            ",", ":")).encode()).hexdigest())
 
 
 def _check_path_size(grid: TimeGrid, dim: int):
@@ -418,9 +424,21 @@ class RunReport:
     ref_means: np.ndarray
     ref_covs: np.ndarray
     reference_clip_count: Optional[int]     # None for Kalman-Bucy
+    reference_substeps_per_fine_step: Optional[int]     # likewise
     results: list
     slope_checksum: str
     wall_clock: float
+    environment: dict
+
+
+def environment(config: ExperimentConfig) -> dict:
+    """What produced a report: the kernel backend, the Python and numpy
+    versions, the usable core count and the config's sha256."""
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    return {"backend": _kernels.BACKEND, "python": platform.python_version(),
+            "numpy": np.__version__, "nproc": nproc,
+            "config_sha256": config.sha256}
 
 
 def _kalman_bucy_exact(config: ExperimentConfig, model: SystemModel) -> bool:
@@ -443,8 +461,9 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
                         path: ObservationPath):
     """Mesh-point reference moments driven by the identical slope process:
     Kalman-Bucy for a linear-Gaussian model from a Gaussian law, else the
-    1D grid Kushner filter.  Returns (kind, means, covs, clip_count), the
-    last the grid's count of clipped negative cells (None for Kalman-Bucy)."""
+    1D grid Kushner filter.  Returns (kind, means, covs, clip_count, nsub):
+    the grid's count of clipped negative cells and its substeps per fine
+    step, both None for Kalman-Bucy."""
     grid = config.grid
     dens = _reference_density(config, model)
     if dens is None:
@@ -453,10 +472,11 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
         means, covs = run_kalman_bucy(model.A, model.h_row(), config.init.mean,
                                       config.init.cov, drive, grid.fine_dt,
                                       record_every=grid.steps_per_mesh)
-        return "kalman_bucy", means, covs, None
+        return "kalman_bucy", means, covs, None, None
     means, vars_, _, clips = run_grid_kushner(dens, model, path.slopes,
                                               grid.fine_dt, grid.steps_per_mesh)
-    return "grid_kushner", means[:, None], vars_[:, None, None], clips
+    return ("grid_kushner", means[:, None], vars_[:, None, None], clips,
+            substeps_per_fine_step(dens, grid.fine_dt))
 
 
 def _filter_result(spec: FilterSpec, out, ref_means: np.ndarray,
@@ -488,7 +508,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
     model = config.build_model()
     path = _simulate_paths(config, model)
     checksum = hashlib.sha256(path.slopes.tobytes()).hexdigest()
-    ref_kind, ref_means, ref_covs, ref_clips = _reference_solution(
+    ref_kind, ref_means, ref_covs, ref_clips, ref_nsub = _reference_solution(
         config, model, path)
     cloud = _initial_cloud(config, model.dim)
     runs = [Run(spec.kind, spec.gain, path, config.grid, cloud, spec.gain_opts)
@@ -497,8 +517,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
         config.filters, run_lockstep(runs, model, config.seeds["filter"]))]
     return RunReport(reference_kind=ref_kind, ref_means=ref_means,
                      ref_covs=ref_covs, reference_clip_count=ref_clips,
+                     reference_substeps_per_fine_step=ref_nsub,
                      results=results, slope_checksum=checksum,
-                     wall_clock=time.perf_counter() - t_start)
+                     wall_clock=time.perf_counter() - t_start,
+                     environment=environment(config))
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +801,9 @@ def emit_plot_data(report: RunReport, out_dir: str):
         "schema_version": SCHEMA_VERSION,
         "reference": report.reference_kind,
         "reference_clip_count": report.reference_clip_count,
+        "reference_substeps_per_fine_step":
+            report.reference_substeps_per_fine_step,
+        "environment": report.environment,
         "slope_checksum": report.slope_checksum,
         "wall_clock": report.wall_clock,
         "filters": {res.label: {key: getattr(res, key) for key in (

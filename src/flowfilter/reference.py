@@ -53,6 +53,11 @@ def cfl_bound(dens: Density1D) -> float:
     return CFL_FACTOR * dens.dx ** 2
 
 
+def substeps_per_fine_step(dens: Density1D, fine_dt: float) -> int:
+    """The explicit substeps under the CFL bound that make one fine step."""
+    return max(1, int(np.ceil(fine_dt / cfl_bound(dens))))
+
+
 def run_grid_kushner(dens: Density1D, model: SystemModel,
                      slopes: np.ndarray, fine_dt: float,
                      steps_per_mesh: int, snapshot_slots=()):
@@ -60,13 +65,13 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
     interval) by explicit steps of
     d theta = (L* theta - (h^2 - h2bar) theta / 2 + (h - hbar) theta slope) dt
     with L* theta = -(M theta)' + theta''/2 in conservative flux form,
-    zero-flux boundaries, negative clipping and renormalisation, substepped
-    under the CFL bound.  Returns (means, vars, snapshots, clip_count):
-    moments at every mesh point and the Density1D at each requested mesh
-    index (0 = the initial density).  Raises NonFiniteState, with the fine
-    step, at the first mesh point whose mean is not finite."""
-    bound = cfl_bound(dens)
-    nsub = max(1, int(np.ceil(fine_dt / bound)))
+    zero-flux boundaries and negative clipping, substepped under the CFL
+    bound and renormalised to unit mass after every fine step.  Returns
+    (means, vars, snapshots, clip_count): moments at every mesh point and
+    the Density1D at each requested mesh index (0 = the initial density).
+    Raises NonFiniteState, with the fine step, at the first mesh point
+    whose mean is not finite."""
+    nsub = substeps_per_fine_step(dens, fine_dt)
     dt_sub = fine_dt / nsub
     g2 = dens.grid.reshape(-1, 1)
     drift_g = model.drift(g2)[:, 0]
@@ -81,12 +86,13 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
     theta = dens.values
     nclip_total = 0
     for m in range(n_mesh):
-        # the slope holds over the mesh interval: its fine steps are one run
-        # of substeps, the same arithmetic as one call per fine step
-        theta, nclip = _kernels.kushner_substeps(
-            theta, drift_g, h_g, w, dens.dx, dt_sub, nsub * steps_per_mesh,
-            float(slopes[m]))
-        nclip_total += int(nclip)     # a Python int for report.json
+        slope = float(slopes[m])
+        # one kernel call per fine step: the kernel normalises when it
+        # returns, so the result does not depend on a grouping of calls
+        for _ in range(steps_per_mesh):
+            theta, nclip = _kernels.kushner_substeps(
+                theta, drift_g, h_g, w, dens.dx, dt_sub, nsub, slope)
+            nclip_total += int(nclip)     # a Python int for report.json
         cur = Density1D(grid=dens.grid, values=theta)
         means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
         if not np.isfinite(means[m + 1]):

@@ -7,16 +7,29 @@ rename in src/."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import numpy as np
+
+from flowfilter import _kernels
+from flowfilter.ensemble import Density1D
+from flowfilter.models import make_linear_gaussian
+from flowfilter.reference import run_grid_kushner, substeps_per_fine_step
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
 
 
-def test_traced_names_resolve():
+def _layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_traced_names_resolve():
+    layers = _layers()
     missing = [(module, attr) for module, attr, _ in layers.TRACED
                if attr not in importlib.import_module(module).__dict__]
     assert missing == []
@@ -41,3 +54,35 @@ def test_child_imports_resolve():
             except ImportError:
                 missing.append((module, name))
     assert missing == []
+
+
+def test_kushner_kernels_take_nsub_seventh():
+    # the tracer reads a kernel call's substeps as args[6]
+    for fn in (_kernels.kushner_substeps, _kernels._kushner_substeps_impl):
+        params = list(inspect.signature(getattr(fn, "py_func", fn)).parameters)
+        assert params[6] == "nsub"
+    theta = np.ones(11)
+    args = (theta, np.zeros(11), np.zeros(11), np.full(11, 0.1), 0.1,
+            1e-3, 7, 0.0)
+    info = _layers().INFO["kernels.kushner_substeps"]
+    assert info(args, {}, (theta, 0)) == (11 * 7, 7)
+
+
+def test_grid_kushner_makes_one_kernel_call_per_fine_step(monkeypatch):
+    # perfbench's reference.substeps_per_fine_step averages nsub per call
+    calls = []
+    kernel = _kernels.kushner_substeps
+
+    def counted(*args):
+        calls.append(args[6])
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "kushner_substeps", counted)
+    g = np.linspace(-4.0, 4.0, 81)
+    dens = Density1D(grid=g, values=np.exp(-0.5 * g * g))
+    fine_dt, steps_per_mesh, n_mesh = 0.01, 3, 4
+    run_grid_kushner(dens, make_linear_gaussian([[-0.5]], [1.0]),
+                     np.zeros(n_mesh), fine_dt, steps_per_mesh)
+    nsub = substeps_per_fine_step(dens, fine_dt)
+    assert nsub > 1
+    assert calls == [nsub] * (n_mesh * steps_per_mesh)

@@ -214,6 +214,34 @@ def test_report_json_reference_clip_count(tmp_path):
     assert summary["reference_clip_count"] == 0
 
 
+@pytest.mark.parametrize("name, reference, nsub", [
+    # 1201 points over +-6: the grid step 0.009999999999999787 makes
+    # 1e-3 / (0.4 dx^2) = 25.000000000001066, so 26 substeps
+    ("nonlinear_tanh", "grid_kushner", 26),
+    ("linear_gaussian", "kalman_bucy", None),
+])
+def test_report_json_environment_and_reference_substeps(tmp_path, name,
+                                                        reference, nsub):
+    # the shipped config, shortened to two mesh intervals with no filters:
+    # the substeps depend only on the reference grid and fine_dt
+    raw = json.loads(open(os.path.join(CONFIGS, f"{name}.json")).read())
+    raw["grid"]["T"], raw["filters"] = 0.02, []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw, indent=4))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    summary = json.load(open(tmp_path / "o" / "report.json"))
+    assert summary["reference"] == reference
+    assert summary["reference_substeps_per_fine_step"] == nsub
+    env = summary["environment"]
+    assert env == {"backend": cli._kernels.BACKEND,
+                   "python": sys.version.split()[0],
+                   "numpy": np.__version__, "nproc": env["nproc"],
+                   "config_sha256": hashlib.sha256(json.dumps(
+                       raw, sort_keys=True, separators=(",", ":")).encode()
+                   ).hexdigest()}
+    assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+
+
 def test_emit_plot_data_empty_report_header_only(tmp_path):
     report = run_experiment(_cfg(filters=[]))
     emit_plot_data(report, str(tmp_path))

@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -601,3 +602,17 @@ def test_non_finite_stiffness_refuses_before_lapack(capfd):
     x[-1] *= 1e6
     _refuses_quietly(capfd, IllConditioned,
                      ASSEMBLERS["delta_fpf"]["galerkin"], x, MODEL_2D)
+
+
+def test_an_svd_that_does_not_converge_is_ill_conditioned(monkeypatch):
+    # no finite stiffness matrix known makes LAPACK's SVD fail, so the
+    # failure is forced: its LinAlgError must become IllConditioned(inf)
+    def no_convergence(a, p=None):
+        assert np.isfinite(a).all()
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "cond", no_convergence)
+    ens = np.random.default_rng(11).standard_normal((100, 1))
+    with pytest.raises(IllConditioned) as err:
+        solve_galerkin(ens, _linear_model(), "reich_omega")
+    assert err.value.cond == math.inf

@@ -1,7 +1,11 @@
 """Backend equivalence: every numba kernel must match its numpy fallback."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from flowfilter import _kernels
 
@@ -146,3 +150,77 @@ def test_kushner_numpy_mass_is_one_after_each_call():
     out, _ = _kernels.kushner_substeps_numpy(theta, -g, np.tanh(g), w,
                                              g[1] - g[0], 1e-5, 25, 0.0)
     assert np.dot(w, out) == pytest.approx(1.0, rel=1e-12)
+
+
+def _weights(g):
+    w = np.full(g.size, g[1] - g[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+@st.composite
+def kushner_calls(draw):
+    """Arguments of one Kushner call on a grid of 21 to 201 points: a drift
+    line whose ends may pass +-1/dx (where a band turns negative), a
+    tanh-shaped h, a Gaussian bump (possibly off-centre) on a floor that
+    may be 0, dt up to the CFL bound, and a slope with dt |slope| max|h|
+    from 0 to 1.2.  Calls fall on both sides of the no-clip certificate,
+    and some clip only through the shift dt (h2bar/2 - slope hbar): a floor
+    far from an off-centre bump, where slope (h - hbar) is most negative."""
+    G = draw(st.integers(21, 201))
+    half = draw(st.floats(1.0, 8.0))
+    g = np.linspace(-half, half, G)
+    dx = g[1] - g[0]
+    dt = draw(st.floats(0.05, 1.0)) * 0.4 * dx * dx
+    a, b = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+    drift = (a + b * g / half) / dx
+    h = draw(st.floats(0.1, 5.0)) * np.tanh(draw(st.floats(0.1, 3.0)) * g
+                                            + draw(st.floats(-1.0, 1.0)))
+    mu = draw(st.floats(-half, half))
+    sigma = draw(st.floats(0.05, 1.0)) * half
+    theta = np.exp(-0.5 * ((g - mu) / sigma) ** 2) \
+        + draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1]))
+    theta /= np.dot(_weights(g), theta)
+    slope = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.0, 1.2)) \
+        / (dt * np.max(np.abs(h)))
+    return theta, drift, h, _weights(g), dx, dt, draw(st.integers(1, 20)), slope
+
+
+def _certified(theta, drift, h, w, dx, dt, nsub, slope):
+    """The no-clip certificate: nonnegative bands and theta, and every
+    diagonal entry above 2 dt |slope| max|h|."""
+    P, Q = 0.5 * drift[:-1] + 0.5 / dx, 0.5 * drift[1:] - 0.5 / dx
+    diag = np.concatenate([[-P[0]], Q[:-1] - P[1:], [Q[-1]]])
+    diag = 1.0 + dt * (diag / dx + (slope - 0.5 * h) * h)
+    return bool(P.min() >= 0.0 and Q.max() <= 0.0 and theta.min() >= 0.0
+                and diag.min() > 2.0 * dt * abs(slope) * np.max(np.abs(h)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kushner_calls())
+def test_kushner_numpy_matches_flux_form_loop_on_drawn_calls(args):
+    """The ratio-form kernel, which skips the clip test where the
+    certificate holds, against the flux-form loop that renormalises and
+    tests every cell each substep: equal clip counts, and at most 1e-12 of
+    max|theta| apart."""
+    a, ca = _kernels.kushner_substeps_numpy(*args)
+    b, cb = _kernels._kushner_substeps_impl(*args)
+    event("certified" if _certified(*args) else "not certified")
+    event("clips" if cb else "no clips")
+    assert ca == cb
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_kushner_numpy_zero_mass_leaves_a_non_finite_state():
+    # m0 = 0 from the first substep: no ZeroDivisionError and no warning;
+    # run_grid_kushner turns the state into NonFiniteState
+    g = np.linspace(-3.0, 3.0, 61)
+    dx = g[1] - g[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, nclip = _kernels.kushner_substeps_numpy(
+            np.zeros(g.size), -g, np.tanh(g), _weights(g), dx,
+            0.4 * dx * dx, 5, 0.7)
+    assert out.shape == g.shape and not np.isfinite(out).any()
+    assert nclip == 0

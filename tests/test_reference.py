@@ -84,8 +84,7 @@ def test_grid_kushner_non_finite_density_raises(recwarn):
 
 
 def test_grid_kushner_is_its_loop_of_fine_steps_bitwise():
-    # one kernel call per mesh interval takes the substeps of its fine
-    # steps in one run: the same arithmetic as one call per fine step,
+    # the solver is its loop of one kernel call per fine step, bitwise,
     # negative clips included (a box density under a drift past 1/dx clips)
     model = SystemModel(dim=1, drift=lambda x: 30.0 + 0.0 * x,
                         obs=lambda x: 3.0 * x[:, 0],
