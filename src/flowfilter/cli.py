@@ -12,7 +12,8 @@ Subcommands:
   flowfilter theory <config.json>   Poincare certificates for the
                                     configured system (theory.csv)
 
-Exit codes: 0 success, 2 config error, 3 numerical or allocation failure.
+Exit codes: 0 success, 2 config error (also two filters of one label, or an
+output directory that cannot be made), 3 numerical, allocation or output failure.
 All seeds are explicit in the config; re-running a config reproduces every
 CSV bitwise.  The filters of a run, and the runs of one sweep seed, share
 the filter seed, so they advance as one lockstep group
@@ -219,7 +220,8 @@ CONFIG = {
         "kalman_bucy": ("true or false", lambda v: isinstance(v, bool), True),
         "grid_kushner": {"points": (*_at_least(3), None),
                          "half_width": (*POSITIVE, 6.0)}},
-    "output_dir": (*STRING, "out"),
+    "output_dir": ("a non-empty string",
+                   lambda v: isinstance(v, str) and v != "", "out"),
 }
 
 
@@ -284,7 +286,12 @@ def parse_config(raw) -> ExperimentConfig:
         if f["gain"] not in gains:
             raise ConfigError(f"filters[{i}].{'gain' if gains else 'kind'}", f"{label} "
                               f"takes {gains or 'no gain'} in {init.dim}D, not {f['gain']!r}")
-        filters.append(FilterSpec(kind, f["gain"], f["gain_opts"]))
+        spec = FilterSpec(kind, f["gain"], f["gain_opts"])
+        same = [j for j, other in enumerate(filters) if other.label() == spec.label()]
+        if same:        # every output keys on the label
+            raise ConfigError(f"filters[{i}]", f"{spec.label()} is the label of "
+                              f"filters[{same[0]}] too; outputs key on it")
+        filters.append(spec)
     # a delta galerkin row solves its drift on the monomial basis, which
     # needs more particles than functions; the continuous-time galerkin rows
     # are constant rows
@@ -320,6 +327,16 @@ def _check_path_size(grid: TimeGrid, dim: int):
         raise ConfigError("grid", f"fine_dt={grid.fine_dt} gives {grid.n_fine} "
                           f"fine steps of {dim} floats each, more than one "
                           "array can hold")
+
+
+def _check_out_dir(out_dir: str, field: str):
+    """Refuse, creating nothing, an output directory whose nearest existing
+    ancestor is not a writable directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(field, f"{out_dir!r}: {path} is not a writable directory")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -407,6 +424,7 @@ def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
 @dataclass
 class FilterResult:
     label: str
+    gain: str
     run: Optional[FilterRun]
     error: Optional[str]
     rmse_mean: float = float("nan")
@@ -479,18 +497,18 @@ def _reference_solution(config: ExperimentConfig, model: SystemModel,
             substeps_per_fine_step(dens, grid.fine_dt))
 
 
-def _filter_result(spec: FilterSpec, out, ref_means: np.ndarray,
+def _filter_result(spec: FilterSpec, out: FilterRun, ref_means: np.ndarray,
                    ref_covs: np.ndarray) -> FilterResult:
-    """The report row of a run_lockstep outcome, the FilterAborted that
-    ended the run or a FilterRun with its errors against the reference."""
-    if not isinstance(out, FilterRun):
-        return FilterResult(label=spec.label(), run=None,
-                            error=f"{type(out).__name__}: {out}",
-                            wall_clock=out.partial.seconds)
+    """The report row of a run_lockstep outcome: the abort that ended the
+    run, or the run with its errors against the reference."""
+    if out.aborted is not None:
+        return FilterResult(label=spec.label(), gain=spec.gain, run=None,
+                            error=f"{type(out.aborted).__name__}: {out.aborted}",
+                            wall_clock=out.seconds)
     err_mean = np.linalg.norm(out.means - ref_means, axis=1)
     err_cov = np.linalg.norm((out.covs - ref_covs).reshape(err_mean.size, -1),
                              axis=1)
-    return FilterResult(label=spec.label(), run=out, error=None,
+    return FilterResult(label=spec.label(), gain=spec.gain, run=out, error=None,
                         wall_clock=out.seconds,
                         rmse_mean=float(np.sqrt(np.mean(err_mean**2))),
                         terminal_err_mean=float(err_mean[-1]),
@@ -582,9 +600,9 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
-def _means(out, every: int = 1) -> Optional[np.ndarray]:
+def _means(out: FilterRun, every: int = 1) -> Optional[np.ndarray]:
     """Every every-th mesh mean of a run_lockstep outcome; None if it aborted."""
-    return out.means[::every] if isinstance(out, FilterRun) else None
+    return out.means[::every] if out.aborted is None else None
 
 
 def _rmse(means: Optional[np.ndarray], ref: Optional[np.ndarray]) -> float:
@@ -794,9 +812,9 @@ def emit_plot_data(report: RunReport, out_dir: str):
                 for res in done for k, t in enumerate(res.run.times)))
     diag_keys = ["residual", "centring", "condition_number", "epsilon"]
     _write_csv(out_dir, "gain_log.csv", ["filter", "step", "method"] + diag_keys,
-               ([res.label, entry.get("step"), entry.get("method")]
-                + [(_f(entry[k]) if k in entry else "") for k in diag_keys]
-                for res in done for entry in res.run.step_log))
+               ([res.label, k, res.gain]
+                + [(_f(entry[key]) if key in entry else "") for key in diag_keys]
+                for res in done for k, entry in enumerate(res.run.step_log)))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "reference": report.reference_kind,
@@ -891,22 +909,25 @@ def main(argv=None) -> int:
             config = _reseeded(config, _walk(args.seed, SEED, "--seed"))
             config.sweep = {**config.sweep, "seeds": [args.seed]}
         out_dir = args.out_dir or config.output_dir
+        _check_out_dir(out_dir, "--out-dir" if args.out_dir else "output_dir")
         if args.command == "run":
-            report = run_experiment(config, threads=args.threads)
-            emit_plot_data(report, out_dir)
+            report, emit = run_experiment(config, threads=args.threads), emit_plot_data
             failed = [r.label for r in report.results if r.error]
             done = (f"run complete: {len(report.results)} filters, "
                     f"reference {report.reference_kind}")
         elif args.command == "sweep":
-            report = run_delta_sweep(config)
-            emit_sweep_csv(report, out_dir)
+            report, emit = run_delta_sweep(config), emit_sweep_csv
             failed = list(dict.fromkeys(row.filter_label for row in report.rows
                                         if math.isnan(row.rmse)))
             done = f"sweep complete: {len(report.rows)} rows"
         else:
-            rows = theory_certificates(config)
-            emit_theory_csv(rows, out_dir)
-            failed, done = [], f"theory certificates: {len(rows)} rows"
+            report, emit = theory_certificates(config), emit_theory_csv
+            failed, done = [], f"theory certificates: {len(report)} rows"
+        try:
+            emit(report, out_dir)
+        except OSError as exc:
+            print(f"output failure: {exc}", file=sys.stderr)
+            return 3
         if failed:
             print(f"filters failed: {', '.join(failed)}", file=sys.stderr)
             return 3

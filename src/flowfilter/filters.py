@@ -95,11 +95,12 @@ class FilterRun:
     means: np.ndarray           # (n_mesh + 1, d)
     covs: np.ndarray            # (n_mesh + 1, d, d)
     h_bars: np.ndarray
-    step_log: list
+    step_log: list              # [k]: fine step k's diagnostics from step
     final_particles: np.ndarray
     # wall time of the steps that computed the run, which the runs of one
     # shared computation all report
     seconds: float = 0.0
+    aborted: Optional[FilterAborted] = None    # its .partial is this record
 
 
 @dataclass
@@ -208,7 +209,7 @@ class _Lane:
                 self.failure = (k, exc)
                 break
             x = new
-            self.step_log.append({"step": k, "method": run.gain_method, **diags})
+            self.step_log.append(diags)
         self.x = x
         self.seconds += time.perf_counter() - t0
         return self.failure is None
@@ -222,12 +223,11 @@ class _Lane:
             except STEP_ERRORS as exc:
                 self.failure = (n_fine, exc)
 
-    def outcome(self, run: Run):
-        """run's outcome of this lane's computation: a FilterRun, or the
-        FilterAborted that ended it, with the series up to its last mesh
-        record.  The first call, for the lane's own run, gets the lane's
-        arrays; each later run gets copies, its own gain method in its step
-        log and its own kind in a NonFiniteState of the lane."""
+    def outcome(self, run: Run) -> FilterRun:
+        """run's outcome of this lane's computation: its series up to its
+        last mesh record and the FilterAborted that ended it, if any.  The
+        first call, for the lane's own run, gets the lane's arrays; each later
+        run gets copies, and its own kind in a NonFiniteState of the lane."""
         copy, self.handed_out = self.handed_out, True
         upto = slice(self.recorded)
         series = [self.times[upto], self.means[upto], self.covs[upto],
@@ -235,19 +235,18 @@ class _Lane:
         log = self.step_log
         if copy:
             series = [a.copy() for a in series]
-            log = [{**entry, "method": run.gain_method} for entry in log]
+            log = [dict(entry) for entry in log]
         times, means, covs, h_bars, x = series
         result = FilterRun(times, means, covs, h_bars, log, final_particles=x,
                            seconds=self.seconds)
-        if self.failure is None:
-            return result
-        k, cause = self.failure
-        if copy and self.non_finite is not None:
-            at, detail = self.non_finite
-            cause = NonFiniteState(at, detail + run.kind.label())
-        aborted = FilterAborted(k, cause, partial=result)
-        aborted.__cause__ = cause
-        return aborted
+        if self.failure is not None:
+            k, cause = self.failure
+            if copy and self.non_finite is not None:
+                at, detail = self.non_finite
+                cause = NonFiniteState(at, detail + run.kind.label())
+            result.aborted = FilterAborted(k, cause, partial=result)
+            result.aborted.__cause__ = cause
+        return result
 
 
 def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
@@ -257,8 +256,8 @@ def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
     NOISE_BUFFER_BYTES, then every live run takes the buffered steps,
     recording the moments of its cloud at its mesh points; runs that
     _Lane.computes the same are computed once.  Returns each run's own
-    FilterRun, or the FilterAborted of a run whose step raised one of
-    STEP_ERRORS, carrying its series up to that step; the other runs go on
+    FilterRun; a run whose step raised one of STEP_ERRORS carries its series
+    up to that step and its FilterAborted, and the other runs go on
     unchanged.
     """
     if not runs:
@@ -301,6 +300,6 @@ def run_filter(kind: FilterKind, model: SystemModel, path: ObservationPath,
     """
     [out] = run_lockstep([Run(kind, gain_method, path, grid, init_particles,
                               dict(gain_opts or {}))], model, seed)
-    if isinstance(out, FilterAborted):
-        raise out
+    if out.aborted is not None:
+        raise out.aborted
     return out

@@ -8,24 +8,30 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 
-from flowfilter import _kernels
+from flowfilter import _kernels, cli, gain
 from flowfilter.ensemble import Density1D
+from flowfilter.errors import IllConditioned
 from flowfilter.models import make_linear_gaussian
 from flowfilter.reference import run_grid_kushner, substeps_per_fine_step
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-LAYERS = PERFBENCH / "layers.py"
+
+
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    return _perfbench("layers")
 
 
 def test_traced_names_resolve():
@@ -86,3 +92,33 @@ def test_grid_kushner_makes_one_kernel_call_per_fine_step(monkeypatch):
     nsub = substeps_per_fine_step(dens, fine_dt)
     assert nsub > 1
     assert calls == [nsub] * (n_mesh * steps_per_mesh)
+
+
+def test_check_run_reads_the_cli_outputs(tmp_path, monkeypatch):
+    # perfbench's correctness gate against real output of cli.main: a healthy
+    # run passes, and an aborted filter is one failed operation named by label
+    bench = _perfbench("run")
+    raw = json.loads((PERFBENCH.parent / "configs" / "nonlinear_tanh.json")
+                     .read_text())
+    raw["ensemble_size"], raw["grid"]["T"] = 2000, 0.1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    ops = bench.expected_ops("run", raw)
+    assert ops == 3
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "ok")]) == 0
+    failed, worst, problems, note = bench.check_run(tmp_path / "ok", raw, ops)
+    assert (failed, problems, note) == (0, [], None)
+    assert 0 < worst <= bench.RMSE_LIMIT
+
+    def ill_conditioned(x, model, **opts):
+        raise IllConditioned(1e13)
+
+    monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "galerkin",
+                        ill_conditioned)
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "bad")]) == 3
+    failed, worst, problems, note = bench.check_run(tmp_path / "bad", raw, ops)
+    assert failed == 1 and note is None
+    assert problems == ["delta_fpf/galerkin: FilterAborted: aborted at fine "
+                        "step 0: IllConditioned: stiffness matrix condition "
+                        "number 1.000e+13 exceeds 1e12"]
+    assert 0 < worst <= bench.RMSE_LIMIT

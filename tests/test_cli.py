@@ -1203,3 +1203,101 @@ def test_non_nested_sweep_deltas_exit_2_before_any_path(tmp_path, capsys,
     assert code == 2
     assert "config.sweep.delta:" in err_text
     assert simulated == []
+
+
+def test_gain_log_gives_a_shared_copy_its_own_method(tmp_path, monkeypatch):
+    # in 1D the two rows are one computation: its copy logs its own method
+    steps, original = [], filters.step
+
+    def counting(*args, **opts):
+        steps.append(1)
+        return original(*args, **opts)
+
+    monkeypatch.setattr(filters, "step", counting)
+    cfg = _cfg(grid={**BASE["grid"], "T": 0.05},
+               filters=[{"kind": "fpf_continuous", "gain": "constant"},
+                        {"kind": "crisan_continuous", "gain": "galerkin"}])
+    emit_plot_data(run_experiment(cfg), str(tmp_path))
+    assert len(steps) == cfg.grid.n_fine == 50
+    with open(tmp_path / "gain_log.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    fpf, crisan = ([r for r in rows if r["filter"] == label] for label in
+                   ("fpf_continuous/constant", "crisan_continuous/galerkin"))
+    assert [r["method"] for r in fpf] == ["constant"] * 50
+    assert [r["method"] for r in crisan] == ["galerkin"] * 50
+    assert [r["step"] for r in fpf] == [r["step"] for r in crisan] == \
+        [str(k) for k in range(50)]
+    keys = ["residual", "centring", "condition_number", "epsilon"]
+    assert [[r[k] for k in keys] for r in fpf] == \
+        [[r[k] for k in keys] for r in crisan]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_filters_that_share_a_label_exit_2_before_any_path(tmp_path, capsys,
+                                                           monkeypatch, command):
+    # run exited 3 naming one of them, while report.json kept one entry per
+    # label, reading no error, and series.csv mixed the two under one label
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate_paths",
+                        lambda *args: simulated.append(args))
+    raw = {**copy.deepcopy(BASE), "ensemble_size": 300,
+           "grid": {**BASE["grid"], "T": 0.2},
+           "filters": [{"kind": "delta_fpf", "gain": "constant"},
+                       {"kind": "delta_fpf", "gain": "constant"},
+                       {"kind": "delta_fpf", "gain": "integral_1d",
+                        "gain_opts": {"kde_opts": {"grid_points": 3}}},
+                       {"kind": "delta_fpf", "gain": "integral_1d"}]}
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+    assert code == 2
+    assert "config.filters[1]: delta_fpf/constant is the label of filters[0]" \
+        in err_text
+    raw["filters"] = raw["filters"][1:]     # other gain_opts share it too
+    code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
+    assert code == 2
+    assert "config.filters[2]: delta_fpf/integral_1d is the label of " \
+        "filters[1]" in err_text
+    assert simulated == []
+
+
+OUTPUT_CASES = [("run", "series.csv"), ("sweep", "sweep.csv"),
+                ("theory", "theory.csv")]
+
+
+def _small_raw():
+    """BASE, runnable under every command in well under a second."""
+    return {**copy.deepcopy(BASE), "sweep": {"delta": [0.02, 0.01], "seeds": [1]},
+            "reference": {"grid_kushner": {"half_width": 5.0, "points": 201}}}
+
+
+@pytest.mark.parametrize("command, output", OUTPUT_CASES)
+def test_output_dir_that_cannot_be_made_exit_2_before_any_path(
+        tmp_path, capsys, monkeypatch, command, output):
+    # ended in a NotADirectoryError traceback (exit 1) after the computation
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate_paths",
+                        lambda *args: simulated.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_small_raw(), "output_dir": str(blocker / "sub")}))
+    assert main([command, str(path)]) == 2
+    assert "config.output_dir:" in capsys.readouterr().err
+    for out_dir in (blocker / "sub", blocker):
+        assert main([command, str(path), "--out-dir", str(out_dir)]) == 2
+        assert "config.--out-dir:" in capsys.readouterr().err
+    path.write_text(json.dumps({**_small_raw(), "output_dir": ""}))
+    assert main([command, str(path)]) == 2     # was exit 3, after the computation
+    assert "config.output_dir: must be a non-empty string" in capsys.readouterr().err
+    assert simulated == []
+    assert blocker.read_text() == ""
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+@pytest.mark.parametrize("command, output", OUTPUT_CASES)
+def test_output_that_cannot_be_written_exit_3(tmp_path, capsys, command,
+                                              output):
+    (tmp_path / "o" / output).mkdir(parents=True)
+    code, err_text = _exit_and_field(tmp_path, capsys, _small_raw(), command)
+    assert code == 3
+    assert err_text.startswith("output failure: ") and output in err_text
+    assert "Traceback" not in err_text

@@ -81,7 +81,8 @@ def _solo(run, model, seed):
                           run.grid, run.gain_method, seed,
                           gain_opts=run.gain_opts)
     except FilterAborted as exc:
-        return exc
+        assert exc.partial.aborted is exc
+        return exc.partial
 
 
 def _every_step(run, model, seed):
@@ -107,7 +108,7 @@ def _every_step(run, model, seed):
         except STEP_ERRORS:
             return means, covs, h_bars, log, x, False
         x = new
-        log.append({"step": k, "method": run.gain_method, **diags})
+        log.append(diags)
     m = compute_moments(x, model)
     means.append(m.mean), covs.append(m.cov), h_bars.append(m.h_bar)
     return means, covs, h_bars, log, x, True
@@ -140,10 +141,11 @@ def test_lockstep_run_equals_its_solo_run(case):
     for run, out in zip(runs, together):
         alone = _solo(run, model, seed)
         assert type(out) is type(alone)
-        finished = isinstance(out, FilterRun)
+        finished = out.aborted is None
+        assert (alone.aborted is None) == finished
         if not finished:
-            assert out.step == alone.step
-            out, alone = out.partial, alone.partial
+            assert out.aborted.step == alone.aborted.step
+            assert out.aborted.partial is out
         _bytes_equal(out, alone)
         means, covs, h_bars, log, x, done = _every_step(run, model, seed)
         assert done == finished
@@ -211,10 +213,11 @@ def test_aborted_run_leaves_its_siblings_bitwise_unchanged(monkeypatch):
                         r.gain_method, 6) for r in runs[::2]]
     monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "constant",
                         fails_at_step_3)
-    first, aborted, last = run_lockstep(runs, model, seed=6)
-    assert isinstance(aborted, FilterAborted) and aborted.step == 3
-    assert aborted.partial.means.shape == (2, 1)       # mesh points 0 and 2
-    assert len(aborted.partial.step_log) == 3
+    first, partial, last = run_lockstep(runs, model, seed=6)
+    assert partial.aborted is not None and partial.aborted.step == 3
+    assert partial.aborted.partial is partial
+    assert partial.means.shape == (2, 1)       # mesh points 0 and 2
+    assert len(partial.step_log) == 3
     _bytes_equal(first, alone[0])
     _bytes_equal(last, alone[1])
 
@@ -285,7 +288,7 @@ def test_delta_kinds_on_one_integral_row_compute_once(monkeypatch):
     together = run_lockstep(runs, model, seed=3)
     assert len(densities) == N_FINE
     for out, solo in zip(together, alone):
-        assert isinstance(out, FilterRun)
+        assert isinstance(out, FilterRun) and out.aborted is None
         _bytes_equal(out, solo)
         assert out.seconds == together[0].seconds
 
@@ -346,8 +349,8 @@ def test_a_row_refused_in_its_dimension_is_not_shared(tags):
     runs = [Run(FilterKind(tag), "constant", path, grid, cloud)
             for tag in tags]
     outs = dict(zip(tags, run_lockstep(runs, model, seed=6)))
-    assert isinstance(outs["fpf_continuous"], FilterRun)
-    assert isinstance(outs["crisan_continuous"].cause, DimensionError)
+    assert outs["fpf_continuous"].aborted is None
+    assert isinstance(outs["crisan_continuous"].aborted.cause, DimensionError)
 
 
 def test_a_shared_abort_names_each_run_its_own_kind():
@@ -356,15 +359,17 @@ def test_a_shared_abort_names_each_run_its_own_kind():
     _, runs = _tanh_group()
     outs = run_lockstep(runs, model, seed=3)
     assert len({id(out) for out in outs}) == 3
-    assert len({id(out.partial) for out in outs}) == 3
+    assert len({id(out.aborted) for out in outs}) == 3
     for run, out in zip(runs, outs):
-        assert isinstance(out, FilterAborted) and out.step == 0
-        assert isinstance(out.cause, NonFiniteState) and out.cause.step == 1
-        assert str(out.cause).endswith(": " + run.kind.label())
-        assert out.__cause__ is out.cause
-        assert out.partial.means.shape == (1, 1)
-    outs[0].partial.means[...] = np.nan
-    assert np.isfinite(outs[1].partial.means).all()
+        aborted = out.aborted
+        assert aborted is not None and aborted.step == 0
+        assert aborted.partial is out
+        assert isinstance(aborted.cause, NonFiniteState) and aborted.cause.step == 1
+        assert str(aborted.cause).endswith(": " + run.kind.label())
+        assert aborted.__cause__ is aborted.cause
+        assert out.means.shape == (1, 1)
+    outs[0].means[...] = np.nan
+    assert np.isfinite(outs[1].means).all()
 
 
 def test_a_cloud_whose_moments_overflow_aborts_quietly():
@@ -402,12 +407,13 @@ def test_a_final_record_that_overflows_spares_the_siblings(monkeypatch):
     alone = _solo(runs[0], model, 6)
     monkeypatch.setitem(gain.ASSEMBLERS["delta_fpf"], "constant",
                         throws_out_at_the_last_step)
-    finished, aborted = run_lockstep(runs, model, seed=6)
+    finished, partial = run_lockstep(runs, model, seed=6)
     _bytes_equal(finished, alone)
-    assert isinstance(aborted, FilterAborted) and aborted.step == N_FINE
-    assert isinstance(aborted.cause, NonFiniteState)
-    assert aborted.partial.means.shape == (N_FINE // 2, 1)
-    assert len(aborted.partial.step_log) == N_FINE
+    assert partial.aborted is not None and partial.aborted.step == N_FINE
+    assert partial.aborted.partial is partial
+    assert isinstance(partial.aborted.cause, NonFiniteState)
+    assert partial.means.shape == (N_FINE // 2, 1)
+    assert len(partial.step_log) == N_FINE
 
 
 @st.composite
@@ -440,7 +446,9 @@ def test_shared_runs_equal_their_solo_runs(case):
     for run, out in zip(runs, together):
         alone = _solo(run, model, seed)
         assert type(out) is type(alone)
-        if isinstance(out, FilterAborted):
-            assert out.step == alone.step and str(out) == str(alone)
-            out, alone = out.partial, alone.partial
+        assert (out.aborted is None) == (alone.aborted is None)
+        if out.aborted is not None:
+            assert out.aborted.step == alone.aborted.step
+            assert str(out.aborted) == str(alone.aborted)
+            assert out.aborted.partial is out
         _bytes_equal(out, alone)
