@@ -6,9 +6,12 @@ Run:  python benchmarks/bench_kernels.py [--out PATH]
 The numba path is what FLOWFILTER_NUMBA=1 (default) binds; the numpy
 column is the FLOWFILTER_NUMBA=0 fallback.  Times are best-of-repeat
 seconds per call; first numba call compiles, so kernels are warmed first.
-The Kushner rows also give microseconds per substep.  With --out, the rows
-and an environment block (backend, Python, numpy and scipy versions,
-nproc) are written to PATH as JSON.  To compare two versions of the
+The Kushner rows also give microseconds per substep; the "fine steps"
+rows make one mesh interval's consecutive calls on read-only drift, h and
+w, as the grid Kushner reference does, and the "rows at +N B" rows
+repeat the 2001-point call with every kernel row N bytes past a 64-byte
+boundary.  With --out, the rows and an environment block (backend,
+Python, numpy and scipy versions, nproc) are written to PATH as JSON.  To compare two versions of the
 library, run this same script with each one first on PYTHONPATH.
 """
 
@@ -24,6 +27,8 @@ import scipy
 from scipy.integrate import cumulative_simpson
 
 from flowfilter import _kernels, gain
+from flowfilter.ensemble import Density1D
+from flowfilter.reference import substeps_per_fine_step
 
 
 def best(fn, args, number, repeat):
@@ -37,7 +42,7 @@ def bench(name, fn_numpy, fn_numba, args, number=5, repeat=3, substeps=None):
     if fn_numba is not None:
         fn_numba(*args)                  # warm the JIT cache
         row["numba_s"] = best(fn_numba, args, number, repeat)
-    line = f"{name:28s} numpy {row['numpy_s'] * 1e3:9.3f} ms"
+    line = f"{name:36s} numpy {row['numpy_s'] * 1e3:9.3f} ms"
     if row["numba_s"] is None:
         line += "   numba    (disabled)"
     else:
@@ -72,6 +77,37 @@ def kushner_args(points, half_width, drift, obs, dt_sub, nsub, slope):
     w[-1] *= 0.5
     return (theta, drift(grid), obs(grid), w, grid[1] - grid[0], dt_sub, nsub,
             slope)
+
+
+def mesh_interval(kernel, steps):
+    """steps consecutive one-fine-step kernel calls, each from the density
+    the last one returned, as run_grid_kushner makes them in one mesh
+    interval."""
+    def run(theta, *rest):
+        for _ in range(steps):
+            theta, _ = kernel(theta, *rest)
+        return theta
+    return run
+
+
+def read_only(args):
+    """kushner_args with drift, h and w read-only, as run_grid_kushner
+    passes them (the numpy kernel then builds its operator once)."""
+    for a in args[1:4]:
+        a.flags.writeable = False
+    return args
+
+
+def offset_rows(offset):
+    """A stand-in for the numpy Kushner kernel's row allocator
+    (_kernels._aligned_rows) whose rows all start offset bytes past a
+    64-byte boundary."""
+    def rows(n, length):
+        stride = -(-length // 8) * 8
+        buf = np.empty(n * stride + 16)
+        skip = (-buf.ctypes.data % 64 + offset) // 8
+        return buf[skip:skip + n * stride].reshape(n, stride)[:, :length]
+    return rows
 
 
 def environment() -> dict:
@@ -125,6 +161,36 @@ def main():
                       kushner_args(2001, 6.0, lambda g: -g, lambda g: g,
                                    1e-3 / nsub, nsub, 0.5),
                       number=20, repeat=5, substeps=nsub))
+    # one mesh interval of run_grid_kushner: steps_per_mesh = delta /
+    # fine_dt = 10 one-fine-step calls on the nonlinear_tanh and ou_theory
+    # grids (1201 and 2001 points over +-6, fine step 1e-3)
+    steps = 10
+    for points, obs in ((1201, np.tanh), (2001, lambda g: g)):
+        grid = np.linspace(-6.0, 6.0, points)
+        nsub = substeps_per_fine_step(Density1D(grid, np.ones(points)), 1e-3)
+        numba_kernel = getattr(_kernels, "kushner_substeps_numba", None)
+        rows.append(bench(
+            f"kushner {steps} fine steps ({points}x{nsub})",
+            mesh_interval(_kernels.kushner_substeps_numpy, steps),
+            numba_kernel and mesh_interval(numba_kernel, steps),
+            read_only(kushner_args(points, 6.0, lambda g: -g, obs,
+                                   1e-3 / nsub, nsub, 0.5)),
+            number=5, repeat=5, substeps=steps * nsub))
+
+    # the same 2001x70 call with every row of the kernel at a fixed offset
+    # from a cache line (versions whose kernel has no row allocator skip it)
+    aligned_rows = getattr(_kernels, "_aligned_rows", None)
+    try:
+        for offset in (0, 8, 16, 32) if aligned_rows else ():
+            _kernels._aligned_rows = offset_rows(offset)
+            rows.append(bench(
+                f"kushner (2001x{nsub}) rows at +{offset} B",
+                _kernels.kushner_substeps_numpy, None,
+                read_only(kushner_args(2001, 6.0, lambda g: -g, lambda g: g,
+                                       1e-3 / nsub, nsub, 0.5)),
+                number=20, repeat=5, substeps=nsub))
+    finally:
+        _kernels._aligned_rows = aligned_rows
 
     # one integral_1d step's grid work: N = 1e4 particles, an 801-point grid
     grid = np.linspace(-6.0, 6.0, 801)

@@ -158,8 +158,8 @@ def _kde_eval_points_impl(points, sources, bw):
 # F_i = (M_i theta_i + M_{i+1} theta_{i+1}) / 2 - (theta_{i+1} - theta_i) / (2 dx)
 # and divides by the mass after every substep.  The numpy kernel writes the
 # same scheme as F_i = P_i theta_i + Q_i theta_{i+1} and applies one
-# tridiagonal operator per substep, built once per call because drift, h,
-# dt and slope are fixed within it:
+# tridiagonal operator per substep, which depends only on drift, h, w, dx,
+# dt and slope:
 #   new = u (diag + dt (m2/2 - slope m1) / m0) + lo u_{i-1} + up u_{i+1}
 # to an unnormalised u, with (m0, m1, m2) = (w.u, w.h u, w.h^2 u) from one
 # (3, G) matvec.  The shift reads only the ratios hbar = m1/m0 and
@@ -171,31 +171,90 @@ def _kde_eval_points_impl(points, sources, bw):
 # clip test is skipped.  The grouping of the sums differs from the flux
 # form, so the two agree to a few ulps of max|theta| (tests/test_kernels.py
 # holds them to 1e-12), not bitwise.
+#
+# The operator (bands, moment rows and the operator half of the no-clip
+# certificate) is built once per (drift, h, w, dx, dt, slope) when the
+# three arrays are read-only: a one-slot cache holds the last build with
+# the arrays it was built from, compared by identity, so one mesh
+# interval's fine steps share it.  A writeable array may have changed
+# since the last call, so it gets a fresh build every call.  Every row the
+# substeps stream through starts on a 64-byte boundary (one cache line, one
+# AVX-512 vector): numpy's own allocations are only 16-byte aligned, and a
+# substep at G = 2001 ran about 30% slower with its rows 8 or 16 bytes past
+# a boundary (the "rows at +N B" rows of benchmarks/bench_kernels.py).  The
+# work rows are allocated per call and the cached operator is read-only,
+# so concurrent calls share no mutable state.
 
-def kushner_substeps_numpy(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
+_ALIGN = 64 // 8          # doubles per cache line
+
+
+def _aligned_rows(n, length):
+    """An (n, length) float64 array, uninitialised, whose rows each start
+    on a 64-byte boundary: one allocation with slack, sliced at the
+    aligned offset.  With n = 1 and a reshape it gives one contiguous
+    block with an aligned start."""
+    stride = -(-length // _ALIGN) * _ALIGN
+    buf = np.empty(n * stride + _ALIGN - 1)
+    skip = (-buf.ctypes.data % (8 * _ALIGN)) // 8
+    return buf[skip:skip + n * stride].reshape(n, stride)[:, :length]
+
+
+def _build_operator(drift_g, h_g, w, dx, dt_sub, slope):
+    """(lo, up, diag, moments, operator_ok): the bands, the diagonal, the
+    (3, G) moment block and the operator half of the no-clip certificate,
+    every array read-only."""
+    G = drift_g.shape[0]
     P = 0.5 * drift_g[:-1] + 0.5 / dx
     Q = 0.5 * drift_g[1:] - 0.5 / dx
-    lo = (dt_sub / dx) * P
-    up = (-dt_sub / dx) * Q
-    diag = np.empty_like(theta)
+    rows = _aligned_rows(3, G)
+    lo, up, diag = rows[0, :-1], rows[1, :-1], rows[2]
+    np.multiply(dt_sub / dx, P, out=lo)
+    np.multiply(-dt_sub / dx, Q, out=up)
     diag[0] = -P[0]
     diag[1:-1] = Q[:-1] - P[1:]
     diag[-1] = Q[-1]
-    diag = 1.0 + dt_sub * (diag / dx + (slope - 0.5 * h_g) * h_g)
-    moments = np.empty((3, theta.shape[0]))       # rows w, w h, w h^2
+    np.add(1.0, dt_sub * (diag / dx + (slope - 0.5 * h_g) * h_g), out=diag)
+    moments = _aligned_rows(1, 3 * G)[0].reshape(3, G)   # rows w, w h, w h^2
     moments[0] = w
     np.multiply(w, h_g, out=moments[1])
     np.multiply(moments[1], h_g, out=moments[2])
-    # the no-clip certificate; a nan input makes its min or max nan, and
-    # the comparison False
-    clip = not (lo.min() >= 0.0 and up.min() >= 0.0 and theta.min() >= 0.0
-                and diag.min() > 2.0 * dt_sub * abs(slope) * np.abs(h_g).max())
-    u = theta.copy()
-    new = np.empty_like(u)
+    # a nan input makes a min or max nan, and the comparison False
+    operator_ok = bool(lo.min() >= 0.0 and up.min() >= 0.0 and diag.min()
+                       > 2.0 * dt_sub * abs(slope) * np.abs(h_g).max())
+    for a in (lo, up, diag, moments):
+        a.flags.writeable = False
+    return lo, up, diag, moments, operator_ok
+
+
+_prepared = None          # (drift_g, h_g, w, (dx, dt_sub, slope), operator)
+
+
+def _operator(drift_g, h_g, w, dx, dt_sub, slope):
+    """The operator of _build_operator, from the one-slot cache where the
+    arrays are read-only and match the last build."""
+    global _prepared
+    if drift_g.flags.writeable or h_g.flags.writeable or w.flags.writeable:
+        return _build_operator(drift_g, h_g, w, dx, dt_sub, slope)
+    key = (dx, dt_sub, slope)
+    last = _prepared
+    if (last is not None and last[0] is drift_g and last[1] is h_g
+            and last[2] is w and last[3] == key):
+        return last[4]
+    op = _build_operator(drift_g, h_g, w, dx, dt_sub, slope)
+    _prepared = (drift_g, h_g, w, key, op)
+    return op
+
+
+def kushner_substeps_numpy(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
+    lo, up, diag, moments, operator_ok = _operator(drift_g, h_g, w, dx,
+                                                   dt_sub, slope)
+    clip = not (operator_ok and theta.min() >= 0.0)
+    G = theta.shape[0]
+    work = _aligned_rows(4, G)
+    u, new, scale, band = work[0], work[1], work[2], work[3, :-1]
+    u[:] = theta
     cur, nxt = (u, u[:-1], u[1:]), (new, new[:-1], new[1:])
-    scale = np.empty_like(u)
-    band = np.empty(u.shape[0] - 1)
-    neg = np.empty(u.shape[0], dtype=bool)
+    neg = np.empty(G, dtype=bool)
     nclip = 0
     for _ in range(nsub):
         (u, u_head, u_tail), (new, new_head, new_tail) = cur, nxt
@@ -219,7 +278,8 @@ def kushner_substeps_numpy(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
     mass = float(np.dot(w, u))
     if not 0.0 < mass < math.inf:
         return np.full_like(u, math.nan), nclip
-    return np.divide(u, mass, out=u), nclip
+    # a fresh array, never a work row: callers keep what is returned
+    return np.divide(u, mass), nclip
 
 
 def _kushner_substeps_impl(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):

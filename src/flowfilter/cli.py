@@ -330,8 +330,10 @@ def _check_path_size(grid: TimeGrid, dim: int):
 
 
 def _check_out_dir(out_dir: str, field: str):
-    """Refuse, creating nothing, an output directory whose nearest existing
-    ancestor is not a writable directory."""
+    """Refuse, creating nothing, an empty output directory name, or one
+    whose nearest existing ancestor is not a writable directory."""
+    if not out_dir:
+        raise ConfigError(field, "must be a non-empty string")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
@@ -908,8 +910,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = _reseeded(config, _walk(args.seed, SEED, "--seed"))
             config.sweep = {**config.sweep, "seeds": [args.seed]}
-        out_dir = args.out_dir or config.output_dir
-        _check_out_dir(out_dir, "--out-dir" if args.out_dir else "output_dir")
+        if args.out_dir is None:
+            out_dir, field = config.output_dir, "output_dir"
+        else:
+            out_dir, field = args.out_dir, "--out-dir"
+        _check_out_dir(out_dir, field)
         if args.command == "run":
             report, emit = run_experiment(config, threads=args.threads), emit_plot_data
             failed = [r.label for r in report.results if r.error]

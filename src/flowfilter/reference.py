@@ -58,6 +58,12 @@ def substeps_per_fine_step(dens: Density1D, fine_dt: float) -> int:
     return max(1, int(np.ceil(fine_dt / cfl_bound(dens))))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def run_grid_kushner(dens: Density1D, model: SystemModel,
                      slopes: np.ndarray, fine_dt: float,
                      steps_per_mesh: int, snapshot_slots=()):
@@ -74,9 +80,11 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
     nsub = substeps_per_fine_step(dens, fine_dt)
     dt_sub = fine_dt / nsub
     g2 = dens.grid.reshape(-1, 1)
-    drift_g = model.drift(g2)[:, 0]
-    h_g = model.obs(g2)
-    w = dens.trapz_weights()
+    # read-only copies, so the kernel builds the operator once per mesh
+    # interval (see _kernels.kushner_substeps_numpy)
+    drift_g, h_g, w = (_read_only(a) for a in (model.drift(g2)[:, 0],
+                                               model.obs(g2),
+                                               dens.trapz_weights()))
 
     n_mesh = slopes.shape[0]
     means = np.empty(n_mesh + 1)

@@ -1293,6 +1293,23 @@ def test_output_dir_that_cannot_be_made_exit_2_before_any_path(
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "theory"])
+def test_empty_out_dir_flag_exit_2_before_any_path(tmp_path, capsys,
+                                                   monkeypatch, command):
+    # an empty --out-dir used to fall back to the config's output_dir
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate_paths",
+                        lambda *args: simulated.append(args))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_small_raw(),
+                                "output_dir": str(tmp_path / "o")}))
+    assert main([command, str(path), "--out-dir", ""]) == 2
+    assert "config.--out-dir: must be a non-empty string" \
+        in capsys.readouterr().err
+    assert simulated == []
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, output", OUTPUT_CASES)
 def test_output_that_cannot_be_written_exit_3(tmp_path, capsys, command,
                                               output):

@@ -8,6 +8,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from flowfilter import _kernels
+from flowfilter.ensemble import Density1D
+from flowfilter.models import make_linear_gaussian
+from flowfilter.reference import run_grid_kushner
 
 needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
                                  reason="numba backend disabled")
@@ -224,3 +227,100 @@ def test_kushner_numpy_zero_mass_leaves_a_non_finite_state():
             0.4 * dx * dx, 5, 0.7)
     assert out.shape == g.shape and not np.isfinite(out).any()
     assert nclip == 0
+
+
+def _read_only(*arrays):
+    out = [a.copy() for a in arrays]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _fine_steps(kernel_args, slopes, steps_per_mesh):
+    """kushner_substeps over steps_per_mesh fine steps per slope, as
+    run_grid_kushner calls it: (every returned density, clip counts)."""
+    theta, drift, h, w, dx, dt, nsub = kernel_args
+    thetas, clips = [], []
+    for slope in slopes:
+        for _ in range(steps_per_mesh):
+            theta, nclip = _kernels.kushner_substeps_numpy(
+                theta, drift, h, w, dx, dt, nsub, slope)
+            thetas.append(theta)
+            clips.append(nclip)
+    return thetas, clips
+
+
+def _kushner_grid(G=401):
+    g = np.linspace(-6, 6, G)
+    dx = g[1] - g[0]
+    theta = np.exp(-g**2 / 2)
+    theta /= np.trapezoid(theta, g)
+    return theta, -g, np.tanh(g), _weights(g), dx, 0.4 * dx * dx, 5
+
+
+def test_kushner_prepared_operator_matches_a_build_every_call(monkeypatch):
+    # a mesh boundary every 3 fine steps; the middle slope clips
+    theta, drift, h, w, dx, dt, nsub = _kushner_grid()
+    slopes = [0.7, -3000.0, 2.0]
+    builds = []
+    build = _kernels._build_operator
+    monkeypatch.setattr(_kernels, "_build_operator",
+                        lambda *args: builds.append(args) or build(*args))
+    cached = _fine_steps((theta, *_read_only(drift, h, w), dx, dt, nsub),
+                         slopes, 3)
+    assert len(builds) == len(slopes)
+    fresh = _fine_steps((theta, drift.copy(), h.copy(), w.copy(), dx, dt,
+                         nsub), slopes, 3)
+    assert len(builds) == len(slopes) + 3 * len(slopes)
+    assert cached[1] == fresh[1] and sum(cached[1]) > 0
+    assert [a.tobytes() for a in cached[0]] == [a.tobytes() for a in fresh[0]]
+
+
+def test_kushner_writeable_drift_edited_in_place_is_rebuilt():
+    theta, drift, h, w, dx, dt, nsub = _kushner_grid()
+    h, w = _read_only(h, w)
+    first, _ = _kernels.kushner_substeps_numpy(theta, drift, h, w, dx, dt,
+                                               nsub, 0.7)
+    drift *= 1.5
+    edited, _ = _kernels.kushner_substeps_numpy(theta, drift, h, w, dx, dt,
+                                                nsub, 0.7)
+    fresh, _ = _kernels.kushner_substeps_numpy(theta, drift.copy(), h, w, dx,
+                                               dt, nsub, 0.7)
+    assert edited.tobytes() == fresh.tobytes() != first.tobytes()
+
+
+def test_kushner_returns_fresh_arrays_and_snapshots_stay():
+    theta, drift, h, w, dx, dt, nsub = _kushner_grid()
+    thetas, _ = _fine_steps((theta, *_read_only(drift, h, w), dx, dt, nsub),
+                            [0.7], 2)
+    assert not np.shares_memory(thetas[0], thetas[1])
+    assert all(a.flags.owndata for a in thetas)    # not a view of a work row
+    model = make_linear_gaussian([[-0.5]], [1.0])
+    g = np.linspace(-5.0, 5.0, 201)
+    dens = Density1D(grid=g, values=np.exp(-g**2 / 2) / np.sqrt(2 * np.pi))
+    slopes = np.array([0.5, -1.0, 2.0])
+    _, _, snaps, _ = run_grid_kushner(dens, model, slopes, 1e-3, 4,
+                                      snapshot_slots=(1, 3))
+    _, _, alone, _ = run_grid_kushner(dens, model, slopes[:1], 1e-3, 4,
+                                      snapshot_slots=(1,))
+    assert snaps[1].values.tobytes() == alone[1].values.tobytes()
+    assert not np.shares_memory(snaps[1].values, snaps[3].values)
+
+
+def test_kushner_rows_start_on_cache_lines_and_operators_are_read_only(
+        monkeypatch):
+    rows = []
+    aligned_rows = _kernels._aligned_rows
+    monkeypatch.setattr(_kernels, "_aligned_rows",
+                        lambda *args: rows.append(aligned_rows(*args))
+                        or rows[-1])
+    theta, drift, h, w, dx, dt, nsub = _kushner_grid(G=2001)
+    _kernels.kushner_substeps_numpy(theta, drift, h, w, dx, dt, nsub, 0.7)
+    # the operator's three rows, the moment block, the four work rows
+    assert [r.shape for r in rows] == [(3, 2001), (1, 3 * 2001), (4, 2001)]
+    assert all(row.ctypes.data % 64 == 0 for r in rows for row in r)
+    lo, up, diag, moments, _ = _kernels._build_operator(drift, h, w, dx, dt,
+                                                        0.7)
+    assert moments.shape == (3, 2001) and moments.flags.c_contiguous
+    for a in (lo, up, diag, moments):
+        assert a.ctypes.data % 64 == 0 and not a.flags.writeable

@@ -45,6 +45,32 @@ def test_increments_are_scaled_normals_one_draw_per_step(monkeypatch):
                                                                 (4, 2))).tobytes()
 
 
+def _fresh_normals(seed, label, step, shape):
+    """The draw of a Philox generator built for this one (step, shape)."""
+    key = np.random.SeedSequence((seed, label)).generate_state(2, np.uint64)
+    bg = np.random.Philox(key=key, counter=[0, 0, 0, step])
+    return np.random.Generator(bg).standard_normal(shape)
+
+
+def test_reused_stream_draws_what_a_fresh_generator_draws():
+    # Philox fills a 4-word buffer; a (1, 1) or (3, 2) draw leaves part of
+    # it unread, which the next draw must not use
+    draws = [(step, shape) for step in (0, 1, 5, 17, 2**40)
+             for shape in ((1, 1), (10000, 1), (3, 2))]
+    draws = draws + draws[:6]
+    order = np.random.default_rng(0).permutation(len(draws))
+    stream = CounterStream(21, label=2)
+    for i in order:
+        step, shape = draws[i]
+        assert stream.normals(step, shape).tobytes() \
+            == _fresh_normals(21, 2, step, shape).tobytes()
+    out = np.empty((6, 3, 1))      # 3 of 4 buffered words per block
+    stream.increments(out, 0.01, first=9)
+    for i, block in enumerate(out):
+        assert block.tobytes() == (np.sqrt(0.01) * _fresh_normals(
+            21, 2, 9 + i, (3, 1))).tobytes()
+
+
 def test_truth_no_dynamics_stays_constant():
     g = TimeGrid(0.0, 0.1, 0.01, 0.05)
     states = simulate_truth(_const_model(), g, [3.0], np.zeros((g.n_fine, 1)))
