@@ -58,7 +58,7 @@ for path in sorted(Path(sys.argv[1]).glob("*.json")):
     model = config.build_model()
     rows = [(spec.kind, spec.gain, spec.gain_opts) for spec in config.filters]
     if config.sweep.get("delta"):
-        twins = [cli._twin(spec) for spec in config.filters]
+        twins = [cli._twin(spec, model.dim) for spec in config.filters]
         rows += [(FilterKind(tag), gain, opts) for tag, gain, opts in twins]
     for kind, gain, opts in rows:
         label = f"{kind.label()}/{gain}"

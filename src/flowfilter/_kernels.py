@@ -42,9 +42,12 @@ def deposit_linear_numpy(positions, lo, dx, nbins):
     pos = (positions - lo) / dx
     idx = np.floor(pos).astype(np.int64)
     np.clip(idx, 0, nbins - 2, out=idx)
-    frac = np.clip(pos - idx, 0.0, 1.0)
+    frac = np.clip(np.subtract(pos, idx, out=pos), 0.0, 1.0, out=pos)
     out = np.bincount(idx, weights=1.0 - frac, minlength=nbins)
-    out += np.bincount(idx + 1, weights=frac, minlength=nbins)
+    # the upper weights binned by idx, one bin up: the sums of binning them
+    # by idx + 1, without that index array (idx <= nbins - 2, so the last
+    # bin of this count is empty)
+    out[1:] += np.bincount(idx, weights=frac, minlength=nbins)[:-1]
     return out
 
 

@@ -129,7 +129,10 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
     counts = _kernels.deposit_linear(xs, grid[0], dx, grid_points)
     half_k = int(np.ceil(8.0 * bw / dx))
     u = np.arange(-half_k, half_k + 1) * dx
-    kernel = np.exp(-0.5 * (u / bw) ** 2)
+    # a bandwidth far below dx squares u / bw past the float range, and
+    # exp(-inf) = 0 is the right tap there
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (u / bw) ** 2)
     # centred slice of the full convolution: mode="same" breaks on long kernels
     values = np.convolve(counts, kernel)[half_k:half_k + grid_points]
     values = np.maximum(values, 0.0)

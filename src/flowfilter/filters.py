@@ -82,7 +82,20 @@ def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,
     coeffs = assemble_filter_coefficients(kind.tag, x, model, gain_method,
                                           mass_matrix=kind.mass_matrix,
                                           **gain_opts)
-    new = x + model.drift(x) * dt + dv + (coeffs.a + coeffs.K * slope) * dt
+    # ((x + M dt) + dV) + (a + K slope) dt, the update's association order,
+    # built in place on the fresh arrays M dt and K slope, never on x or on
+    # what a model callable returned; a + K slope is a fresh (n, d) array
+    # where K is one (1, d) row
+    new = model.drift(x) * dt
+    new += x                    # a sum of two floats does not depend on order
+    new += dv
+    term = coeffs.K * slope
+    if term.shape == new.shape:
+        term += coeffs.a
+    else:
+        term = coeffs.a + term
+    term *= dt
+    new += term
     diags = dict(coeffs.diagnostics)
     if diags.get("floor_frac", 0.0) > 0.10:
         diags["degenerate_density"] = diags["floor_frac"]

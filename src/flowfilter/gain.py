@@ -98,10 +98,13 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     if n < 3:
         raise ValueError(f"Simpson's rule needs at least 3 points, got {n}")
     d = dx / 3
-    f1, f2, f3 = y[:-2:2], 2 * y[1:-1:2], y[2::2]
+    # 5 y_k / 4 and y_k / 4 on the even k, once: the parabolas' outer
+    # points are y_k (those but the last) and y_k+2 (those but the first)
+    five, quarter = 5 * y[::2] / 4, y[::2] / 4
+    f2 = 2 * y[1:-1:2]
     sub = np.empty(n - 1)
-    sub[:-1:2] = d * (5 * f1 / 4 + f2 - f3 / 4)
-    sub[1::2] = d * (5 * f3 / 4 + f2 - f1 / 4)
+    sub[:-1:2] = d * (five[:-1] + f2 - quarter[1:])
+    sub[1::2] = d * (five[1:] + f2 - quarter[:-1])
     sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
     out = np.empty(n)
     out[0] = 0.0
@@ -125,19 +128,22 @@ class GridIntervals:
     def __init__(self, grid: np.ndarray, x: np.ndarray):
         G = grid.shape[0]
         pos = (x - grid[0]) * ((G - 1) / (grid[-1] - grid[0]))
-        j = np.clip(pos, 0, G - 2).astype(np.intp)
+        j = np.clip(pos, 0, G - 2, out=pos).astype(np.intp)
         j -= x < grid[j]
-        j += x >= grid[j + 1]
+        j += x >= grid[1:][j]
         np.clip(j, 0, G - 2, out=j)
         self.j = j
-        self.offset = x - grid[j]
-        self.below = np.flatnonzero(x < grid[0])
-        self.above = np.flatnonzero(x >= grid[-1])
-        self.spacing = np.diff(grid)
+        self.offset = grid[j]
+        np.subtract(x, self.offset, out=self.offset)
+        self.below = (x < grid[0]).nonzero()[0]
+        self.above = (x >= grid[-1]).nonzero()[0]
+        self.spacing = grid[1:] - grid[:-1]
 
     def interp(self, fp: np.ndarray) -> np.ndarray:
-        slope = np.diff(fp) / self.spacing
-        out = slope[self.j] * self.offset + fp[self.j]
+        slope = (fp[1:] - fp[:-1]) / self.spacing
+        out = slope[self.j]
+        out *= self.offset
+        out += fp[self.j]
         out[self.below] = fp[0]
         out[self.above] = fp[-1]
         return out
@@ -158,6 +164,48 @@ def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _integral_fields(density: Density1D, model: SystemModel, rhs_kinds,
+                     eps_floor: float) -> list:
+    """The (gain_grid, diagnostics) of each rhs kind of rhs_kinds, in turn,
+    from one pass over the grid quantities they all read: the spacing, h on
+    the grid, the floored density and floor_frac."""
+    if model.dim != 1:
+        raise DimensionError("solve_1d_integral requires d = 1")
+    g = density.grid
+    rho = density.values
+    dx = density.dx
+    spacing = np.diff(g)
+    h = model.obs(g.reshape(-1, 1))
+    rho_f = np.maximum(rho, eps_floor)
+    # density mass below the floor, not the share of (mostly tail) grid points
+    floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
+    fields = []
+    for rhs_kind in rhs_kinds:
+        diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
+        if rhs_kind in GAIN_KINDS:
+            rhs = (h - _trapezoid(h * rho, spacing)) * rho
+            I = cumulative_simpson(rhs, dx)
+            gain_grid = -I / rho_f
+            # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
+            resid = float(np.max(np.abs(_gradient(-I, dx) + rhs)))
+            # centred potential of the gain, read only by the centring diagnostic
+            potential = cumulative_simpson(gain_grid, dx)
+            potential -= _trapezoid(potential * rho, spacing)
+            diagnostics["centring"] = abs(_trapezoid(potential * rho, spacing))
+        elif rhs_kind == "crisan_alpha":
+            h2 = h * h
+            rhs = 0.5 * (h2 - _trapezoid(h2 * rho, spacing)) * rho
+            I = cumulative_simpson(rhs, dx)
+            gain_grid = I / rho_f
+            resid = float(np.max(np.abs(_gradient(I, dx) - rhs)))
+        else:
+            raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
+        if abs(I[-1]) > 1e-6:       # every rhs integrates to 0 over the line
+            raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
+        fields.append((gain_grid, {"residual": resid, **diagnostics}))
+    return fields
+
+
 def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
                       particles: Optional[np.ndarray] = None,
                       eps_floor: float = EPS_RHO) -> GainField:
@@ -172,46 +220,14 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     the route takes those names only.  Only the gain kinds report the
     centring of their potential.
     """
-    if model.dim != 1:
-        raise DimensionError("solve_1d_integral requires d = 1")
-    g = density.grid
-    rho = density.values
-    dx = density.dx
-    spacing = np.diff(g)
-    x2 = g.reshape(-1, 1)
-    rho_f = np.maximum(rho, eps_floor)
-    # density mass below the floor, not the share of (mostly tail) grid points
-    floor_frac = float(np.sum(rho[rho < eps_floor]) * dx)
-    diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
-
-    if rhs_kind in GAIN_KINDS:
-        h = model.obs(x2)
-        hb = _trapezoid(h * rho, spacing)
-        I = cumulative_simpson((h - hb) * rho, dx)
-        gain_grid = -I / rho_f
-        # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
-        resid = float(np.max(np.abs(_gradient(-I, dx) + (h - hb) * rho)))
-        # centred potential of the gain, read only by the centring diagnostic
-        potential = cumulative_simpson(gain_grid, dx)
-        potential -= _trapezoid(potential * rho, spacing)
-        diagnostics["centring"] = abs(_trapezoid(potential * rho, spacing))
-    elif rhs_kind == "crisan_alpha":
-        h = model.obs(x2)
-        h2b = _trapezoid(h * h * rho, spacing)
-        I = cumulative_simpson(0.5 * (h * h - h2b) * rho, dx)
-        gain_grid = I / rho_f
-        resid = float(np.max(np.abs(_gradient(I, dx) - 0.5 * (h * h - h2b) * rho)))
-    else:
-        raise ValueError(f"unknown rhs_kind {rhs_kind!r}")
-    if abs(I[-1]) > 1e-6:       # every rhs integrates to 0 over the line
-        raise UnresolvedTail(f"residual rhs integral {I[-1]:.3e} (grid too narrow)")
-
+    [(gain_grid, diagnostics)] = _integral_fields(density, model, (rhs_kind,),
+                                                  eps_floor)
     at = None
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
-        at = GridIntervals(g, xs).interp(gain_grid).reshape(-1, 1)
+        at = GridIntervals(density.grid, xs).interp(gain_grid).reshape(-1, 1)
     return GainField(at_particles=at, gain_grid=gain_grid,
-                     diagnostics={"residual": resid, **diagnostics})
+                     diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +280,22 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     mg = grads if m_inv is None else \
         grads @ np.atleast_2d(np.asarray(m_inv, dtype=float)).T
 
+    def mean(a, axis=0):        # np.mean's arithmetic, without its wrapper
+        return np.add.reduce(a, axis=axis) / n
+
     # A_jk = A_kj for j <= k: the per-particle dot product grad b_j .
-    # M^{-1} grad b_k averaged over the cloud, through two work arrays
+    # M^{-1} grad b_k averaged over the cloud, through work arrays; in 1D
+    # the sum over one term is that term
     A = np.empty((nb, nb))
-    prod, dots = np.empty((n, d)), np.empty(n)
+    dots = np.empty(n)
+    prod = np.empty((n, d)) if d > 1 else None
     for j in range(nb):
         for k in range(j, nb):
-            np.multiply(grads[j], mg[k], out=prod)
-            A[j, k] = A[k, j] = np.mean(np.sum(prod, axis=1, out=dots))
+            if d == 1:
+                np.multiply(grads[j, :, 0], mg[k, :, 0], out=dots)
+            else:
+                np.sum(np.multiply(grads[j], mg[k], out=prod), axis=1, out=dots)
+            A[j, k] = A[k, j] = mean(dots)
     # entries past the float range: LAPACK's SVD would print its refusal
     if not np.isfinite(A).all():
         raise IllConditioned(math.inf)
@@ -284,13 +308,13 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
 
     weighted = np.empty((nb, n))
     if rhs_kind == "fpf_psi":
-        r = np.sum(model.obs_grad(x) * prior_gain, axis=1)
-        load = -np.mean(np.multiply(r - r.mean(), vals, out=weighted), axis=1)
+        r = model.obs_grad(x) * prior_gain
+        r = r[:, 0] if d == 1 else np.sum(r, axis=1)
+        load = -mean(np.multiply(r - mean(r), vals, out=weighted), axis=1)
     else:
         h = model.obs(x) if h is None else h
         h2 = h * h
-        load = -0.5 * np.mean(np.multiply(h2 - h2.mean(), vals, out=weighted),
-                              axis=1)
+        load = -0.5 * mean(np.multiply(h2 - mean(h2), vals, out=weighted), axis=1)
 
     damped = A + RIDGE * np.eye(nb)
     c = np.linalg.solve(damped, load)
@@ -412,25 +436,27 @@ def _integral_beta_alpha(x, model, density=None, kde_opts=None,
     K = grad phi, a = -(h + hbar) K / 2 + grad psi / 2 and the Reich fields
     grad Lambda and grad Omega (M = I) solve the same equations."""
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
-    kf, af = (solve_1d_integral(density, model, kind, eps_floor=eps_floor)
-              for kind in ("crisan_beta", "crisan_alpha"))
+    (k_grid, diagnostics), (a_grid, a_diagnostics) = _integral_fields(
+        density, model, ("crisan_beta", "crisan_alpha"), eps_floor)
     cells = GridIntervals(density.grid, x[:, 0])
-    return CoefficientSet(cells.interp(af.gain_grid).reshape(-1, 1),
-                          cells.interp(kf.gain_grid).reshape(-1, 1),
-                          {**kf.diagnostics,
-                           "drift_residual": af.diagnostics["residual"]})
+    return CoefficientSet(cells.interp(a_grid).reshape(-1, 1),
+                          cells.interp(k_grid).reshape(-1, 1),
+                          {**diagnostics,
+                           "drift_residual": a_diagnostics["residual"]})
 
 
 def _integral_continuous(x, model, density=None, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
     density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
-    fld = solve_1d_integral(density, model, "fpf_phi", eps_floor=eps_floor)
-    dK = _gradient(fld.gain_grid, density.dx)
-    cells = GridIntervals(density.grid, x[:, 0])
-    K = cells.interp(fld.gain_grid).reshape(-1, 1)
-    ito = 0.5 * cells.interp(dK * fld.gain_grid).reshape(-1, 1)
-    return CoefficientSet(ito + _centred_drift(K, model.obs(x)), K,
-                          fld.diagnostics)
+    with np.errstate(over="ignore", invalid="ignore"):
+        [(k_grid, diagnostics)] = _integral_fields(density, model, ("fpf_phi",),
+                                                   eps_floor)
+        dK = _gradient(k_grid, density.dx)
+        cells = GridIntervals(density.grid, x[:, 0])
+        K = cells.interp(k_grid).reshape(-1, 1)
+        ito = 0.5 * cells.interp(dK * k_grid).reshape(-1, 1)
+        a = ito + _centred_drift(K, model.obs(x))
+    return _finite_row(a, K, diagnostics)
 
 
 def _galerkin_fpf(x, model) -> CoefficientSet:

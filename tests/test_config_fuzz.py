@@ -82,7 +82,13 @@ FIELD_VALUES = {
     "filters[].gain": GAINS,
     "filters[].mass_matrix": MASS_MATRICES,
     "init.cov": [[[-1.0]], [[1.0, 2.0], [3.0]], [[0.5]]],
-    "filters": [[]],
+    # a bandwidth far below the KDE grid spacing; a floor far below the
+    # density, on which the Ito term of the continuous-time twin that a
+    # sweep runs overflows on the grid
+    "filters": [[], [{"kind": "delta_fpf", "gain": "integral_1d",
+                      "gain_opts": {"kde_opts": {"bandwidth": 1e-200}}}],
+                [{"kind": "delta_fpf", "gain": "integral_1d",
+                  "gain_opts": {"eps_floor": 1e-300}}]],
     "ensemble_size": [10**12],
 }
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,31 @@ def test_healthy_1d_cloud_not_flagged_degenerate():
                      "integral_1d", seed=8)
     assert len(run.step_log) == 20
     assert not any("degenerate_density" in e for e in run.step_log)
+
+
+_CACHED_DRIFT = np.linspace(-0.3, 0.4, 300).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("drift", [lambda x: x, lambda x: _CACHED_DRIFT],
+                         ids=["argument", "cached"])
+@pytest.mark.parametrize("kind, method", [("delta_fpf", "integral_1d"),
+                                          ("delta_fpf", "galerkin"),
+                                          ("delta_fpf", "exact_gaussian"),
+                                          ("fpf_continuous", "integral_1d")])
+def test_step_writes_into_no_model_array_nor_the_cloud(drift, kind, method):
+    # step builds the update in place: a drift that hands back its argument
+    # or an array it keeps is not written into, and the new cloud is the
+    # bytes of the update written as one expression
+    model = dataclasses.replace(make_linear_gaussian([[0.0]], [1.0]), drift=drift)
+    x = CounterStream(3, label=0).normals(0, (300, 1))
+    dv = 0.03 * CounterStream(4, label=0).normals(0, (300, 1))
+    x0, cached0 = x.copy(), _CACHED_DRIFT.copy()
+    c = gain.ASSEMBLERS[kind][method](x, model)
+    expected = x + model.drift(x) * 0.001 + dv + (c.a + c.K * 0.7) * 0.001
+    new, _ = step(FilterKind(kind), method, model, x, 0.7, 0.001, dv)
+    assert new.tobytes() == expected.tobytes()
+    assert x.tobytes() == x0.tobytes()
+    assert _CACHED_DRIFT.tobytes() == cached0.tobytes()
 
 
 def test_rng_streams_advance_once_per_particle_per_step():
