@@ -10,7 +10,9 @@ The Kushner rows also give microseconds per substep; the "fine steps"
 rows make one mesh interval's consecutive calls on read-only drift, h and
 w, as the grid Kushner reference does, and the "rows at +N B" rows
 repeat the 2001-point call with every kernel row N bytes past a 64-byte
-boundary.  With --out, the rows and an environment block (backend,
+boundary.  The "intervals seeded by the deposit" row times
+GridIntervals started from the deposit's cell index against the same
+intervals from its own float estimate.  With --out, the rows and an environment block (backend,
 Python, numpy and scipy versions, nproc) are written to PATH as JSON.  To compare two versions of the
 library, run this same script with each one first on PYTHONPATH.
 """
@@ -125,6 +127,8 @@ def main():
     print(f"active backend: {_kernels.BACKEND}\n")
     rows = []
 
+    # both backends return (counts, cells), the counts and the cell index
+    # each position was binned by
     xs = rng.standard_normal(100_000)
     rows.append(bench("deposit_linear (1e5 -> 801)",
                       _kernels.deposit_linear_numpy,
@@ -205,6 +209,18 @@ def main():
         lambda x, g: [gain.GridIntervals(g, x).interp(f) for f in (K, a)],
         lambda x, g: [np.interp(x, g, f) for f in (K, a)],
         (xs, grid)))
+    # the same intervals started from the cell index the KDE deposit binned
+    # the particles by, against the float estimate made without it; each
+    # call corrects a fresh copy of the index, as a step corrects its own
+    # (versions whose deposit returns the counts alone skip it)
+    deposited = _kernels.deposit_linear_numpy(xs, grid[0], grid[1] - grid[0],
+                                              grid.size)
+    if isinstance(deposited, tuple):
+        rows.append(bench_replacement(
+            "intervals seeded by the deposit (1e4)",
+            lambda x, g, cells: gain.GridIntervals(g, x, cells.copy()),
+            lambda x, g, cells: gain.GridIntervals(g, x),
+            (xs, grid, deposited[1])))
 
     if args.out:
         with open(args.out, "w") as fh:

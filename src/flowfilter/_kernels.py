@@ -9,6 +9,11 @@ compared directly (see tests/test_kernels.py and benchmarks/).
 Summation order is fixed within each backend, so results are independent
 of thread count; switching backends may change the last bits (documented
 in the README).
+
+The linear deposit returns (counts, cells) from both backends: the
+binned counts and the int64 cell index each position was binned by, which
+the KDE hands on so that the particles' grid intervals start from it
+(gain.GridIntervals).
 """
 
 import math
@@ -38,21 +43,28 @@ BACKEND = "numba" if NUMBA_ENABLED else "numpy"
 # linear binning (1D KDE deposition)
 
 def deposit_linear_numpy(positions, lo, dx, nbins):
-    """Deposit unit mass per position onto a uniform grid with linear weights."""
-    pos = (positions - lo) / dx
-    idx = np.floor(pos).astype(np.int64)
-    np.clip(idx, 0, nbins - 2, out=idx)
-    frac = np.clip(np.subtract(pos, idx, out=pos), 0.0, 1.0, out=pos)
+    """Deposit unit mass per position onto a uniform grid with linear
+    weights: (counts, cells), cells the cell index floor((x - lo) / dx)
+    held to [0, nbins - 2] that each position was binned by."""
+    pos = np.subtract(positions, lo)
+    pos /= dx
+    # the index clipped as floats, so that pos - index subtracts two float
+    # arrays (an int64 operand would be cast on the way); same values
+    cell = np.floor(pos)
+    np.clip(cell, 0, nbins - 2, out=cell)
+    idx = cell.astype(np.int64)
+    frac = np.clip(np.subtract(pos, cell, out=pos), 0.0, 1.0, out=pos)
     out = np.bincount(idx, weights=1.0 - frac, minlength=nbins)
     # the upper weights binned by idx, one bin up: the sums of binning them
     # by idx + 1, without that index array (idx <= nbins - 2, so the last
     # bin of this count is empty)
     out[1:] += np.bincount(idx, weights=frac, minlength=nbins)[:-1]
-    return out
+    return out, idx
 
 
 def _deposit_linear_impl(positions, lo, dx, nbins):
     out = np.zeros(nbins)
+    cells = np.empty(positions.shape[0], dtype=np.int64)
     for k in range(positions.shape[0]):
         pos = (positions[k] - lo) / dx
         i = int(np.floor(pos))
@@ -60,6 +72,7 @@ def _deposit_linear_impl(positions, lo, dx, nbins):
             i = 0
         elif i > nbins - 2:
             i = nbins - 2
+        cells[k] = i
         frac = pos - i
         if frac < 0.0:
             frac = 0.0
@@ -67,7 +80,7 @@ def _deposit_linear_impl(positions, lo, dx, nbins):
             frac = 1.0
         out[i] += 1.0 - frac
         out[i + 1] += frac
-    return out
+    return out, cells
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ The particles, an (n, d) float array, are the Monte-Carlo surrogate for
 the mean-field conditional law: every filter coefficient is computed from
 its empirical statistics.  Density1D is the other form of that law, a
 density on a uniform 1D grid, shared by the kernel density estimate, the
-grid Kushner reference and the Poincare certificates.  Reductions go
-through numpy's pairwise summation in a fixed order, so moments do not
-depend on how particle work is scheduled.
+grid Kushner reference and the Poincare certificates.  The kernel density
+estimate also returns the grid cell its deposit binned each particle by,
+so the integral gain rows locate the particles on that grid once.
+Reductions go through numpy's pairwise summation in a fixed order, so
+moments do not depend on how particle work is scheduled.
 """
 
 import math
@@ -91,11 +93,16 @@ def compute_moments(x: np.ndarray, model: SystemModel,
 
 def kde_density_1d(x: np.ndarray, grid_points: int = 801,
                    half_width: Optional[float] = None,
-                   bandwidth=None, pad_sigmas: float = 8.0) -> Density1D:
-    """Gaussian-kernel density on a uniform grid, renormalized to unit mass.
+                   bandwidth=None, pad_sigmas: float = 8.0
+                   ) -> tuple[Density1D, np.ndarray]:
+    """Gaussian-kernel density on a uniform grid, renormalized to unit
+    mass, and the grid cell of each particle: (density, cells).
 
     Linear binning followed by convolution with the discretised kernel
     (kernel truncated at 8 bandwidths; truncation error ~ 1e-15 relative).
+    cells is the index the binning found, floor((x - g_0) / dx) held to
+    [0, grid_points - 2]: within one of each particle's grid interval, so
+    gain.GridIntervals starts from it instead of estimating it again.
     The default bandwidth is Silverman's 1.06 sigma n^{-1/5}.  The grid
     half-width defaults to max(|mean| + pad_sigmas * sigma, user value) so
     the tail mass off the grid is negligible for near-Gaussian clouds.
@@ -126,7 +133,7 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
                               "whose span is not finite")
     grid = np.linspace(-half, half, grid_points)
     dx = grid[1] - grid[0]
-    counts = _kernels.deposit_linear(xs, grid[0], dx, grid_points)
+    counts, cells = _kernels.deposit_linear(xs, grid[0], dx, grid_points)
     half_k = int(np.ceil(8.0 * bw / dx))
     u = np.arange(-half_k, half_k + 1) * dx
     # a bandwidth far below dx squares u / bw past the float range, and
@@ -136,7 +143,7 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
     # centred slice of the full convolution: mode="same" breaks on long kernels
     values = np.convolve(counts, kernel)[half_k:half_k + grid_points]
     values = np.maximum(values, 0.0)
-    return Density1D(grid=grid, values=values)
+    return Density1D(grid=grid, values=values), cells
 
 
 def density_from_function(pdf, half_width: float, grid_points: int = 4001,

@@ -117,26 +117,41 @@ class GridIntervals:
     """The grid interval of each point, found once and shared by every
     field carried from that grid to those points.
 
-    j is searchsorted(grid, x, "right") - 1 held to [0, G - 2]: the float
-    estimate floor((x - g_0) / dx) on the uniform grid, corrected by one
-    against the grid values.  interp(fp) is np.interp(x, grid, fp) bit for
-    bit on finite inputs (up to the sign of a zero at an exact grid hit):
-    slope_j (x - g_j) + fp_j, fp_0 below the grid and fp_-1 from its last
-    point on.
+    j is searchsorted(grid, x, "right") - 1 held to [0, G - 2]: an
+    estimate in [0, G - 2] within one of it, corrected by one against the
+    grid values.  The estimate is cells when given, the cell index the KDE
+    deposit binned x by (ensemble.kde_density_1d), which this corrects in
+    place; otherwise the float floor((x - g_0) / dx) on the uniform grid.
+    interp(fp) is np.interp(x, grid, fp) bit for bit on finite inputs (up
+    to the sign of a zero at an exact grid hit): slope_j (x - g_j) + fp_j,
+    fp_0 below the grid and fp_-1 from its last point on.
     """
 
-    def __init__(self, grid: np.ndarray, x: np.ndarray):
+    def __init__(self, grid: np.ndarray, x: np.ndarray,
+                 cells: Optional[np.ndarray] = None):
         G = grid.shape[0]
-        pos = (x - grid[0]) * ((G - 1) / (grid[-1] - grid[0]))
-        j = np.clip(pos, 0, G - 2, out=pos).astype(np.intp)
-        j -= x < grid[j]
-        j += x >= grid[1:][j]
-        np.clip(j, 0, G - 2, out=j)
+        if cells is None:
+            pos = (x - grid[0]) * ((G - 1) / (grid[-1] - grid[0]))
+            cells = np.clip(pos, 0, G - 2, out=pos).astype(np.intp)
+        j = cells
+        # the estimate is rarely off, so each correction indexes only the
+        # points it moves: down past g_j, then up past g_j+1
+        offset = grid[j]
+        down = (x < offset).nonzero()[0]
+        j[down] -= 1
+        up = (x >= grid[1:][j]).nonzero()[0]
+        j[up] += 1
+        # a point below the grid reached -1 and one from its last point on
+        # G - 1, and no other point did: these are the ends np.interp
+        # holds, and j holds them to the end intervals
+        self.below = down[j[down] < 0]
+        self.above = up[j[up] == G - 1]
+        j[self.below] = 0
+        j[self.above] = G - 2
+        moved = np.concatenate((down, up))
+        offset[moved] = grid[j[moved]]
         self.j = j
-        self.offset = grid[j]
-        np.subtract(x, self.offset, out=self.offset)
-        self.below = (x < grid[0]).nonzero()[0]
-        self.above = (x >= grid[-1]).nonzero()[0]
+        self.offset = np.subtract(x, offset, out=offset)
         self.spacing = grid[1:] - grid[:-1]
 
     def interp(self, fp: np.ndarray) -> np.ndarray:
@@ -174,7 +189,7 @@ def _integral_fields(density: Density1D, model: SystemModel, rhs_kinds,
     g = density.grid
     rho = density.values
     dx = density.dx
-    spacing = np.diff(g)
+    spacing = g[1:] - g[:-1]
     h = model.obs(g.reshape(-1, 1))
     rho_f = np.maximum(rho, eps_floor)
     # density mass below the floor, not the share of (mostly tail) grid points
@@ -185,9 +200,10 @@ def _integral_fields(density: Density1D, model: SystemModel, rhs_kinds,
         if rhs_kind in GAIN_KINDS:
             rhs = (h - _trapezoid(h * rho, spacing)) * rho
             I = cumulative_simpson(rhs, dx)
-            gain_grid = -I / rho_f
+            rho_K = -I
+            gain_grid = rho_K / rho_f
             # divergence check: d/dx(rho K) + (h - hbar) rho, central differences
-            resid = float(np.max(np.abs(_gradient(-I, dx) + rhs)))
+            resid = float(np.max(np.abs(_gradient(rho_K, dx) + rhs)))
             # centred potential of the gain, read only by the centring diagnostic
             potential = cumulative_simpson(gain_grid, dx)
             potential -= _trapezoid(potential * rho, spacing)
@@ -248,10 +264,12 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
 
     Stiffness A_jk = mean(grad b_j . M^{-1} grad b_k); the load vector
     follows the rhs_kind, fpf_psi reading r = grad h . prior_gain.  The
-    basis values and gradients are written once per solve into two
-    arrays.  The symmetric solve carries a 1e-10 ridge followed by two
-    iterative-refinement sweeps, so the ridge stabilises degenerate clouds
-    without biasing well-conditioned systems.  h is obs(x), evaluated here
+    basis values are written once per solve into one (nb, n) array, the
+    gradients of the quadratic monomials into one (n, d) array each; those
+    of the linear ones are constant, one (1, d) row each.  The symmetric
+    solve carries a 1e-10 ridge followed by two iterative-refinement
+    sweeps, so the ridge stabilises degenerate clouds without biasing
+    well-conditioned systems.  h is obs(x), evaluated here
     when not given; fpf_psi does not read it.  (The gain itself needs no
     solve: on the linear monomials the Galerkin gain is the constant gain
     Cov(x, h) for every M, see solve_constant_gain.)
@@ -265,36 +283,44 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     if n <= nb:
         raise DegenerateCloud(f"{n} particles for {nb} basis functions: "
                               "the drift solve needs more")
-    vals, grads = np.empty((nb, n)), np.zeros((nb, n, d))
+    # the values (nb, n); the gradients of the linear monomials are the
+    # constant rows e_j, kept (1, d), those of the quadratic ones (n, d)
+    vals, grads = np.empty((nb, n)), list(np.eye(d)[:, None, :])
     for j in range(d):
         vals[j] = x[:, j]
-        grads[j, :, j] = 1.0
     i = d
     for j in range(d):
         for k in range(j, d):
             np.multiply(x[:, j], x[:, k], out=vals[i])
-            grads[i, :, j] += x[:, k]
-            grads[i, :, k] += x[:, j]
+            g = np.zeros((n, d))
+            g[:, j] += x[:, k]
+            g[:, k] += x[:, j]
+            grads.append(g)
             i += 1
     # M^{-1} grad b_j; M = I leaves the gradients as they are
     mg = grads if m_inv is None else \
-        grads @ np.atleast_2d(np.asarray(m_inv, dtype=float)).T
+        [g @ np.atleast_2d(np.asarray(m_inv, dtype=float)).T for g in grads]
 
     def mean(a, axis=0):        # np.mean's arithmetic, without its wrapper
         return np.add.reduce(a, axis=axis) / n
 
     # A_jk = A_kj for j <= k: the per-particle dot product grad b_j .
     # M^{-1} grad b_k averaged over the cloud, through work arrays; in 1D
-    # the sum over one term is that term
+    # the sum over one term is that term.  The product of two constant
+    # rows is one value, averaged as n copies of it
     A = np.empty((nb, nb))
     dots = np.empty(n)
     prod = np.empty((n, d)) if d > 1 else None
     for j in range(nb):
         for k in range(j, nb):
+            m = max(grads[j].shape[0], mg[k].shape[0])
             if d == 1:
-                np.multiply(grads[j, :, 0], mg[k, :, 0], out=dots)
+                np.multiply(grads[j][:, 0], mg[k][:, 0], out=dots[:m])
             else:
-                np.sum(np.multiply(grads[j], mg[k], out=prod), axis=1, out=dots)
+                np.sum(np.multiply(grads[j], mg[k], out=prod[:m]), axis=1,
+                       out=dots[:m])
+            if m == 1:
+                dots.fill(dots[0])
             A[j, k] = A[k, j] = mean(dots)
     # entries past the float range: LAPACK's SVD would print its refusal
     if not np.isfinite(A).all():
@@ -323,9 +349,17 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
     diagnostics = {"residual": float(np.max(np.abs(A @ c - load))),
                    "condition_number": cond}
 
-    K = np.zeros((n, d))
-    for j in range(nb):
-        K += c[j] * mg[j]
+    # K = sum_j c_j M^{-1} grad b_j from 0, in basis order: a (1, d) row
+    # while the terms are constant rows, then the first term that is not,
+    # with that row added to it (a sum of two floats does not depend on order)
+    K = np.zeros((1, d))
+    for cj, g in zip(c, mg):
+        term = cj * g
+        if term.shape[0] > K.shape[0]:
+            term += K
+            K = term
+        else:
+            K += term
     return GainField(at_particles=K, coefficients=c, diagnostics=diagnostics)
 
 
@@ -435,26 +469,30 @@ def _integral_beta_alpha(x, model, density=None, kde_opts=None,
     """K = grad beta / rho, a = grad alpha / rho; in 1D the FPF fields
     K = grad phi, a = -(h + hbar) K / 2 + grad psi / 2 and the Reich fields
     grad Lambda and grad Omega (M = I) solve the same equations."""
-    density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
+    cells = None                # a caller's density keeps the float estimate
+    if density is None:
+        density, cells = kde_density_1d(x, **(kde_opts or {}))
     (k_grid, diagnostics), (a_grid, a_diagnostics) = _integral_fields(
         density, model, ("crisan_beta", "crisan_alpha"), eps_floor)
-    cells = GridIntervals(density.grid, x[:, 0])
-    return CoefficientSet(cells.interp(a_grid).reshape(-1, 1),
-                          cells.interp(k_grid).reshape(-1, 1),
+    at = GridIntervals(density.grid, x[:, 0], cells)
+    return CoefficientSet(at.interp(a_grid).reshape(-1, 1),
+                          at.interp(k_grid).reshape(-1, 1),
                           {**diagnostics,
                            "drift_residual": a_diagnostics["residual"]})
 
 
 def _integral_continuous(x, model, density=None, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
-    density = kde_density_1d(x, **(kde_opts or {})) if density is None else density
+    cells = None                # a caller's density keeps the float estimate
+    if density is None:
+        density, cells = kde_density_1d(x, **(kde_opts or {}))
     with np.errstate(over="ignore", invalid="ignore"):
         [(k_grid, diagnostics)] = _integral_fields(density, model, ("fpf_phi",),
                                                    eps_floor)
         dK = _gradient(k_grid, density.dx)
-        cells = GridIntervals(density.grid, x[:, 0])
-        K = cells.interp(k_grid).reshape(-1, 1)
-        ito = 0.5 * cells.interp(dK * k_grid).reshape(-1, 1)
+        at = GridIntervals(density.grid, x[:, 0], cells)
+        K = at.interp(k_grid).reshape(-1, 1)
+        ito = 0.5 * at.interp(dK * k_grid).reshape(-1, 1)
         a = ito + _centred_drift(K, model.obs(x))
     return _finite_row(a, K, diagnostics)
 

@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowfilter
-from flowfilter.cli import CONFIG, REQUIRED, _Pick, main
+from flowfilter import gain
+from flowfilter.cli import CONFIG, REQUIRED, FilterSpec, _Pick, _twin, main
+from flowfilter.filters import FilterKind
 from flowfilter.gain import ASSEMBLERS
 
 COMMANDS = ("run", "sweep", "theory")
@@ -141,14 +143,24 @@ def _malformed_inits(dim):
             {**good, "grid": good["grid"][::-1]}]
 
 
+def _filter_base(gain_name):
+    """The first TABLE row of gain_name that has a continuous-time twin in
+    1D, which every command asks of each filter when sweep.delta is set,
+    as it is in every fuzzed config; the first row when none has one
+    (fundamental_mc, which runs only in d >= 2)."""
+    rows = [row for row in TABLE if row[2] == gain_name]
+    kind, mm, _ = next((row for row in rows if _twin(
+        FilterSpec(FilterKind(row[0], row[1]), gain_name, {}), 1)), rows[0])
+    return {"kind": kind, "gain": gain_name, **({"mass_matrix": mm} if mm else {})}
+
+
 # the object a pick puts in place, by (object path, value of its key)
 BASES = {
     **{("model", name): {"name": name} for name in ("log_concave_ou", "scalar_tanh")},
     ("model", "linear_gaussian"): MODELS["linear_1d"],
     **{("init", kind): law for kind, law in _inits(1).items()},
-    **{("filters[]", gain): {"kind": kind, "gain": gain,
-                             **({"mass_matrix": mm} if mm else {})}
-       for kind, mm, gain in reversed(TABLE)},
+    **{("filters[]", gain_name): _filter_base(gain_name)
+       for gain_name in sorted({row[2] for row in TABLE})},
 }
 
 
@@ -298,3 +310,39 @@ def test_fuzzed_configs_exit_0_2_or_3():
     settings(max_examples=300, derandomize=True, deadline=None)(
         given(configs())(_exits_0_2_or_3))()
     assert FUZZED == set(PATHS)
+
+
+# a valid value of each kde_opts leaf, other than its default
+KDE_VALUES = {"grid_points": 201, "half_width": 4.0, "bandwidth": 0.3,
+              "pad_sigmas": 6.0}
+
+
+def test_fuzzed_kde_opts_reach_the_kde(monkeypatch):
+    # a pick of integral_1d puts in place a row that a delta sweep accepts,
+    # so a perturbed kde_opts leaf passes parse and reaches the estimate
+    seen = []
+
+    def spy(x, **opts):
+        seen.append(opts)
+        return original(x, **opts)
+
+    original = gain.kde_density_1d
+    monkeypatch.setattr(gain, "kde_density_1d", spy)
+    prefix = "filters[].gain_opts.kde_opts."
+    leaves = [path for path in PATHS if path.startswith(prefix)]
+    assert sorted(path[len(prefix):] for path in leaves) == sorted(KDE_VALUES)
+    for path, command in itertools.product(leaves, ("run", "sweep")):
+        leaf = path[len(prefix):]
+        [(picks, _)] = NODES[path]
+        raw = _raw("linear_1d", _inits(1)["gaussian"],
+                   [{"kind": "delta_fpf", "gain": "constant"}])
+        assert _perturb(raw, path, picks, KDE_VALUES[leaf])
+        seen.clear()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(raw, fh)
+            assert main([command, config, "--out-dir",
+                         os.path.join(tmp, "out")]) == 0, (path, command)
+        assert seen and all(opts == {leaf: KDE_VALUES[leaf]} for opts in seen), \
+            (path, command, seen[:1])

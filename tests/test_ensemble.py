@@ -87,14 +87,14 @@ def test_kde_degenerate_cloud():
 def test_kde_consistency_against_normal_pdf():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((100_000, 1))
-    dens = kde_density_1d(x, grid_points=2001)
+    dens, _ = kde_density_1d(x, grid_points=2001)
     truth = np.exp(-dens.grid**2 / 2) / np.sqrt(2 * np.pi)
     assert np.max(np.abs(dens.values - truth)) <= 0.02
 
 
 def test_kde_two_particle_symmetry():
-    dens = kde_density_1d(np.array([[-1.0], [1.0]]), bandwidth=1.0,
-                          grid_points=801)
+    dens, _ = kde_density_1d(np.array([[-1.0], [1.0]]), bandwidth=1.0,
+                             grid_points=801)
     np.testing.assert_allclose(dens.values, dens.values[::-1], atol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_kde_bandwidth_wider_than_grid():
     # bandwidth 0.5 on a sigma = 0.1 cloud: the 8-bandwidth kernel spans
     # more points than the 801-point grid
     x = 0.1 * np.random.default_rng(31).standard_normal((500, 1))
-    dens = kde_density_1d(x, bandwidth=0.5)
+    dens, _ = kde_density_1d(x, bandwidth=0.5)
     assert dens.values.shape == dens.grid.shape == (801,)
     assert abs(np.trapezoid(dens.values, dens.grid) - 1.0) <= 1e-8
 
@@ -111,7 +111,7 @@ def test_kde_unit_mass_random_clouds():
     rng = np.random.default_rng(29)
     for _ in range(5):
         x = rng.normal(rng.uniform(-3, 3), rng.uniform(0.2, 2.0), size=(500, 1))
-        dens = kde_density_1d(x)
+        dens, _ = kde_density_1d(x)
         assert abs(np.trapezoid(dens.values, dens.grid) - 1.0) <= 1e-8
         assert np.all(dens.values >= 0)
 

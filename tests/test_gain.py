@@ -10,6 +10,7 @@ from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import quad
 from test_bitwise import oracle_galerkin
 
+from flowfilter import _kernels
 from flowfilter.cli import MODEL_REGISTRY
 from flowfilter.ensemble import (compute_moments, density_from_function,
                                  kde_density_1d)
@@ -226,6 +227,35 @@ def test_grid_intervals_match_np_interp_bitwise():
         x[400:402] = grid[0], grid[-1]
         ours = GridIntervals(grid, x).interp(fp)
         assert ours.tobytes() == np.interp(x, grid, fp).tobytes(), G
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), G=st.integers(3, 1500),
+       lo=st.floats(-50.0, 50.0), span=st.floats(1e-3, 200.0))
+def test_grid_intervals_seeded_by_the_deposit_match_bitwise(seed, G, lo, span):
+    # the KDE's cell index as the estimate gives the intervals of the float
+    # estimate, bit for bit, at the points where rounding decides them
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(lo, lo + span, G)
+    nodes = grid[rng.integers(0, G, 300)]
+    x = np.concatenate([
+        rng.uniform(lo - 0.3 * span, lo + 1.3 * span, 300),  # past both ends
+        nodes, np.nextafter(nodes[:100], np.inf),
+        np.nextafter(nodes[100:200], -np.inf), grid[[0, -1]],
+        np.nextafter(grid[[0, -1]], np.inf), np.nextafter(grid[[0, -1]], -np.inf)])
+    rng.shuffle(x)
+    _, cells = _kernels.deposit_linear_numpy(x, grid[0], grid[1] - grid[0], G)
+    # the loop numba compiles, run as Python, bins by the same index
+    _, loop_cells = _kernels._deposit_linear_impl(x, grid[0], grid[1] - grid[0], G)
+    assert loop_cells.tobytes() == cells.tobytes()
+    seeded, plain = GridIntervals(grid, x, cells), GridIntervals(grid, x)
+    for name in ("j", "offset", "below", "above"):
+        a, b = getattr(seeded, name), getattr(plain, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    j = np.clip(np.searchsorted(grid, x, "right") - 1, 0, G - 2)
+    assert seeded.j.tobytes() == j.tobytes()
+    assert seeded.below.tolist() == (x < grid[0]).nonzero()[0].tolist()
+    assert seeded.above.tolist() == (x >= grid[-1]).nonzero()[0].tolist()
 
 
 # ---------------------------------------------------------------------------

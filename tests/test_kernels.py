@@ -23,17 +23,19 @@ def test_backend_flag_is_exposed():
 def test_deposit_linear_conserves_mass():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=5000)
-    out = _kernels.deposit_linear_numpy(xs, -6.0, 12.0 / 400, 401)
+    out, cells = _kernels.deposit_linear_numpy(xs, -6.0, 12.0 / 400, 401)
     assert np.sum(out) == pytest.approx(5000.0, rel=1e-12)
+    assert cells.dtype == np.int64 and cells.shape == xs.shape
 
 
 @needs_numba
 def test_deposit_linear_backends_agree():
     rng = np.random.default_rng(1)
     xs = rng.normal(size=20000)
-    a = _kernels.deposit_linear_numpy(xs, -7.0, 14.0 / 800, 801)
-    b = _kernels.deposit_linear_numba(xs, -7.0, 14.0 / 800, 801)
+    a, a_cells = _kernels.deposit_linear_numpy(xs, -7.0, 14.0 / 800, 801)
+    b, b_cells = _kernels.deposit_linear_numba(xs, -7.0, 14.0 / 800, 801)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    assert a_cells.tobytes() == b_cells.tobytes()
 
 
 @needs_numba
@@ -73,9 +75,12 @@ def test_kde_eval_backends_agree():
 def test_deposit_linear_loop_matches_numpy():
     rng = np.random.default_rng(1)
     xs = 3.0 * rng.normal(size=3000)            # some past both grid ends
-    a = _kernels.deposit_linear_numpy(xs, -7.0, 14.0 / 800, 801)
-    b = _kernels._deposit_linear_impl(xs, -7.0, 14.0 / 800, 801)
+    a, a_cells = _kernels.deposit_linear_numpy(xs, -7.0, 14.0 / 800, 801)
+    b, b_cells = _kernels._deposit_linear_impl(xs, -7.0, 14.0 / 800, 801)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    # the same cell index, which gain.GridIntervals starts from
+    assert a_cells.dtype == b_cells.dtype == np.int64
+    assert a_cells.tobytes() == b_cells.tobytes()
 
 
 def test_pairwise_field_loop_matches_numpy():

@@ -323,7 +323,7 @@ def test_runs_that_differ_in_one_input_compute_apart(monkeypatch, differ):
         cx = Run(FilterKind("fpf_continuous"), "constant", fpf.path, fpf.grid,
                  fpf.init_particles)
     else:                          # a library value compares by identity
-        density = gain.kde_density_1d(fpf.init_particles)
+        density, _ = gain.kde_density_1d(fpf.init_particles)
         fpf.gain_opts = {"density": density}
         cx.gain_opts = {"density": Density1D(density.grid.copy(),
                                              density.values.copy())}
