@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .ensemble import Density1D
+from .ensemble import Density1D, density_from_function
 from .errors import (ConfigError, FlowFilterError, NonPositiveDensity,
                      NonPositiveParameter)
 from .filters import FilterKind, FilterRun, Run, run_lockstep
@@ -396,11 +396,14 @@ def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
         if not 2.0 * half_width < math.inf:     # linspace spans 2 half_width
             raise ConfigError(where, f"a grid of half-width {half_width:g} "
                               "spans more than the float range")
-        grid = np.linspace(-half_width, half_width, points)
-        with np.errstate(over="ignore"):    # a square past it: exp(-inf) = 0
-            values = np.exp(-0.5 * (grid - mean) ** 2 / var)
+
+        def pdf(grid):
+            with np.errstate(over="ignore"):    # a square past it: exp(-inf) = 0
+                values = np.exp(-0.5 * (grid - mean) ** 2 / var)
+            return values / np.sqrt(2 * np.pi * var)
+
         try:
-            dens = Density1D(grid=grid, values=values / np.sqrt(2 * np.pi * var))
+            dens = density_from_function(pdf, half_width, points)
         except ValueError as exc:
             raise ConfigError(where, f"the initial law on {points} points over "
                               f"+-{half_width}: {exc}") from None

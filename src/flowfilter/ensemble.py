@@ -38,6 +38,11 @@ class Moments:
     cov_xh: np.ndarray          # (d,)
 
 
+def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
+    """np.trapezoid(y, grid) with spacing = np.diff(grid), in its arithmetic."""
+    return float((spacing * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 @dataclass(frozen=True)
 class Density1D:
     """Nonnegative density values on a uniform grid, unit trapezoid mass."""
@@ -50,7 +55,7 @@ class Density1D:
         v = np.asarray(self.values, dtype=float)
         if np.any(v < 0):
             raise ValueError("density values must be nonnegative")
-        mass = np.trapezoid(v, g)
+        mass = _trapezoid(v, g[1:] - g[:-1])
         if mass <= 0:
             raise ValueError("density has no mass on the grid")
         if abs(mass - 1.0) > 1e-8:
@@ -69,11 +74,11 @@ class Density1D:
         return w
 
     def mean(self) -> float:
-        return float(np.trapezoid(self.grid * self.values, self.grid))
+        return _trapezoid(self.grid * self.values, np.diff(self.grid))
 
     def var(self) -> float:
-        m = self.mean()
-        return float(np.trapezoid((self.grid - m) ** 2 * self.values, self.grid))
+        g = self.grid
+        return _trapezoid((g - self.mean()) ** 2 * self.values, np.diff(g))
 
 
 def compute_moments(x: np.ndarray, model: SystemModel,

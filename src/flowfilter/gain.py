@@ -39,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .ensemble import Density1D, Moments, compute_moments, kde_density_1d
+from .ensemble import (Density1D, Moments, _trapezoid, compute_moments,
+                       kde_density_1d)
 from .errors import (DegenerateCloud, DimensionError, IllConditioned,
                      NonFiniteState, SingularCovariance, UnresolvedTail)
 from .models import SystemModel
@@ -162,11 +163,6 @@ class GridIntervals:
         out[self.below] = fp[0]
         out[self.above] = fp[-1]
         return out
-
-
-def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
-    """np.trapezoid(y, grid) with spacing = np.diff(grid), in its arithmetic."""
-    return float((spacing * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
@@ -422,7 +418,9 @@ def multivariate_kde_at_points(x: np.ndarray, points: Optional[np.ndarray] = Non
 # filter-coefficient assembly: a row maps (particles x, model, **gain options)
 # to the (a, K) of the update x + M dt + dV + (a + K slope) dt, computing
 # from x whatever else it reads (h = obs(x), the moments of x); continuous-
-# time rows see slope = dZ/dt, a = (1/2)(grad K)^T K - K(h + hbar)/2
+# time rows see slope = dZ/dt, a = (1/2)(grad K)^T K - K(h + hbar)/2.  A row
+# is plain arithmetic: assemble_filter_coefficients, its one caller, runs it
+# under np.errstate and refuses the (a, K) it returns past the float range
 
 @dataclass
 class CoefficientSet:
@@ -436,23 +434,13 @@ def _centred_drift(K, h) -> np.ndarray:
     return -0.5 * K * (h + h.mean())[:, None]
 
 
-def _finite_row(a, K, diagnostics) -> CoefficientSet:
-    """The (a, K) that a row computed under np.errstate, or NonFiniteState
-    where the cloud drove them past the float range."""
-    if not (np.isfinite(a).all() and np.isfinite(K).all()):
-        raise NonFiniteState(None, "the cloud drives the coefficients (a, K) "
-                             "past the float range")
-    return CoefficientSet(a, K, diagnostics)
-
-
 def _constant_gain_row(x, model, solve) -> CoefficientSet:
     """(a, K) of the gain solve(moments), constant over the cloud, whose
     whole drift is the centring term."""
     h = model.obs(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fld = solve(compute_moments(x, model, h))
-        a = _centred_drift(fld.at_particles, h)
-    return _finite_row(a, fld.at_particles, fld.diagnostics)
+    fld = solve(compute_moments(x, model, h))
+    return CoefficientSet(_centred_drift(fld.at_particles, h), fld.at_particles,
+                          fld.diagnostics)
 
 
 def _exact_coefficients(x, model) -> CoefficientSet:
@@ -486,48 +474,43 @@ def _integral_continuous(x, model, density=None, kde_opts=None,
     cells = None                # a caller's density keeps the float estimate
     if density is None:
         density, cells = kde_density_1d(x, **(kde_opts or {}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        [(k_grid, diagnostics)] = _integral_fields(density, model, ("fpf_phi",),
-                                                   eps_floor)
-        dK = _gradient(k_grid, density.dx)
-        at = GridIntervals(density.grid, x[:, 0], cells)
-        K = at.interp(k_grid).reshape(-1, 1)
-        ito = 0.5 * at.interp(dK * k_grid).reshape(-1, 1)
-        a = ito + _centred_drift(K, model.obs(x))
-    return _finite_row(a, K, diagnostics)
+    [(k_grid, diagnostics)] = _integral_fields(density, model, ("fpf_phi",),
+                                               eps_floor)
+    dK = _gradient(k_grid, density.dx)
+    at = GridIntervals(density.grid, x[:, 0], cells)
+    K = at.interp(k_grid).reshape(-1, 1)
+    ito = 0.5 * at.interp(dK * k_grid).reshape(-1, 1)
+    return CoefficientSet(ito + _centred_drift(K, model.obs(x)), K, diagnostics)
 
 
 def _galerkin_fpf(x, model) -> CoefficientSet:
     h = model.obs(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = solve_constant_gain(compute_moments(x, model, h)).at_particles
-        psif = solve_galerkin(x, model, "fpf_psi", prior_gain=K)
-        a = _centred_drift(K, h) + 0.5 * psif.at_particles
-    return _finite_row(a, K, psif.diagnostics)
+    K = solve_constant_gain(compute_moments(x, model, h)).at_particles
+    psif = solve_galerkin(x, model, "fpf_psi", prior_gain=K)
+    return CoefficientSet(_centred_drift(K, h) + 0.5 * psif.at_particles, K,
+                          psif.diagnostics)
 
 
 def _galerkin_reich(cov_inverse: bool):
     def assemble(x, model) -> CoefficientSet:
         h = model.obs(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            moments = compute_moments(x, model, h)
-            m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
-            of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv, h=h)
-        return _finite_row(of.at_particles,
-                           solve_constant_gain(moments).at_particles,
-                           of.diagnostics)
+        moments = compute_moments(x, model, h)
+        m_inv = moments.cov if cov_inverse else None     # M = P^{-1} or I
+        of = solve_galerkin(x, model, "reich_omega", m_inv=m_inv, h=h)
+        return CoefficientSet(of.at_particles,
+                              solve_constant_gain(moments).at_particles,
+                              of.diagnostics)
     return assemble
 
 
 def _fundamental_mc(x, model, eps_floor=EPS_RHO) -> CoefficientSet:
     h = model.obs(x)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta = solve_fundamental_mc(x, h)
-        alpha = solve_fundamental_mc(x, -0.5 * h * h)
-        _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
-        a = alpha.evaluate(x) / rho_f[:, None]
-        K = beta.evaluate(x) / rho_f[:, None]
-    return _finite_row(a, K, {"epsilon": beta.epsilon, "floor_frac": floor_frac})
+    beta = solve_fundamental_mc(x, h)
+    alpha = solve_fundamental_mc(x, -0.5 * h * h)
+    _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
+    return CoefficientSet(alpha.evaluate(x) / rho_f[:, None],
+                          beta.evaluate(x) / rho_f[:, None],
+                          {"epsilon": beta.epsilon, "floor_frac": floor_frac})
 
 
 # constant gains have no Ito term, so their continuous-time rows are the
@@ -543,8 +526,9 @@ _CRISAN_XIONG = {"exact_gaussian": _exact_coefficients,
 
 # filter kind label -> gain method -> row, each row a function
 # row(x, model, **its GAIN_OPTS) that reads nothing but the cloud, the model
-# and its options; in 1D the delta kinds share one field, so one
-# integral_1d row, and the continuous-time Crisan & Xiong filter is the FPF
+# and its options, called only by assemble_filter_coefficients; in 1D the
+# delta kinds share one field, so one integral_1d row, and the
+# continuous-time Crisan & Xiong filter is the FPF
 ASSEMBLERS = {
     "delta_fpf": {"exact_gaussian": _exact_coefficients,
                   "constant": _constant_coefficients,
@@ -604,21 +588,28 @@ def assemble_filter_coefficients(kind: str, x: np.ndarray, model: SystemModel,
                                  method: str, mass_matrix: str = "identity",
                                  **gain_opts) -> CoefficientSet:
     """(a, K) at the particles x (n, d) from the (kind, method) row, which
-    delta_reich picks by mass_matrix; DimensionError outside its dimensions."""
+    delta_reich picks by mass_matrix; DimensionError outside its dimensions,
+    and NonFiniteState, with no numpy warning first, where the cloud drives
+    (a, K) past the float range."""
     label = kind_label(kind, mass_matrix)
     row = ASSEMBLERS.get(label, {}).get(method)
     if row is None:
         raise ValueError(f"no {method!r} gain for filter kind {label!r}")
     if not in_dimension(label, method, x.shape[1]):
         raise DimensionError(f"{label}/{method} does not run in {x.shape[1]}D")
-    return row(x, model, **gain_opts)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cs = row(x, model, **gain_opts)
+    if not (np.isfinite(cs.a).all() and np.isfinite(cs.K).all()):
+        raise NonFiniteState(None, "the cloud drives the coefficients (a, K) "
+                             "past the float range")
+    return cs
 
 
 def continuous_gain(x: np.ndarray, model: SystemModel, method: str,
                     **gain_opts):
     """Gain K(x_i) and Ito drift (1/2)(grad K)^T K(x_i) of the fpf_continuous
     row: its drift a with the centring term -K (h + hbar) / 2 taken out."""
-    row = ASSEMBLERS["fpf_continuous"][method]
-    cs = row(x, model, **gain_opts)
+    cs = assemble_filter_coefficients("fpf_continuous", x, model, method,
+                                      **gain_opts)
     return cs.K, cs.a - _centred_drift(cs.K, model.obs(x)), cs.diagnostics
 

@@ -224,6 +224,19 @@ def _fd_hessian(f, x: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
     return H
 
 
+def _linear_observation(Hrow: np.ndarray):
+    """(obs, obs_grad) of the observation x -> Hrow . x."""
+    d = Hrow.shape[0]
+
+    def obs(x):
+        return as_batch(x, d) @ Hrow
+
+    def obs_grad(x):
+        return np.tile(Hrow, (as_batch(x, d).shape[0], 1))
+
+    return obs, obs_grad
+
+
 def make_linear_gaussian(A, H) -> SystemModel:
     """Linear-Gaussian benchmark: drift x -> A x, observation x -> H x."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -233,17 +246,10 @@ def make_linear_gaussian(A, H) -> SystemModel:
     d = A.shape[0]
     if A.shape != (d, d) or H.shape != (1, d):
         raise ValueError(f"shape mismatch: A {A.shape}, H {H.shape}")
-    Hrow = H[0]
+    obs, obs_grad = _linear_observation(H[0])
 
     def drift(x):
         return as_batch(x, d) @ A.T
-
-    def obs(x):
-        return as_batch(x, d) @ Hrow
-
-    def obs_grad(x):
-        n = as_batch(x, d).shape[0]
-        return np.tile(Hrow, (n, 1))
 
     # |A| operator norm is the global Lipschitz constant of x -> Ax
     lip = float(np.linalg.norm(A, 2))
@@ -274,16 +280,10 @@ def make_log_concave_ou(spec: LogConcaveOUSpec, H, points=None) -> SystemModel:
     where a margin is not finite)."""
     Hrow = np.asarray(H, dtype=float).reshape(-1)
     d = Hrow.shape[0]
+    obs, obs_grad = _linear_observation(Hrow)
 
     def drift(x):
         return spec.grad_potential(as_batch(x, d))
-
-    def obs(x):
-        return as_batch(x, d) @ Hrow
-
-    def obs_grad(x):
-        n = as_batch(x, d).shape[0]
-        return np.tile(Hrow, (n, 1))
 
     model = SystemModel(dim=d, drift=drift, obs=obs, obs_grad=obs_grad,
                         kind="log_concave_ou", H=Hrow.reshape(1, -1))

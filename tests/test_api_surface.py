@@ -11,7 +11,6 @@ SRC = ROOT / "src" / "flowfilter"
 
 # name -> why it stays without a caller outside the tests
 KEPT = {
-    "density_from_function": "acceptance criterion 3 imports it",
     "affine_pushforward": "the paper's affine push-forward of a Poincare "
                           "constant (theory API)",
     "lipschitz_transfer": "the paper's Lipschitz transfer of a Poincare "

@@ -1164,6 +1164,18 @@ def test_sweep_keeps_the_siblings_of_a_failed_filter_exit_3(tmp_path, capsys):
             assert trend["monotone_seeds"] == "0"
 
 
+def test_delta_integral_row_past_the_float_range_exit_3_quietly(tmp_path,
+                                                                 capsys):
+    # a 1e150 KDE grid overflows the row at fine step 0, which printed five
+    # numpy warnings before "filters failed"
+    raw = _tanh_sweep([{"kind": "delta_fpf", "gain": "integral_1d",
+                        "gain_opts": {"eps_floor": 1e-300,
+                                      "kde_opts": {"half_width": 1e150}}}], {})
+    code, err_text = _exit_and_field(tmp_path, capsys, raw)
+    assert code == 3
+    assert err_text == "filters failed: delta_fpf/integral_1d\n"
+
+
 @pytest.mark.parametrize("label, gain_name, twin_only", [
     ("delta_fpf", "constant", False),
     # the twin of delta_fpf/constant is the continuous constant-gain row

@@ -560,14 +560,14 @@ def edge_clouds(draw, d=1):
 @given(x=edge_clouds())
 def test_every_1d_row_gives_finite_coefficients_or_a_typed_error(x):
     for name, model in MODELS_1D.items():
-        for row, where in ROWS_1D.items():
+        for label, gain in ROWS_1D.values():
             try:
                 with np.errstate(all="ignore"):
-                    cs = row(x, model)
+                    cs = assemble_filter_coefficients(label, x, model, gain)
             except FlowFilterError:
                 continue
             assert np.all(np.isfinite(cs.a)) and np.all(np.isfinite(cs.K)), \
-                (name, where)
+                (name, label, gain)
 
 
 MODEL_2D = make_linear_gaussian([[-0.5, 0.2], [0.0, -1.0]], [1.0, 0.5])
@@ -580,13 +580,14 @@ ROWS_2D = {row: (label, gain) for label, rows in sorted(ASSEMBLERS.items())
 def test_every_2d_row_gives_finite_coefficients_or_a_typed_error(x):
     # fundamental_mc returned non-finite (a, K) on a 1e-300 pair and a
     # non-finite a at 1e300, with no error
-    for row, where in ROWS_2D.items():
+    for label, gain in ROWS_2D.values():
         try:
             with np.errstate(all="ignore"):
-                cs = row(x, MODEL_2D)
+                cs = assemble_filter_coefficients(label, x, MODEL_2D, gain)
         except FlowFilterError:
             continue
-        assert np.all(np.isfinite(cs.a)) and np.all(np.isfinite(cs.K)), where
+        assert np.all(np.isfinite(cs.a)) and np.all(np.isfinite(cs.K)), \
+            (label, gain)
 
 
 @pytest.mark.parametrize("seed, n, scale", [(2, 2, 1e-300), (12, 12, 1e300)])
@@ -594,7 +595,7 @@ def test_fundamental_mc_refuses_non_finite_fields(seed, n, scale):
     x = np.random.default_rng(seed).standard_normal((n, 2)) * scale
     for label in ("crisan_xiong", "delta_reich(rho_identity)"):
         with pytest.raises(NonFiniteState):
-            ASSEMBLERS[label]["fundamental_mc"](x, MODEL_2D)
+            assemble_filter_coefficients(label, x, MODEL_2D, "fundamental_mc")
 
 
 def _refuses_quietly(capfd, error, row, *args):
@@ -621,8 +622,30 @@ def test_constant_gain_drift_past_the_float_range_refuses_quietly(
     # printed "overflow encountered in multiply" (the drift, at 1e150) or
     # "in matmul" (the moments, at 1e200) before NonFiniteState
     x = scale * np.random.default_rng(30).standard_normal((50, 1))
-    _refuses_quietly(capfd, NonFiniteState, ASSEMBLERS[label][gain_name], x,
-                     MODELS_1D["linear_gaussian"])
+    _refuses_quietly(capfd, NonFiniteState, assemble_filter_coefficients, label,
+                     x, MODELS_1D["linear_gaussian"], gain_name)
+
+
+@pytest.mark.parametrize("label", ["delta_fpf", "crisan_xiong",
+                                   "delta_reich(identity)"])
+def test_delta_integral_row_on_a_grid_past_the_float_range_is_quiet(capfd,
+                                                                     label):
+    # the integral_1d row the delta kinds share printed "overflow encountered
+    # in multiply" (cumulative_simpson) and "invalid value encountered in
+    # accumulate" (its cumsum): unlike the other rows, it computed outside
+    # np.errstate
+    x = np.random.default_rng(40).standard_normal((2000, 1))
+    for name, model in MODELS_1D.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                cs = assemble_filter_coefficients(
+                    label, x, model, "integral_1d", eps_floor=1e-300,
+                    kde_opts={"half_width": 1e150})
+            except FlowFilterError:
+                continue
+        assert np.all(np.isfinite(cs.a)) and np.all(np.isfinite(cs.K)), name
+    assert capfd.readouterr() == ("", "")
 
 
 def test_non_finite_stiffness_refuses_before_lapack(capfd):
@@ -630,8 +653,8 @@ def test_non_finite_stiffness_refuses_before_lapack(capfd):
     # value" (and 5) to stderr, then the SVD's error became IllConditioned
     x = np.random.default_rng(12).standard_normal((12, 2)) * 1e150
     x[-1] *= 1e6
-    _refuses_quietly(capfd, IllConditioned,
-                     ASSEMBLERS["delta_fpf"]["galerkin"], x, MODEL_2D)
+    _refuses_quietly(capfd, IllConditioned, assemble_filter_coefficients,
+                     "delta_fpf", x, MODEL_2D, "galerkin")
 
 
 def test_an_svd_that_does_not_converge_is_ill_conditioned(monkeypatch):
