@@ -151,9 +151,10 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
     return Density1D(grid=grid, values=values), cells
 
 
-def density_from_function(pdf, half_width: float, grid_points: int = 4001,
-                          center: float = 0.0) -> Density1D:
-    """Tabulate an analytic pdf on a uniform grid (reference densities)."""
-    grid = np.linspace(center - half_width, center + half_width, grid_points)
+def density_from_function(pdf, half_width: float,
+                          grid_points: int = 4001) -> Density1D:
+    """Tabulate an analytic pdf on a uniform grid over [-half_width,
+    half_width] (reference densities)."""
+    grid = np.linspace(-half_width, half_width, grid_points)
     return Density1D(grid=grid, values=np.maximum(pdf(grid), 0.0))
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from .ensemble import compute_moments
 from .errors import FilterAborted, FlowFilterError, NonFiniteState
-from .gain import (ASSEMBLERS, assemble_filter_coefficients, in_dimension,
-                   kind_label)
+from .gain import ASSEMBLERS, assemble_filter_coefficients, in_dimension
 # bound here only for the tracer in perfbench/layers.py, which wraps them
 from .gain import _exact_coefficients, continuous_gain  # noqa: F401
 from .models import SystemModel
@@ -69,7 +68,9 @@ class FilterKind:
         return self.tag not in ("fpf_continuous", "crisan_continuous")
 
     def label(self) -> str:
-        return kind_label(self.tag, self.mass_matrix)
+        """The kind's key in ASSEMBLERS."""
+        return f"delta_reich({self.mass_matrix})" if self.tag == "delta_reich" \
+            else self.tag
 
 
 def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,
@@ -79,8 +80,7 @@ def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,
     reads.  Returns the new particles and the solver diagnostics; a density
     floor over more than 10% is reported as degenerate_density, not fatal.
     """
-    coeffs = assemble_filter_coefficients(kind.tag, x, model, gain_method,
-                                          mass_matrix=kind.mass_matrix,
+    coeffs = assemble_filter_coefficients(kind.label(), x, model, gain_method,
                                           **gain_opts)
     # ((x + M dt) + dV) + (a + K slope) dt, the update's association order,
     # built in place on the fresh arrays M dt and K slope, never on x or on

@@ -47,9 +47,6 @@ from .models import SystemModel
 
 EPS_RHO = 1e-8
 RIDGE = 1e-10
-# the rhs kinds whose solution is a gain: -(h - hbar) on the right; only
-# these report the centring of their potential
-GAIN_KINDS = ("fpf_phi", "crisan_beta")
 
 
 @dataclass
@@ -193,7 +190,7 @@ def _integral_fields(density: Density1D, model: SystemModel, rhs_kinds,
     fields = []
     for rhs_kind in rhs_kinds:
         diagnostics = {"epsilon": eps_floor, "floor_frac": floor_frac}
-        if rhs_kind in GAIN_KINDS:
+        if rhs_kind == "fpf_phi":
             rhs = (h - _trapezoid(h * rho, spacing)) * rho
             I = cumulative_simpson(rhs, dx)
             rho_K = -I
@@ -223,14 +220,14 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
                       eps_floor: float = EPS_RHO) -> GainField:
     """Integrate the 1D Poisson equation once on the grid.
 
-    For the gain kinds, rho(x) K(x) = -int_{-inf}^x (h - hbar) rho dy and
-    the same cumulative integral serves the unweighted crisan_beta case
-    since K = beta'/rho with beta'' = -(h - hbar) rho.  The drift kind
-    crisan_alpha returns grad alpha / rho.  In 1D the FPF gain K and drift
+    The gain kind fpf_phi returns K with rho(x) K(x) = -int_{-inf}^x
+    (h - hbar) rho dy, which is also the unweighted Crisan & Xiong gain
+    K = beta'/rho with beta'' = -(h - hbar) rho.  The drift kind
+    crisan_alpha returns grad alpha / rho.  In 1D the FPF drift
     -(h + hbar) K / 2 + grad psi / 2, and the Reich fields grad Lambda and
-    grad Omega with M = I, are the crisan_beta and crisan_alpha fields, so
-    the route takes those names only.  Only the gain kinds report the
-    centring of their potential.
+    grad Omega with M = I, are these two fields, so the route takes the
+    names fpf_phi and crisan_alpha only.  Only fpf_phi reports the centring
+    of its potential.
     """
     [(gain_grid, diagnostics)] = _integral_fields(density, model, (rhs_kind,),
                                                   eps_floor)
@@ -382,12 +379,11 @@ class FundamentalField:
         return raw / (self.sources.shape[0] * unit_sphere_area(d))
 
 
-def solve_fundamental_mc(x: np.ndarray, m_values: np.ndarray,
-                         epsilon: Optional[float] = None) -> FundamentalField:
+def solve_fundamental_mc(x: np.ndarray, m_values: np.ndarray) -> FundamentalField:
     """grad u(x) = (1/omega_d) (1/N) sum_i (y_i - x) (m_i - mbar) / max(|x-y_i|, eps)^d.
 
-    Self-interactions (y_i == x) are skipped; the default cutoff is
-    eps = N^{-1/d} and is reported through the field object."""
+    Self-interactions (y_i == x) are skipped; the cutoff is eps = N^{-1/d}
+    and is reported through the field object."""
     n, d = x.shape
     if d < 2:
         raise DimensionError("fundamental-solution route requires d >= 2 "
@@ -395,21 +391,17 @@ def solve_fundamental_mc(x: np.ndarray, m_values: np.ndarray,
     m = np.asarray(m_values, dtype=float).reshape(-1)
     if m.shape[0] != n:
         raise ValueError("m_values must have one entry per particle")
-    eps = float(n ** (-1.0 / d)) if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    return FundamentalField(sources=x, m_centered=m - m.mean(), epsilon=eps)
+    return FundamentalField(sources=x, m_centered=m - m.mean(),
+                            epsilon=float(n ** (-1.0 / d)))
 
 
-def multivariate_kde_at_points(x: np.ndarray, points: Optional[np.ndarray] = None,
-                               eps_floor: float = EPS_RHO):
-    """Product-Gaussian KDE evaluated at particle locations (d >= 2 Crisan
-    1/rho factor).  Returns (values, floored_values, floor_fraction)."""
-    pts = x if points is None else np.atleast_2d(points)
+def multivariate_kde_at_points(x: np.ndarray, eps_floor: float = EPS_RHO):
+    """Product-Gaussian KDE evaluated at the particles themselves (d >= 2
+    Crisan 1/rho factor).  Returns (values, floored_values, floor_fraction)."""
     n, d = x.shape
     sig = np.std(x, axis=0, ddof=1)
     bw = sig * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0))
-    vals = _kernels.kde_eval_points(pts, x, bw)
+    vals = _kernels.kde_eval_points(x, x, bw)
     floored = np.maximum(vals, eps_floor)
     return vals, floored, float(np.mean(vals < eps_floor))
 
@@ -454,14 +446,16 @@ def _constant_coefficients(x, model) -> CoefficientSet:
 
 def _integral_beta_alpha(x, model, density=None, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
-    """K = grad beta / rho, a = grad alpha / rho; in 1D the FPF fields
-    K = grad phi, a = -(h + hbar) K / 2 + grad psi / 2 and the Reich fields
-    grad Lambda and grad Omega (M = I) solve the same equations."""
+    """K = grad beta / rho, a = grad alpha / rho: the fpf_phi and
+    crisan_alpha fields of the integral route, since in 1D the gain
+    grad beta / rho is the FPF gain grad phi, and the FPF drift
+    a = -(h + hbar) K / 2 + grad psi / 2 and the Reich fields grad Lambda
+    and grad Omega (M = I) solve the same equations."""
     cells = None                # a caller's density keeps the float estimate
     if density is None:
         density, cells = kde_density_1d(x, **(kde_opts or {}))
     (k_grid, diagnostics), (a_grid, a_diagnostics) = _integral_fields(
-        density, model, ("crisan_beta", "crisan_alpha"), eps_floor)
+        density, model, ("fpf_phi", "crisan_alpha"), eps_floor)
     at = GridIntervals(density.grid, x[:, 0], cells)
     return CoefficientSet(at.interp(a_grid).reshape(-1, 1),
                           at.interp(k_grid).reshape(-1, 1),
@@ -580,18 +574,14 @@ GAIN_OPTS = {"integral_1d": {"kde_opts": KDE_OPTS, "eps_floor": POSITIVE},
              "fundamental_mc": {"eps_floor": POSITIVE}}
 
 
-def kind_label(tag: str, mass_matrix: Optional[str] = None) -> str:
-    return f"delta_reich({mass_matrix})" if tag == "delta_reich" else tag
-
-
-def assemble_filter_coefficients(kind: str, x: np.ndarray, model: SystemModel,
-                                 method: str, mass_matrix: str = "identity",
-                                 **gain_opts) -> CoefficientSet:
-    """(a, K) at the particles x (n, d) from the (kind, method) row, which
-    delta_reich picks by mass_matrix; DimensionError outside its dimensions,
-    and NonFiniteState, with no numpy warning first, where the cloud drives
-    (a, K) past the float range."""
-    label = kind_label(kind, mass_matrix)
+def assemble_filter_coefficients(label: str, x: np.ndarray, model: SystemModel,
+                                 method: str, **gain_opts) -> CoefficientSet:
+    """(a, K) at the particles x (n, d) from the (label, method) row of
+    ASSEMBLERS, label naming the kind as FilterKind.label does
+    (delta_reich(identity), say); ValueError where the table has no such
+    row, DimensionError outside its dimensions, and NonFiniteState, with no
+    numpy warning first, where the cloud drives (a, K) past the float
+    range."""
     row = ASSEMBLERS.get(label, {}).get(method)
     if row is None:
         raise ValueError(f"no {method!r} gain for filter kind {label!r}")

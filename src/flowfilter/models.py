@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CertificateFailed, ConditionViolation, ModelMismatch
+from .errors import (CertificateFailed, ConditionViolation, ModelMismatch,
+                     NonPositiveParameter)
 
 _FD_STEP = 1e-4
 # R = |Hx|^2 + (lap U + |grad U|^2) nests second derivatives of U inside a
@@ -67,8 +68,9 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class LogConcaveOUSpec:
-    """Potential U with strong-concavity/convexity parameters.
+    """Potential U, its gradient and strong-concavity/convexity parameters.
 
+    grad: the batched gradient of U, (n, d) -> (n, d), which is the drift;
     c_u: -grad^2 U >= c_u I (C1); c_g: convexity of U + G0 for the initial
     density exp(-G0) (C2, user-asserted); c_r: convexity of
     R = |Hx|^2 + (Lap U + |grad U|^2) (C3); linear_growth_D: |grad U| <=
@@ -80,18 +82,11 @@ class LogConcaveOUSpec:
     c_g: float
     c_r: float
     linear_growth_D: float
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        from .errors import NonPositiveParameter
-
         if not (self.c_u > 0 and self.c_g > 0 and self.c_r > 0):
             raise NonPositiveParameter("c_u, c_g, c_r must be positive")
-
-    def grad_potential(self, x: np.ndarray) -> np.ndarray:
-        if self.grad is not None:
-            return self.grad(x)
-        return _fd_gradient(self.potential, x)
 
 
 @dataclass(frozen=True)
@@ -192,18 +187,6 @@ class ConditionReport:
     vacuous: bool = False
 
 
-def _fd_gradient(f, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a batched scalar function, (n,d)->(n,d)."""
-    x = np.asarray(x, dtype=float)
-    n, d = x.shape
-    out = np.empty((n, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = _FD_STEP
-        out[:, j] = (f(x + e) - f(x - e)) / (2 * _FD_STEP)
-    return out
-
-
 def _fd_hessian(f, x: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
     """Central-difference Hessian of a scalar function at a single point (d,)."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
@@ -265,7 +248,7 @@ def _make_R(spec: LogConcaveOUSpec, Hrow: np.ndarray):
         for k in range(x.shape[0]):
             lap[k] = np.trace(_fd_hessian(spec.potential, x[k],
                                           h=_FD_STEP_CHAIN))
-        g = spec.grad_potential(x)
+        g = spec.grad(x)
         # an overflow leaves R and its Hessian non-finite, which
         # _worst_margin refuses as CertificateFailed
         with np.errstate(over="ignore", invalid="ignore"):
@@ -274,35 +257,33 @@ def _make_R(spec: LogConcaveOUSpec, Hrow: np.ndarray):
     return R
 
 
-def make_log_concave_ou(spec: LogConcaveOUSpec, H, points=None) -> SystemModel:
+def make_log_concave_ou(spec: LogConcaveOUSpec, H) -> SystemModel:
     """OU-type benchmark: drift = grad U, observation H x, with (C1)/(C3)
-    checked on a sample cloud (ConditionViolation on failure, CertificateFailed
+    checked on default_cloud (ConditionViolation on failure, CertificateFailed
     where a margin is not finite)."""
     Hrow = np.asarray(H, dtype=float).reshape(-1)
     d = Hrow.shape[0]
     obs, obs_grad = _linear_observation(Hrow)
 
     def drift(x):
-        return spec.grad_potential(as_batch(x, d))
+        return spec.grad(as_batch(x, d))
 
     model = SystemModel(dim=d, drift=drift, obs=obs, obs_grad=obs_grad,
                         kind="log_concave_ou", H=Hrow.reshape(1, -1))
-    if points is None:
-        points = default_cloud(d)
-    report = validate_conditions(model, spec, points)
+    report = validate_conditions(model, spec, default_cloud(d))
     for check in report.checks:
         if check.name in ("C1", "C3") and not check.passed:
             raise ConditionViolation(check.name, check.witness, check.margin)
     return model
 
 
-def default_cloud(dim: int, half_width: float = 3.0, n: int = 41) -> np.ndarray:
-    """Deterministic validation cloud: a 1D linspace, or a seeded Gaussian
-    scatter for d >= 2."""
+def default_cloud(dim: int) -> np.ndarray:
+    """Deterministic validation cloud of 41 points: a 1D linspace over
+    [-3, 3], or a seeded standard Gaussian scatter for d >= 2."""
     if dim == 1:
-        return np.linspace(-half_width, half_width, n).reshape(-1, 1)
+        return np.linspace(-3.0, 3.0, 41).reshape(-1, 1)
     rng = np.random.Generator(np.random.Philox(key=20240901))
-    return half_width / 3.0 * rng.standard_normal((n, dim))
+    return rng.standard_normal((41, dim))
 
 
 def _worst_margin(name: str, pts: np.ndarray, hessian, margin) -> ConditionCheck:
@@ -357,7 +338,7 @@ def validate_conditions(model: SystemModel, spec: LogConcaveOUSpec,
         lambda lam: lam[0] - spec.c_r))
 
     # C4: |grad U| <= D (1 + |x|)
-    g = spec.grad_potential(pts)
+    g = spec.grad(pts)
     slack = spec.linear_growth_D * (1.0 + np.linalg.norm(pts, axis=1)) \
         - np.linalg.norm(g, axis=1)
     i = int(np.argmin(slack))

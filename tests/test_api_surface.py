@@ -1,13 +1,19 @@
 """No library code that only tests call: every top-level function and class
 of src/flowfilter is referenced by the library itself, by the benchmark
 (perfbench/) or by the bench scripts (benchmarks/), or is listed below with
-the reason it stays."""
+the reason it stays.  The same holds for the defaulted parameters of the
+top-level functions: a program sets each one, or a config does through a
+row's gain options, or it is listed below with its reason."""
 
 import ast
 from pathlib import Path
 
+from flowfilter.gain import ASSEMBLERS
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "flowfilter"
+PROGRAMS = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) \
+    + sorted((ROOT / "benchmarks").glob("*.py"))
 
 # name -> why it stays without a caller outside the tests
 KEPT = {
@@ -17,6 +23,25 @@ KEPT = {
                           "constant (theory API)",
     "brascamp_lieb_check": "the paper's Brascamp-Lieb bound (theory API), "
                            "held by acceptance criterion 5",
+}
+
+# "function.parameter" -> why the defaulted parameter stays though no
+# program sets it
+KEPT_PARAMS = {
+    "affine_pushforward.b": "the shift of the paper's affine push-forward "
+                            "(theory API)",
+    "brascamp_lieb_check.f_prime": "the derivative of the test function of "
+                                   "the Brascamp-Lieb bound (theory API)",
+    "brascamp_lieb_check.tol": "the tolerance of the Brascamp-Lieb bound "
+                               "(theory API)",
+    "empirical_poincare_1d.certify_tol": "the seam through which test_cli.py "
+                                         "forces a certificate to fail",
+    "run_filter.gain_opts": "the gain options of the one-run driver, as a "
+                            "lockstep Run carries them",
+    "solve_1d_integral.particles": "the gain at given points, read by "
+                                   "acceptance criterion 3",
+    "solve_1d_integral.eps_floor": "the density floor the bitwise oracle "
+                                   "varies",
 }
 
 
@@ -38,7 +63,7 @@ def _referenced():
     bench = sorted((ROOT / "perfbench").glob("*.py")) \
         + sorted((ROOT / "benchmarks").glob("*.py"))
     names = set()
-    for path in sorted(SRC.glob("*.py")) + bench:
+    for path in PROGRAMS:
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -65,3 +90,70 @@ def test_every_kept_name_exists_and_is_still_unused():
     defined = {name for _, name in _defined()}
     assert set(KEPT) <= defined
     assert not set(KEPT) & _referenced()
+
+
+
+def _signatures():
+    """function -> (positional parameter names, count of the required ones,
+    defaulted parameter names) of each top-level function of src."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                required = len(positional) - len(args.defaults)
+                keyword = [a.arg for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults)
+                           if d is not None]
+                out[node.name] = (positional, required,
+                                  positional[required:] + keyword)
+    return out
+
+
+def _defaulted(signatures):
+    """"function.parameter" of each defaulted parameter."""
+    return {f"{name}.{param}" for name, (_, _, params) in signatures.items()
+            for param in params}
+
+
+def _set_by_programs(signatures):
+    """The "function.parameter" entries that a call in src, perfbench/ or
+    benchmarks/ sets: by keyword, by position past the required
+    parameters, or by a ** mapping, which may hold any of them.  A call
+    names the function bare or as an attribute (cli.main)."""
+    found = set()
+    for path in PROGRAMS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name not in signatures:
+                continue
+            positional, required, params = signatures[name]
+            if any(kw.arg is None for kw in node.keywords):
+                given = params
+            else:
+                given = positional[required:len(node.args)] \
+                    + [kw.arg for kw in node.keywords]
+            found |= {f"{name}.{param}" for param in given if param in params}
+    return found
+
+
+def test_every_defaulted_parameter_is_set_or_has_a_reason():
+    # the rows of gain.ASSEMBLERS take their options from a config's gain_opts
+    rows = {row.__name__ for table in ASSEMBLERS.values()
+            for row in table.values()}
+    signatures = _signatures()
+    unset = sorted(key for key in _defaulted(signatures)
+                   - _set_by_programs(signatures)
+                   if key.split(".")[0] not in rows and key not in KEPT_PARAMS)
+    assert unset == []
+
+
+def test_every_kept_parameter_exists_and_is_still_unset():
+    signatures = _signatures()
+    assert set(KEPT_PARAMS) <= _defaulted(signatures)
+    assert not set(KEPT_PARAMS) & _set_by_programs(signatures)

@@ -32,7 +32,7 @@ from flowfilter.gain import (ASSEMBLERS, EPS_RHO, RIDGE, GainField,
                              solve_galerkin)
 from flowfilter.models import SystemModel, make_linear_gaussian
 
-RHS_KINDS = ("fpf_phi", "crisan_beta", "crisan_alpha")
+RHS_KINDS = ("fpf_phi", "crisan_alpha")
 # the rhs kinds solve_galerkin serves
 DRIFT_KINDS = ("fpf_psi", "reich_omega")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -143,7 +143,7 @@ def oracle_integral(density, model, rhs_kind, particles=None,
     if rhs_kind != "crisan_alpha":      # the gain's integral, which fpf_psi reads
         hb = float(np.trapezoid(h * rho, g))
         I = cumulative_simpson((h - hb) * rho, dx)
-    if rhs_kind in ("fpf_phi", "crisan_beta"):
+    if rhs_kind == "fpf_phi":
         gain_grid = -I / rho_f
         resid = float(np.max(np.abs(np.gradient(-I, dx) + (h - hb) * rho)))
         potential = cumulative_simpson(gain_grid, dx)

@@ -119,7 +119,7 @@ def test_kde_unit_mass_random_clouds():
 def test_density_from_function_moments():
     dens = density_from_function(
         lambda x: np.exp(-(x - 1.0) ** 2 / 2) / np.sqrt(2 * np.pi),
-        half_width=10.0, center=1.0)
+        half_width=10.0)
     assert dens.mean() == pytest.approx(1.0, abs=1e-9)
     assert dens.var() == pytest.approx(1.0, abs=1e-9)
 

@@ -122,7 +122,7 @@ def test_integral_1d_linear_h_recovers_PH():
 def test_integral_1d_quadratic_h_gain_is_x():
     dens = _gaussian_density(1.0)
     particles = np.linspace(-5, 5, 2001)
-    fld = solve_1d_integral(dens, _square_model(), "crisan_beta",
+    fld = solve_1d_integral(dens, _square_model(), "fpf_phi",
                             particles=particles)
     assert np.max(np.abs(fld.at_particles[:, 0] - particles)) <= 1e-6
 
@@ -174,10 +174,12 @@ def test_integral_1d_rbar_identity_on_grid():
         assert abs(lhs - (h2bar - hbar**2)) <= 1e-6
 
 
-@pytest.mark.parametrize("rhs_kind", ["reich_lambda", "reich_omega", "fpf_psi"])
+@pytest.mark.parametrize("rhs_kind", ["reich_lambda", "reich_omega", "fpf_psi",
+                                      "crisan_beta"])
 def test_integral_1d_refuses_the_reich_names(rhs_kind):
-    # in 1D the Reich fields (M = I) and the FPF drift are the crisan_beta
-    # and crisan_alpha fields, so the route takes those names only
+    # in 1D the Reich fields (M = I), the FPF drift and the Crisan & Xiong
+    # gain are the fpf_phi and crisan_alpha fields, so the route takes
+    # those names only
     with pytest.raises(ValueError, match="rhs_kind"):
         solve_1d_integral(_gaussian_density(), _linear_model(), rhs_kind)
 
@@ -362,7 +364,7 @@ def test_fundamental_two_particle_hand_value():
     # y1=(1,0), y2=(-1,0), m=(1,-1), x=(0,1): both kernel terms have
     # |y - x|^2 = 2, so the sum is (1,0) and the field is (1/(4 pi), 0)
     ens = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    fld = solve_fundamental_mc(ens, np.array([1.0, -1.0]), epsilon=1e-6)
+    fld = solve_fundamental_mc(ens, np.array([1.0, -1.0]))
     out = fld.evaluate(np.array([[0.0, 1.0]]))
     expected = np.array([1.0 / (4 * np.pi), 0.0])
     np.testing.assert_allclose(out[0], expected, rtol=0, atol=1e-14)
@@ -374,9 +376,9 @@ def test_fundamental_antisymmetry():
     # swapping the two particles and negating m negates the field
     pts = np.array([[0.3, 0.7], [-0.2, 1.5]])
     f1 = solve_fundamental_mc(np.array([[1.0, 0.2], [-0.7, 0.0]]),
-                              np.array([0.4, -1.1]), epsilon=1e-6)
+                              np.array([0.4, -1.1]))
     f2 = solve_fundamental_mc(np.array([[-0.7, 0.0], [1.0, 0.2]]),
-                              np.array([1.1, -0.4]), epsilon=1e-6)
+                              np.array([1.1, -0.4]))
     np.testing.assert_allclose(f2.evaluate(pts), -f1.evaluate(pts), atol=1e-15)
 
 
@@ -412,9 +414,11 @@ def test_fundamental_weak_divergence_consistency():
 def test_multivariate_kde_matches_normal_density_scale():
     rng = np.random.default_rng(15)
     ens = rng.standard_normal((4000, 2))
-    vals, floored, frac = multivariate_kde_at_points(
-        ens, points=np.array([[0.0, 0.0]]))
-    assert abs(vals[0] - 1.0 / (2 * np.pi)) <= 0.02
+    vals, floored, frac = multivariate_kde_at_points(ens)
+    # the particle nearest the origin, against the N(0, I) density there
+    i = int(np.argmin(np.sum(ens * ens, axis=1)))
+    pdf = np.exp(-0.5 * np.sum(ens[i] ** 2)) / (2 * np.pi)
+    assert abs(vals[i] - pdf) <= 0.02
     assert frac == 0.0
 
 
@@ -426,10 +430,9 @@ def test_assemble_exact_gives_enkbf_coefficients():
     x = rng.normal(size=(200, 1))
     ens = x
     model = make_linear_gaussian([[-0.5]], [1.0])
-    for kind, mm in [("delta_fpf", "identity"), ("crisan_xiong", "identity"),
-                     ("delta_reich", "cov_inverse"), ("enkbf", "identity")]:
-        cs = assemble_filter_coefficients(kind, ens, model, "exact_gaussian",
-                                          mass_matrix=mm)
+    for label in ("delta_fpf", "crisan_xiong", "delta_reich(cov_inverse)",
+                  "enkbf"):
+        cs = assemble_filter_coefficients(label, ens, model, "exact_gaussian")
         m = compute_moments(ens, model)
         K_expect = float(m.cov[0, 0] * 1.0)
         h = model.obs(x)
@@ -445,12 +448,19 @@ def test_assemble_constant_h_all_kinds_zero():
     model = SystemModel(dim=1, drift=lambda v: np.zeros_like(v),
                         obs=lambda v: np.full(v.shape[0], 2.0),
                         obs_grad=lambda v: np.zeros_like(v))
-    for kind in ("delta_fpf", "crisan_xiong", "delta_reich"):
-        cs = assemble_filter_coefficients(
-            kind, ens, model, "integral_1d",
-            mass_matrix="identity" if kind == "delta_reich" else "identity")
+    for label in ("delta_fpf", "crisan_xiong", "delta_reich(identity)"):
+        cs = assemble_filter_coefficients(label, ens, model, "integral_1d")
         assert np.max(np.abs(cs.K)) <= 1e-10
         assert np.max(np.abs(cs.a)) <= 1e-10
+
+
+def test_assemble_refuses_the_bare_delta_reich_tag():
+    # the table keys delta_reich by its mass matrix, as FilterKind does: the
+    # bare tag names no row, and no mass matrix is picked for it
+    x = np.random.default_rng(16).normal(size=(200, 1))
+    model = make_linear_gaussian([[-0.5]], [1.0])
+    with pytest.raises(ValueError, match="'delta_reich'"):
+        assemble_filter_coefficients("delta_reich", x, model, "exact_gaussian")
 
 
 def test_assemble_1d_fpf_equals_crisan_pointwise():

@@ -131,7 +131,7 @@ def test_cubic_drift_fails_linear_growth():
     spec = LogConcaveOUSpec(potential=lambda x: -0.25 * np.sum(x**4, axis=1),
                             grad=lambda x: -x**3,
                             c_u=0.1, c_g=1.0, c_r=0.1, linear_growth_D=2.0)
-    m = SystemModel(dim=1, drift=spec.grad_potential,
+    m = SystemModel(dim=1, drift=spec.grad,
                     obs=lambda x: x[:, 0],
                     obs_grad=lambda x: np.ones_like(x),
                     kind="log_concave_ou", H=np.array([[1.0]]))
