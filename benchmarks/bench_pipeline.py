@@ -58,8 +58,12 @@ for path in sorted(Path(sys.argv[1]).glob("*.json")):
     model = config.build_model()
     rows = [(spec.kind, spec.gain, spec.gain_opts) for spec in config.filters]
     if config.sweep.get("delta"):
-        twins = [cli._twin(spec, model.dim) for spec in config.filters]
-        rows += [(FilterKind(tag), gain, opts) for tag, gain, opts in twins]
+        for spec in config.filters:
+            # the twin's tag; an earlier _twin returned (tag, gain, gain_opts)
+            # with the filter's own gain and gain_opts
+            twin = cli._twin(spec, model.dim)
+            tag = twin if isinstance(twin, str) else twin[0]
+            rows.append((FilterKind(tag), spec.gain, spec.gain_opts))
     for kind, gain, opts in rows:
         label = f"{kind.label()}/{gain}"
         shown = {key: value for key, value in opts.items() if value != {}}

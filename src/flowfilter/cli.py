@@ -44,7 +44,7 @@ from .errors import (ConfigError, FlowFilterError, NonPositiveDensity,
 from .filters import FilterKind, FilterRun, Run, run_lockstep
 # bound here only for the tracer in perfbench/layers.py, which wraps it
 from .filters import run_filter  # noqa: F401
-from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE, galerkin_basis_size, in_dimension
+from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE, TWINS, galerkin_basis_size, in_dimension
 from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import (ObservationPath, TimeGrid, simulate_observations,
@@ -72,8 +72,7 @@ def _ou_spec(params: dict) -> LogConcaveOUSpec:
     return LogConcaveOUSpec(
         potential=lambda x: -0.5 * c * np.sum(x * x, axis=1),
         grad=lambda x: -c * x,
-        c_u=c, c_g=params["c_g"], c_r=2.0 * c * c,
-        linear_growth_D=c + 1.0 if params["D"] is None else params["D"])
+        c_u=c, c_g=params["c_g"], c_r=2.0 * c * c, linear_growth_D=c + 1.0)
 
 
 def _build_log_concave_ou(params: dict) -> SystemModel:
@@ -189,9 +188,8 @@ MAX_REFERENCE_CELL_UPDATES = 10**11
 # whose builders register_model may replace
 MODEL_PARAMS = {
     "linear_gaussian": {"A": (*MATRIX, REQUIRED), "H": (*VECTOR, REQUIRED)},
-    # D bounds |grad U| <= D (1 + |x|), c + 1 when absent
     "log_concave_ou": {"c": (*POSITIVE, 1.0), "c_g": (*POSITIVE, 1.0),
-                       "D": (*POSITIVE, None), "H": (*VECTOR, (1.0,))},
+                       "H": (*VECTOR, (1.0,))},
     "scalar_tanh": {},
 }
 
@@ -277,10 +275,11 @@ def parse_config(raw) -> ExperimentConfig:
     _check_path_size(grid, init.dim)
     filters = []
     for i, f in enumerate(cfg["filters"]):
-        try:        # also: mass_matrix is delta_reich's only
+        try:
             kind = FilterKind(tag=f["kind"], mass_matrix=f["mass_matrix"])
         except ValueError as exc:
-            raise ConfigError(f"filters[{i}]", str(exc)) from None
+            field = "kind" if f["kind"] not in FilterKind.TAGS else "mass_matrix"
+            raise ConfigError(f"filters[{i}].{field}", str(exc)) from None
         label = kind.label()    # a kind with no row in this dimension is at fault
         gains = sorted(g for g in ASSEMBLERS[label] if in_dimension(label, g, init.dim))
         if f["gain"] not in gains:
@@ -549,20 +548,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RunReport:
 # ---------------------------------------------------------------------------
 # sweeps
 
-CONTINUOUS_TWIN = {
-    "enkbf": ("fpf_continuous", "exact_gaussian"),
-    "delta_fpf": ("fpf_continuous", None),
-    "delta_reich": ("fpf_continuous", None),
-    "crisan_xiong": ("crisan_continuous", None),
-}
-
-
-def _twin(spec: FilterSpec, d: int) -> Optional[tuple]:
-    """(kind tag, gain, gain_opts) of spec's continuous-time twin in dD, if any."""
-    tag, gain = CONTINUOUS_TWIN.get(spec.kind.tag, (None, None))
-    gain = gain or spec.gain
-    if tag is not None and gain in ASSEMBLERS[tag] and in_dimension(tag, gain, d):
-        return tag, gain, spec.gain_opts
+def _twin(spec: FilterSpec, d: int) -> Optional[str]:
+    """The tag of spec's twin in gain.TWINS, where it runs spec's gain in dD."""
+    tag = TWINS.get(spec.kind.label())
+    if spec.gain in ASSEMBLERS.get(tag, ()) and in_dimension(tag, spec.gain, d):
+        return tag
 
 
 def _check_twins(filters: list, d: int):
@@ -659,8 +649,8 @@ def run_delta_sweep(config: ExperimentConfig) -> SweepReport:
         # each filter's twin, which reads the fine increments, recorded on
         # the coarsest mesh, then per filter one run per delta, all in one
         # lockstep group, which computes equal twins and equal runs once
-        runs = [Run(FilterKind(tag), gain, paths[0], grids[0], cloud, opts)
-                for tag, gain, opts in twins]
+        runs = [Run(FilterKind(tag), spec.gain, paths[0], grids[0], cloud,
+                    spec.gain_opts) for spec, tag in zip(config.filters, twins)]
         runs += [Run(spec.kind, spec.gain, p, g, cloud, spec.gain_opts)
                  for spec in config.filters for p, g in zip(paths, grids)]
         outs = run_lockstep(runs, model, local.seeds["filter"])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensemble import compute_moments
 from .errors import FilterAborted, FlowFilterError, NonFiniteState
-from .gain import ASSEMBLERS, assemble_filter_coefficients, in_dimension
+from .gain import ASSEMBLERS, TWINS, assemble_filter_coefficients, in_dimension
 # bound here only for the tracer in perfbench/layers.py, which wraps them
 from .gain import _exact_coefficients, continuous_gain  # noqa: F401
 from .models import SystemModel
@@ -56,21 +56,23 @@ NOISE_BUFFER_BYTES = 1 << 20
 class FilterKind:
     tag: str
     mass_matrix: Optional[str] = None
+    TAGS = sorted({label.split("(")[0] for label in ASSEMBLERS})
+    MASS_MATRICES = sorted(label[:-1].split("(")[1] for label in ASSEMBLERS if "(" in label)
 
-    def __post_init__(self):     # mass_matrix is delta_reich's, which needs one
-        if self.label() not in ASSEMBLERS or (
-                self.mass_matrix is not None and self.tag != "delta_reich"):
-            raise ValueError(f"unknown filter kind {self.tag!r} with mass_matrix "
-                             f"{self.mass_matrix!r}; known: {sorted(ASSEMBLERS)}")
+    def __post_init__(self):
+        if self.tag not in self.TAGS:
+            raise ValueError(f"unknown filter kind {self.tag!r}; known: {self.TAGS}")
+        if self.label() not in ASSEMBLERS:      # a known tag: the mass_matrix is at fault
+            raise ValueError(f"{self.tag} with mass_matrix {self.mass_matrix!r}: only "
+                             f"delta_reich takes one, one of {self.MASS_MATRICES}")
 
     @property
     def consumes_slope(self) -> bool:
-        return self.tag not in ("fpf_continuous", "crisan_continuous")
+        return self.label() in TWINS
 
     def label(self) -> str:
         """The kind's key in ASSEMBLERS."""
-        return f"delta_reich({self.mass_matrix})" if self.tag == "delta_reich" \
-            else self.tag
+        return self.tag if self.mass_matrix is None else f"{self.tag}({self.mass_matrix})"
 
 
 def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,

@@ -29,6 +29,7 @@ with rhs one of -(h - hbar), (r - rbar) with r = grad h . K, or
 ASSEMBLERS maps each (filter kind, gain method) pair to the drift field a(x_i)
 and gain field K(x_i) of its McKean-Vlasov representation; the pairs it holds
 are the only ones that exist, and in_dimension says where each one runs.
+TWINS maps each delta kind to its continuous-time limit as delta -> 0.
 """
 
 import math
@@ -541,6 +542,13 @@ ASSEMBLERS = {
     "fpf_continuous": _CONTINUOUS,
     "crisan_continuous": _CONTINUOUS,
 }
+# delta kind label -> the continuous-time kind it tends to under the same gain
+TWINS = {"delta_fpf": "fpf_continuous",
+         "delta_reich(identity)": "fpf_continuous",
+         "delta_reich(cov_inverse)": "fpf_continuous",
+         "delta_reich(rho_identity)": "fpf_continuous",
+         "crisan_xiong": "crisan_continuous",
+         "enkbf": "fpf_continuous"}
 
 
 def in_dimension(label: str, gain: str, d: int) -> bool:

@@ -50,7 +50,12 @@ def test_parse_config_requires_explicit_seeds():
 
 def test_parse_config_rejects_bad_filter_kind():
     cases = [
-        ({"kind": "bogus"}, {}, "filters[0]"),
+        ({"kind": "bogus"}, {}, "filters[0].kind"),
+        ({"kind": "delta_fpf", "mass_matrix": "identity"}, {},
+         "filters[0].mass_matrix"),
+        ({"kind": "delta_reich"}, {}, "filters[0].mass_matrix"),
+        ({"kind": "delta_reich", "mass_matrix": "nosuch"}, {},
+         "filters[0].mass_matrix"),
         ({"kind": "enkbf", "gain": "nosuch"}, {}, "filters[0].gain"),
         ({"kind": "crisan_xiong", "gain": "galerkin"}, {}, "filters[0].gain"),
         ({"kind": "enkbf", "gain": "constant"}, {}, "filters[0].gain"),
@@ -151,6 +156,8 @@ def test_parse_config_rejects_nondividing_sweep_delta():
     ("init", {"kind": "gaussian", "mean": [1.0], "cov": [[0.5]],
               "covariance": [[0.5]]}, "init.covariance"),
     ("grid", {"t0": 0.0, "T": "0.02", "delta": 0.01, "fine_dt": 0.001}, "grid.T"),
+    ("filters", [{"kind": "delta_reich(identity)"}], "filters[0].kind"),
+    ("model", {"name": "log_concave_ou", "D": 2.0}, "model.D"),
 ])
 def test_wrong_json_types_exit_2_naming_the_field(tmp_path, capsys, key,
                                                    value, field):

@@ -134,6 +134,22 @@ def test_all_filters_equal_enkbf_linear_gaussian_exact_gain():
         assert np.max(np.abs(r.means - base.means)) <= 1e-12
 
 
+def test_filter_kind_takes_the_tags_only():
+    # a label of ASSEMBLERS is no tag: delta_reich(identity) ran as a kind
+    with pytest.raises(ValueError) as err:
+        FilterKind("delta_reich(identity)")
+    listed = str(err.value).split("known:")[1]
+    assert listed.strip() == str(["crisan_continuous", "crisan_xiong", "delta_fpf",
+                                  "delta_reich", "enkbf", "fpf_continuous"])
+    assert FilterKind("delta_reich", "identity").label() == "delta_reich(identity)"
+    # a mass matrix is delta_reich's, which needs one of its three
+    for tag, mass in [("delta_reich", None), ("delta_reich", "nosuch"),
+                      ("enkbf", "identity")]:
+        with pytest.raises(ValueError, match=r"\['cov_inverse', 'identity', "
+                           r"'rho_identity'\]"):
+            FilterKind(tag, mass)
+
+
 def test_crisan_continuous_rejects_d2():
     model = make_linear_gaussian(np.eye(2) * -0.5, [1.0, 0.0])
     cloud = np.zeros((5, 2)) + np.random.default_rng(0).standard_normal((5, 2))

@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from scipy.integrate import quad
 from test_bitwise import oracle_galerkin
 
 from flowfilter import _kernels
-from flowfilter.cli import MODEL_REGISTRY
+from flowfilter.cli import MODEL_REGISTRY, _twin, load_config
 from flowfilter.ensemble import (compute_moments, density_from_function,
                                  kde_density_1d)
 from flowfilter.errors import (DegenerateCloud, DimensionError, FlowFilterError,
                                IllConditioned, NonFiniteState, UnresolvedTail)
-from flowfilter.gain import (ASSEMBLERS, GAIN_OPTS, GridIntervals,
+from flowfilter.filters import FilterKind
+from flowfilter.gain import (ASSEMBLERS, GAIN_OPTS, TWINS, GridIntervals,
                              assemble_filter_coefficients,
                              cumulative_simpson, galerkin_basis_size,
                              in_dimension,
@@ -461,6 +463,41 @@ def test_assemble_refuses_the_bare_delta_reich_tag():
     model = make_linear_gaussian([[-0.5]], [1.0])
     with pytest.raises(ValueError, match="'delta_reich'"):
         assemble_filter_coefficients("delta_reich", x, model, "exact_gaussian")
+
+
+def test_twins_is_one_consistent_table():
+    assert set(TWINS) <= set(ASSEMBLERS)
+    assert set(TWINS.values()) <= set(ASSEMBLERS) - set(TWINS)
+    # a kind reads the slope of the smoothed path exactly when it has a twin
+    for label in ASSEMBLERS:
+        tag, _, mass = label[:-1].partition("(") if "(" in label else (label, "", None)
+        assert FilterKind(tag, mass).consumes_slope == (label in TWINS), label
+
+
+def test_shipped_configs_keep_their_twins():
+    # the twin of each filter of a shipped config, as the map keyed by kind
+    # tag that TWINS replaced gave it
+    expected = {
+        "delta_sweep.json": {"enkbf/exact_gaussian": "fpf_continuous"},
+        "linear_gaussian.json": {
+            "delta_fpf/exact_gaussian": "fpf_continuous",
+            "delta_reich(cov_inverse)/exact_gaussian": "fpf_continuous",
+            "crisan_xiong/exact_gaussian": "crisan_continuous",
+            "enkbf/exact_gaussian": "fpf_continuous",
+            "fpf_continuous/exact_gaussian": None,
+            "crisan_continuous/exact_gaussian": None},
+        "nonlinear_tanh.json": {
+            "delta_fpf/integral_1d": "fpf_continuous",
+            "crisan_xiong/integral_1d": "crisan_continuous",
+            "delta_fpf/galerkin": "fpf_continuous"},
+        "ou_theory.json": {},
+    }
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert sorted(p.name for p in configs.glob("*.json")) == sorted(expected)
+    for name, twins in expected.items():
+        config = load_config(str(configs / name))
+        d = config.build_model().dim
+        assert {spec.label(): _twin(spec, d) for spec in config.filters} == twins
 
 
 def test_assemble_1d_fpf_equals_crisan_pointwise():
