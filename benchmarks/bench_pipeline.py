@@ -13,37 +13,29 @@ config's initial cloud of N particles, with its h and moments computed
 inside the step as a run computes them at a mesh point.  A time is the
 best of 5 repeats of a loop of about 20 ms.
 
-The base commit (default HEAD~1) is taken from a `git clone` of this
-repository into a temporary directory; the change is this checkout's src.
-One process per version imports that version, pinned to one CPU (the last
-usable one unless --cpu is given) with BLAS threads at 1.  The two
-processes take turns on each (row, N), which one goes first alternating,
-N pairs (default 7, about a minute in all).  A row's change is the median
-over pairs of change / parent - 1, each pair timed back to back, so a slow
-phase of a shared host hits both sides of a pair alike.  The rows whose
-code a change leaves alone show how far the remaining noise moves it.
-With --out, the per-row microseconds, medians and the environment block of
-bench_kernels.py are written to PATH as JSON.
+One process per version, started through the harness of ab.py, which
+sets the versions, the pinning and the pair order, imports that version.
+The two processes take turns on each (row, N), N pairs (default 7, about
+a minute in all).  A row's change is the median over pairs of change /
+parent - 1, each pair timed back to back, so a slow phase of a shared host
+hits both sides of a pair alike.  The rows whose code a change leaves
+alone show how far the remaining noise moves it.  With --out, the sizes,
+per-row microseconds and medians follow the record header of ab.py.
 """
 
-import argparse
 import json
-import os
 import statistics
 import subprocess
-import tempfile
 from pathlib import Path
 
-from bench_kernels import environment
-from bench_lockstep import ROOT, check_imported, child, clone_base, git
+import ab
 
 SIZES = (1000, 10000, 40000)
 
-# one version, pinned by child(): import it, list every (config, row, N)
-# case, then time the case named on each line of standard input.  A case's
-# cloud is built when it is timed and dropped after, so both versions time
-# each case from the same heap state, not one shaped by every other case's
-# arrays.
+# one version: import it, list every (config, row, N) case, then time the
+# case named on each line of standard input.  A case's cloud is built when
+# it is timed and dropped after, so both versions time each case from the
+# same heap state, not one shaped by every other case's arrays.
 CHILD = r"""
 import json, sys, timeit
 from pathlib import Path
@@ -94,15 +86,16 @@ for line in sys.stdin:
     print(best_us(*cases[line.strip()]), flush=True)
 """
 
+
 class Version:
     """A child process that times the cases of one version's src."""
 
     def __init__(self, src: Path, cpu: int):
-        argv, env = child(CHILD, src, cpu, ROOT / "configs", json.dumps(SIZES))
-        self.proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, text=True)
+        self.proc = ab.launch(src, cpu, "-c", CHILD, ab.ROOT / "configs",
+                              json.dumps(SIZES), start=subprocess.Popen,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         head = json.loads(self.proc.stdout.readline())
-        check_imported(head["module"], src)
+        ab.check_imported(head["module"], src)
         self.cases = head["cases"]
 
     def time(self, case: str) -> float:
@@ -116,25 +109,13 @@ class Version:
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD~1",
-                        help="the commit to compare with (default HEAD~1)")
-    parser.add_argument("--pairs", type=int, default=7)
-    parser.add_argument("--cpu", type=int,
-                        default=max(os.sched_getaffinity(0)))
-    parser.add_argument("--out", help="write the record as JSON")
-    args = parser.parse_args()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp) / "base"
-        base_commit = clone_base(args.base, base)
-        versions = {"parent": Version(base / "src", args.cpu),
-                    "change": Version(ROOT / "src", args.cpu)}
+    args = ab.parse_args(__doc__, pairs=7)
+    with ab.checkouts(args.base) as (srcs, parent_commit):
+        versions = {v: Version(src, args.cpu) for v, src in srcs.items()}
         cases = [c for c in versions["parent"].cases
                  if c in versions["change"].cases]
         times = {c: {v: [] for v in versions} for c in cases}
-        for pair in range(args.pairs):
-            order = list(versions) if pair % 2 == 0 else list(versions)[::-1]
+        for order in ab.orders(args.pairs):
             for case in cases:
                 for name in order:
                     times[case][name].append(versions[name].time(case))
@@ -152,22 +133,14 @@ def main():
         print(f"{config:22s} {row:40s} N={n:<6d} parent "
               f"{medians['parent']:8.1f} us   change {medians['change']:8.1f} us"
               f"   {change:+.1%}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({
-                "what": "microseconds per filters.step of every row of the "
-                        "shipped configs, best of 5 repeats, before and "
-                        "after the change; change_vs_parent is the median "
-                        "over pairs of change / parent - 1; both processes "
-                        "first free one 8 MiB block, which lifts glibc's "
-                        "mmap threshold above the step's temporaries, so "
-                        "the page faults a fresh process pays on them at "
-                        "N = 4e4 are left out",
-                "script": "benchmarks/bench_pipeline.py",
-                "parent_commit": base_commit,
-                "change": f"working tree on {git('rev-parse', 'HEAD')}",
-                "pinned_cpu": args.cpu, "pairs": args.pairs, "sizes": SIZES,
-                "environment": environment(), "rows": rows}, fh, indent=2)
+    ab.write(args, __file__, parent_commit,
+             "microseconds per filters.step of every row of the shipped "
+             "configs, best of 5 repeats, before and after the change; "
+             "change_vs_parent is the median over pairs of change / parent "
+             "- 1; both processes first free one 8 MiB block, which lifts "
+             "glibc's mmap threshold above the step's temporaries, so the "
+             "page faults a fresh process pays on them at N = 4e4 are left "
+             "out", sizes=SIZES, rows=rows)
 
 
 if __name__ == "__main__":

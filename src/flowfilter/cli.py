@@ -926,6 +926,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"output failure: {exc}", file=sys.stderr)
             return 3
+        if args.command == "theory" and not report:
+            print(f"no certificate applies to model {config.model_name}: "
+                  "lemma42 needs the log_concave_ou model, lemma51 a model "
+                  "with obs_sup and obs_sq_sup", file=sys.stderr)
         if failed:
             print(f"filters failed: {', '.join(failed)}", file=sys.stderr)
             return 3

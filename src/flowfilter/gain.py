@@ -508,9 +508,11 @@ def _fundamental_mc(x, model, eps_floor=EPS_RHO) -> CoefficientSet:
                           {"epsilon": beta.epsilon, "floor_frac": floor_frac})
 
 
-# constant gains have no Ito term, so their continuous-time rows are the
-# delta rows themselves; on the linear monomials the Galerkin gain is the
-# constant gain
+# a constant gain's continuous-time row is its delta row only where
+# grad h . K does not vary over the cloud (a linear h), so that the gain
+# has no Ito term; for a nonlinear h the delta -> 0 limit also carries
+# 1/2 Cov(x, grad h . K), which these rows leave out (ROADMAP item 13).  On
+# the linear monomials the Galerkin gain is the constant gain
 _CONTINUOUS = {"exact_gaussian": _exact_coefficients,
                "constant": _constant_coefficients,
                "integral_1d": _integral_continuous,
@@ -542,11 +544,12 @@ ASSEMBLERS = {
     "fpf_continuous": _CONTINUOUS,
     "crisan_continuous": _CONTINUOUS,
 }
-# delta kind label -> the continuous-time kind it tends to under the same gain
+# delta kind label -> the continuous-time kind it tends to under the same
+# gain; labels that share one row table share one twin
 TWINS = {"delta_fpf": "fpf_continuous",
          "delta_reich(identity)": "fpf_continuous",
          "delta_reich(cov_inverse)": "fpf_continuous",
-         "delta_reich(rho_identity)": "fpf_continuous",
+         "delta_reich(rho_identity)": "crisan_continuous",
          "crisan_xiong": "crisan_continuous",
          "enkbf": "fpf_continuous"}
 

@@ -1,21 +1,79 @@
 """The bench scripts under benchmarks/ start against the current src: the
-timing child of bench_pipeline.py builds its case list from the shipped
-configs, and is stopped before it times anything.  No earlier commit is
-cloned."""
+harness of ab.py lays out its two copies on an equal footing and
+alternates the pair order, the start-up child of bench_startup.py runs
+from a copy of src, and the timing child of bench_pipeline.py builds its
+case list from the shipped configs, and is stopped before it times
+anything.  No earlier commit is cloned."""
 
 import importlib
 import json
 import os
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+CPU = max(os.sched_getaffinity(0))
 
 
-def test_bench_pipeline_child_lists_the_shipped_rows(monkeypatch):
-    # the scripts import each other by module name
+@pytest.fixture
+def bench(monkeypatch):
+    """import_module for the bench scripts, which import each other by
+    module name."""
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
-    bench = importlib.import_module("bench_pipeline")
-    version = bench.Version(ROOT / "src", max(os.sched_getaffinity(0)))
+    return importlib.import_module
+
+
+def test_harness_copies_have_src_paths_of_one_length_and_no_bytecode(
+        bench, monkeypatch, tmp_path):
+    ab = bench("ab")
+    # the src copy leaves out every __pycache__, at any depth
+    tree = tmp_path / "tree"
+    for cache in (tree / "__pycache__", tree / "pkg" / "__pycache__"):
+        cache.mkdir(parents=True)
+        (cache / "m.cpython-311.pyc").write_bytes(b"")
+    (tree / "pkg" / "m.py").write_text("")
+    copy = ab.copy_src(tmp_path / "copy", tree)
+    assert (copy / "pkg" / "m.py").is_file()
+    assert not list(copy.rglob("__pycache__"))
+
+    # a clone checks out tracked files only; here it checks out nothing
+    def git(*args, cwd=ab.ROOT):
+        if args[0] == "clone":
+            (Path(args[-1]) / "src").mkdir(parents=True)
+        return "0" * 40
+
+    monkeypatch.setattr(ab, "git", git)
+    with ab.checkouts("HEAD") as (srcs, parent_commit):
+        assert parent_commit == "0" * 40
+        assert len(str(srcs["parent"])) == len(str(srcs["change"]))
+        assert srcs["parent"].parent.parent == srcs["change"].parent.parent
+        assert (srcs["change"] / "flowfilter" / "cli.py").is_file()
+        for src in srcs.values():
+            assert not list(src.rglob("__pycache__"))
+
+
+def test_harness_alternates_which_version_goes_first(bench):
+    ab = bench("ab")
+    assert list(ab.orders(4)) == [("parent", "change"), ("change", "parent")] * 2
+    calls = []
+    samples = ab.collect(5, lambda version, i: calls.append((i, version)) or i)
+    assert calls == [(i, v) for i, order in enumerate(ab.orders(5))
+                     for v in order]
+    assert samples == {"parent": list(range(5)), "change": list(range(5))}
+
+
+def test_bench_startup_child_runs_from_the_change_copy(bench, tmp_path):
+    ab, startup = bench("ab"), bench("bench_startup")
+    src = ab.copy_src(tmp_path / "change")
+    result = startup.startup(src, CPU)
+    assert result["setup_s"] > 0 and result["rss_mb"] > 0
+    assert Path(result["module"]).is_relative_to(src)
+
+
+def test_bench_pipeline_child_lists_the_shipped_rows(bench):
+    pipeline = bench("bench_pipeline")
+    version = pipeline.Version(ROOT / "src", CPU)
     try:
         cases = [tuple(json.loads(case)) for case in version.cases]
     finally:
@@ -26,7 +84,8 @@ def test_bench_pipeline_child_lists_the_shipped_rows(monkeypatch):
         rows.setdefault(config, set()).add(row)
     # every size of every row
     assert sorted(cases) == sorted((config, row, n) for config in rows
-                                   for row in rows[config] for n in bench.SIZES)
+                                   for row in rows[config]
+                                   for n in pipeline.SIZES)
     assert rows == {
         # a delta sweep also runs each filter's continuous-time twin
         "delta_sweep.json": {"enkbf/exact_gaussian",

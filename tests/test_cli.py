@@ -528,6 +528,24 @@ def test_theory_rows_at_shifted_start(tmp_path):
             if r.provenance == "lemma42"] == ["1", "1.5", "2"]
 
 
+def test_theory_without_a_certificate_says_what_each_lemma_lacked(tmp_path,
+                                                                   capsys):
+    # a linear-Gaussian model is not log-concave OU and has no obs_sup: the
+    # header-only theory.csv used to come with no word on why
+    out = tmp_path / "o"
+    assert main(["theory", os.path.join(CONFIGS, "linear_gaussian.json"),
+                 "--out-dir", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "lemma42 needs the log_concave_ou model" in err[0]
+    assert "lemma51 a model with obs_sup and obs_sq_sup" in err[0]
+    assert (out / "theory.csv").read_text() == \
+        "provenance,inputs,kappa,kappa_emp,margin\n"
+    main(["theory", os.path.join(CONFIGS, "ou_theory.json"),
+          "--out-dir", str(tmp_path / "ou")])
+    assert capsys.readouterr().err == ""
+
+
 def _grid_table(points=81, half=4.0):
     g = np.linspace(-half, half, points)
     v = np.exp(-0.5 * g * g)
@@ -936,8 +954,12 @@ LINEAR_2D = {"model": {"name": "linear_gaussian", "A": [[-0.5, 0.2], [0.0, -1.0]
     ("run", TANH_GRID, "delta_fpf", "exact_gaussian", "filters[0].gain"),
     # the filter runs in 2D, but its twin, crisan_continuous, does not
     ("sweep", LINEAR_2D, "crisan_xiong", "exact_gaussian", "filters[0].kind"),
+    # Reich with M = rho I is Crisan & Xiong, and has its twin
+    ("sweep", LINEAR_2D, "delta_reich(rho_identity)", "exact_gaussian",
+     "filters[0].kind"),
 ], ids=["integral_1d_in_2d", "crisan_continuous_in_2d", "fundamental_mc_in_1d",
-        "enkbf_without_h", "exact_without_h", "twin_in_2d"])
+        "enkbf_without_h", "exact_without_h", "twin_in_2d",
+        "rho_identity_twin_in_2d"])
 def test_filter_that_cannot_run_on_the_model_exit_2_before_any_path(
         tmp_path, capsys, monkeypatch, command, overrides, kind, gain_name,
         field):
@@ -946,8 +968,11 @@ def test_filter_that_cannot_run_on_the_model_exit_2_before_any_path(
     simulated = []
     monkeypatch.setattr(cli, "_simulate_paths",
                         lambda *args: simulated.append(args))
+    # a label delta_reich(mass) names the kind delta_reich and its mass matrix
+    tag, _, mass = kind.rstrip(")").partition("(")
     raw = {**copy.deepcopy(BASE), **overrides,
-           "filters": [{"kind": kind, "gain": gain_name}]}
+           "filters": [{"kind": tag, "gain": gain_name,
+                        **({"mass_matrix": mass} if mass else {})}]}
     code, err_text = _exit_and_field(tmp_path, capsys, raw, command)
     assert code == 2
     assert f"config.{field}:" in err_text

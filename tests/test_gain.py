@@ -474,6 +474,16 @@ def test_twins_is_one_consistent_table():
         assert FilterKind(tag, mass).consumes_slope == (label in TWINS), label
 
 
+def test_labels_that_share_one_row_table_share_one_twin():
+    # crisan_xiong and delta_reich(rho_identity) run one table, by the
+    # paper's identity, so a sweep twins them alike
+    twins = {}
+    for label, twin in TWINS.items():
+        twins.setdefault(id(ASSEMBLERS[label]), set()).add(twin)
+    assert all(len(found) == 1 for found in twins.values()), twins
+    assert TWINS["delta_reich(rho_identity)"] == TWINS["crisan_xiong"]
+
+
 def test_shipped_configs_keep_their_twins():
     # the twin of each filter of a shipped config, as the map keyed by kind
     # tag that TWINS replaced gave it
