@@ -17,6 +17,7 @@ Both versions start on an equal footing:
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -25,7 +26,10 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from bench_kernels import environment
+import numpy as np
+import scipy
+
+from flowfilter import _kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,11 +40,13 @@ THREAD_ENV = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
 
-def parse_args(doc: str, pairs: int) -> argparse.Namespace:
-    """The flags every A/B script takes; pairs is the --pairs default."""
+def parse_args(doc: str, pairs: int, base="HEAD~1") -> argparse.Namespace:
+    """The flags every A/B script takes; pairs and base are the --pairs and
+    --base defaults."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
-    parser.add_argument("--base", default="HEAD~1",
-                        help="the commit to compare with (default HEAD~1)")
+    parser.add_argument("--base", default=base,
+                        help="the commit to compare with"
+                        + (f" (default {base})" if base else ""))
     parser.add_argument("--pairs", type=int, default=pairs)
     parser.add_argument("--cpu", type=int,
                         default=max(os.sched_getaffinity(0)))
@@ -83,6 +89,13 @@ def launch(src: Path, cpu: int, *args, start=subprocess.run, **kwargs):
                  preexec_fn=lambda: os.sched_setaffinity(0, {cpu}), **kwargs)
 
 
+def environment() -> dict:
+    """The kernel backend, library versions and usable core count."""
+    return {"backend": _kernels.BACKEND, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "nproc": len(os.sched_getaffinity(0))}
+
+
 def check_imported(module: str, src: Path):
     """Raise unless the module a child imported lies under src."""
     if not Path(module).resolve().is_relative_to(src.resolve()):
@@ -96,6 +109,27 @@ def result(src: Path, cpu: int, *args) -> dict:
     record = json.loads(out.splitlines()[-1])
     check_imported(record["module"], src)
     return record
+
+
+class Child:
+    """A launched child that first prints a JSON head naming its
+    `module`, checked to lie under src, and then answers each line written
+    to it with one line."""
+
+    def __init__(self, src: Path, cpu: int, *args):
+        self.proc = launch(src, cpu, *args, start=subprocess.Popen,
+                           stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.head = json.loads(self.proc.stdout.readline())
+        check_imported(self.head["module"], src)
+
+    def ask(self, line: str) -> str:
+        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.flush()
+        return self.proc.stdout.readline()
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
 def orders(pairs: int):

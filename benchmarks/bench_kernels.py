@@ -2,7 +2,10 @@
 """Benchmark the numba kernels against their pure-numpy fallbacks, and the
 1D integral-gain grid work against the scipy/numpy calls it replaces.
 
-Run:  python benchmarks/bench_kernels.py [--out PATH]
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--out PATH]
+      PYTHONPATH=src python benchmarks/bench_kernels.py --base REV
+          [--pairs N] [--cpu K] [--out PATH]
+
 The numba path is what FLOWFILTER_NUMBA=1 (default) binds; the numpy
 column is the FLOWFILTER_NUMBA=0 fallback.  Times are best-of-repeat
 seconds per call; first numba call compiles, so kernels are warmed first.
@@ -12,22 +15,26 @@ w, as the grid Kushner reference does, and the "rows at +N B" rows
 repeat the 2001-point call with every kernel row N bytes past a 64-byte
 boundary.  The "intervals seeded by the deposit" row times
 GridIntervals started from the deposit's cell index against the same
-intervals from its own float estimate.  With --out, the rows and an environment block (backend,
-Python, numpy and scipy versions, nproc) are written to PATH as JSON.  To compare two versions of the
-library, run this same script with each one first on PYTHONPATH.
+intervals from its own float estimate.  With --out, the rows and an
+environment block (backend, Python, numpy and scipy versions, nproc) are
+written to PATH as JSON.
+
+With --base REV, only the numpy Kushner rows of kushner_rows() are timed,
+as microseconds per substep, against REV through the harness of ab.py,
+which sets the versions, the pinning and the pair order: one child per
+version (CHILD) times a row, and the two take turns on it, N pairs
+(default 10) per row.  With --out, each row's samples, quartiles and wins
+follow the record header of ab.py.
 """
 
-import argparse
 import json
 import math
-import os
-import platform
 import timeit
 
 import numpy as np
-import scipy
 from scipy.integrate import cumulative_simpson
 
+import ab
 from flowfilter import _kernels, gain
 from flowfilter.ensemble import Density1D
 from flowfilter.reference import substeps_per_fine_step
@@ -112,17 +119,87 @@ def offset_rows(offset):
     return rows
 
 
-def environment() -> dict:
-    """The kernel backend, library versions and usable core count."""
-    return {"backend": _kernels.BACKEND, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
-            "nproc": len(os.sched_getaffinity(0))}
+# the substeps of one fine step of 1e-3 under the CFL bound on
+# configs/ou_theory.json's 2001-point grid over +-6
+OU_NSUB = math.ceil(1e-3 / (0.4 * (12.0 / 2000) ** 2))
+
+
+def kushner_rows() -> dict:
+    """The Kushner rows, {name: (wrap, args, number, repeat, substeps)}:
+    wrap(kernel) is the function timed on args for a backend's kernel, best
+    of repeat loops of number calls, each call substeps substeps."""
+    rows = {"kushner_substeps (1201x200)": (
+        lambda kernel: kernel,
+        kushner_args(1201, 6.0, lambda g: -g, np.tanh, 2e-5, 200, 0.5),
+        2, 3, 200)}
+    # the theory_ou shape: an OU drift and h(x) = x
+    rows[f"kushner_substeps (2001x{OU_NSUB})"] = (
+        lambda kernel: kernel,
+        kushner_args(2001, 6.0, lambda g: -g, lambda g: g, 1e-3 / OU_NSUB,
+                     OU_NSUB, 0.5),
+        20, 5, OU_NSUB)
+    # one mesh interval of run_grid_kushner: steps_per_mesh = delta /
+    # fine_dt = 10 one-fine-step calls on the nonlinear_tanh and ou_theory
+    # grids (1201 and 2001 points over +-6, fine step 1e-3)
+    steps = 10
+    for points, obs in ((1201, np.tanh), (2001, lambda g: g)):
+        grid = np.linspace(-6.0, 6.0, points)
+        nsub = substeps_per_fine_step(Density1D(grid, np.ones(points)), 1e-3)
+        rows[f"kushner {steps} fine steps ({points}x{nsub})"] = (
+            lambda kernel: mesh_interval(kernel, steps),
+            read_only(kushner_args(points, 6.0, lambda g: -g, obs,
+                                   1e-3 / nsub, nsub, 0.5)),
+            5, 5, steps * nsub)
+    return rows
+
+
+# one version: import it and this script, print the Kushner rows, then time
+# the numpy kernel on the row named on each line of standard input, in
+# microseconds per substep.  argv[1] is the directory of this script.
+CHILD = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import bench_kernels
+from flowfilter import _kernels
+rows = bench_kernels.kushner_rows()
+print(json.dumps({"rows": list(rows), "module": _kernels.__file__}), flush=True)
+for line in sys.stdin:
+    wrap, args, number, repeat, substeps = rows[line.strip()]
+    seconds = bench_kernels.best(wrap(_kernels.kushner_substeps_numpy), args,
+                                 number, repeat)
+    print(seconds / substeps * 1e6, flush=True)
+"""
+
+
+def kushner_child(src, cpu: int) -> ab.Child:
+    """A CHILD timing the numpy Kushner kernel of the src version."""
+    return ab.Child(src, cpu, "-c", CHILD, ab.ROOT / "benchmarks")
+
+
+def compare_versions(args):
+    """Time the Kushner rows (this script's, so the same for both
+    versions), the two children taking turns on each row, and write the
+    comparison."""
+    with ab.checkouts(args.base) as (srcs, parent_commit):
+        children = {v: kushner_child(src, args.cpu) for v, src in srcs.items()}
+        record = {}
+        for row in kushner_rows():
+            samples = ab.collect(args.pairs, lambda version, _: {
+                "numpy_us_per_substep": float(children[version].ask(row))})
+            record[row] = ab.compare(samples, "numpy_us_per_substep")
+            ab.show(f"{row}: us/substep", record[row])
+        for child in children.values():
+            child.close()
+    ab.write(args, __file__, parent_commit,
+             "microseconds per substep of the numpy Kushner kernel, best of "
+             "repeated loops per sample, in one pinned child per version",
+             rows=record)
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", help="write the rows and environment as JSON")
-    args = parser.parse_args()
+    args = ab.parse_args(__doc__, pairs=10, base=None)
+    if args.base:
+        return compare_versions(args)
     rng = np.random.default_rng(7)
     print(f"active backend: {_kernels.BACKEND}\n")
     rows = []
@@ -149,37 +226,12 @@ def main():
                       getattr(_kernels, "kde_eval_points_numba", None),
                       (pts, src, bw)))
 
-    rows.append(bench("kushner_substeps (1201x200)",
-                      _kernels.kushner_substeps_numpy,
-                      getattr(_kernels, "kushner_substeps_numba", None),
-                      kushner_args(1201, 6.0, lambda g: -g, np.tanh, 2e-5, 200,
-                                   0.5),
-                      number=2, substeps=200))
-    # the theory_ou shape: configs/ou_theory.json's 2001-point grid, an OU
-    # drift and h(x) = x, one fine step of 1e-3 under the CFL bound
-    dx = 12.0 / 2000
-    nsub = math.ceil(1e-3 / (0.4 * dx * dx))
-    rows.append(bench(f"kushner_substeps (2001x{nsub})",
-                      _kernels.kushner_substeps_numpy,
-                      getattr(_kernels, "kushner_substeps_numba", None),
-                      kushner_args(2001, 6.0, lambda g: -g, lambda g: g,
-                                   1e-3 / nsub, nsub, 0.5),
-                      number=20, repeat=5, substeps=nsub))
-    # one mesh interval of run_grid_kushner: steps_per_mesh = delta /
-    # fine_dt = 10 one-fine-step calls on the nonlinear_tanh and ou_theory
-    # grids (1201 and 2001 points over +-6, fine step 1e-3)
-    steps = 10
-    for points, obs in ((1201, np.tanh), (2001, lambda g: g)):
-        grid = np.linspace(-6.0, 6.0, points)
-        nsub = substeps_per_fine_step(Density1D(grid, np.ones(points)), 1e-3)
-        numba_kernel = getattr(_kernels, "kushner_substeps_numba", None)
-        rows.append(bench(
-            f"kushner {steps} fine steps ({points}x{nsub})",
-            mesh_interval(_kernels.kushner_substeps_numpy, steps),
-            numba_kernel and mesh_interval(numba_kernel, steps),
-            read_only(kushner_args(points, 6.0, lambda g: -g, obs,
-                                   1e-3 / nsub, nsub, 0.5)),
-            number=5, repeat=5, substeps=steps * nsub))
+    numba_kernel = getattr(_kernels, "kushner_substeps_numba", None)
+    for name, (wrap, kernel_args, number, repeat, substeps) in \
+            kushner_rows().items():
+        rows.append(bench(name, wrap(_kernels.kushner_substeps_numpy),
+                          numba_kernel and wrap(numba_kernel), kernel_args,
+                          number=number, repeat=repeat, substeps=substeps))
 
     # the same 2001x70 call with every row of the kernel at a fixed offset
     # from a cache line (versions whose kernel has no row allocator skip it)
@@ -188,11 +240,11 @@ def main():
         for offset in (0, 8, 16, 32) if aligned_rows else ():
             _kernels._aligned_rows = offset_rows(offset)
             rows.append(bench(
-                f"kushner (2001x{nsub}) rows at +{offset} B",
+                f"kushner (2001x{OU_NSUB}) rows at +{offset} B",
                 _kernels.kushner_substeps_numpy, None,
                 read_only(kushner_args(2001, 6.0, lambda g: -g, lambda g: g,
-                                       1e-3 / nsub, nsub, 0.5)),
-                number=20, repeat=5, substeps=nsub))
+                                       1e-3 / OU_NSUB, OU_NSUB, 0.5)),
+                number=20, repeat=5, substeps=OU_NSUB))
     finally:
         _kernels._aligned_rows = aligned_rows
 
@@ -224,7 +276,8 @@ def main():
 
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"environment": environment(), "rows": rows}, fh, indent=2)
+            json.dump({"environment": ab.environment(), "rows": rows}, fh,
+                      indent=2)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ per-row microseconds and medians follow the record header of ab.py.
 
 import json
 import statistics
-import subprocess
 from pathlib import Path
 
 import ab
@@ -87,25 +86,16 @@ for line in sys.stdin:
 """
 
 
-class Version:
+class Version(ab.Child):
     """A child process that times the cases of one version's src."""
 
     def __init__(self, src: Path, cpu: int):
-        self.proc = ab.launch(src, cpu, "-c", CHILD, ab.ROOT / "configs",
-                              json.dumps(SIZES), start=subprocess.Popen,
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        head = json.loads(self.proc.stdout.readline())
-        ab.check_imported(head["module"], src)
-        self.cases = head["cases"]
+        super().__init__(src, cpu, "-c", CHILD, ab.ROOT / "configs",
+                         json.dumps(SIZES))
+        self.cases = self.head["cases"]
 
     def time(self, case: str) -> float:
-        self.proc.stdin.write(case + "\n")
-        self.proc.stdin.flush()
-        return float(self.proc.stdout.readline())
-
-    def close(self):
-        self.proc.stdin.close()
-        self.proc.wait()
+        return float(self.ask(case))
 
 
 def main():

@@ -173,9 +173,8 @@ def _kde_eval_points_impl(points, sources, bw):
 # The numba loop below keeps the flux form
 # F_i = (M_i theta_i + M_{i+1} theta_{i+1}) / 2 - (theta_{i+1} - theta_i) / (2 dx)
 # and divides by the mass after every substep.  The numpy kernel writes the
-# same scheme as F_i = P_i theta_i + Q_i theta_{i+1} and applies one
-# tridiagonal operator per substep, which depends only on drift, h, w, dx,
-# dt and slope:
+# same scheme as F_i = P_i theta_i + Q_i theta_{i+1}, one tridiagonal
+# operator per substep that depends only on drift, h, w, dx, dt and slope:
 #   new = u (diag + dt (m2/2 - slope m1) / m0) + lo u_{i-1} + up u_{i+1}
 # to an unnormalised u, with (m0, m1, m2) = (w.u, w.h u, w.h^2 u) from one
 # (3, G) matvec.  The shift reads only the ratios hbar = m1/m0 and
@@ -184,22 +183,21 @@ def _kde_eval_points_impl(points, sources, bw):
 # u is divided by its mass once, when the call returns.  Where the bands,
 # theta and diag - 2 dt |slope| max|h| are nonnegative every new cell is a
 # sum of products of nonnegatives (|hbar| <= max|h|, h2bar >= 0), so the
-# clip test is skipped.  The grouping of the sums differs from the flux
-# form, so the two agree to a few ulps of max|theta| (tests/test_kernels.py
-# holds them to 1e-12), not bitwise.
+# clip test is skipped.  The sums are grouped unlike the flux form's, so
+# the two agree to a few ulps of max|theta| (within 1e-12 in
+# tests/test_kernels.py), not bitwise.
 #
-# The operator (bands, moment rows and the operator half of the no-clip
-# certificate) is built once per (drift, h, w, dx, dt, slope) when the
-# three arrays are read-only: a one-slot cache holds the last build with
-# the arrays it was built from, compared by identity, so one mesh
-# interval's fine steps share it.  A writeable array may have changed
-# since the last call, so it gets a fresh build every call.  Every row the
-# substeps stream through starts on a 64-byte boundary (one cache line, one
-# AVX-512 vector): numpy's own allocations are only 16-byte aligned, and a
-# substep at G = 2001 ran about 30% slower with its rows 8 or 16 bytes past
-# a boundary (the "rows at +N B" rows of benchmarks/bench_kernels.py).  The
-# work rows are allocated per call and the cached operator is read-only,
-# so concurrent calls share no mutable state.
+# The operator (bands, moment rows, the operator half of the no-clip
+# certificate) is built once per (drift, h, w, dx, dt, slope) when the three
+# arrays are read-only: a one-slot cache keeps the last build and its arrays,
+# compared by identity, so a mesh interval's fine steps share it; a writeable
+# array may have changed, so it is rebuilt every call.  A substep is seven
+# numpy calls on names bound once per call, `out` passed positionally, u and
+# new swapped by rebinding names: about 6.8 us at G = 2001, nearly all of it
+# numpy's per-call cost.  Work rows are allocated per call on 64-byte
+# boundaries (numpy aligns to 16 bytes; rows 8 or 16 bytes past one ran a
+# substep about 30% slower: "rows at +N B" in benchmarks/bench_kernels.py),
+# and the cached operator is read-only, so concurrent calls share no state.
 
 _ALIGN = 64 // 8          # doubles per cache line
 
@@ -269,28 +267,30 @@ def kushner_substeps_numpy(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
     work = _aligned_rows(4, G)
     u, new, scale, band = work[0], work[1], work[2], work[3, :-1]
     u[:] = theta
-    cur, nxt = (u, u[:-1], u[1:]), (new, new[:-1], new[1:])
-    neg = np.empty(G, dtype=bool)
+    u_head, u_tail, new_head, new_tail = u[:-1], u[1:], new[:-1], new[1:]
+    neg = np.empty(G, dtype=bool) if clip else None
+    m = np.empty(3)
+    add, multiply, dot, inf = np.add, np.multiply, moments.dot, math.inf
     nclip = 0
     for _ in range(nsub):
-        (u, u_head, u_tail), (new, new_head, new_tail) = cur, nxt
-        m0, m1, m2 = moments.dot(u).tolist()
-        if not 0.0 < m0 < math.inf:     # no mass left: a non-finite state
+        m0, m1, m2 = dot(u, m).tolist()
+        if not 0.0 < m0 < inf:          # no mass left: a non-finite state
             return np.full_like(u, math.nan), nclip
-        np.add(diag, dt_sub * (0.5 * m2 - slope * m1) / m0, out=scale)
-        np.multiply(u, scale, out=new)
-        np.multiply(lo, u_head, out=band)        # new_i += lo_i u_{i-1}
-        new_tail += band
-        np.multiply(up, u_tail, out=band)        # new_i += up_i u_{i+1}
-        new_head += band
+        add(diag, dt_sub * (0.5 * m2 - slope * m1) / m0, scale)
+        multiply(u, scale, new)
+        multiply(lo, u_head, band)               # new_i += lo_i u_{i-1}
+        add(new_tail, band, new_tail)
+        multiply(up, u_tail, band)               # new_i += up_i u_{i+1}
+        add(new_head, band, new_head)
         if clip:
-            np.less(new, 0.0, out=neg)
+            np.less(new, 0.0, neg)
             c = np.count_nonzero(neg)
             if c:
                 nclip += c
                 new[neg] = 0.0
-        cur, nxt = nxt, cur
-    u = cur[0]
+        u, new = new, u
+        u_head, new_head = new_head, u_head
+        u_tail, new_tail = new_tail, u_tail
     mass = float(np.dot(w, u))
     if not 0.0 < mass < math.inf:
         return np.full_like(u, math.nan), nclip

@@ -422,18 +422,20 @@ class CoefficientSet:
     diagnostics: dict
 
 
-def _centred_drift(K, h) -> np.ndarray:
-    """-K (h + hbar) / 2, the whole drift of a constant gain."""
-    return -0.5 * K * (h + h.mean())[:, None]
+def _centred_drift(K, h, h_bar) -> np.ndarray:
+    """-K (h + hbar) / 2, the whole drift of a constant gain, hbar the
+    mean of h."""
+    return -0.5 * K * (h + h_bar)[:, None]
 
 
 def _constant_gain_row(x, model, solve) -> CoefficientSet:
     """(a, K) of the gain solve(moments), constant over the cloud, whose
     whole drift is the centring term."""
     h = model.obs(x)
-    fld = solve(compute_moments(x, model, h))
-    return CoefficientSet(_centred_drift(fld.at_particles, h), fld.at_particles,
-                          fld.diagnostics)
+    moments = compute_moments(x, model, h)
+    fld = solve(moments)
+    return CoefficientSet(_centred_drift(fld.at_particles, h, moments.h_bar),
+                          fld.at_particles, fld.diagnostics)
 
 
 def _exact_coefficients(x, model) -> CoefficientSet:
@@ -475,15 +477,17 @@ def _integral_continuous(x, model, density=None, kde_opts=None,
     at = GridIntervals(density.grid, x[:, 0], cells)
     K = at.interp(k_grid).reshape(-1, 1)
     ito = 0.5 * at.interp(dK * k_grid).reshape(-1, 1)
-    return CoefficientSet(ito + _centred_drift(K, model.obs(x)), K, diagnostics)
+    h = model.obs(x)
+    return CoefficientSet(ito + _centred_drift(K, h, h.mean()), K, diagnostics)
 
 
 def _galerkin_fpf(x, model) -> CoefficientSet:
     h = model.obs(x)
-    K = solve_constant_gain(compute_moments(x, model, h)).at_particles
+    moments = compute_moments(x, model, h)
+    K = solve_constant_gain(moments).at_particles
     psif = solve_galerkin(x, model, "fpf_psi", prior_gain=K)
-    return CoefficientSet(_centred_drift(K, h) + 0.5 * psif.at_particles, K,
-                          psif.diagnostics)
+    return CoefficientSet(_centred_drift(K, h, moments.h_bar)
+                          + 0.5 * psif.at_particles, K, psif.diagnostics)
 
 
 def _galerkin_reich(cov_inverse: bool):
@@ -612,5 +616,6 @@ def continuous_gain(x: np.ndarray, model: SystemModel, method: str,
     row: its drift a with the centring term -K (h + hbar) / 2 taken out."""
     cs = assemble_filter_coefficients("fpf_continuous", x, model, method,
                                       **gain_opts)
-    return cs.K, cs.a - _centred_drift(cs.K, model.obs(x)), cs.diagnostics
+    h = model.obs(x)
+    return cs.K, cs.a - _centred_drift(cs.K, h, h.mean()), cs.diagnostics
 

@@ -31,6 +31,7 @@ _FD_STEP = 1e-4
 # second Hessian; the chained differences need a larger step or rounding
 # noise (eps/h^4) swamps the estimate
 _FD_STEP_CHAIN = 5e-3
+# the slack of a check; C1 and C3 scale it by the Hessian (_worst_margin)
 _COND_TOL = 1e-4
 
 
@@ -287,21 +288,26 @@ def default_cloud(dim: int) -> np.ndarray:
 
 
 def _worst_margin(name: str, pts: np.ndarray, hessian, margin) -> ConditionCheck:
-    """The check of condition name: the smallest margin(eigenvalues of
-    hessian(x)) over the points x, >= 0 required, and the point that attains
-    it.  A Hessian or margin that is not finite certifies nothing, so it
-    raises CertificateFailed naming the condition and the point."""
-    worst, witness = np.inf, None
+    """The check of condition name: margin(eigenvalues of hessian(x)) at
+    each point x, >= 0 required to within _COND_TOL times the scale of that
+    Hessian, max(1, max |eigenvalue|), since a central difference's rounding
+    grows with it; the margin reported is that of the point furthest below
+    0 on this scale, with the point.  A Hessian or margin that is not finite
+    certifies nothing, so it raises CertificateFailed naming the condition
+    and the point."""
+    worst, found = np.inf, None
     for x in pts:
         hess = hessian(x)
-        m = margin(np.linalg.eigvalsh(hess)) if np.all(np.isfinite(hess)) \
-            else np.nan
+        lam = np.linalg.eigvalsh(hess) if np.all(np.isfinite(hess)) \
+            else np.full(1, np.nan)
+        m = margin(lam)
         if not np.isfinite(m):
             raise CertificateFailed(f"condition {name} cannot be checked at "
                                     f"{x}: margin {m}")
-        if m < worst:
-            worst, witness = m, x
-    return ConditionCheck(name, worst >= -_COND_TOL, worst, witness)
+        scaled = m / max(1.0, float(np.abs(lam).max()))
+        if scaled < worst:
+            worst, found = scaled, (m, x)
+    return ConditionCheck(name, worst >= -_COND_TOL, *found)
 
 
 def validate_conditions(model: SystemModel, spec: LogConcaveOUSpec,

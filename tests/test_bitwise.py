@@ -11,6 +11,11 @@ The integral oracle also keeps the 1D FPF drift solve fpf_psi, by
 integration by parts, which the library does not have: in 1D its field is
 the crisan_alpha field, and tests/test_identities.py holds the library's
 integral_1d row to oracle_fpf.
+The Kushner oracle keeps the substep loop of the numpy grid Kushner
+kernel as it was written with `np.<ufunc>(..., out=)` calls and tuple
+swaps, on an operator built afresh; the kernel must give the same theta
+and clip count on drawn calls, with and without clipping, and on the
+shapes the shipped reference runs.
 The Galerkin oracle also solves for the gain on the linear monomials,
 which the library takes from the constant gain instead
 (tests/test_identities.py holds the two together).  The drawn clouds are
@@ -18,10 +23,13 @@ small; fixed clouds at the ensemble sizes the shipped configs run (1e4 to
 4e4, above numpy's 8192-element reduction buffer) are checked too.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from test_kernels import _certified, kushner_calls
 
 from flowfilter import _kernels
 from flowfilter.ensemble import Density1D, compute_moments, kde_density_1d
@@ -31,6 +39,7 @@ from flowfilter.gain import (ASSEMBLERS, EPS_RHO, RIDGE, GainField,
                              solve_1d_integral, solve_constant_gain,
                              solve_galerkin)
 from flowfilter.models import SystemModel, make_linear_gaussian
+from flowfilter.reference import substeps_per_fine_step
 
 RHS_KINDS = ("fpf_phi", "crisan_alpha")
 # the rhs kinds solve_galerkin serves
@@ -189,6 +198,43 @@ def oracle_fpf(x, model, kde_opts=None, eps_floor=EPS_RHO):
     a_grid = -0.5 * phi.gain_grid * (h + hb) + 0.5 * psi.gain_grid
     return (np.interp(x[:, 0], g, a_grid).reshape(-1, 1),
             np.interp(x[:, 0], g, phi.gain_grid).reshape(-1, 1))
+
+
+def oracle_kushner(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
+    lo, up, diag, moments, operator_ok = _kernels._build_operator(
+        drift_g, h_g, w, dx, dt_sub, slope)
+    clip = not (operator_ok and theta.min() >= 0.0)
+    G = theta.shape[0]
+    work = _kernels._aligned_rows(4, G)
+    u, new, scale, band = work[0], work[1], work[2], work[3, :-1]
+    u[:] = theta
+    cur, nxt = (u, u[:-1], u[1:]), (new, new[:-1], new[1:])
+    neg = np.empty(G, dtype=bool)
+    nclip = 0
+    for _ in range(nsub):
+        (u, u_head, u_tail), (new, new_head, new_tail) = cur, nxt
+        m0, m1, m2 = moments.dot(u).tolist()
+        if not 0.0 < m0 < math.inf:     # no mass left: a non-finite state
+            return np.full_like(u, math.nan), nclip
+        np.add(diag, dt_sub * (0.5 * m2 - slope * m1) / m0, out=scale)
+        np.multiply(u, scale, out=new)
+        np.multiply(lo, u_head, out=band)        # new_i += lo_i u_{i-1}
+        new_tail += band
+        np.multiply(up, u_tail, out=band)        # new_i += up_i u_{i+1}
+        new_head += band
+        if clip:
+            np.less(new, 0.0, out=neg)
+            c = np.count_nonzero(neg)
+            if c:
+                nclip += c
+                new[neg] = 0.0
+        cur, nxt = nxt, cur
+    u = cur[0]
+    mass = float(np.dot(w, u))
+    if not 0.0 < mass < math.inf:
+        return np.full_like(u, math.nan), nclip
+    # a fresh array, never a work row: callers keep what is returned
+    return np.divide(u, mass), nclip
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +415,54 @@ def test_kde_and_integral_match_oracle_bitwise_at_run_sizes(n):
         _assert_same_field(
             _outcome(solve_1d_integral, old, model, rhs_kind, particles=x),
             _outcome(oracle_integral, old, model, rhs_kind, particles=x))
+
+
+def _assert_same_kushner(args):
+    (new, new_clips), (old, old_clips) = (_kernels.kushner_substeps_numpy(*args),
+                                          oracle_kushner(*args))
+    assert np.array_equal(new, old, equal_nan=True)
+    assert new_clips == old_clips
+    return old, old_clips
+
+
+@SETTINGS
+@given(kushner_calls())
+def test_kushner_numpy_matches_oracle_bitwise_on_drawn_calls(args):
+    event("certified" if _certified(*args) else "not certified")
+    _, clips = _assert_same_kushner(args)
+    event("clips" if clips else "no clips")
+
+
+def test_kushner_numpy_matches_oracle_bitwise_at_zero_mass():
+    g = np.linspace(-3.0, 3.0, 61)
+    w = np.full(g.size, g[1] - g[0])
+    w[[0, -1]] *= 0.5
+    out, clips = _assert_same_kushner((np.zeros(g.size), -g, np.tanh(g), w,
+                                       g[1] - g[0], 0.4 * w[1] ** 2, 5, 0.7))
+    assert np.isnan(out).all() and clips == 0
+
+
+@pytest.mark.parametrize("points, obs", [(2001, lambda g: g), (1201, np.tanh)])
+def test_kushner_numpy_matches_oracle_bitwise_at_run_sizes(points, obs):
+    """Three fine steps per slope on the ou_theory (2001 points, 70
+    substeps) and nonlinear_tanh (1201 points, 26 substeps) grids, with
+    read-only drift, h and w as the reference passes them, so that the
+    kernel reuses its operator; the last slope clips."""
+    g = np.linspace(-6.0, 6.0, points)
+    dx = g[1] - g[0]
+    nsub = substeps_per_fine_step(Density1D(g, np.ones(points)), 1e-3)
+    assert nsub == {2001: 70, 1201: 26}[points]
+    w = np.full(points, dx)
+    w[[0, -1]] *= 0.5
+    drift, h = -g, obs(g)
+    for a in (drift, h, w):
+        a.flags.writeable = False
+    theta = np.exp(-g ** 2 / 2)
+    theta /= np.dot(w, theta)
+    clips = []
+    for slope in (0.5, -2.0, 3e4):
+        for _ in range(3):
+            theta, nclip = _assert_same_kushner((theta, drift, h, w, dx,
+                                                 1e-3 / nsub, nsub, slope))
+            clips.append(nclip)
+    assert clips[:6] == [0] * 6 and min(clips[6:]) > 0

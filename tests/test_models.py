@@ -98,6 +98,18 @@ def test_ou_witness_check_at_origin():
     assert abs(c1.margin) < 1e-6
 
 
+@pytest.mark.parametrize("c", [1e3, 1e4])
+def test_stiff_quadratic_potential_passes_c1_and_c3(c):
+    # hess U = -c holds C1 with margin 0 exactly; the central difference's
+    # rounding, about eps |U| / h^2, once read as a C1 margin of -1.2e-4
+    # at c = 1e3 and -9.8e-4 at c = 1e4 against an absolute slack of 1e-4
+    spec = _quadratic_spec(c=c)
+    m = make_log_concave_ou(spec, [1.0])
+    report = validate_conditions(m, spec, default_cloud(1))
+    assert {chk.name: chk.passed for chk in report.checks} == {
+        "C1": True, "C2": True, "C3": True, "C4": True}
+
+
 def test_convex_potential_violates_c1():
     spec = LogConcaveOUSpec(potential=lambda x: 0.5 * np.sum(x * x, axis=1),
                             grad=lambda x: x, c_u=1.0, c_g=1.0, c_r=2.0,
