@@ -49,8 +49,7 @@ from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import (ObservationPath, TimeGrid, simulate_observations,
                     simulate_truth, smoothed_path)
-from .reference import (CFL_FACTOR, run_grid_kushner, run_kalman_bucy,
-                        substeps_per_fine_step)
+from .reference import run_grid_kushner, run_kalman_bucy, substeps_per_fine_step
 from .rng import CounterStream
 from .theory import (empirical_poincare_1d, gamma_recursion,
                      kappa_continuous, kappa_delta)
@@ -268,6 +267,12 @@ def parse_config(raw) -> ExperimentConfig:
         grid = TimeGrid(g["t0"], g["T"], g["fine_dt"], g["delta"])
     except (ValueError, OverflowError) as exc:
         raise ConfigError("grid", str(exc)) from None
+    model = cfg["model"]
+    # the Euler step of the drift -c x, in the truth path and in every
+    # filter, multiplies x by 1 - c fine_dt
+    if model["name"] == "log_concave_ou" and model["c"] * grid.fine_dt >= 2:
+        raise ConfigError("model.c", f"c * grid.fine_dt must be below 2, not "
+                          f"{model['c'] * grid.fine_dt:g}")
     try:
         init = InitialDensity(**cfg["init"])
     except ValueError as exc:
@@ -312,7 +317,7 @@ def parse_config(raw) -> ExperimentConfig:
                 raise ConfigError("sweep.delta", str(exc)) from None
         _check_twins(filters, init.dim)
     return ExperimentConfig(
-        model_name=cfg["model"]["name"], model_params=cfg["model"], grid=grid,
+        model_name=model["name"], model_params=model, grid=grid,
         init=init, ensemble_size=cfg["ensemble_size"], filters=filters,
         seeds=cfg["seeds"], reference=cfg["reference"], sweep=sweep,
         output_dir=cfg["output_dir"],
@@ -406,14 +411,14 @@ def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
         except ValueError as exc:
             raise ConfigError(where, f"the initial law on {points} points over "
                               f"+-{half_width}: {exc}") from None
-    cfl = CFL_FACTOR * dens.dx * dens.dx
-    if not (0 < cfl < math.inf and config.grid.fine_dt / cfl < math.inf):
-        raise ConfigError(where, f"the grid spacing {dens.dx:g} gives the CFL "
-                          f"step {cfl:g}, which splits no fine step of "
-                          f"{config.grid.fine_dt:g} into a finite count")
+    try:        # a CFL step of 0, past the float range, or too short
+        substeps = substeps_per_fine_step(dens, config.grid.fine_dt)
+    except (ZeroDivisionError, OverflowError):
+        raise ConfigError(where, f"the grid spacing {dens.dx:g} splits no fine "
+                          f"step of {config.grid.fine_dt:g} into a finite "
+                          "count of CFL steps") from None
     # a float, which may be inf: the substeps can number up to 1e308
-    updates = float(max(1, math.ceil(config.grid.fine_dt / cfl))) \
-        * dens.grid.size * config.grid.n_fine
+    updates = float(substeps) * dens.grid.size * config.grid.n_fine
     if updates > MAX_REFERENCE_CELL_UPDATES:
         raise ConfigError(where, f"{dens.grid.size} points at spacing "
                           f"{dens.dx:g} need {updates:.3g} cell updates over "

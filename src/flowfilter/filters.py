@@ -48,7 +48,9 @@ STEP_ERRORS = (FlowFilterError, MemoryError)
 
 # a group draws this many bytes of noise blocks ahead: 13 fine steps at
 # N = 1e4, d = 1, over a mesh interval of the shipped configs; longer
-# chunks gain little and add their size to the peak memory
+# chunks gain little and add their size to the peak memory, and one-step
+# chunks cost 7.7% of perfbench's nonlinear_1d wall_cal_s (1.899 -> 2.044 s
+# over 8 alternated pairs, faster in 1 of 8)
 NOISE_BUFFER_BYTES = 1 << 20
 
 
@@ -87,7 +89,8 @@ def step(kind: FilterKind, gain_method: str, model: SystemModel, x: np.ndarray,
     # ((x + M dt) + dV) + (a + K slope) dt, the update's association order,
     # built in place on the fresh arrays M dt and K slope, never on x or on
     # what a model callable returned; a + K slope is a fresh (n, d) array
-    # where K is one (1, d) row
+    # where K is one (1, d) row.  The literal expression, with a temporary
+    # per operation, costs 7 to 13 us more per step at N = 1e4
     new = model.drift(x) * dt
     new += x                    # a sum of two floats does not depend on order
     new += dv
@@ -138,19 +141,6 @@ def _row(run: Run, d: int):
         return ASSEMBLERS.get(label, {}).get(run.gain_method)
 
 
-def _same_opts(a, b) -> bool:
-    """Whether two gain_opts values are equal: dicts key by key, str, int,
-    float and None values of one type by repr (so -0.0 is not 0.0), any
-    other value, a Density1D say, by identity."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_opts(a[k], b[k]) for k in a)
-    if isinstance(a, (str, int, float, type(None))):
-        return repr(a) == repr(b)
-    return a is b
-
-
 class _Lane:
     """A run's particles and records while its group advances it, shared
     by every later run of the group that computes the same (computes)."""
@@ -180,14 +170,15 @@ class _Lane:
     def computes(self, run: Run) -> bool:
         """Whether run is this lane's computation: the same row and kind of
         slope, the same path and initial cloud objects, an equal mesh and
-        equal gain_opts."""
+        gain_opts of one repr: a row takes JSON values only, which repr
+        tells apart by value and type (so -0.0 is not 0.0, nor 1 1.0)."""
         mine = self.run
         return (self.row is not None and run.path is mine.path
                 and run.init_particles is mine.init_particles
                 and run.kind.consumes_slope == mine.kind.consumes_slope
                 and run.grid == mine.grid
                 and _row(run, self.x.shape[1]) is self.row
-                and _same_opts(run.gain_opts, mine.gain_opts))
+                and repr(run.gain_opts) == repr(mine.gain_opts))
 
     def _non_finite(self, step: int, detail: str = "") -> NonFiniteState:
         self.non_finite = (step, detail)
@@ -196,9 +187,8 @@ class _Lane:
     def record(self, x: np.ndarray, k: int):
         """Record the moments of the cloud x at fine step k; NonFiniteState
         where they leave the float range, as those of a finite cloud far
-        out can, with no numpy warning first."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = compute_moments(x, self.model)
+        out can."""
+        m = compute_moments(x, self.model)
         if not (np.all(np.isfinite(m.mean)) and np.all(np.isfinite(m.cov))
                 and np.isfinite(m.h_bar)):
             raise self._non_finite(k, "the recorded moments of ")
@@ -273,7 +263,8 @@ def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
     _Lane.computes the same are computed once.  Returns each run's own
     FilterRun; a run whose step raised one of STEP_ERRORS carries its series
     up to that step and its FilterAborted, and the other runs go on
-    unchanged.
+    unchanged; a run that leaves the float range ends on its typed error
+    with no numpy warning first.
     """
     if not runs:
         return []
@@ -294,13 +285,14 @@ def run_lockstep(runs: list, model: SystemModel, seed: int) -> list:
     buf = np.empty((max(1, min(grid.n_fine, NOISE_BUFFER_BYTES // (8 * n * d))),
                     n, d))
     live = lanes
-    for k0 in range(0, grid.n_fine, len(buf)):
-        dv = noise.increments(buf[:grid.n_fine - k0], grid.fine_dt, k0)
-        live = [lane for lane in live if lane.advance(k0, dv)]
-        if not live:
-            break
-    for lane in lanes:
-        lane.finish()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k0 in range(0, grid.n_fine, len(buf)):
+            dv = noise.increments(buf[:grid.n_fine - k0], grid.fine_dt, k0)
+            live = [lane for lane in live if lane.advance(k0, dv)]
+            if not live:
+                break
+        for lane in lanes:
+            lane.finish()
     return [lane.outcome(run) for lane, run in zip(owners, runs)]
 
 

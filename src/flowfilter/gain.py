@@ -278,7 +278,9 @@ def solve_galerkin(x: np.ndarray, model: SystemModel, rhs_kind: str,
         raise DegenerateCloud(f"{n} particles for {nb} basis functions: "
                               "the drift solve needs more")
     # the values (nb, n); the gradients of the linear monomials are the
-    # constant rows e_j, kept (1, d), those of the quadratic ones (n, d)
+    # constant rows e_j, kept (1, d), those of the quadratic ones (n, d):
+    # (n, d) rows for all of them made the solve 6.8% slower at N = 1e4 and
+    # 20% slower at N = 4e4, 12% faster at N = 1e3 (interleaved in one process)
     vals, grads = np.empty((nb, n)), list(np.eye(d)[:, None, :])
     for j in range(d):
         vals[j] = x[:, j]
@@ -447,16 +449,14 @@ def _constant_coefficients(x, model) -> CoefficientSet:
     return _constant_gain_row(x, model, solve_constant_gain)
 
 
-def _integral_beta_alpha(x, model, density=None, kde_opts=None,
+def _integral_beta_alpha(x, model, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
     """K = grad beta / rho, a = grad alpha / rho: the fpf_phi and
     crisan_alpha fields of the integral route, since in 1D the gain
     grad beta / rho is the FPF gain grad phi, and the FPF drift
     a = -(h + hbar) K / 2 + grad psi / 2 and the Reich fields grad Lambda
     and grad Omega (M = I) solve the same equations."""
-    cells = None                # a caller's density keeps the float estimate
-    if density is None:
-        density, cells = kde_density_1d(x, **(kde_opts or {}))
+    density, cells = kde_density_1d(x, **(kde_opts or {}))
     (k_grid, diagnostics), (a_grid, a_diagnostics) = _integral_fields(
         density, model, ("fpf_phi", "crisan_alpha"), eps_floor)
     at = GridIntervals(density.grid, x[:, 0], cells)
@@ -466,11 +466,9 @@ def _integral_beta_alpha(x, model, density=None, kde_opts=None,
                            "drift_residual": a_diagnostics["residual"]})
 
 
-def _integral_continuous(x, model, density=None, kde_opts=None,
+def _integral_continuous(x, model, kde_opts=None,
                          eps_floor=EPS_RHO) -> CoefficientSet:
-    cells = None                # a caller's density keeps the float estimate
-    if density is None:
-        density, cells = kde_density_1d(x, **(kde_opts or {}))
+    density, cells = kde_density_1d(x, **(kde_opts or {}))
     [(k_grid, diagnostics)] = _integral_fields(density, model, ("fpf_phi",),
                                                eps_floor)
     dK = _gradient(k_grid, density.dx)
@@ -575,8 +573,7 @@ def _positive_number(value) -> bool:
 POSITIVE = ("a positive finite number", _positive_number)
 
 # the options a config may give each gain, kde_opts nesting those of
-# kde_density_1d, each leaf a (description, check) of its value; library
-# callers may also pass density=
+# kde_density_1d, each leaf a (description, check) of its value
 KDE_OPTS = {
     # cumulative_simpson needs 3 grid points
     "grid_points": ("an int >= 3", lambda v: type(v) is int and v >= 3),

@@ -90,17 +90,19 @@ def smoothed_path(z: np.ndarray, grid: TimeGrid) -> ObservationPath:
 def simulate_truth(model: SystemModel, grid: TimeGrid, init,
                    dv: np.ndarray) -> np.ndarray:
     """Euler-Maruyama X_{k+1} = X_k + drift(X_k) dt + dV_k driven by the
-    increments dv (n_fine, d); returns the states (n_fine + 1, d)."""
+    increments dv (n_fine, d); returns the states (n_fine + 1, d), or raises
+    NonFiniteState, with no numpy warning, at the first non-finite one."""
     d = model.dim
     x = np.asarray(init, dtype=float).reshape(1, d)
     states = np.empty((grid.n_fine + 1, d))
     states[0] = x
     dt = grid.fine_dt
-    for k in range(grid.n_fine):
-        x = x + model.drift(x) * dt + dv[k]
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(k + 1, "truth trajectory")
-        states[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(grid.n_fine):
+            x = x + model.drift(x) * dt + dv[k]
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteState(k + 1, "truth trajectory")
+            states[k + 1] = x
     return states
 
 

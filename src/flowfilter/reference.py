@@ -75,38 +75,39 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
     bound and renormalised to unit mass after every fine step.  Returns
     (means, vars, snapshots, clip_count): moments at every mesh point and
     the Density1D at each requested mesh index (0 = the initial density).
-    Raises NonFiniteState, with the fine step, at the first mesh point
-    whose mean is not finite."""
-    nsub = substeps_per_fine_step(dens, fine_dt)
-    dt_sub = fine_dt / nsub
-    g2 = dens.grid.reshape(-1, 1)
-    # read-only copies, so the kernel builds the operator once per mesh
-    # interval (see _kernels.kushner_substeps_numpy)
-    drift_g, h_g, w = (_read_only(a) for a in (model.drift(g2)[:, 0],
-                                               model.obs(g2),
-                                               dens.trapz_weights()))
+    Raises NonFiniteState, with the fine step and no numpy warning first,
+    at the first mesh point whose mean is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nsub = substeps_per_fine_step(dens, fine_dt)
+        dt_sub = fine_dt / nsub
+        g2 = dens.grid.reshape(-1, 1)
+        # read-only copies, so the kernel builds the operator once per mesh
+        # interval (see _kernels.kushner_substeps_numpy)
+        drift_g, h_g, w = (_read_only(a) for a in (model.drift(g2)[:, 0],
+                                                   model.obs(g2),
+                                                   dens.trapz_weights()))
 
-    n_mesh = slopes.shape[0]
-    means = np.empty(n_mesh + 1)
-    vars_ = np.empty(n_mesh + 1)
-    means[0], vars_[0] = dens.mean(), dens.var()
-    snapshots = {0: dens} if 0 in snapshot_slots else {}
-    theta = dens.values
-    nclip_total = 0
-    for m in range(n_mesh):
-        slope = float(slopes[m])
-        # one kernel call per fine step: the kernel normalises when it
-        # returns, so the result does not depend on a grouping of calls
-        for _ in range(steps_per_mesh):
-            theta, nclip = _kernels.kushner_substeps(
-                theta, drift_g, h_g, w, dens.dx, dt_sub, nsub, slope)
-            nclip_total += int(nclip)     # a Python int for report.json
-        cur = Density1D(grid=dens.grid, values=theta)
-        means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
-        if not np.isfinite(means[m + 1]):
-            raise NonFiniteState((m + 1) * steps_per_mesh,
-                                 "grid Kushner reference density")
-        if (m + 1) in snapshot_slots:
-            snapshots[m + 1] = cur
+        n_mesh = slopes.shape[0]
+        means = np.empty(n_mesh + 1)
+        vars_ = np.empty(n_mesh + 1)
+        means[0], vars_[0] = dens.mean(), dens.var()
+        snapshots = {0: dens} if 0 in snapshot_slots else {}
+        theta = dens.values
+        nclip_total = 0
+        for m in range(n_mesh):
+            slope = float(slopes[m])
+            # one kernel call per fine step: the kernel normalises when it
+            # returns, so the result does not depend on a grouping of calls
+            for _ in range(steps_per_mesh):
+                theta, nclip = _kernels.kushner_substeps(
+                    theta, drift_g, h_g, w, dens.dx, dt_sub, nsub, slope)
+                nclip_total += int(nclip)     # a Python int for report.json
+            cur = Density1D(grid=dens.grid, values=theta)
+            means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
+            if not np.isfinite(means[m + 1]):
+                raise NonFiniteState((m + 1) * steps_per_mesh,
+                                     "grid Kushner reference density")
+            if (m + 1) in snapshot_slots:
+                snapshots[m + 1] = cur
     return means, vars_, snapshots, nclip_total
 

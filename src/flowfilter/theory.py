@@ -78,20 +78,22 @@ def gamma_recursion(c_g: float, c_r: float, dt: float, steps: int) -> GammaTrace
     """Iterate the log-concavity recursion from gamma_0 = c_g.
 
     The trace approaches the stable fixed point monotonically; the
-    construction checks m(gamma*) = gamma* to 1e-12 and the floor
-    min_i gamma_i >= min(c_g, gamma*) - 1e-12, and raises CertificateFailed
-    if either fails.
+    construction checks m(gamma*) = gamma* and the floor
+    min_i gamma_i >= min(c_g, gamma*) to 1e-12 max(1, gamma*), since the
+    closed form cancels digits of dt c_r, and raises CertificateFailed if
+    either fails.
     """
     if not (c_g > 0 and c_r > 0 and dt > 0):
         raise NonPositiveParameter("c_g, c_r, dt must be positive")
     star = gamma_fixed_point(c_r, dt)
-    if abs(gamma_map(star, c_r, dt) - star) > 1e-12:
+    tol = 1e-12 * max(1.0, star)
+    if abs(gamma_map(star, c_r, dt) - star) > tol:
         raise CertificateFailed("closed-form fixed point fails m(gamma*) = gamma*")
     gam = np.empty(steps + 1)
     gam[0] = c_g
     for i in range(steps):
         gam[i + 1] = gamma_map(gam[i], c_r, dt)
-    if np.min(gam) < min(c_g, star) - 1e-12:
+    if np.min(gam) < min(c_g, star) - tol:
         raise CertificateFailed("gamma trace dipped below min(c_g, gamma*)")
     return GammaTrace(gamma=gam, dt=dt, c_g=c_g, c_r=c_r, fixed_point=star)
 

@@ -8,7 +8,7 @@ row's gain options, or it is listed below with its reason."""
 import ast
 from pathlib import Path
 
-from flowfilter.gain import ASSEMBLERS
+from flowfilter.gain import ASSEMBLERS, GAIN_OPTS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "flowfilter"
@@ -142,14 +142,17 @@ def _set_by_programs(signatures):
     return found
 
 
+def _row_options():
+    """"function.parameter" of each option a row of gain.ASSEMBLERS takes
+    from a config's gain_opts: the GAIN_OPTS keys of each gain it serves."""
+    return {f"{row.__name__}.{key}" for table in ASSEMBLERS.values()
+            for gain, row in table.items() for key in GAIN_OPTS.get(gain, {})}
+
+
 def test_every_defaulted_parameter_is_set_or_has_a_reason():
-    # the rows of gain.ASSEMBLERS take their options from a config's gain_opts
-    rows = {row.__name__ for table in ASSEMBLERS.values()
-            for row in table.values()}
     signatures = _signatures()
-    unset = sorted(key for key in _defaulted(signatures)
-                   - _set_by_programs(signatures)
-                   if key.split(".")[0] not in rows and key not in KEPT_PARAMS)
+    unset = sorted(_defaulted(signatures) - _set_by_programs(signatures)
+                   - _row_options() - set(KEPT_PARAMS))
     assert unset == []
 
 

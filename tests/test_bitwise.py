@@ -372,9 +372,10 @@ def test_solve_1d_integral_matches_oracle_bitwise(data, x, opts, rhs_kind):
     old = _outcome(oracle_integral, density, model, rhs_kind, **kw)
     _assert_same_field(new, old)
     if rhs_kind == "fpf_phi" and not isinstance(old, Exception):
-        # the continuous-time row differentiates the gain on the grid
+        # the continuous-time row, on the density of its own cloud,
+        # differentiates the gain on the grid
         row = ASSEMBLERS["fpf_continuous"]["integral_1d"]
-        cs = row(x, model, density=density, eps_floor=kw["eps_floor"])
+        cs = row(x, model, kde_opts=opts, eps_floor=kw["eps_floor"])
         old = oracle_integral(density, model, "fpf_phi", eps_floor=kw["eps_floor"])
         cells = GridIntervals(density.grid, x[:, 0])
         K = cells.interp(old.gain_grid).reshape(-1, 1)

@@ -1362,3 +1362,44 @@ def test_output_that_cannot_be_written_exit_3(tmp_path, capsys, command,
     assert code == 3
     assert err_text.startswith("output failure: ") and output in err_text
     assert "Traceback" not in err_text
+
+
+def _ou_theory_raw(c):
+    with open(os.path.join(CONFIGS, "ou_theory.json")) as fh:
+        raw = json.load(fh)
+    raw["model"]["c"] = c
+    return raw
+
+
+@pytest.mark.parametrize("c", [2000, 3000, 10000])
+def test_stiff_log_concave_ou_exit_2_naming_c(tmp_path, capsys, c):
+    # c fine_dt >= 2: the explicit Euler step of the drift -c x grows |x|;
+    # c = 1e4 overflowed the truth path (exit 3 at step 321) and c = 3000
+    # the grid Kushner reference (exit 3 at step 60)
+    for command in ("run", "theory"):
+        code, err = _exit_and_field(tmp_path, capsys, _ou_theory_raw(c),
+                                    command)
+        assert code == 2
+        assert "config.model.c:" in err
+
+
+def test_log_concave_ou_below_the_euler_bound_certifies(tmp_path, capsys):
+    # c = 1900: the gamma fixed point failed its absolute 1e-12 check (exit 3)
+    rows = _theory_rows(tmp_path, capsys, _ou_theory_raw(1900))
+    assert [r["provenance"] for r in rows] == ["lemma42"] * 3 \
+        + ["gamma_recursion"]
+
+
+def test_diverging_truth_path_exit_3_with_one_stderr_line(tmp_path):
+    # the overflow warning of the drift's matmul came before the error line
+    with open(os.path.join(CONFIGS, "linear_gaussian.json")) as fh:
+        raw = json.load(fh)
+    raw["model"]["A"] = [[10000.0]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = _run_src(["-m", "flowfilter.cli", "run", str(path),
+                    "--out-dir", str(tmp_path / "o")])
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["numerical failure: NonFiniteState: "
+                                       "non-finite state at step 293: "
+                                       "truth trajectory"]

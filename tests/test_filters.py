@@ -5,9 +5,9 @@ import pytest
 
 from flowfilter import gain
 from flowfilter.ensemble import density_from_function
-from flowfilter.errors import DimensionError, ModelMismatch
+from flowfilter.errors import DimensionError, FilterAborted, ModelMismatch
 from flowfilter.filters import FilterKind, run_filter, step
-from flowfilter.gain import CoefficientSet, continuous_gain
+from flowfilter.gain import CoefficientSet, continuous_gain, solve_1d_integral
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.paths import TimeGrid, simulate_observations, simulate_truth
 from flowfilter.rng import CounterStream
@@ -159,22 +159,22 @@ def test_crisan_continuous_rejects_d2():
 
 
 def test_crisan_alpha_drift_oracle_at_zero_slope():
-    # rho = N(0,1) table, h = x^2, slope = 0: the update drift is
-    # (1/rho) grad alpha; at x = 0 the cumulative integral vanishes
+    # rho = N(0,1) table, h = x^2, slope = 0: the Crisan & Xiong update
+    # moves x by dt (1/rho) grad alpha, the crisan_alpha field; at x = 0
+    # the cumulative integral vanishes
     model = SystemModel(dim=1, drift=lambda x: np.zeros_like(x),
                         obs=lambda x: x[:, 0] ** 2,
                         obs_grad=lambda x: 2 * x)
     dens = density_from_function(
         lambda x: np.exp(-x**2 / 2) / np.sqrt(2 * np.pi), half_width=10.0)
     cloud = np.array([[0.0], [1.0], [-1.0], [0.5]])
-    out, _ = step(FilterKind("crisan_xiong"), "integral_1d", model, cloud,
-                  0.0, 0.1, np.zeros((4, 1)), density=dens)
+    a = solve_1d_integral(dens, model, "crisan_alpha", particles=cloud)
+    moved = 0.1 * a.at_particles[:, 0]
     # drift at 0 is 0, so the particle at 0 stays
-    assert abs(out[0, 0]) <= 1e-6
+    assert abs(moved[0]) <= 1e-6
     # at x=1: alpha'(1)/rho(1) = -2 (antiderivative of (y^4-3)rho is
     # -(y^3+3y)rho, so alpha'(1) = -2 rho(1))
-    moved = out[1, 0] - 1.0
-    assert moved == pytest.approx(0.1 * (-2.0), abs=1e-4)
+    assert moved[1] == pytest.approx(0.1 * (-2.0), abs=1e-4)
 
 
 def test_ito_correction_constant_gain_vanishes():
@@ -192,10 +192,11 @@ def test_ito_correction_linear_gain_is_half_x():
                         obs_grad=lambda x: 2 * x)
     dens = density_from_function(
         lambda x: np.exp(-x**2 / 2) / np.sqrt(2 * np.pi), half_width=10.0)
-    pts = np.linspace(-2, 2, 41).reshape(-1, 1)
-    ens = pts
-    K, ito, _ = continuous_gain(ens, model, "integral_1d", density=dens)
-    np.testing.assert_allclose(ito[:, 0], 0.5 * pts[:, 0], atol=1e-4)
+    pts = np.linspace(-2, 2, 41)
+    K = solve_1d_integral(dens, model, "fpf_phi").gain_grid
+    # the Ito drift of the continuous-time integral row, on the grid
+    ito = 0.5 * np.interp(pts, dens.grid, np.gradient(K, dens.dx) * K)
+    np.testing.assert_allclose(ito, 0.5 * pts, atol=1e-4)
 
 
 def test_ito_correction_analytic_vs_finite_difference():
@@ -205,8 +206,6 @@ def test_ito_correction_analytic_vs_finite_difference():
                         obs_grad=lambda x: 2 * x)
     dens = density_from_function(
         lambda x: np.exp(-x**2 / 2) / np.sqrt(2 * np.pi), half_width=10.0)
-    from flowfilter.gain import solve_1d_integral
-
     fld = solve_1d_integral(dens, model, "fpf_phi")
     bulk = np.abs(dens.grid) <= 3.0
     dK = np.gradient(fld.gain_grid, dens.dx)
@@ -237,6 +236,20 @@ def test_run_filter_seed_determinism_bitwise():
                     "exact_gaussian", seed=5)
     assert np.array_equal(r1.means, r2.means)
     assert np.array_equal(r1.covs, r2.covs)
+
+
+@pytest.mark.parametrize("kind", ["delta_fpf", "fpf_continuous"])
+def test_diverging_drift_aborts_without_a_warning(kind):
+    # a cloud of one point far out under dx = 1e4 x dt: the constant gain
+    # stays 0 while the drift overflows, which numpy reported as a warning
+    # (overflow in matmul) before the run's NonFiniteState
+    grid = TimeGrid(0.0, 0.1, 0.001, 0.01)
+    path = _make_path(_lg_model(), grid, seed=19)
+    model = make_linear_gaussian([[1e4]], [1.0])
+    with pytest.raises(FilterAborted) as err:
+        run_filter(FilterKind(kind), model, path, np.full((8, 1), 1e300),
+                   grid, "constant", seed=5)
+    assert err.value.step == 5
 
 
 def test_mean_update_consistency_richardson():

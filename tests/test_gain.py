@@ -543,14 +543,11 @@ def test_closed_form_rows_give_one_gain_row(label, gain, d):
 
 def test_rows_take_only_the_cloud_the_model_and_their_gain_options():
     # a row computes what it reads from x, so its parameters beyond x and
-    # the model are the options a config may give its gain (and density,
-    # which library callers may pass to the 1D integral rows)
+    # the model are the options a config may give its gain
     for label, rows in ASSEMBLERS.items():
         for gain, row in rows.items():
             params = list(inspect.signature(row).parameters)
             allowed = set(GAIN_OPTS.get(gain, {}))
-            if gain == "integral_1d":
-                allowed.add("density")
             assert params[:2] == ["x", "model"], (label, gain)
             assert set(params[2:]) <= allowed, (label, gain, params)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flowfilter import filters, gain
 from flowfilter.cli import parse_config, run_delta_sweep, run_experiment
-from flowfilter.ensemble import Density1D, compute_moments
+from flowfilter.ensemble import compute_moments
 from flowfilter.errors import (DimensionError, FilterAborted, IllConditioned,
                                NonFiniteState)
 from flowfilter.filters import (STEP_ERRORS, FilterKind, FilterRun, Run,
@@ -307,7 +307,7 @@ def test_each_shared_outcome_is_its_own():
 
 
 @pytest.mark.parametrize("differ", ["kde_opts", "cloud", "mesh",
-                                    "consumes_slope", "density"])
+                                    "consumes_slope"])
 def test_runs_that_differ_in_one_input_compute_apart(monkeypatch, differ):
     model, (fpf, cx, _) = _tanh_group()
     steps = _counting_steps(monkeypatch)
@@ -317,21 +317,16 @@ def test_runs_that_differ_in_one_input_compute_apart(monkeypatch, differ):
         cx.init_particles = fpf.init_particles.copy()
     elif differ == "mesh":         # the same path, recorded on another mesh
         cx.grid = TimeGrid(0.0, N_FINE * FINE_DT, FINE_DT, 3 * FINE_DT)
-    elif differ == "consumes_slope":    # gain._constant_coefficients both
+    else:                          # gain._constant_coefficients both
         fpf = Run(FilterKind("delta_fpf"), "constant", fpf.path, fpf.grid,
                   fpf.init_particles)
         cx = Run(FilterKind("fpf_continuous"), "constant", fpf.path, fpf.grid,
                  fpf.init_particles)
-    else:                          # a library value compares by identity
-        density, _ = gain.kde_density_1d(fpf.init_particles)
-        fpf.gain_opts = {"density": density}
-        cx.gain_opts = {"density": Density1D(density.grid.copy(),
-                                             density.values.copy())}
     outs = run_lockstep([fpf, cx], model, seed=3)
     assert len(steps) == 2 * N_FINE
     for run, out in zip([fpf, cx], outs):
         _bytes_equal(out, _solo(run, model, 3))
-    # equal values in other dict objects, and the same library value, share
+    # equal values in other dict objects share
     steps.clear()
     cx = replace(fpf, kind=cx.kind, gain_method=cx.gain_method,
                  gain_opts=dict(fpf.gain_opts))

@@ -1,8 +1,12 @@
+import json
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import riccati_fixed_point
 
-from flowfilter import _kernels
+from flowfilter import _kernels, cli
 from flowfilter.ensemble import Density1D
 from flowfilter.errors import CovarianceBlowup, NonFiniteState
 from flowfilter.models import SystemModel, make_linear_gaussian
@@ -147,3 +151,22 @@ def test_riccati_monotone_bracket():
         for P in covs[1:, 0, 0]:
             assert lo - 1e-9 <= P <= hi + 1e-9
 
+
+
+def test_stiff_ou_reference_ends_without_a_warning():
+    # c = 3000 past the Euler bound that parsing now holds c to: the truth
+    # path stays finite, and the reference density turns non-finite, which
+    # numpy reported as a warning (invalid value in the kernel) before the
+    # NonFiniteState
+    configs = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "configs")
+    with open(os.path.join(configs, "ou_theory.json")) as fh:
+        config = cli.parse_config(json.load(fh))
+    config = replace(config, model_params={**config.model_params, "c": 3000.0})
+    model = config.build_model()
+    path = cli._simulate_paths(config, model)
+    grid = config.grid
+    with pytest.raises(NonFiniteState) as err:
+        run_grid_kushner(cli._init_grid_density(config, cli.THEORY_POINTS),
+                         model, path.slopes, grid.fine_dt, grid.steps_per_mesh)
+    assert err.value.step == 60

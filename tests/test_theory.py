@@ -84,6 +84,21 @@ def test_gamma_recursion_failed_checks_are_typed(monkeypatch):
     assert issubclass(CertificateFailed, FlowFilterError)
 
 
+def test_stiff_fixed_point_is_judged_at_its_own_scale(monkeypatch):
+    # c = 1900 on delta 0.01: the closed form cancels digits of
+    # dt c_r = 72200, and m(gamma*) - gamma* = 1.8e-12 failed an absolute
+    # tolerance of 1e-12
+    c_r, dt = 2.0 * 1900.0 ** 2, 0.01
+    star = gamma_fixed_point(c_r, dt)
+    assert abs(gamma_map(star, c_r, dt) - star) > 1e-12
+    assert gamma_recursion(1.0, c_r, dt, 100).fixed_point == star
+    # a fixed point moved by 1e-6 still fails
+    monkeypatch.setattr(theory, "gamma_fixed_point",
+                        lambda c_r, dt: star + 1e-6)
+    with pytest.raises(CertificateFailed, match="fixed point"):
+        gamma_recursion(1.0, c_r, dt, 100)
+
+
 def test_kappa_delta_empty_horizon():
     assert kappa_delta(1.3, 0.0, 2.0, 1.0, 1.0, 0.1, 5.0).constant == 1.3
 
