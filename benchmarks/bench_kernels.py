@@ -19,12 +19,15 @@ intervals from its own float estimate.  With --out, the rows and an
 environment block (backend, Python, numpy and scipy versions, nproc) are
 written to PATH as JSON.
 
-With --base REV, only the numpy Kushner rows of kushner_rows() are timed,
-as microseconds per substep, against REV through the harness of ab.py,
-which sets the versions, the pinning and the pair order: one child per
-version (CHILD) times a row, and the two take turns on it, N pairs
-(default 10) per row.  With --out, each row's samples, quartiles and wins
-follow the record header of ab.py.
+With --base REV, only the rows of base_rows() are timed against REV: the
+numpy Kushner rows of kushner_rows(), as microseconds per substep, and the
+d >= 2 Crisan & Xiong row (assemble_filter_coefficients("crisan_xiong",
+x, model, "fundamental_mc") on 2D clouds of 1000 and 4000), as
+milliseconds per call, through the harness of ab.py, which sets the
+versions, the pinning and the pair order: one child per version (CHILD)
+times a row, and the two take turns on it, N pairs (default 10) per row.
+With --out, each row's samples, quartiles and wins follow the record
+header of ab.py.
 """
 
 import json
@@ -37,6 +40,7 @@ from scipy.integrate import cumulative_simpson
 import ab
 from flowfilter import _kernels, gain
 from flowfilter.ensemble import Density1D
+from flowfilter.models import make_linear_gaussian
 from flowfilter.reference import substeps_per_fine_step
 
 
@@ -153,45 +157,62 @@ def kushner_rows() -> dict:
     return rows
 
 
-# one version: import it and this script, print the Kushner rows, then time
-# the numpy kernel on the row named on each line of standard input, in
-# microseconds per substep.  argv[1] is the directory of this script.
+def base_rows() -> dict:
+    """The rows --base times, {name: (fn, args, number, repeat, scale,
+    metric)}: best of repeat loops of number calls of fn(*args), in seconds
+    times scale, recorded as metric."""
+    rows = {name: (wrap(_kernels.kushner_substeps_numpy), args, number, repeat,
+                   1e6 / substeps, "numpy_us_per_substep")
+            for name, (wrap, args, number, repeat, substeps)
+            in kushner_rows().items()}
+    model = make_linear_gaussian([[-0.5, 0.2], [0.0, -1.0]], [1.0, 0.5])
+    for n in (1000, 4000):
+        x = np.random.default_rng(n).standard_normal((n, 2)) * [1.0, 0.5]
+        rows[f"crisan_xiong/fundamental_mc (2D, N = {n})"] = (
+            gain.assemble_filter_coefficients,
+            ("crisan_xiong", x, model, "fundamental_mc"), 1, 3, 1e3,
+            "numpy_ms_per_call")
+    return rows
+
+
+# one version: import it and this script, print the rows of base_rows(),
+# then time the row named on each line of standard input, in its metric's
+# unit.  argv[1] is the directory of this script.
 CHILD = r"""
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import bench_kernels
 from flowfilter import _kernels
-rows = bench_kernels.kushner_rows()
+rows = bench_kernels.base_rows()
 print(json.dumps({"rows": list(rows), "module": _kernels.__file__}), flush=True)
 for line in sys.stdin:
-    wrap, args, number, repeat, substeps = rows[line.strip()]
-    seconds = bench_kernels.best(wrap(_kernels.kushner_substeps_numpy), args,
-                                 number, repeat)
-    print(seconds / substeps * 1e6, flush=True)
+    fn, args, number, repeat, scale, _ = rows[line.strip()]
+    print(bench_kernels.best(fn, args, number, repeat) * scale, flush=True)
 """
 
 
-def kushner_child(src, cpu: int) -> ab.Child:
-    """A CHILD timing the numpy Kushner kernel of the src version."""
+def base_child(src, cpu: int) -> ab.Child:
+    """A CHILD timing the rows of base_rows() on the src version."""
     return ab.Child(src, cpu, "-c", CHILD, ab.ROOT / "benchmarks")
 
 
 def compare_versions(args):
-    """Time the Kushner rows (this script's, so the same for both
+    """Time the rows of base_rows() (this script's, so the same for both
     versions), the two children taking turns on each row, and write the
     comparison."""
     with ab.checkouts(args.base) as (srcs, parent_commit):
-        children = {v: kushner_child(src, args.cpu) for v, src in srcs.items()}
+        children = {v: base_child(src, args.cpu) for v, src in srcs.items()}
         record = {}
-        for row in kushner_rows():
+        for row, (*_, metric) in base_rows().items():
             samples = ab.collect(args.pairs, lambda version, _: {
-                "numpy_us_per_substep": float(children[version].ask(row))})
-            record[row] = ab.compare(samples, "numpy_us_per_substep")
-            ab.show(f"{row}: us/substep", record[row])
+                metric: float(children[version].ask(row))})
+            record[row] = ab.compare(samples, metric)
+            ab.show(f"{row}: {metric}", record[row])
         for child in children.values():
             child.close()
     ab.write(args, __file__, parent_commit,
-             "microseconds per substep of the numpy Kushner kernel, best of "
+             "microseconds per substep of the numpy Kushner kernel and "
+             "milliseconds per call of the d >= 2 Crisan & Xiong row, best of "
              "repeated loops per sample, in one pinned child per version",
              rows=record)
 
@@ -212,19 +233,14 @@ def main():
                       getattr(_kernels, "deposit_linear_numba", None),
                       (xs, -6.0, 12.0 / 800, 801)))
 
+    # the d >= 2 Crisan & Xiong row's one pass: both fields and the KDE sum
     pts = rng.standard_normal((2000, 2))
     src = rng.standard_normal((2000, 2))
-    mc = rng.standard_normal(2000)
-    rows.append(bench("pairwise_grad_field (2k^2)",
-                      _kernels.pairwise_grad_field_numpy,
-                      getattr(_kernels, "pairwise_grad_field_numba", None),
-                      (pts, src, mc, 0.02)))
-
-    bw = np.array([0.3, 0.3])
-    rows.append(bench("kde_eval_points (2k^2)",
-                      _kernels.kde_eval_points_numpy,
-                      getattr(_kernels, "kde_eval_points_numba", None),
-                      (pts, src, bw)))
+    m_beta, m_alpha = rng.standard_normal((2, 2000))
+    rows.append(bench("fundamental_pass (2k^2)",
+                      _kernels.fundamental_pass_numpy,
+                      getattr(_kernels, "fundamental_pass_numba", None),
+                      (pts, src, m_beta, m_alpha, 0.02, np.array([0.3, 0.3]))))
 
     numba_kernel = getattr(_kernels, "kushner_substeps_numba", None)
     for name, (wrap, kernel_args, number, repeat, substeps) in \

@@ -8,7 +8,7 @@ from .ensemble import (Density1D, Moments, compute_moments,
 from .filters import FilterKind, FilterRun, run_filter, step
 from .gain import (GainField, assemble_filter_coefficients, continuous_gain,
                    solve_1d_integral, solve_constant_gain,
-                   solve_exact_gaussian, solve_fundamental_mc, solve_galerkin)
+                   solve_exact_gaussian, solve_galerkin)
 from .models import (InitialDensity, LogConcaveOUSpec, SystemModel,
                      make_linear_gaussian, make_log_concave_ou,
                      validate_conditions)

@@ -22,9 +22,10 @@ with rhs one of -(h - hbar), (r - rbar) with r = grad h . K, or
     projected on the linear and quadratic monomials, with Monte-Carlo
     quadrature over the cloud (any dimension); the Galerkin gain itself,
     on the linear monomials, is the constant gain;
-  * solve_fundamental_mc  - particle sum of the fundamental-solution
+  * the fundamental_mc row - particle sum of the fundamental-solution
     gradient for the unweighted equation in d >= 2, with an epsilon
-    cutoff of the singular kernel.
+    cutoff of the singular kernel, taken with the KDE of rho in one pass
+    over the particle pairs (_kernels.fundamental_pass).
 
 ASSEMBLERS maps each (filter kind, gain method) pair to the drift field a(x_i)
 and gain field K(x_i) of its McKean-Vlasov representation; the pairs it holds
@@ -71,6 +72,9 @@ def solve_exact_gaussian(moments: Moments, H) -> GainField:
     identically zero."""
     Hrow = np.asarray(H, dtype=float).reshape(-1)
     P = np.atleast_2d(moments.cov)
+    # eigvalsh raises LinAlgError on a matrix that is not finite
+    if not np.isfinite(P).all():
+        raise SingularCovariance("covariance is not finite")
     if np.any(np.linalg.eigvalsh(P) <= 0):
         raise SingularCovariance(f"covariance eigenvalues {np.linalg.eigvalsh(P)}")
     return GainField(at_particles=(P @ Hrow)[None, :],
@@ -366,49 +370,6 @@ def unit_sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-@dataclass
-class FundamentalField:
-    """Monte-Carlo fundamental-solution gradient field for lap u = -(m - mbar) rho."""
-
-    sources: np.ndarray
-    m_centered: np.ndarray
-    epsilon: float
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.sources.shape[1]
-        raw = _kernels.pairwise_grad_field(pts, self.sources, self.m_centered,
-                                           self.epsilon)
-        return raw / (self.sources.shape[0] * unit_sphere_area(d))
-
-
-def solve_fundamental_mc(x: np.ndarray, m_values: np.ndarray) -> FundamentalField:
-    """grad u(x) = (1/omega_d) (1/N) sum_i (y_i - x) (m_i - mbar) / max(|x-y_i|, eps)^d.
-
-    Self-interactions (y_i == x) are skipped; the cutoff is eps = N^{-1/d}
-    and is reported through the field object."""
-    n, d = x.shape
-    if d < 2:
-        raise DimensionError("fundamental-solution route requires d >= 2 "
-                             "(use solve_1d_integral in d = 1)")
-    m = np.asarray(m_values, dtype=float).reshape(-1)
-    if m.shape[0] != n:
-        raise ValueError("m_values must have one entry per particle")
-    return FundamentalField(sources=x, m_centered=m - m.mean(),
-                            epsilon=float(n ** (-1.0 / d)))
-
-
-def multivariate_kde_at_points(x: np.ndarray, eps_floor: float = EPS_RHO):
-    """Product-Gaussian KDE evaluated at the particles themselves (d >= 2
-    Crisan 1/rho factor).  Returns (values, floored_values, floor_fraction)."""
-    n, d = x.shape
-    sig = np.std(x, axis=0, ddof=1)
-    bw = sig * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0))
-    vals = _kernels.kde_eval_points(x, x, bw)
-    floored = np.maximum(vals, eps_floor)
-    return vals, floored, float(np.mean(vals < eps_floor))
-
-
 # ---------------------------------------------------------------------------
 # filter-coefficient assembly: a row maps (particles x, model, **gain options)
 # to the (a, K) of the update x + M dt + dV + (a + K slope) dt, computing
@@ -501,13 +462,27 @@ def _galerkin_reich(cov_inverse: bool):
 
 
 def _fundamental_mc(x, model, eps_floor=EPS_RHO) -> CoefficientSet:
+    """K = grad beta / rho and a = grad alpha / rho for lap beta =
+    -(h - hbar) rho and lap alpha = (h^2 - mean h^2) rho / 2, each field the
+    particle sum of the fundamental-solution gradient
+    grad u(x) = (1 / (N omega_d)) sum_i (y_i - x) (m_i - mbar) / max(|x - y_i|, eps)^d
+    with the cutoff eps = N^(-1/d), self-interactions skipped, and rho the
+    product-Gaussian KDE at the particles, floored at eps_floor.  One pass
+    over the particle pairs gives the two sums and the KDE's."""
+    n, d = x.shape
     h = model.obs(x)
-    beta = solve_fundamental_mc(x, h)
-    alpha = solve_fundamental_mc(x, -0.5 * h * h)
-    _, rho_f, floor_frac = multivariate_kde_at_points(x, eps_floor=eps_floor)
-    return CoefficientSet(alpha.evaluate(x) / rho_f[:, None],
-                          beta.evaluate(x) / rho_f[:, None],
-                          {"epsilon": beta.epsilon, "floor_frac": floor_frac})
+    m_alpha = -0.5 * h * h
+    eps = float(n ** (-1.0 / d))
+    sig = np.std(x, axis=0, ddof=1)
+    bw = sig * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0))
+    beta, alpha, kde = _kernels.fundamental_pass(
+        x, x, h - h.mean(), m_alpha - m_alpha.mean(), eps, bw)
+    scale = n * unit_sphere_area(d)
+    rho = kde * (1.0 / (n * np.prod(bw * np.sqrt(2.0 * np.pi))))
+    rho_f = np.maximum(rho, eps_floor)[:, None]
+    return CoefficientSet(alpha / scale / rho_f, beta / scale / rho_f,
+                          {"epsilon": eps,
+                           "floor_frac": float(np.mean(rho < eps_floor))})
 
 
 # a constant gain's continuous-time row is its delta row only where

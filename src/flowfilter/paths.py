@@ -109,12 +109,14 @@ def simulate_truth(model: SystemModel, grid: TimeGrid, init,
 def simulate_observations(model: SystemModel, states: np.ndarray,
                           grid: TimeGrid, dw: np.ndarray) -> ObservationPath:
     """Z_{k+1} = Z_k + h(X_k) dt + dW_k with Z_{t0} = 0, driven by the
-    increments dw (n_fine,), smoothed on the mesh."""
+    increments dw (n_fine,), smoothed on the mesh; raises NonFiniteState,
+    with no numpy warning, at the first Z that is not finite."""
     if states.shape[0] != grid.n_fine + 1:
         raise ValueError("truth trajectory not aligned with grid")
     z = np.empty(grid.n_fine + 1)
     z[0] = 0.0
-    np.cumsum(model.obs(states[:-1]) * grid.fine_dt + dw, out=z[1:])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.cumsum(model.obs(states[:-1]) * grid.fine_dt + dw, out=z[1:])
     if not np.all(np.isfinite(z)):
         raise NonFiniteState(int(np.argmax(~np.isfinite(z))), "observation path")
     return smoothed_path(z, grid)

@@ -24,7 +24,10 @@ def run_kalman_bucy(A, H, mean0, cov0, drive: np.ndarray, dt: float,
     """Euler update of dm = Am dt + PH^T(dZ - Hm dt),
     dP = (AP + PA^T + I - PH^T HP) dt, with symmetrisation each step, along
     a drive of increments dZ from (mean0, cov0); returns (means, covs)
-    sampled every record_every steps (slot 0 = initial)."""
+    sampled every record_every steps (slot 0 = initial).  Raises
+    NonFiniteState, with the step and no numpy warning first, where m or P
+    leaves the float range, and CovarianceBlowup where an eigenvalue of P
+    passes 1e8."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     A = np.atleast_2d(np.asarray(A, float))
@@ -36,16 +39,20 @@ def run_kalman_bucy(A, H, mean0, cov0, drive: np.ndarray, dt: float,
     means = np.empty((n // record_every + 1, m.shape[0]))
     covs = np.empty((n // record_every + 1,) + P.shape)
     means[0], covs[0] = m, P
-    for k in range(n):
-        gain = P @ Hrow
-        m = m + A @ m * dt + gain * (float(drive[k]) - float(Hrow @ m) * dt)
-        P = P + (A @ P + P @ A.T + eye - np.outer(gain, gain)) * dt
-        P = 0.5 * (P + P.T)
-        if np.max(np.linalg.eigvalsh(P)) > 1e8:
-            raise CovarianceBlowup("Kalman-Bucy covariance eigenvalue exceeds 1e8")
-        if (k + 1) % record_every == 0:
-            means[(k + 1) // record_every] = m
-            covs[(k + 1) // record_every] = P
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n):
+            gain = P @ Hrow
+            m = m + A @ m * dt + gain * (float(drive[k]) - float(Hrow @ m) * dt)
+            P = P + (A @ P + P @ A.T + eye - np.outer(gain, gain)) * dt
+            P = 0.5 * (P + P.T)
+            # eigvalsh raises LinAlgError on a matrix that is not finite
+            if not (np.isfinite(m).all() and np.isfinite(P).all()):
+                raise NonFiniteState(k + 1, "Kalman-Bucy reference")
+            if np.max(np.linalg.eigvalsh(P)) > 1e8:
+                raise CovarianceBlowup("Kalman-Bucy covariance eigenvalue exceeds 1e8")
+            if (k + 1) % record_every == 0:
+                means[(k + 1) // record_every] = m
+                covs[(k + 1) // record_every] = P
     return means, covs
 
 

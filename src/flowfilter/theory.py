@@ -165,6 +165,9 @@ def _count_below(c: np.ndarray, B: np.ndarray, sigma: float) -> int:
     return count + int(sigma * B[-1] + t >= 0.0)
 
 
+# a density near the float range's floor overflows the flux step dx / rh;
+# the iteration then ends on a gap that is not finite, which it refuses
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def empirical_poincare_1d(dens: Density1D,
                           certify_tol: float = 1e-8) -> float:
     """1/lambda_1 of -(1/rho)(rho f')' with zero-flux boundary.
@@ -200,7 +203,8 @@ def empirical_poincare_1d(dens: Density1D,
     eigenvalue lies below the gap of the density above the floor, the
     count finds it and the certificate fails.
 
-    NonPositiveDensity if rho or the gap is not positive and finite;
+    NonPositiveDensity, with no numpy warning first, if rho or the gap is
+    not positive and finite;
     CertificateFailed if the iteration has not converged within _MAX_ITER
     steps, or if the Sturm count fails.
     """

@@ -1,7 +1,7 @@
 """The bench scripts under benchmarks/ start against the current src: the
 harness of ab.py lays out its two copies on an equal footing and
 alternates the pair order, the start-up child of bench_startup.py and the
-Kushner child of bench_kernels.py run from a copy of src, and the timing
+timing child of bench_kernels.py run from a copy of src, and the timing
 child of bench_pipeline.py builds its case list from the shipped configs,
 and is stopped before it times anything.  No earlier commit is cloned."""
 
@@ -71,22 +71,23 @@ def test_bench_startup_child_runs_from_the_change_copy(bench, tmp_path):
     assert Path(result["module"]).is_relative_to(src)
 
 
-def test_bench_kernels_child_times_a_kushner_row_from_the_change_copy(
+def test_bench_kernels_child_times_its_rows_from_the_change_copy(
         bench, tmp_path):
     ab, kernels = bench("ab"), bench("bench_kernels")
     src = ab.copy_src(tmp_path / "change")
-    child = kernels.kushner_child(src, CPU)
+    child = kernels.base_child(src, CPU)
     try:
         rows = child.head["rows"]
         us = float(child.ask("kushner 10 fine steps (1201x26)"))
+        ms = float(child.ask("crisan_xiong/fundamental_mc (2D, N = 1000)"))
     finally:
         child.close()
     assert child.proc.returncode == 0
     assert Path(child.head["module"]).is_relative_to(src)
-    assert rows == list(kernels.kushner_rows())
-    assert {"kushner_substeps (2001x70)",
-            "kushner 10 fine steps (2001x70)"} <= set(rows)
-    assert 0 < us < 1e3
+    assert rows == list(kernels.base_rows())
+    assert {"kushner_substeps (2001x70)", "kushner 10 fine steps (2001x70)",
+            "crisan_xiong/fundamental_mc (2D, N = 4000)"} <= set(rows)
+    assert 0 < us < 1e3 and 0 < ms < 1e4
 
 
 def test_bench_pipeline_child_lists_the_shipped_rows(bench):

@@ -16,6 +16,9 @@ kernel as it was written with `np.<ufunc>(..., out=)` calls and tuple
 swaps, on an operator built afresh; the kernel must give the same theta
 and clip count on drawn calls, with and without clipping, and on the
 shapes the shipped reference runs.
+The d >= 2 Crisan & Xiong oracle keeps that row's three passes over the
+particle pairs (the beta field, the alpha field, the KDE of rho), which
+the library makes in one.
 The Galerkin oracle also solves for the gain on the linear monomials,
 which the library takes from the constant gain instead
 (tests/test_identities.py holds the two together).  The drawn clouds are
@@ -35,9 +38,10 @@ from flowfilter import _kernels
 from flowfilter.ensemble import Density1D, compute_moments, kde_density_1d
 from flowfilter.errors import DegenerateCloud, IllConditioned, UnresolvedTail
 from flowfilter.gain import (ASSEMBLERS, EPS_RHO, RIDGE, GainField,
-                             GridIntervals, cumulative_simpson,
-                             solve_1d_integral, solve_constant_gain,
-                             solve_galerkin)
+                             GridIntervals, assemble_filter_coefficients,
+                             cumulative_simpson, solve_1d_integral,
+                             solve_constant_gain, solve_galerkin,
+                             unit_sphere_area)
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.reference import substeps_per_fine_step
 
@@ -235,6 +239,57 @@ def oracle_kushner(theta, drift_g, h_g, w, dx, dt_sub, nsub, slope):
         return np.full_like(u, math.nan), nclip
     # a fresh array, never a work row: callers keep what is returned
     return np.divide(u, mass), nclip
+
+
+def oracle_pairwise_grad_field(targets, sources, mc, eps):
+    T, d = targets.shape
+    out = np.zeros((T, d))
+    chunk = max(1, int(4e6) // max(1, sources.shape[0]))
+    for s in range(0, T, chunk):
+        e = min(T, s + chunk)
+        diff = sources[None, :, :] - targets[s:e, None, :]   # (c, N, d)
+        r = np.sqrt(np.sum(diff * diff, axis=2))             # (c, N)
+        mask = r > 0.0
+        rc = np.maximum(r, eps)
+        w = np.where(mask, mc[None, :] / rc**d, 0.0)
+        out[s:e] = np.einsum("cn,cnd->cd", w, diff)
+    return out
+
+
+def oracle_kde_eval_points(points, sources, bw):
+    T, d = points.shape
+    N = sources.shape[0]
+    norm = 1.0 / (N * np.prod(bw * np.sqrt(2.0 * np.pi)))
+    out = np.empty(T)
+    chunk = max(1, int(4e6) // max(1, N))
+    for s in range(0, T, chunk):
+        e = min(T, s + chunk)
+        z = (points[s:e, None, :] - sources[None, :, :]) / bw[None, None, :]
+        out[s:e] = np.sum(np.exp(-0.5 * np.sum(z * z, axis=2)), axis=1)
+    return out * norm
+
+
+def oracle_fundamental_mc(x, model, eps_floor=EPS_RHO):
+    """The d >= 2 Crisan & Xiong row as three passes over the pairs: the
+    beta field, the alpha field (each centred and scaled by 1/(N omega_d))
+    and the product-Gaussian KDE at the particles."""
+    def field(m_values):
+        n, d = x.shape
+        m = np.asarray(m_values, dtype=float).reshape(-1)
+        raw = oracle_pairwise_grad_field(x, x, m - m.mean(),
+                                         float(n ** (-1.0 / d)))
+        return raw / (n * unit_sphere_area(d))
+
+    n, d = x.shape
+    h = model.obs(x)
+    sig = np.std(x, axis=0, ddof=1)
+    bw = sig * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0))
+    vals = oracle_kde_eval_points(x, x, bw)
+    rho_f = np.maximum(vals, eps_floor)
+    return ((field(-0.5 * h * h) / rho_f[:, None],
+             field(h) / rho_f[:, None]),
+            {"epsilon": float(n ** (-1.0 / d)),
+             "floor_frac": float(np.mean(vals < eps_floor))})
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +522,44 @@ def test_kushner_numpy_matches_oracle_bitwise_at_run_sizes(points, obs):
                                                  1e-3 / nsub, nsub, slope))
             clips.append(nclip)
     assert clips[:6] == [0] * 6 and min(clips[6:]) > 0
+
+
+def _tanh_nd(d):
+    """h = tanh(x_1) + x_2 / 2 on R^d."""
+    return SystemModel(dim=d, drift=lambda x: -x,
+                       obs=lambda x: np.tanh(x[:, 0]) + 0.5 * x[:, 1],
+                       obs_grad=None)
+
+
+def _fundamental_cloud(kind, d):
+    rng = np.random.default_rng(40 + d)
+    x = rng.standard_normal((300, d)) * np.linspace(1.5, 0.4, d) + 0.2
+    if kind == "duplicates":        # exact self-interactions between particles
+        x[200:260] = x[:60]
+    elif kind == "small_scale":
+        x *= 1e-3
+    return x
+
+
+@pytest.mark.parametrize("block", ["PAIR_BLOCK", 7])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind, eps_floor", [("anisotropic", 0.02),
+                                             ("duplicates", EPS_RHO),
+                                             ("small_scale", EPS_RHO)])
+def test_fundamental_mc_matches_three_pass_oracle_bitwise(monkeypatch, block,
+                                                          d, kind, eps_floor):
+    """The one-pass row against the three passes, at the kernel's block
+    (several blocks of rows here) and at a block smaller than one row of
+    pairs (one target per block); the floor of 0.02 lifts some of the
+    anisotropic cloud's tail."""
+    if block != "PAIR_BLOCK":
+        monkeypatch.setattr(_kernels, "PAIR_BLOCK", block)
+    assert _kernels.PAIR_BLOCK < 300 * 300
+    x, model = _fundamental_cloud(kind, d), _tanh_nd(d)
+    cs = assemble_filter_coefficients("crisan_xiong", x, model,
+                                      "fundamental_mc", eps_floor=eps_floor)
+    (a, K), diagnostics = oracle_fundamental_mc(x, model, eps_floor)
+    assert _same(cs.a, a) and _same(cs.K, K)
+    _assert_same_diagnostics(cs.diagnostics, diagnostics)
+    if kind == "anisotropic":
+        assert 0.0 < diagnostics["floor_frac"] < 1.0

@@ -1390,16 +1390,53 @@ def test_log_concave_ou_below_the_euler_bound_certifies(tmp_path, capsys):
         + ["gamma_recursion"]
 
 
-def test_diverging_truth_path_exit_3_with_one_stderr_line(tmp_path):
-    # the overflow warning of the drift's matmul came before the error line
+def _linear_gaussian_run(tmp_path, **edits):
+    """run, in a fresh process, on configs/linear_gaussian.json with the
+    top-level fields of edits replaced."""
     with open(os.path.join(CONFIGS, "linear_gaussian.json")) as fh:
-        raw = json.load(fh)
-    raw["model"]["A"] = [[10000.0]]
+        raw = {**json.load(fh), **edits}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    out = _run_src(["-m", "flowfilter.cli", "run", str(path),
-                    "--out-dir", str(tmp_path / "o")])
+    return _run_src(["-m", "flowfilter.cli", "run", str(path),
+                     "--out-dir", str(tmp_path / "o")])
+
+
+def test_diverging_truth_path_exit_3_with_one_stderr_line(tmp_path):
+    # the overflow warning of the drift's matmul came before the error line
+    out = _linear_gaussian_run(tmp_path, model={
+        "name": "linear_gaussian", "A": [[10000.0]], "H": [1.0]})
     assert out.returncode == 3
     assert out.stderr.splitlines() == ["numerical failure: NonFiniteState: "
                                        "non-finite state at step 293: "
                                        "truth trajectory"]
+
+
+def test_observation_path_past_the_float_range_exit_3_with_one_stderr_line(
+        tmp_path):
+    # a finite truth path under h = 1e10 x: the overflow warning of the
+    # observation's matmul came before the error line
+    out = _linear_gaussian_run(tmp_path, model={
+        "name": "linear_gaussian", "A": [[1000.0]], "H": [1e10]})
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["numerical failure: NonFiniteState: "
+                                       "non-finite state at step 992: "
+                                       "observation path"]
+
+
+def test_kalman_bucy_past_the_float_range_exit_3_with_one_stderr_line(
+        tmp_path):
+    # P H^T H P overflows from cov = 1e290 I; eigvalsh then raised an
+    # untyped LinAlgError on P (a traceback, exit 1) after two warnings
+    eye = np.eye(3)
+    out = _linear_gaussian_run(
+        tmp_path, model={"name": "linear_gaussian",
+                         "A": (700.0 * eye).tolist(), "H": [1.0] * 3},
+        init={"kind": "gaussian", "mean": [1.0] * 3,
+              "cov": (1e290 * eye).tolist()},
+        ensemble_size=200, grid={"t0": 0.0, "T": 0.2, "delta": 0.01,
+                                 "fine_dt": 0.001},
+        filters=[{"kind": "enkbf", "gain": "exact_gaussian"}])
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["numerical failure: NonFiniteState: "
+                                       "non-finite state at step 1: "
+                                       "Kalman-Bucy reference"]

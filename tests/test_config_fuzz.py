@@ -5,7 +5,9 @@ schema `cli.CONFIG`, every one of them (each built-in model's parameters and
 each gain's options included) in the course of the run: a path takes a
 value from a pool shared by all paths (wrong JSON types, or left out), its
 table default, or a hand list of edge values.  Each edge value also runs
-once under every command on a fixed base config.  No config makes a line
+once under every command on a fixed base config, and one shaped to the
+model's dimension (a scale of the identity) on that of each linear
+model, in 1D, 2D and 3D.  No config makes a line
 of the library raise a RuntimeWarning (an overflow or an invalid value):
 an edge case is a typed error or a checked result."""
 
@@ -32,6 +34,9 @@ MODELS = {
     "tanh_1d": {"name": "scalar_tanh"},
     "linear_2d": {"name": "linear_gaussian", "A": [[-0.5, 0.2], [0.0, -1.0]],
                   "H": [1.0, 0.5]},
+    "linear_3d": {"name": "linear_gaussian",
+                  "A": [[-0.5, 0.2, 0.0], [0.0, -1.0, 0.1], [0.0, 0.0, -0.8]],
+                  "H": [1.0, 0.5, -0.3]},
 }
 KINDS = sorted({label.split("(")[0] for label in ASSEMBLERS}) + ["nosuch"]
 GAINS = sorted({gain for row in ASSEMBLERS.values() for gain in row}) + ["nosuch"]
@@ -53,6 +58,29 @@ GAIN_OPTS = st.fixed_dictionaries({}, optional={
 })
 
 ABSENT = object()       # the perturbed key is left out
+
+
+class Eye:
+    """An edge value scale * I, shaped to the dimension of the config's
+    model where it is put in place."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def __repr__(self):
+        return f"Eye({self.scale:g})"
+
+    def shaped(self, dim):
+        return (self.scale * np.eye(dim)).tolist()
+
+
+def _model_dim(raw) -> int:
+    """The dimension of raw's model: the length of its H, 1 without one."""
+    model = raw.get("model")
+    H = model.get("H") if isinstance(model, dict) else None
+    return len(H) if isinstance(H, list) else 1
+
+
 # wrong JSON types for any field, shared by every path
 POOL = [ABSENT, [1], "abc", 2.5, True, None, {"k": 1}, 7]
 # edge values of some paths, on top of the pool and the table default
@@ -73,8 +101,9 @@ FIELD_VALUES = {
                                {"points": 10**12}],
     "reference.kalman_bucy": [False, "no", True],
     "model.name": [[], 3, None, "nosuch", "scalar_tanh"],
+    # 700 I: an unstable drift that keeps short paths finite
     "model.A": ["x", [[1.0, 0.0]], [[-0.5]], [[-0.5, 0.0], [0.0, -1.0]],
-                [[1.0, 2.0], [3.0]]],
+                [[1.0, 2.0], [3.0]], Eye(700.0)],
     "model.H": ["x", [1.0, 0.5], [1.0], {"a": 1}, [float("inf")]],
     "model.c": ["2.0", 0, 1e-200, 2.0, 1e200],
     "grid.T": [0.0, -0.01, "0.02", 0.015, 1e308, 10**12],
@@ -83,7 +112,8 @@ FIELD_VALUES = {
     "filters[].kind": KINDS,
     "filters[].gain": GAINS,
     "filters[].mass_matrix": MASS_MATRICES,
-    "init.cov": [[[-1.0]], [[1.0, 2.0], [3.0]], [[0.5]]],
+    # 1e290 I: a law whose Kalman-Bucy P H^T H P overflows
+    "init.cov": [[[-1.0]], [[1.0, 2.0], [3.0]], [[0.5]], Eye(1e290)],
     # a bandwidth far below the KDE grid spacing; a floor far below the
     # density, on which the Ito term of the continuous-time twin that a
     # sweep runs overflows on the grid
@@ -192,6 +222,8 @@ def _perturb(raw, path, picks, value) -> bool:
     owner, key = _owner(raw, path)
     if owner is None:
         return False
+    if isinstance(value, Eye):
+        value = value.shaped(_model_dim(raw))
     if value is ABSENT:
         if isinstance(owner, dict):
             owner.pop(key, None)
@@ -240,7 +272,7 @@ def configs(draw):
                  if draw(st.integers(1, share)) == share]
     if any(path.startswith("model.") for path in perturbed):
         model = "linear_1d"         # the 1D laws fit every built-in model
-    dim = 2 if model.endswith("2d") else 1
+    dim = _model_dim({"model": MODELS[model]})
     raw = _raw(model, draw(st.sampled_from(3 * list(_inits(dim).values())
                                            + _malformed_inits(dim))),
                filters, n_mesh=draw(st.integers(1, 5)),
@@ -255,9 +287,13 @@ def configs(draw):
     return draw(st.sampled_from(COMMANDS)), raw, applied
 
 
-def _base():
-    return _raw("linear_1d", _inits(1)["gaussian"],
-                [{"kind": "delta_fpf", "gain": "integral_1d"}])
+def _base(model="linear_1d"):
+    """A config on model from a Gaussian law, with a filter that runs in
+    its dimension and has a continuous-time twin there."""
+    dim = _model_dim({"model": MODELS[model]})
+    return _raw(model, _inits(dim)["gaussian"],
+                [{"kind": "delta_fpf", "gain": "integral_1d"} if dim == 1
+                 else {"kind": "enkbf", "gain": "exact_gaussian"}])
 
 
 def _one_per_path():
@@ -273,13 +309,20 @@ def _one_per_path():
 
 def _every_edge_value():
     """One config per listed edge value and command, so that every edge
-    value runs whatever hypothesis draws."""
+    value runs whatever hypothesis draws; an Eye value runs on each linear
+    model, in place on its base config (the picks would put the 1D
+    linear model and law in place)."""
+    linear = [model for model in sorted(MODELS)
+              if MODELS[model]["name"] == "linear_gaussian"]
     for path, values in FIELD_VALUES.items():
         picks, _ = NODES[path][0]
         for value in values:
-            for command in COMMANDS:
-                raw = _base()
-                applied = _perturb(raw, path, picks, value)
+            bases = [(_base(model), ()) for model in linear] \
+                if isinstance(value, Eye) else [(_base(), picks)]
+            for (base, base_picks), command in itertools.product(bases,
+                                                                 COMMANDS):
+                raw = copy.deepcopy(base)
+                applied = _perturb(raw, path, base_picks, value)
                 yield command, raw, [path] if applied else []
 
 

@@ -16,15 +16,14 @@ from flowfilter.cli import MODEL_REGISTRY, _twin, load_config
 from flowfilter.ensemble import (compute_moments, density_from_function,
                                  kde_density_1d)
 from flowfilter.errors import (DegenerateCloud, DimensionError, FlowFilterError,
-                               IllConditioned, NonFiniteState, UnresolvedTail)
+                               IllConditioned, NonFiniteState,
+                               SingularCovariance, UnresolvedTail)
 from flowfilter.filters import FilterKind
 from flowfilter.gain import (ASSEMBLERS, GAIN_OPTS, TWINS, GridIntervals,
                              assemble_filter_coefficients,
                              cumulative_simpson, galerkin_basis_size,
-                             in_dimension,
-                             multivariate_kde_at_points,
-                             solve_1d_integral, solve_constant_gain,
-                             solve_exact_gaussian, solve_fundamental_mc,
+                             in_dimension, solve_1d_integral,
+                             solve_constant_gain, solve_exact_gaussian,
                              solve_galerkin, unit_sphere_area)
 from flowfilter.models import SystemModel, make_linear_gaussian
 from flowfilter.rng import CounterStream
@@ -351,25 +350,49 @@ def test_galerkin_refuses_psi_without_prior_gain():
 
 
 # ---------------------------------------------------------------------------
-# fundamental-solution Monte-Carlo field
+# fundamental-solution Monte-Carlo row (d >= 2): the one pass over the
+# particle pairs (_kernels.fundamental_pass) and the row around it
+
+def _field(targets, sources, m):
+    """The fundamental-solution gradient field of m at the targets from one
+    kernel pass, centred and scaled by 1/(N omega_d) as the row does it,
+    with the pass's Gaussian sums at unit bandwidth."""
+    n, d = sources.shape
+    mc = m - m.mean()
+    beta, alpha, kde = _kernels.fundamental_pass(targets, sources, mc, mc,
+                                                 n ** (-1.0 / d), np.ones(d))
+    assert alpha.tobytes() == beta.tobytes()
+    return beta / (n * unit_sphere_area(d)), kde
+
+
+def _tanh_2d():
+    """h = tanh(x_1) + x_2 / 2."""
+    def obs_grad(x):
+        return np.column_stack([1 / np.cosh(x[:, 0]) ** 2,
+                                np.full(x.shape[0], 0.5)])
+
+    return SystemModel(dim=2, drift=lambda x: -x,
+                       obs=lambda x: np.tanh(x[:, 0]) + 0.5 * x[:, 1],
+                       obs_grad=obs_grad)
+
 
 def test_fundamental_constant_m_gives_zero_field():
     rng = np.random.default_rng(13)
     ens = rng.standard_normal((50, 2))
-    fld = solve_fundamental_mc(ens, np.full(50, 3.3))
-    out = fld.evaluate(rng.standard_normal((10, 2)))
+    out, _ = _field(rng.standard_normal((10, 2)), ens, np.full(50, 3.3))
     # centred rhs vanishes; the mean of identical values rounds at ulp scale
     assert np.max(np.abs(out)) <= 1e-14
 
 
 def test_fundamental_two_particle_hand_value():
     # y1=(1,0), y2=(-1,0), m=(1,-1), x=(0,1): both kernel terms have
-    # |y - x|^2 = 2, so the sum is (1,0) and the field is (1/(4 pi), 0)
+    # |y - x|^2 = 2, so the sum is (1,0) and the field is (1/(4 pi), 0);
+    # each Gaussian tap is exp(-2 / 2)
     ens = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    fld = solve_fundamental_mc(ens, np.array([1.0, -1.0]))
-    out = fld.evaluate(np.array([[0.0, 1.0]]))
+    out, kde = _field(np.array([[0.0, 1.0]]), ens, np.array([1.0, -1.0]))
     expected = np.array([1.0 / (4 * np.pi), 0.0])
     np.testing.assert_allclose(out[0], expected, rtol=0, atol=1e-14)
+    assert kde[0] == pytest.approx(2 * np.exp(-1.0), rel=1e-15)
     assert unit_sphere_area(2) == pytest.approx(2 * np.pi, rel=1e-15)
     assert unit_sphere_area(3) == pytest.approx(4 * np.pi, rel=1e-15)
 
@@ -377,17 +400,18 @@ def test_fundamental_two_particle_hand_value():
 def test_fundamental_antisymmetry():
     # swapping the two particles and negating m negates the field
     pts = np.array([[0.3, 0.7], [-0.2, 1.5]])
-    f1 = solve_fundamental_mc(np.array([[1.0, 0.2], [-0.7, 0.0]]),
-                              np.array([0.4, -1.1]))
-    f2 = solve_fundamental_mc(np.array([[-0.7, 0.0], [1.0, 0.2]]),
-                              np.array([1.1, -0.4]))
-    np.testing.assert_allclose(f2.evaluate(pts), -f1.evaluate(pts), atol=1e-15)
+    f1, _ = _field(pts, np.array([[1.0, 0.2], [-0.7, 0.0]]),
+                   np.array([0.4, -1.1]))
+    f2, _ = _field(pts, np.array([[-0.7, 0.0], [1.0, 0.2]]),
+                   np.array([1.1, -0.4]))
+    np.testing.assert_allclose(f2, -f1, atol=1e-15)
 
 
-def test_fundamental_rejects_d1():
-    ens = np.array([[0.0], [1.0]])
+@pytest.mark.parametrize("label", ["crisan_xiong", "delta_reich(rho_identity)"])
+def test_fundamental_mc_rejects_d1(label):
     with pytest.raises(DimensionError):
-        solve_fundamental_mc(ens, np.array([1.0, -1.0]))
+        assemble_filter_coefficients(label, np.array([[0.0], [1.0]]),
+                                     _linear_model(), "fundamental_mc")
 
 
 def test_fundamental_weak_divergence_consistency():
@@ -396,15 +420,13 @@ def test_fundamental_weak_divergence_consistency():
     n = 4000
     ys = rng.standard_normal((n, 2))
     h = np.tanh(ys[:, 0])
-    ens = ys
-    fld = solve_fundamental_mc(ens, h)
 
     # bump b(x) = exp(-|x|^2): grad b = -2 x b
     L, G = 4.0, 61
     ax = np.linspace(-L, L, G)
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    grad_u = fld.evaluate(pts)
+    grad_u, _ = _field(pts, ys, h)
     b_grad = -2 * pts * np.exp(-np.sum(pts**2, axis=1))[:, None]
     dx = ax[1] - ax[0]
     lhs = np.sum(np.sum(grad_u * b_grad, axis=1)) * dx * dx
@@ -413,15 +435,45 @@ def test_fundamental_weak_divergence_consistency():
     assert abs(lhs - rhs) <= 3.0 / np.sqrt(n)
 
 
-def test_multivariate_kde_matches_normal_density_scale():
-    rng = np.random.default_rng(15)
-    ens = rng.standard_normal((4000, 2))
-    vals, floored, frac = multivariate_kde_at_points(ens)
-    # the particle nearest the origin, against the N(0, I) density there
+def test_fundamental_mc_kde_matches_normal_density_scale():
+    # the row's rho, taken back out of its gain as K = beta / rho with the
+    # beta field of one kernel pass, at the particle nearest the origin
+    # against the N(0, I) density there
+    ens = np.random.default_rng(15).standard_normal((1000, 2))
+    model = _tanh_2d()
+    cs = assemble_filter_coefficients("crisan_xiong", ens, model,
+                                      "fundamental_mc")
+    beta, _ = _field(ens, ens, model.obs(ens))
     i = int(np.argmin(np.sum(ens * ens, axis=1)))
     pdf = np.exp(-0.5 * np.sum(ens[i] ** 2)) / (2 * np.pi)
-    assert abs(vals[i] - pdf) <= 0.02
-    assert frac == 0.0
+    np.testing.assert_allclose(beta[i] / cs.K[i], pdf, rtol=0, atol=0.02)
+    assert cs.diagnostics["floor_frac"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fundamental_mc_solves_the_weak_form_identities(seed):
+    """div(rho K) = -(h - hbar) rho and div(rho a) = (h^2 - mean h^2) rho / 2
+    tested against the bump f = exp(-|x - (0.3, 0.3)|^2):
+    mean(grad f . K) = Cov(f, h) and mean(grad f . a) = -Cov(f, h^2) / 2
+    over an anisotropic cloud of 1000, within 25% (9-13% at these seeds;
+    the fields decay like r^-d, so f must be bounded).  The cutoff is the
+    reported N^(-1/d)."""
+    z = np.random.default_rng(seed).standard_normal((1000, 2))
+    x = z @ np.array([[1.0, 0.0], [0.4, 0.5]]).T
+    model = _tanh_2d()
+    cs = assemble_filter_coefficients("crisan_xiong", x, model,
+                                      "fundamental_mc")
+    assert cs.diagnostics["epsilon"] == 1000 ** (-1 / 2)
+    f = np.exp(-np.sum((x - 0.3) ** 2, axis=1))
+    grad_f = -2 * (x - 0.3) * f[:, None]
+    h = model.obs(x)
+
+    def cov(u, v):
+        return np.mean(u * v) - u.mean() * v.mean()
+
+    for field, rhs in ((cs.K, cov(f, h)), (cs.a, -0.5 * cov(f, h * h))):
+        lhs = np.mean(np.sum(grad_f * field, axis=1))
+        assert abs(lhs / rhs - 1) <= 0.25, (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +726,33 @@ def test_kde_variance_past_the_float_range_refuses_quietly(capfd):
 def test_constant_gain_drift_past_the_float_range_refuses_quietly(
         capfd, label, gain_name, scale):
     # printed "overflow encountered in multiply" (the drift, at 1e150) or
-    # "in matmul" (the moments, at 1e200) before NonFiniteState
+    # "in matmul" (the moments, at 1e200) before NonFiniteState; the exact
+    # row refuses the covariance that overflowed at 1e200 itself
     x = scale * np.random.default_rng(30).standard_normal((50, 1))
-    _refuses_quietly(capfd, NonFiniteState, assemble_filter_coefficients, label,
+    error = SingularCovariance if (gain_name, scale) == ("exact_gaussian",
+                                                         1e200) \
+        else NonFiniteState
+    _refuses_quietly(capfd, error, assemble_filter_coefficients, label,
                      x, MODELS_1D["linear_gaussian"], gain_name)
+
+
+MODEL_3D = make_linear_gaussian(np.diag([-0.5, -1.0, -0.8]).tolist(),
+                                [1.0, 0.5, -0.3])
+EXACT_ROWS_3D = [label for label, rows in sorted(ASSEMBLERS.items())
+                 if "exact_gaussian" in rows
+                 and in_dimension(label, "exact_gaussian", 3)]
+
+
+@pytest.mark.parametrize("label", EXACT_ROWS_3D)
+def test_exact_gaussian_row_refuses_a_covariance_past_the_float_range(
+        capfd, label):
+    # eigvalsh raised an untyped LinAlgError on the cloud's covariance,
+    # which filters.STEP_ERRORS does not catch
+    assert len(EXACT_ROWS_3D) == 7
+    x = 1e300 * np.random.default_rng(3).standard_normal((50, 3))
+    _refuses_quietly(capfd, SingularCovariance, assemble_filter_coefficients,
+                     label, x, MODEL_3D, "exact_gaussian")
+    assert issubclass(SingularCovariance, FlowFilterError)
 
 
 @pytest.mark.parametrize("label", ["delta_fpf", "crisan_xiong",

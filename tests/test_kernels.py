@@ -38,33 +38,39 @@ def test_deposit_linear_backends_agree():
     assert a_cells.tobytes() == b_cells.tobytes()
 
 
+def _pass_args(targets, src, rng):
+    """fundamental_pass arguments from targets to src: two source weights,
+    a cutoff of 0.05 and a bandwidth per axis."""
+    m_beta, m_alpha = rng.normal(size=(2, src.shape[0]))
+    return targets, src, m_beta, m_alpha, 0.05, np.linspace(0.3, 0.5,
+                                                            src.shape[1])
+
+
+def _assert_pass_close(a, b):
+    for field_a, field_b in zip(a[:2], b[:2]):
+        np.testing.assert_allclose(field_a, field_b, rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(a[2], b[2], rtol=1e-12)
+
+
 @needs_numba
-def test_pairwise_field_backends_agree():
+@pytest.mark.parametrize("d", [2, 3])
+def test_fundamental_pass_backends_agree(d):
     rng = np.random.default_rng(2)
-    src = rng.normal(size=(500, 2))
-    pts = rng.normal(size=(200, 2))
-    mc = rng.normal(size=500)
-    a = _kernels.pairwise_grad_field_numpy(pts, src, mc, 0.05)
-    b = _kernels.pairwise_grad_field_numba(pts, src, mc, 0.05)
-    np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-13)
+    args = _pass_args(rng.normal(size=(200, d)), rng.normal(size=(500, d)), rng)
+    _assert_pass_close(_kernels.fundamental_pass_numpy(*args),
+                       _kernels.fundamental_pass_numba(*args))
 
 
-def test_pairwise_field_skips_exact_self_interaction():
+def test_fundamental_pass_skips_exact_self_interaction():
     src = np.array([[0.0, 0.0], [1.0, 1.0]])
     mc = np.array([1.0, -1.0])
-    out = _kernels.pairwise_grad_field_numpy(src, src, mc, 0.1)
-    assert np.all(np.isfinite(out))
-
-
-@needs_numba
-def test_kde_eval_backends_agree():
-    rng = np.random.default_rng(3)
-    src = rng.normal(size=(400, 3))
-    pts = rng.normal(size=(100, 3))
-    bw = np.array([0.4, 0.3, 0.5])
-    a = _kernels.kde_eval_points_numpy(pts, src, bw)
-    b = _kernels.kde_eval_points_numba(pts, src, bw)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    beta, alpha, kde = _kernels.fundamental_pass_numpy(src, src, mc, -mc, 0.1,
+                                                       np.array([1.0, 1.0]))
+    # each target sees only the other particle (|diff|^2 = 2 after the
+    # square root and the power), and its own Gaussian tap
+    np.testing.assert_allclose(beta, [[-0.5, -0.5], [-0.5, -0.5]], rtol=1e-15)
+    np.testing.assert_array_equal(alpha, -beta)
+    np.testing.assert_array_equal(kde, 1.0 + np.exp(-1.0))
 
 
 # Each kernel's loop, the body numba compiles, run as plain Python against
@@ -83,25 +89,15 @@ def test_deposit_linear_loop_matches_numpy():
     assert a_cells.tobytes() == b_cells.tobytes()
 
 
-def test_pairwise_field_loop_matches_numpy():
+@pytest.mark.parametrize("d", [2, 3])
+def test_fundamental_pass_loop_matches_numpy(d):
     rng = np.random.default_rng(2)
-    src = rng.normal(size=(200, 2))
+    src = rng.normal(size=(200, d))
     # exact self-interactions, and pairs closer than the cutoff
-    pts = np.vstack([src[:5], src[5:10] + 0.01, rng.normal(size=(40, 2))])
-    mc = rng.normal(size=200)
-    a = _kernels.pairwise_grad_field_numpy(pts, src, mc, 0.05)
-    b = _kernels._pairwise_grad_field_impl(pts, src, mc, 0.05)
-    np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-13)
-
-
-def test_kde_eval_loop_matches_numpy():
-    rng = np.random.default_rng(3)
-    src = rng.normal(size=(100, 3))
-    pts = rng.normal(size=(30, 3))
-    bw = np.array([0.4, 0.3, 0.5])
-    a = _kernels.kde_eval_points_numpy(pts, src, bw)
-    b = _kernels._kde_eval_points_impl(pts, src, bw)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    pts = np.vstack([src[:5], src[5:10] + 0.01, rng.normal(size=(40, d))])
+    args = _pass_args(pts, src, rng)
+    _assert_pass_close(_kernels.fundamental_pass_numpy(*args),
+                       _kernels._fundamental_pass_impl(*args))
 
 
 @needs_numba
