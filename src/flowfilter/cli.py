@@ -753,7 +753,7 @@ def theory_certificates(config: ExperimentConfig) -> list:
         for slot in sorted(kappas_emp):
             t = grid.t0 + slot * grid.delta
             rows.append(TheoryRow(
-                provenance="lemma42",
+                provenance=bound.provenance,
                 inputs=f"c_u={c};c_g={c_g};c_r={c_r};t={t:g}",
                 kappa=bound.constant, kappa_emp=kappas_emp[slot],
                 margin=bound.constant - kappas_emp[slot]))
@@ -776,7 +776,7 @@ def theory_certificates(config: ExperimentConfig) -> list:
                             float(np.max(np.abs(np.diff(path.z_knots)))))
         emp_max = max(kappas_emp.values())
         rows.append(TheoryRow(
-            provenance="lemma51",
+            provenance=bound.provenance,
             inputs=";".join(f"{k}={v:g}" for k, v in bound.inputs.items()),
             kappa=bound.constant, kappa_emp=emp_max,
             margin=bound.constant - emp_max))

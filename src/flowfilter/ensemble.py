@@ -146,8 +146,8 @@ def kde_density_1d(x: np.ndarray, grid_points: int = 801,
     with np.errstate(over="ignore"):
         kernel = np.exp(-0.5 * (u / bw) ** 2)
     # centred slice of the full convolution: mode="same" breaks on long kernels
+    # nonnegative counts under nonnegative taps: no value to floor
     values = np.convolve(counts, kernel)[half_k:half_k + grid_points]
-    values = np.maximum(values, 0.0)
     return Density1D(grid=grid, values=values), cells
 
 

@@ -13,12 +13,12 @@ Benchmarks provided here:
     posterior Poincare inequality.
 
 Condition checks use finite-difference Hessians on a user-supplied point
-cloud; they are desk-scale certificates, not global proofs, and the
-report records the cloud it was computed on.
+cloud; they are desk-scale certificates, not global proofs, and each
+check records the point of its worst margin.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,14 +178,6 @@ class ConditionCheck:
     passed: bool
     margin: float
     witness: Optional[np.ndarray] = None
-    note: str = ""
-
-
-@dataclass
-class ConditionReport:
-    checks: list = field(default_factory=list)
-    n_points: int = 0
-    vacuous: bool = False
 
 
 def _fd_hessian(f, x: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
@@ -271,8 +263,7 @@ def make_log_concave_ou(spec: LogConcaveOUSpec, H) -> SystemModel:
 
     model = SystemModel(dim=d, drift=drift, obs=obs, obs_grad=obs_grad,
                         kind="log_concave_ou", H=Hrow.reshape(1, -1))
-    report = validate_conditions(model, spec, default_cloud(d))
-    for check in report.checks:
+    for check in validate_conditions(model, spec, default_cloud(d)):
         if check.name in ("C1", "C3") and not check.passed:
             raise ConditionViolation(check.name, check.witness, check.margin)
     return model
@@ -311,43 +302,31 @@ def _worst_margin(name: str, pts: np.ndarray, hessian, margin) -> ConditionCheck
 
 
 def validate_conditions(model: SystemModel, spec: LogConcaveOUSpec,
-                        points) -> ConditionReport:
+                        points) -> list:
     """Check (C1)-(C4) of the log-concave OU hypothesis set on a point cloud.
 
-    Report-only: per-condition pass/fail with the worst-case margin and the
-    witness point.  (C2) concerns the initial density decomposition and is
-    user-asserted through spec.c_g; it is recorded as such.  A (C1) or (C3)
-    margin that is not finite raises CertificateFailed.
+    Report-only: the list of per-condition checks, each with its pass/fail,
+    its worst-case margin and the witness point, empty for an empty cloud.
+    (C2) concerns the initial density decomposition and is user-asserted
+    through spec.c_g, so its check passes with margin c_g and no witness.
+    A (C1) or (C3) margin that is not finite raises CertificateFailed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
-        return ConditionReport(checks=[], n_points=0, vacuous=True)
+        return []
     pts = pts.reshape(-1, model.dim)
-    Hrow = model.h_row()
-    R = _make_R(spec, Hrow)
-
-    report = ConditionReport(n_points=pts.shape[0])
-
-    # C1: hess U <= -c_u I  <=>  lambda_max(hess U) <= -c_u
-    report.checks.append(_worst_margin(
-        "C1", pts, lambda x: _fd_hessian(spec.potential, x),
-        lambda lam: -spec.c_u - lam[-1]))
-
-    # C2: initial-density convexity parameter, asserted by the caller
-    report.checks.append(ConditionCheck(
-        "C2", True, spec.c_g, None,
-        "asserted convexity of U + G0 for the chosen initial density"))
-
-    # C3: hess R >= c_r I
-    report.checks.append(_worst_margin(
-        "C3", pts, lambda x: _fd_hessian(R, x, h=_FD_STEP_CHAIN),
-        lambda lam: lam[0] - spec.c_r))
-
+    R = _make_R(spec, model.h_row())
+    checks = [
+        # C1: hess U <= -c_u I  <=>  lambda_max(hess U) <= -c_u
+        _worst_margin("C1", pts, lambda x: _fd_hessian(spec.potential, x),
+                      lambda lam: -spec.c_u - lam[-1]),
+        ConditionCheck("C2", True, spec.c_g),
+        # C3: hess R >= c_r I
+        _worst_margin("C3", pts, lambda x: _fd_hessian(R, x, h=_FD_STEP_CHAIN),
+                      lambda lam: lam[0] - spec.c_r)]
     # C4: |grad U| <= D (1 + |x|)
-    g = spec.grad(pts)
     slack = spec.linear_growth_D * (1.0 + np.linalg.norm(pts, axis=1)) \
-        - np.linalg.norm(g, axis=1)
+        - np.linalg.norm(spec.grad(pts), axis=1)
     i = int(np.argmin(slack))
-    report.checks.append(ConditionCheck("C4", slack[i] >= -_COND_TOL,
-                                        float(slack[i]), pts[i]))
-    return report
+    return checks + [ConditionCheck("C4", slack[i] >= -_COND_TOL,
+                                    float(slack[i]), pts[i])]

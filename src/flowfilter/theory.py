@@ -46,9 +46,6 @@ class PoincareBound:
 @dataclass(frozen=True)
 class GammaTrace:
     gamma: np.ndarray
-    dt: float
-    c_g: float
-    c_r: float
     fixed_point: float
 
     def floor(self) -> float:
@@ -95,7 +92,7 @@ def gamma_recursion(c_g: float, c_r: float, dt: float, steps: int) -> GammaTrace
         gam[i + 1] = gamma_map(gam[i], c_r, dt)
     if np.min(gam) < min(c_g, star) - tol:
         raise CertificateFailed("gamma trace dipped below min(c_g, gamma*)")
-    return GammaTrace(gamma=gam, dt=dt, c_g=c_g, c_r=c_r, fixed_point=star)
+    return GammaTrace(gamma=gam, fixed_point=star)
 
 
 def kappa_delta(kappa0: float, T: float, L_M: float, h_sup: float,
@@ -138,6 +135,9 @@ def lipschitz_transfer(base: PoincareBound, lip: float) -> PoincareBound:
 
 # cap on the inverse iterations of empirical_poincare_1d
 _MAX_ITER = 500
+# the relative slack below the Rayleigh quotient at which
+# empirical_poincare_1d's Sturm count certifies the gap
+CERTIFY_TOL = 1e-8
 
 
 def _count_below(c: np.ndarray, B: np.ndarray, sigma: float) -> int:
@@ -166,10 +166,9 @@ def _count_below(c: np.ndarray, B: np.ndarray, sigma: float) -> int:
 
 
 # a density near the float range's floor overflows the flux step dx / rh;
-# the iteration then ends on a gap that is not finite, which it refuses
+# the iteration then leaves the float range, which it refuses
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def empirical_poincare_1d(dens: Density1D,
-                          certify_tol: float = 1e-8) -> float:
+def empirical_poincare_1d(dens: Density1D) -> float:
     """1/lambda_1 of -(1/rho)(rho f')' with zero-flux boundary.
 
     Discretised as the generalized symmetric eigenproblem A f = lambda B f
@@ -196,17 +195,18 @@ def empirical_poincare_1d(dens: Density1D,
     Certificate: lambda, a Rayleigh quotient on the mean-zero functions,
     is at least lambda_1; a Sturm count (`_count_below`) then shows that
     the pencil has no eigenvalue but the constant mode's 0 below
-    lambda (1 - certify_tol).  So the returned kappa lies within
-    certify_tol relative below the discrete 1/lambda_1, whatever the
+    lambda (1 - CERTIFY_TOL).  So the returned kappa lies within
+    CERTIFY_TOL relative below the discrete 1/lambda_1, whatever the
     scaling of rho.  A mode confined to a flat tail floored to ~1e-300
     carries that mass in B, so the iteration does not reach it; if its
     eigenvalue lies below the gap of the density above the floor, the
     count finds it and the certificate fails.
 
-    NonPositiveDensity, with no numpy warning first, if rho or the gap is
-    not positive and finite;
-    CertificateFailed if the iteration has not converged within _MAX_ITER
-    steps, or if the Sturm count fails.
+    NonPositiveDensity if rho or the finite gap is not positive;
+    CertificateFailed, naming the range of rho, if an iterate or the gap
+    is not finite (a range too wide for the flux step dx / rh), if the
+    iteration has not converged within _MAX_ITER steps, or if the Sturm
+    count fails.  No numpy warning comes first.
     """
     rho = dens.values
     if np.any(rho <= 0):
@@ -243,14 +243,19 @@ def empirical_poincare_1d(dens: Density1D,
         f = F[0]
         prev, lam = lam, float(np.sum(c * np.diff(f) ** 2)
                                / np.sum(B * f * f))
-        if not 0 < lam < np.inf:
+        if not (np.isfinite(lam) and np.isfinite(F).all()):
+            raise CertificateFailed(
+                f"inverse iteration for kappa_emp left the float range: the "
+                f"flux step dx / rho cannot carry a density ranging over "
+                f"[{rho.min():.3g}, {rho.max():.3g}]")
+        if lam <= 0:
             raise NonPositiveDensity(f"spectral gap {lam} not positive")
         if abs(lam - prev) <= 1e-14 * lam:
             break
     else:
         raise CertificateFailed(f"inverse iteration for kappa_emp did not "
                                 f"converge in {_MAX_ITER} iterations")
-    below = _count_below(c, B, lam * (1.0 - certify_tol))
+    below = _count_below(c, B, lam * (1.0 - CERTIFY_TOL))
     if below != 1:
         raise CertificateFailed(f"Rayleigh-Sturm certificate failed for "
                                 f"kappa_emp: {below - 1} nonzero eigenvalues "
@@ -264,7 +269,6 @@ class BrascampLiebReport:
     bound: float
     passed: bool
     margin: float
-    min_convexity: float
 
 
 def brascamp_lieb_check(dens: Density1D, f: Union[Callable, np.ndarray],
@@ -300,8 +304,7 @@ def brascamp_lieb_check(dens: Density1D, f: Union[Callable, np.ndarray],
     bound = float(np.trapezoid(fp * fp / conv * rho, g))
     margin = bound - variance
     return BrascampLiebReport(variance=variance, bound=bound,
-                              passed=margin >= -tol, margin=margin,
-                              min_convexity=float(np.min(conv)))
+                              passed=margin >= -tol, margin=margin)
 
 
 def affine_pushforward(dens: Density1D, a: float, b: float = 0.0) -> Density1D:

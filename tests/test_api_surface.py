@@ -3,7 +3,9 @@ of src/flowfilter is referenced by the library itself, by the benchmark
 (perfbench/) or by the bench scripts (benchmarks/), or is listed below with
 the reason it stays.  The same holds for the defaulted parameters of the
 top-level functions: a program sets each one, or a config does through a
-row's gain options, or it is listed below with its reason."""
+row's gain options, or it is listed below with its reason.  And for the
+fields of the dataclasses: a program reads each one, or it is listed below
+with the acceptance criterion that reads it."""
 
 import ast
 from pathlib import Path
@@ -34,14 +36,29 @@ KEPT_PARAMS = {
                                    "the Brascamp-Lieb bound (theory API)",
     "brascamp_lieb_check.tol": "the tolerance of the Brascamp-Lieb bound "
                                "(theory API)",
-    "empirical_poincare_1d.certify_tol": "the seam through which test_cli.py "
-                                         "forces a certificate to fail",
     "run_filter.gain_opts": "the gain options of the one-run driver, as a "
                             "lockstep Run carries them",
     "solve_1d_integral.particles": "the gain at given points, read by "
                                    "acceptance criterion 3",
     "solve_1d_integral.eps_floor": "the density floor the bitwise oracle "
                                    "varies",
+}
+
+# "Class.field" -> the acceptance criterion that reads the dataclass field
+# though no program does
+KEPT_FIELDS = {
+    "RunReport.ref_covs": "criterion 1: the Kalman-Bucy covariances the "
+                          "filter covariances are held to",
+    "FilterRun.final_particles": "criterion 2: the terminal clouds of the "
+                                 "filters it holds equal",
+    "GainField.gain_grid": "criterion 3: the integral gain on its grid, in "
+                           "the rbar identity",
+    "GainField.coefficients": "criterion 3: the Galerkin psi coefficients, "
+                              "which vanish for a linear h",
+    "BrascampLiebReport.variance": "criterion 5: the variance side of the "
+                                   "Brascamp-Lieb equality",
+    "BrascampLiebReport.bound": "criterion 5: the bound side of the "
+                                "Brascamp-Lieb equality",
 }
 
 
@@ -160,3 +177,44 @@ def test_every_kept_parameter_exists_and_is_still_unset():
     signatures = _signatures()
     assert set(KEPT_PARAMS) <= _defaulted(signatures)
     assert not set(KEPT_PARAMS) & _set_by_programs(signatures)
+
+
+
+def _fields():
+    """"Class.field" of each field of each dataclass of src: the annotated
+    names in the body of a class decorated with @dataclass."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                out |= {f"{node.name}.{stmt.target.id}" for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)}
+    return out
+
+
+def _read_by_programs():
+    """Every name through which src, perfbench/ or benchmarks/ may read a
+    field: an attribute it loads, or a string constant, as cli reads a
+    FilterResult's report fields with getattr(res, key)."""
+    names = set()
+    for path in PROGRAMS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_field_is_read_or_has_a_criterion():
+    read = _read_by_programs()
+    unread = sorted(f for f in _fields() - set(KEPT_FIELDS)
+                    if f.split(".")[1] not in read)
+    assert unread == []
+
+
+def test_every_kept_field_exists_and_is_still_unread():
+    assert set(KEPT_FIELDS) <= _fields()
+    assert not {f.split(".")[1] for f in KEPT_FIELDS} & _read_by_programs()

@@ -500,6 +500,22 @@ def test_sweep_n_axis_scaling():
     assert max(vals) / min(vals) <= 2.0
 
 
+@pytest.mark.parametrize("step, monotone", [(-1e-12, 1), (0.0, 1),
+                                            (1e-12, 0)])
+def test_sweep_monotone_count_drops_for_a_rise_of_1e_12(monkeypatch, step,
+                                                       monotone):
+    # a seed is monotone where no RMSE rises from one delta to the next
+    rmses = iter([1.0, 1.0 + step])
+    monkeypatch.setattr(cli, "_rmse", lambda means, ref:
+                        float("nan") if ref is None else next(rmses))
+    cfg = _cfg(model={"name": "scalar_tanh"}, ensemble_size=50,
+               grid={"t0": 0.0, "T": 0.04, "delta": 0.02, "fine_dt": 0.001},
+               filters=[{"kind": "delta_fpf", "gain": "constant"}])
+    cfg.sweep = {"delta": [0.02, 0.01], "seeds": [1]}
+    assert run_delta_sweep(cfg).monotone_counts == {
+        "delta_fpf/constant": monotone}
+
+
 def test_theory_certificates_rows(tmp_path):
     cfg = _cfg(model={"name": "log_concave_ou", "c": 1.0, "c_g": 1.0,
                       "H": [1.0]},
@@ -526,6 +542,50 @@ def test_theory_rows_at_shifted_start(tmp_path):
     assert len(rows) == 4
     assert [r.inputs.split(";t=")[1] for r in rows
             if r.provenance == "lemma42"] == ["1", "1.5", "2"]
+
+
+def test_theory_margins_are_kappa_minus_kappa_emp(monkeypatch):
+    # each lemma42 row against the kappa_emp of its own snapshot, and the
+    # lemma51 row against the largest of the three
+    seen = []
+
+    def recording(dens):
+        seen.append(theory.empirical_poincare_1d(dens))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "empirical_poincare_1d", recording)
+    grid = {"t0": 0.0, "T": 0.2, "delta": 0.01, "fine_dt": 0.001}
+    reference = {"grid_kushner": {"half_width": 6.0, "points": 201}}
+    rows = theory_certificates(_cfg(
+        model={"name": "log_concave_ou", "c": 1.0, "c_g": 1.0, "H": [1.0]},
+        grid=grid, reference=reference, filters=[]))
+    lemma42 = [r for r in rows if r.provenance == "lemma42"]
+    assert [r.kappa_emp for r in lemma42] == seen and len(set(seen)) == 3
+    seen.clear()
+    [lemma51] = theory_certificates(_cfg(model={"name": "scalar_tanh"},
+                                         grid=grid, reference=reference,
+                                         filters=[]))
+    assert lemma51.provenance == "lemma51" and len(set(seen)) == 3
+    assert lemma51.kappa_emp == max(seen)
+    for r in lemma42 + [lemma51]:
+        assert r.margin == r.kappa - r.kappa_emp, r.provenance
+
+
+def test_density_past_the_flux_steps_range_exit_3_naming_it(tmp_path, capsys,
+                                                            recwarn):
+    # the snapshots of A = 700 span 1e-300 to 211, past what the flux step
+    # dx / rh of the inverse iteration can carry: the cause named used to
+    # be NonPositiveDensity, "spectral gap nan not positive"
+    raw = {**BASE, "model": {"name": "linear_gaussian", "A": [[700.0]],
+                             "H": [1.0]},
+           "grid": {"t0": 0.0, "T": 0.02, "delta": 0.01, "fine_dt": 0.001},
+           "init": {"kind": "gaussian", "mean": [0.0], "cov": [[0.5]]}}
+    code, err = _exit_and_field(tmp_path, capsys, raw, "theory")
+    assert code == 3
+    [line] = err.splitlines()
+    assert line.startswith("numerical failure: CertificateFailed: ")
+    assert "[1e-300, 211]" in line
+    assert len(recwarn) == 0
 
 
 def test_theory_without_a_certificate_says_what_each_lemma_lacked(tmp_path,
@@ -661,8 +721,7 @@ def test_clipping_reference_writes_its_count(tmp_path, capsys, recwarn):
 
 def test_failed_certificate_exit_3(tmp_path, capsys, monkeypatch):
     # a Rayleigh certificate that fails is a numerical failure, not a crash
-    monkeypatch.setattr(cli, "empirical_poincare_1d", lambda dens:
-                        theory.empirical_poincare_1d(dens, certify_tol=-1e-3))
+    monkeypatch.setattr(theory, "CERTIFY_TOL", -1e-3)
     raw = {**BASE, **OVERFLOWING_OU, "model": {"name": "log_concave_ou",
                                               "c": 1.0, "c_g": 1.0, "H": [1.0]}}
     code, err = _exit_and_field(tmp_path, capsys, raw, "theory")

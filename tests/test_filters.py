@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flowfilter import gain
+from flowfilter import filters, gain
 from flowfilter.ensemble import density_from_function
 from flowfilter.errors import DimensionError, FilterAborted, ModelMismatch
 from flowfilter.filters import FilterKind, run_filter, step
@@ -296,6 +296,22 @@ def test_degenerate_density_reported_not_fatal():
                       cloud, 0.1, 0.001, np.zeros((100, 2)), eps_floor=1e-4)
     assert diags.get("degenerate_density", 0) > 0.10
     assert out.shape[0] == 100           # step still taken
+
+
+@pytest.mark.parametrize("floor_frac, flagged", [(0.10 + 1e-9, True),
+                                                 (0.10, False),
+                                                 (0.10 - 1e-9, False)])
+def test_degenerate_density_flagged_above_a_tenth(monkeypatch, floor_frac,
+                                                  flagged):
+    # the row reports its floor fraction; step alone draws the line at 0.10
+    x = np.zeros((4, 1))
+    monkeypatch.setattr(filters, "assemble_filter_coefficients",
+                        lambda *args, **opts: CoefficientSet(
+                            np.zeros((4, 1)), np.zeros((1, 1)),
+                            {"floor_frac": floor_frac}))
+    _, diags = step(FilterKind("crisan_xiong"), "integral_1d", _tanh_model(),
+                    x, 0.0, 0.001, x)
+    assert ("degenerate_density" in diags) is flagged
 
 
 def test_healthy_1d_cloud_not_flagged_degenerate():

@@ -476,6 +476,35 @@ def test_fundamental_mc_solves_the_weak_form_identities(seed):
         assert abs(lhs / rhs - 1) <= 0.25, (lhs, rhs)
 
 
+@pytest.mark.parametrize("label", sorted(label for label in TWINS
+                                          if "integral_1d" in ASSEMBLERS[label]))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(mean=st.floats(-1.0, 1.0), spread=st.floats(0.5, 1.5),
+       centre=st.floats(-1.5, 1.5), width=st.floats(0.3, 1.5),
+       seed=st.integers(0, 10_000))
+def test_integral_1d_rows_solve_the_weak_form_identities(label, mean, spread,
+                                                        centre, width, seed):
+    """The 1D form of the identities above on scalar_tanh, N = 2e4, for the
+    bump f = exp(-((x - centre) / width)^2): mean(f' K) = Cov(f, h) and
+    mean(f' a) = -Cov(f, h^2) / 2, each within 5% of its Cauchy-Schwarz
+    scale std(f) std(h) or std(f) std(h^2) / 2 (at most 2.8% over 300
+    drawn clouds and bumps), since a bump can make either side near 0."""
+    model = MODEL_REGISTRY["scalar_tanh"]({})
+    x = mean + spread * CounterStream(seed, label=0).normals(0, (20000, 1))
+    cs = assemble_filter_coefficients(label, x, model, "integral_1d")
+    f = np.exp(-((x[:, 0] - centre) / width) ** 2)
+    f_prime = -2 * (x[:, 0] - centre) / width ** 2 * f
+    h = model.obs(x)
+
+    def cov(u, v):
+        return np.mean(u * v) - u.mean() * v.mean()
+
+    for field, rhs, scale in (
+            (cs.K, cov(f, h), np.std(f) * np.std(h)),
+            (cs.a, -0.5 * cov(f, h * h), 0.5 * np.std(f) * np.std(h * h))):
+        assert abs(np.mean(f_prime * field[:, 0]) - rhs) <= 0.05 * scale
+
+
 # ---------------------------------------------------------------------------
 # assembly
 

@@ -11,7 +11,11 @@ of the example tests (tests/test_filters.py and criterion 2):
 * in 1D fpf_continuous and crisan_continuous agree, within 1e-12;
 * every galerkin row's gain is the Galerkin gain on the linear monomials
   (tests/test_bitwise.py's oracle), within 1e-12 of max|K|;
-* the continuous-time galerkin rows are their constant rows, bitwise."""
+* the continuous-time galerkin rows are their constant rows, bitwise;
+* the delta_fpf galerkin drift is -(h + hbar) K / 2 + grad psi / 2 of the
+  oracle's own solves, within 1e-12 of max|a|;
+* a delta_reich galerkin drift is affine, with a Jacobian made symmetric
+  by its mass matrix, in d = 2 and 3."""
 
 import numpy as np
 import pytest
@@ -225,3 +229,56 @@ def test_continuous_galerkin_rows_are_the_constant_rows(label, case):
         assert repr(galerkin[1]) == repr(constant[1])
     else:
         assert galerkin is constant
+
+
+def _tanh_nd(d):
+    """h = tanh(x_1) + (x_2 + ... + x_d) / 2, on an anisotropic cloud of
+    4000: its Galerkin drifts have nonzero quadratic parts."""
+    def obs_grad(x):
+        g = np.full(x.shape, 0.5)
+        g[:, 0] = 1 / np.cosh(x[:, 0]) ** 2
+        return g
+
+    model = SystemModel(dim=d, drift=lambda x: -x,
+                        obs=lambda x: np.tanh(x[:, 0]) + 0.5 * np.sum(x[:, 1:], axis=1),
+                        obs_grad=obs_grad)
+    mix = np.tril(np.full((d, d), 0.4)) + np.diag(np.linspace(0.6, 0.1, d))
+    return model, CounterStream(d, label=0).normals(0, (4000, d)) @ mix.T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_delta_fpf_galerkin_row_is_its_oracle(d):
+    """a = -(h + hbar) K / 2 + grad psi / 2, with K and psi from the
+    Galerkin oracle's own solves, within 1e-12 of max|a|."""
+    model, x = _tanh_nd(d)
+    row = ASSEMBLERS["delta_fpf"]["galerkin"](x, model)
+    h = model.obs(x)
+    K = oracle_galerkin(x, model, "fpf_phi").at_particles
+    psi = oracle_galerkin(x, model, "fpf_psi", prior_gain=K).at_particles
+    a = -0.5 * K * (h + h.mean())[:, None] + 0.5 * psi
+    assert np.max(np.abs(row.a - a)) <= 1e-12 * np.max(np.abs(a))
+
+
+def _asymmetry(J) -> float:
+    return float(np.max(np.abs(J - J.T)) / np.max(np.abs(J)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reich_galerkin_drift_is_its_mass_matrix_times_a_gradient(d):
+    """A Galerkin Reich drift is M^{-1} grad Omega with Omega quadratic:
+    a is affine in x (M is constant), with a Jacobian J that is symmetric
+    for M = I and whose P^{-1} J is symmetric for M = P^{-1}.  Each form
+    is asymmetric under the other mass matrix, so the two rows cannot
+    pass for each other."""
+    model, x = _tanh_nd(d)
+    P = compute_moments(x, model).cov
+    X = np.column_stack([x, np.ones(len(x))])
+    for label, symmetric, other in (
+            ("delta_reich(identity)", lambda J: J, lambda J: np.linalg.solve(P, J)),
+            ("delta_reich(cov_inverse)", lambda J: np.linalg.solve(P, J), lambda J: J)):
+        a = ASSEMBLERS[label]["galerkin"](x, model).a
+        coef = np.linalg.lstsq(X, a, rcond=None)[0]
+        assert np.max(np.abs(X @ coef - a)) <= 1e-13 * np.max(np.abs(a)), label
+        J = coef[:d].T                  # a_i(x) = sum_j J_ij x_j + c_i
+        assert _asymmetry(symmetric(J)) <= 1e-13, label
+        assert _asymmetry(other(J)) >= 0.1, label

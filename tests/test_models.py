@@ -84,15 +84,14 @@ def test_log_concave_ou_quadratic_drift_and_R():
     m = make_log_concave_ou(spec, [1.0])
     x = np.array([[0.5], [-2.0]])
     np.testing.assert_allclose(m.drift(x), -x, atol=1e-12)
-    report = validate_conditions(m, spec, default_cloud(1))
-    assert all(chk.passed for chk in report.checks)
+    checks = validate_conditions(m, spec, default_cloud(1))
+    assert all(chk.passed for chk in checks)
 
 
 def test_ou_witness_check_at_origin():
     spec = _quadratic_spec(c=1.0)
     m = make_log_concave_ou(spec, [1.0])
-    report = validate_conditions(m, spec, np.array([[0.0]]))
-    c1 = report.checks[0]
+    c1 = validate_conditions(m, spec, np.array([[0.0]]))[0]
     assert c1.name == "C1" and c1.passed
     # hess U = -1 <= -c_u exactly for c_u = 1: zero margin up to FD error
     assert abs(c1.margin) < 1e-6
@@ -105,8 +104,8 @@ def test_stiff_quadratic_potential_passes_c1_and_c3(c):
     # at c = 1e3 and -9.8e-4 at c = 1e4 against an absolute slack of 1e-4
     spec = _quadratic_spec(c=c)
     m = make_log_concave_ou(spec, [1.0])
-    report = validate_conditions(m, spec, default_cloud(1))
-    assert {chk.name: chk.passed for chk in report.checks} == {
+    checks = validate_conditions(m, spec, default_cloud(1))
+    assert {chk.name: chk.passed for chk in checks} == {
         "C1": True, "C2": True, "C3": True, "C4": True}
 
 
@@ -135,8 +134,8 @@ def test_quadratic_family_certifies_cr_2c2():
     for c, H in [(1.0, [1.0]), (0.7, [1.3]), (1.2, [1.0, 0.0])]:
         spec = _quadratic_spec(c=c, c_r=2 * c * c, c_g=1.0, D=c * 10 + 1)
         m = make_log_concave_ou(spec, H)
-        report = validate_conditions(m, spec, default_cloud(m.dim))
-        assert {c.name: c.passed for c in report.checks}["C3"]
+        checks = validate_conditions(m, spec, default_cloud(m.dim))
+        assert {c.name: c.passed for c in checks}["C3"]
 
 
 def test_cubic_drift_fails_linear_growth():
@@ -148,15 +147,14 @@ def test_cubic_drift_fails_linear_growth():
                     obs_grad=lambda x: np.ones_like(x),
                     kind="log_concave_ou", H=np.array([[1.0]]))
     cloud = np.array([[0.0], [1.0], [10.0]])
-    report = validate_conditions(m, spec, cloud)
-    assert not {c.name: c.passed for c in report.checks}["C4"]
+    checks = validate_conditions(m, spec, cloud)
+    assert not {c.name: c.passed for c in checks}["C4"]
 
 
 def test_empty_cloud_is_vacuous():
     spec = _quadratic_spec()
     m = make_log_concave_ou(spec, [1.0])
-    report = validate_conditions(m, spec, np.empty((0, 1)))
-    assert report.vacuous and report.checks == []
+    assert validate_conditions(m, spec, np.empty((0, 1))) == []
 
 
 def test_initial_density_gaussian_validation():

@@ -109,6 +109,17 @@ def test_kappa_delta_reference_value():
     assert b.inputs["kappa_minus"] == pytest.approx(2.0, rel=1e-15)
 
 
+def test_kappa_delta_squares_T_over_delta():
+    # T / delta = 4, where the reference value's T = delta = 1 cannot tell
+    # (T / delta)^2 from T / delta
+    b = kappa_delta(0.5, 1.0, 0.25, 0.5, 0.25, 0.25, 0.1)
+    assert b.constant == pytest.approx(
+        1.5 * np.exp((2 * 0.25 + 0.25) * 1.0 + 2 * 0.5 * 4.0 ** 2 * 0.1),
+        rel=1e-14)
+    assert b.inputs["kappa_minus"] == pytest.approx(1.5 * np.exp(0.5),
+                                                    rel=1e-14)
+
+
 def test_kappa_delta_monotone_in_each_argument():
     rng = np.random.default_rng(9)
     base = dict(kappa0=0.7, T=0.8, L_M=0.4, h_sup=0.5, h2_sup=0.6,
@@ -180,13 +191,14 @@ def test_empirical_poincare_scaling_property():
         assert ratio == pytest.approx(a * a, rel=1e-6)
 
 
-def test_empirical_poincare_failed_certificate_is_typed():
+def test_empirical_poincare_failed_certificate_is_typed(monkeypatch):
     # a negative tolerance asks the Sturm count to find no eigenvalue but
     # the constant mode's below lambda_1 (1 + 1e-3), where lambda_1 is
     dens = _normal_density(1.0, points=801)
     assert empirical_poincare_1d(dens) > 0
+    monkeypatch.setattr(theory, "CERTIFY_TOL", -1e-3)
     with pytest.raises(CertificateFailed, match="Rayleigh"):
-        empirical_poincare_1d(dens, certify_tol=-1e-3)
+        empirical_poincare_1d(dens)
 
 
 def test_empirical_poincare_rejects_nonpositive():
