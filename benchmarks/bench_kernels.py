@@ -14,16 +14,18 @@ rows make one mesh interval's consecutive calls on read-only drift, h and
 w, as the grid Kushner reference does, and the "rows at +N B" rows
 repeat the 2001-point call with every kernel row N bytes past a 64-byte
 boundary.  The "intervals seeded by the deposit" row times
-GridIntervals started from the deposit's cell index against the same
-intervals from its own float estimate.  With --out, the rows and an
+GridIntervals started from the deposit's cell index against the
+searchsorted it stands in for.  With --out, the rows and an
 environment block (backend, Python, numpy and scipy versions, nproc) are
 written to PATH as JSON.
 
 With --base REV, only the rows of base_rows() are timed against REV: the
-numpy Kushner rows of kushner_rows(), as microseconds per substep, and the
+numpy Kushner rows of kushner_rows(), as microseconds per substep, the
 d >= 2 Crisan & Xiong row (assemble_filter_coefficients("crisan_xiong",
 x, model, "fundamental_mc") on 2D clouds of 1000 and 4000), as
-milliseconds per call, through the harness of ab.py, which sets the
+milliseconds per call, and the checked construction Density1D(grid,
+values) of a KDE's unnormalised values on 801 and 2001 points, as
+microseconds per call, through the harness of ab.py, which sets the
 versions, the pinning and the pair order: one child per version (CHILD)
 times a row, and the two take turns on it, N pairs (default 10) per row.
 With --out, each row's samples, quartiles and wins follow the record
@@ -172,6 +174,12 @@ def base_rows() -> dict:
             gain.assemble_filter_coefficients,
             ("crisan_xiong", x, model, "fundamental_mc"), 1, 3, 1e3,
             "numpy_ms_per_call")
+    # the KDE builds one Density1D a step, from values of mass != 1
+    for points in (801, 2001):
+        grid = np.linspace(-6.0, 6.0, points)
+        rows[f"Density1D(grid, values) ({points})"] = (
+            Density1D, (grid, np.exp(-0.5 * grid**2)), 2000, 5, 1e6,
+            "numpy_us_per_call")
     return rows
 
 
@@ -211,9 +219,10 @@ def compare_versions(args):
         for child in children.values():
             child.close()
     ab.write(args, __file__, parent_commit,
-             "microseconds per substep of the numpy Kushner kernel and "
-             "milliseconds per call of the d >= 2 Crisan & Xiong row, best of "
-             "repeated loops per sample, in one pinned child per version",
+             "microseconds per substep of the numpy Kushner kernel, "
+             "milliseconds per call of the d >= 2 Crisan & Xiong row and "
+             "microseconds per Density1D construction, best of repeated "
+             "loops per sample, in one pinned child per version",
              rows=record)
 
 
@@ -272,23 +281,22 @@ def main():
         "cumulative_simpson (801)", gain.cumulative_simpson,
         lambda y, dx: cumulative_simpson(y, dx=dx, initial=0.0),
         (K, grid[1] - grid[0])))
+    # the intervals start from the cell index the KDE deposit binned the
+    # particles by; each call corrects a fresh copy of the index, as a step
+    # corrects its own
+    _, cells = _kernels.deposit_linear_numpy(xs, grid[0], grid[1] - grid[0],
+                                             grid.size)
     rows.append(bench_replacement(
         "interval gather K, a (1e4)",
-        lambda x, g: [gain.GridIntervals(g, x).interp(f) for f in (K, a)],
-        lambda x, g: [np.interp(x, g, f) for f in (K, a)],
-        (xs, grid)))
-    # the same intervals started from the cell index the KDE deposit binned
-    # the particles by, against the float estimate made without it; each
-    # call corrects a fresh copy of the index, as a step corrects its own
-    # (versions whose deposit returns the counts alone skip it)
-    deposited = _kernels.deposit_linear_numpy(xs, grid[0], grid[1] - grid[0],
-                                              grid.size)
-    if isinstance(deposited, tuple):
-        rows.append(bench_replacement(
-            "intervals seeded by the deposit (1e4)",
-            lambda x, g, cells: gain.GridIntervals(g, x, cells.copy()),
-            lambda x, g, cells: gain.GridIntervals(g, x),
-            (xs, grid, deposited[1])))
+        lambda x, g, c: [gain.GridIntervals(g, x, c.copy()).interp(f)
+                         for f in (K, a)],
+        lambda x, g, c: [np.interp(x, g, f) for f in (K, a)],
+        (xs, grid, cells)))
+    rows.append(bench_replacement(
+        "intervals seeded by the deposit (1e4)",
+        lambda x, g, c: gain.GridIntervals(g, x, c.copy()),
+        lambda x, g, c: np.searchsorted(g, x, "right"),
+        (xs, grid, cells)))
 
     if args.out:
         with open(args.out, "w") as fh:

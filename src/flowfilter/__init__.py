@@ -9,7 +9,7 @@ from .filters import FilterKind, FilterRun, run_filter, step
 from .gain import (GainField, assemble_filter_coefficients, continuous_gain,
                    solve_1d_integral, solve_constant_gain,
                    solve_exact_gaussian, solve_galerkin)
-from .models import (InitialDensity, LogConcaveOUSpec, SystemModel,
+from .models import (GaussianLaw, LogConcaveOUSpec, SystemModel,
                      make_linear_gaussian, make_log_concave_ou,
                      validate_conditions)
 from .paths import (ObservationPath, TimeGrid, simulate_observations,

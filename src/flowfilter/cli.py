@@ -33,7 +33,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .filters import FilterKind, FilterRun, Run, run_lockstep
 # bound here only for the tracer in perfbench/layers.py, which wraps it
 from .filters import run_filter  # noqa: F401
 from .gain import ASSEMBLERS, GAIN_OPTS, POSITIVE, TWINS, galerkin_basis_size, in_dimension
-from .models import InitialDensity, LogConcaveOUSpec, SystemModel, \
+from .models import GaussianLaw, LogConcaveOUSpec, SystemModel, \
     make_linear_gaussian, make_log_concave_ou
 from .paths import (ObservationPath, TimeGrid, simulate_observations,
                     simulate_truth, smoothed_path)
@@ -120,7 +120,7 @@ class ExperimentConfig:
     model_name: str
     model_params: dict
     grid: TimeGrid
-    init: InitialDensity
+    init: Union[GaussianLaw, Density1D]
     ensemble_size: int
     filters: list
     seeds: dict
@@ -273,8 +273,15 @@ def parse_config(raw) -> ExperimentConfig:
     if model["name"] == "log_concave_ou" and model["c"] * grid.fine_dt >= 2:
         raise ConfigError("model.c", f"c * grid.fine_dt must be below 2, not "
                           f"{model['c'] * grid.fine_dt:g}")
+    law = dict(cfg["init"])
     try:
-        init = InitialDensity(**cfg["init"])
+        if law.pop("kind") == "gaussian":
+            init = GaussianLaw(**law)
+        else:   # held to unit mass, which Density1D would restore silently
+            init = Density1D(**law)
+            mass = np.trapezoid(np.asarray(law["values"], dtype=float), init.grid)
+            if abs(mass - 1.0) > 1e-10:
+                raise ValueError(f"grid table mass {mass} not within 1e-10 of 1")
     except ValueError as exc:
         raise ConfigError("init", str(exc)) from None
     _check_path_size(grid, init.dim)
@@ -389,9 +396,8 @@ def _init_grid_density(config: ExperimentConfig, points: int) -> Density1D:
     whose CFL step 0.4 dx^2 must split a fine step into a finite number of
     substeps, and the solve into at most MAX_REFERENCE_CELL_UPDATES cell
     updates."""
-    if config.init.kind == "grid_table":
-        where = "init"
-        dens = Density1D(grid=config.init.grid, values=config.init.values)
+    if isinstance(config.init, Density1D):
+        where, dens = "init", config.init
     else:
         where = "reference.grid_kushner"
         half_width = config.reference["grid_kushner"]["half_width"]
@@ -469,7 +475,7 @@ def environment(config: ExperimentConfig) -> dict:
 
 
 def _kalman_bucy_exact(config: ExperimentConfig, model: SystemModel) -> bool:
-    return model.kind == "linear_gaussian" and config.init.kind == "gaussian"
+    return model.kind == "linear_gaussian" and isinstance(config.init, GaussianLaw)
 
 
 def _reference_density(config: ExperimentConfig,
@@ -765,7 +771,7 @@ def theory_certificates(config: ExperimentConfig) -> list:
             margin=trace.floor() - min(c_g, trace.fixed_point)))
 
     if model.obs_sup is not None and model.obs_sq_sup is not None:
-        if config.init.kind == "gaussian":
+        if isinstance(config.init, GaussianLaw):
             kappa0 = float(np.max(np.linalg.eigvalsh(config.init.cov)))
         else:
             kappa0 = empirical_poincare_1d(

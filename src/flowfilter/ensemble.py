@@ -4,22 +4,23 @@ The particles, an (n, d) float array, are the Monte-Carlo surrogate for
 the mean-field conditional law: every filter coefficient is computed from
 its empirical statistics.  Density1D is the other form of that law, a
 density on a uniform 1D grid, shared by the kernel density estimate, the
-grid Kushner reference and the Poincare certificates.  The kernel density
-estimate also returns the grid cell its deposit binned each particle by,
-so the integral gain rows locate the particles on that grid once.
+grid Kushner reference, the Poincare certificates and the grid-table
+initial law.  The kernel density estimate also returns the grid cell its
+deposit binned each particle by, so the integral gain rows locate the
+particles on that grid once.
 Reductions go through numpy's pairwise summation in a fixed order, so
 moments do not depend on how particle work is scheduled.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
 from .errors import DegenerateCloud, DimensionError
-from .models import SystemModel
+from .models import SystemModel, _ndtr
 
 
 @dataclass(frozen=True)
@@ -45,23 +46,42 @@ def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Density1D:
-    """Nonnegative density values on a uniform grid, unit trapezoid mass."""
+    """Nonnegative density values on a uniform grid, unit trapezoid mass;
+    also a 1D initial law (dim, sample), as models.GaussianLaw is.
+
+    ValueError unless the grid is 1D, of 2 points or more, finite, strictly
+    increasing and uniform (the range of its spacing within 1e-9 of the
+    least: every grid solver takes grid[1] - grid[0] as the spacing), and
+    the values are finite, nonnegative and of the grid's shape.
+    """
 
     grid: np.ndarray
     values: np.ndarray
+    spacing: np.ndarray = field(init=False, repr=False, compare=False)
+    dim = 1                 # not a field: the dimension of an initial law
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if np.any(v < 0):
+        if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
+            raise ValueError(f"a grid density needs a 1D grid of 2 points or "
+                             f"more and a value per point, not {v.shape} "
+                             f"on {g.shape}")
+        spacing = g[1:] - g[:-1]
+        lo = spacing.min()      # a NaN or an infinity in g fails the test too
+        if not (lo > 0 and spacing.max() - lo <= 1e-9 * lo):
+            raise ValueError("the grid must be finite, strictly increasing "
+                             "and uniform")
+        if not v.min() >= 0:        # NaN fails it too
             raise ValueError("density values must be nonnegative")
-        mass = _trapezoid(v, g[1:] - g[:-1])
-        if mass <= 0:
-            raise ValueError("density has no mass on the grid")
+        mass = _trapezoid(v, spacing)       # infinite for an infinite value
+        if not 0 < mass < math.inf:
+            raise ValueError(f"density mass {mass} is not positive and finite")
         if abs(mass - 1.0) > 1e-8:
             v = v / mass
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "spacing", spacing)
 
     @property
     def dx(self) -> float:
@@ -74,11 +94,19 @@ class Density1D:
         return w
 
     def mean(self) -> float:
-        return _trapezoid(self.grid * self.values, np.diff(self.grid))
+        return _trapezoid(self.grid * self.values, self.spacing)
 
     def var(self) -> float:
-        g = self.grid
-        return _trapezoid((g - self.mean()) ** 2 * self.values, np.diff(g))
+        return _trapezoid((self.grid - self.mean()) ** 2 * self.values,
+                          self.spacing)
+
+    def sample(self, n: int, normals: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws (n, 1) to draws from the density, by
+        the inverse of its trapezoid CDF."""
+        cdf = np.concatenate([[0.0], np.cumsum(
+            0.5 * (self.values[1:] + self.values[:-1]) * self.spacing)])
+        cdf /= cdf[-1]
+        return np.interp(_ndtr(normals[:, 0]), cdf, self.grid).reshape(n, 1)
 
 
 def compute_moments(x: np.ndarray, model: SystemModel,

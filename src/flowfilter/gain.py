@@ -122,20 +122,15 @@ class GridIntervals:
 
     j is searchsorted(grid, x, "right") - 1 held to [0, G - 2]: an
     estimate in [0, G - 2] within one of it, corrected by one against the
-    grid values.  The estimate is cells when given, the cell index the KDE
-    deposit binned x by (ensemble.kde_density_1d), which this corrects in
-    place; otherwise the float floor((x - g_0) / dx) on the uniform grid.
+    grid values.  The estimate is cells, the cell index the KDE deposit
+    binned x by (ensemble.kde_density_1d), which this corrects in place.
     interp(fp) is np.interp(x, grid, fp) bit for bit on finite inputs (up
     to the sign of a zero at an exact grid hit): slope_j (x - g_j) + fp_j,
     fp_0 below the grid and fp_-1 from its last point on.
     """
 
-    def __init__(self, grid: np.ndarray, x: np.ndarray,
-                 cells: Optional[np.ndarray] = None):
+    def __init__(self, grid: np.ndarray, x: np.ndarray, cells: np.ndarray):
         G = grid.shape[0]
-        if cells is None:
-            pos = (x - grid[0]) * ((G - 1) / (grid[-1] - grid[0]))
-            cells = np.clip(pos, 0, G - 2, out=pos).astype(np.intp)
         j = cells
         # the estimate is rarely off, so each correction indexes only the
         # points it moves: down past g_j, then up past g_j+1
@@ -187,7 +182,7 @@ def _integral_fields(density: Density1D, model: SystemModel, rhs_kinds,
     g = density.grid
     rho = density.values
     dx = density.dx
-    spacing = g[1:] - g[:-1]
+    spacing = density.spacing
     h = model.obs(g.reshape(-1, 1))
     rho_f = np.maximum(rho, eps_floor)
     # density mass below the floor, not the share of (mostly tail) grid points
@@ -239,7 +234,7 @@ def solve_1d_integral(density: Density1D, model: SystemModel, rhs_kind: str,
     at = None
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
-        at = GridIntervals(density.grid, xs).interp(gain_grid).reshape(-1, 1)
+        at = np.interp(xs, density.grid, gain_grid).reshape(-1, 1)
     return GainField(at_particles=at, gain_grid=gain_grid,
                      diagnostics=diagnostics)
 

@@ -91,68 +91,33 @@ class LogConcaveOUSpec:
 
 
 @dataclass(frozen=True)
-class InitialDensity:
-    """Initial law: Gaussian or a 1D grid table."""
+class GaussianLaw:
+    """The Gaussian initial law N(mean, cov); a 1D table is a Density1D."""
 
-    kind: str                       # "gaussian" | "grid_table"
-    mean: Optional[np.ndarray] = None
-    cov: Optional[np.ndarray] = None
-    grid: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
+    mean: np.ndarray
+    cov: np.ndarray
 
     def __post_init__(self):
-        if self.kind == "gaussian":
-            m = np.atleast_1d(np.asarray(self.mean, dtype=float))
-            c = np.atleast_2d(np.asarray(self.cov, dtype=float))
-            if m.ndim != 1 or c.shape != (m.size, m.size):
-                raise ValueError(f"gaussian mean of shape {m.shape} needs a "
-                                 f"square covariance of its size, not {c.shape}")
-            if not np.allclose(c, c.T, atol=1e-12):
-                raise ValueError("gaussian covariance must be symmetric")
-            if np.any(np.linalg.eigvalsh(c) <= 0):
-                raise ValueError("gaussian covariance must be positive definite")
-            object.__setattr__(self, "mean", m)
-            object.__setattr__(self, "cov", c)
-        elif self.kind == "grid_table":
-            g = np.asarray(self.grid, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
-                raise ValueError(f"grid table needs one value per point of a 1D "
-                                 f"grid of at least 2 points, not {v.shape} "
-                                 f"on {g.shape}")
-            # the grid solvers take grid[1] - grid[0] as the spacing
-            dg = np.diff(g)
-            if not (np.all(np.isfinite(g)) and np.all(dg > 0)
-                    and np.max(np.abs(dg - dg[0])) <= 1e-9 * dg[0]):
-                raise ValueError("grid table grid must be strictly increasing "
-                                 "and uniform")
-            if not np.all(v >= 0):
-                raise ValueError("grid table values must be nonnegative")
-            mass = np.trapezoid(v, g)
-            if abs(mass - 1.0) > 1e-10:
-                raise ValueError(f"grid table mass {mass} not within 1e-10 of 1")
-            object.__setattr__(self, "grid", g)
-            object.__setattr__(self, "values", v)
-        else:
-            raise ValueError(f"unknown initial density kind {self.kind!r}")
+        m = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        c = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if m.ndim != 1 or c.shape != (m.size, m.size):
+            raise ValueError(f"gaussian mean of shape {m.shape} needs a "
+                             f"square covariance of its size, not {c.shape}")
+        if not np.allclose(c, c.T, atol=1e-12):
+            raise ValueError("gaussian covariance must be symmetric")
+        if np.any(np.linalg.eigvalsh(c) <= 0):
+            raise ValueError("gaussian covariance must be positive definite")
+        object.__setattr__(self, "mean", m)
+        object.__setattr__(self, "cov", c)
 
     @property
     def dim(self) -> int:
-        return 1 if self.kind == "grid_table" else self.mean.shape[0]
+        return self.mean.shape[0]
 
     def sample(self, n: int, normals: np.ndarray) -> np.ndarray:
-        """Map standard-normal draws (n, dim) to samples from the density.
-
-        Grid tables use inverse-CDF transform of the first column.
-        """
-        if self.kind == "gaussian":
-            chol = np.linalg.cholesky(self.cov)
-            return self.mean[None, :] + normals @ chol.T
-        cdf = np.concatenate([[0.0], np.cumsum(
-            0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid))])
-        cdf /= cdf[-1]
-        u = _ndtr(normals[:, 0])
-        return np.interp(u, cdf, self.grid).reshape(n, 1)
+        """Map standard-normal draws (n, dim) to draws from the law."""
+        chol = np.linalg.cholesky(self.cov)
+        return self.mean[None, :] + normals @ chol.T
 
 
 _SQRT_HALF = math.sqrt(0.5)

@@ -30,6 +30,9 @@ class TimeGrid:
     delta: float
 
     def __post_init__(self):
+        if not self.t_end >= self.t0:       # t_end = t0 makes no steps
+            raise ValueError(f"t_end={self.t_end} must not be before "
+                             f"t0={self.t0}")
         if self.fine_dt <= 0 or self.delta <= 0:
             raise ValueError("fine_dt and delta must be positive")
         spm = self.delta / self.fine_dt

@@ -82,8 +82,8 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
     bound and renormalised to unit mass after every fine step.  Returns
     (means, vars, snapshots, clip_count): moments at every mesh point and
     the Density1D at each requested mesh index (0 = the initial density).
-    Raises NonFiniteState, with the fine step and no numpy warning first,
-    at the first mesh point whose mean is not finite."""
+    Raises NonFiniteState, with the fine step and no numpy warning or
+    ValueError first, at the first mesh point whose density is not finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nsub = substeps_per_fine_step(dens, fine_dt)
         dt_sub = fine_dt / nsub
@@ -109,11 +109,11 @@ def run_grid_kushner(dens: Density1D, model: SystemModel,
                 theta, nclip = _kernels.kushner_substeps(
                     theta, drift_g, h_g, w, dens.dx, dt_sub, nsub, slope)
                 nclip_total += int(nclip)     # a Python int for report.json
-            cur = Density1D(grid=dens.grid, values=theta)
-            means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
-            if not np.isfinite(means[m + 1]):
+            if not np.isfinite(theta).all():
                 raise NonFiniteState((m + 1) * steps_per_mesh,
                                      "grid Kushner reference density")
+            cur = Density1D(grid=dens.grid, values=theta)
+            means[m + 1], vars_[m + 1] = cur.mean(), cur.var()
             if (m + 1) in snapshot_slots:
                 snapshots[m + 1] = cur
     return means, vars_, snapshots, nclip_total

@@ -70,6 +70,16 @@ MUTANTS = {
         "filters.py", 'diags.get("floor_frac", 0.0) > 0.10',
         'diags.get("floor_frac", 0.0) > 0.50',
         ["tests/test_filters.py::test_degenerate_density_flagged_above_a_tenth"]),
+    "density_uniform_to_1e-3": (
+        "ensemble.py", "1e-9 * lo", "1e-3 * lo",
+        ["tests/test_ensemble.py::test_density1d_refuses_a_non_uniform_grid"]),
+    "density_values_above_minus_one": (
+        "ensemble.py", "v.min() >= 0", "v.min() > -1",
+        ["tests/test_ensemble.py::"
+         "test_density1d_refuses_what_no_grid_solver_reads"]),
+    "table_mass_to_1e-6": (
+        "cli.py", "abs(mass - 1.0) > 1e-10", "abs(mass - 1.0) > 1e-6",
+        ["tests/test_cli.py::test_grid_table_init_off_unit_mass_exit_2"]),
     "monotone_slack_1e-3": (
         "cli.py", "np.diff(arr) <= 1e-15", "np.diff(arr) <= 1e-3",
         ["tests/test_cli.py::"

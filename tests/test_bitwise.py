@@ -38,7 +38,7 @@ from flowfilter import _kernels
 from flowfilter.ensemble import Density1D, compute_moments, kde_density_1d
 from flowfilter.errors import DegenerateCloud, IllConditioned, UnresolvedTail
 from flowfilter.gain import (ASSEMBLERS, EPS_RHO, RIDGE, GainField,
-                             GridIntervals, assemble_filter_coefficients,
+                             assemble_filter_coefficients,
                              cumulative_simpson, solve_1d_integral,
                              solve_constant_gain, solve_galerkin,
                              unit_sphere_area)
@@ -184,7 +184,7 @@ def oracle_integral(density, model, rhs_kind, particles=None,
     at = None
     if particles is not None:
         xs = np.asarray(particles, dtype=float).reshape(-1)
-        at = GridIntervals(g, xs).interp(gain_grid).reshape(-1, 1)
+        at = np.interp(xs, g, gain_grid).reshape(-1, 1)
     return GainField(at_particles=at, gain_grid=gain_grid,
                      diagnostics={"residual": resid, **diagnostics})
 
@@ -432,10 +432,10 @@ def test_solve_1d_integral_matches_oracle_bitwise(data, x, opts, rhs_kind):
         row = ASSEMBLERS["fpf_continuous"]["integral_1d"]
         cs = row(x, model, kde_opts=opts, eps_floor=kw["eps_floor"])
         old = oracle_integral(density, model, "fpf_phi", eps_floor=kw["eps_floor"])
-        cells = GridIntervals(density.grid, x[:, 0])
-        K = cells.interp(old.gain_grid).reshape(-1, 1)
-        ito = 0.5 * cells.interp(np.gradient(old.gain_grid, density.dx)
-                                 * old.gain_grid).reshape(-1, 1)
+        K = np.interp(x[:, 0], density.grid, old.gain_grid).reshape(-1, 1)
+        ito = 0.5 * np.interp(x[:, 0], density.grid,
+                              np.gradient(old.gain_grid, density.dx)
+                              * old.gain_grid).reshape(-1, 1)
         h = model.obs(x)
         assert _same(cs.K, K)
         assert _same(cs.a, ito + -0.5 * K * (h + h.mean())[:, None])

@@ -614,7 +614,7 @@ def _grid_table(points=81, half=4.0):
 
 
 def test_grid_table_init_run_and_theory_exit_0(tmp_path):
-    # the JSON lists used to reach InitialDensity.sample: TypeError, exit 1
+    # the JSON lists used to reach the table's sample: TypeError, exit 1
     raw = copy.deepcopy(BASE)
     raw["model"] = {"name": "log_concave_ou", "c": 1.0, "H": [1.0]}
     raw["init"] = _grid_table()
@@ -644,6 +644,19 @@ def test_grid_table_init_malformed_exit_2(tmp_path):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps({**BASE, "init": init}))
         assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("mass", [2.0, 1.0 + 1e-7])
+def test_grid_table_init_off_unit_mass_exit_2(tmp_path, mass):
+    # a Density1D renormalises; a table from the config is held to 1e-10
+    init = _grid_table()
+    init["values"] = [mass * v for v in init["values"]]
+    with pytest.raises(ConfigError, match="mass") as err:
+        _cfg(init=init)
+    assert err.value.field == "init"
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps({**BASE, "init": init}))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
 
 def test_main_exit_codes(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flowfilter.ensemble import (compute_moments, density_from_function,
-                                 kde_density_1d)
+from flowfilter.ensemble import (Density1D, compute_moments,
+                                 density_from_function, kde_density_1d)
 from flowfilter.errors import DegenerateCloud
 from flowfilter.models import SystemModel, make_linear_gaussian
 
@@ -122,6 +122,54 @@ def test_density_from_function_moments():
         half_width=10.0)
     assert dens.mean() == pytest.approx(1.0, abs=1e-9)
     assert dens.var() == pytest.approx(1.0, abs=1e-9)
+
+
+def _normal_on(g):
+    return np.exp(-g**2 / 2) / np.sqrt(2 * np.pi)
+
+
+def test_density1d_refuses_a_non_uniform_grid():
+    # every grid solver reads the spacing as grid[1] - grid[0]: on this
+    # 401-point grid over +-6, whose spacing runs from dx/2 at 0 to 2 dx at
+    # the ends, a standard normal once gave empirical_poincare_1d 9.37 (1
+    # on the uniform grid) and trapz_weights a mass of 3.34
+    u = np.linspace(-1.0, 1.0, 401)
+    g = 6.0 * (0.5 * u + 0.5 * u**3)
+    with pytest.raises(ValueError, match="uniform"):
+        Density1D(grid=g, values=_normal_on(g))
+    # a point moved by 1e-6 of the spacing breaks the 1e-9 rule
+    g = np.linspace(-6.0, 6.0, 401)
+    g[200] += 1e-6 * (g[1] - g[0])
+    with pytest.raises(ValueError, match="uniform"):
+        Density1D(grid=g, values=_normal_on(g))
+
+
+@pytest.mark.parametrize("grid, values", [
+    (np.linspace(6.0, -6.0, 401), _normal_on(np.linspace(6.0, -6.0, 401))),
+    (np.array([-1.0, 0.0, np.nan, 2.0]), np.ones(4)),
+    (np.array([-1.0, 0.0, 1.0, np.inf]), np.ones(4)),
+    (np.linspace(-1.0, 1.0, 5), np.array([0.5, 1.0, np.nan, 1.0, 0.5])),
+    (np.linspace(-1.0, 1.0, 5), np.array([0.5, 1.0, np.inf, 1.0, 0.5])),
+    (np.linspace(-1.0, 1.0, 5), np.array([0.5, 1.0, -1e-12, 1.0, 0.5])),
+    (np.linspace(-1.0, 1.0, 5), np.zeros(5)),
+    ([0.0, 1.0, 2.0], [1.0, 1.0]),
+    (np.linspace(-1.0, 1.0, 6).reshape(2, 3), np.ones((2, 3))),
+    ([0.0], [1.0]),
+], ids=["decreasing", "nan_grid", "inf_grid", "nan_value", "inf_value",
+        "negative_value", "no_mass", "short_values", "2d_grid", "one_point"])
+def test_density1d_refuses_what_no_grid_solver_reads(grid, values):
+    with pytest.raises(ValueError):
+        Density1D(grid=grid, values=values)
+
+
+@pytest.mark.parametrize("half, points", [(1e-3, 3), (6.0, 801), (6.0, 2001),
+                                          (1e5, 4001), (1e200, 101)])
+def test_density1d_takes_linspace_grids(half, points):
+    # the grids the KDE and the references build
+    g = np.linspace(-half, half, points)
+    dens = Density1D(grid=g, values=np.exp(-0.5 * (g / half) ** 2))
+    assert dens.spacing.tobytes() == np.diff(g).tobytes()
+    assert abs(np.trapezoid(dens.values, g) - 1.0) <= 1e-8
 
 
 def test_rbar_identity_constant_gain_linear_h():

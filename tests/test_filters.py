@@ -286,15 +286,17 @@ def test_particle_count_constant_no_resampling():
 
 
 def test_degenerate_density_reported_not_fatal():
-    # a cloud where >10% of particles sit in a region of negligible density
+    # a dense core of 80 particles and 20 outliers scattered over [-50, 50]^2:
+    # the outliers, but not the core, sit where the KDE is below the floor
     rng = np.random.default_rng(37)
-    main = rng.standard_normal((80, 2)) * 0.1
-    outliers = 500.0 + rng.standard_normal((20, 2)) * 0.1
-    cloud = np.vstack([main, outliers])
+    core = rng.standard_normal((80, 2)) * 0.1
+    outliers = rng.uniform(-50.0, 50.0, (20, 2))
+    cloud = np.vstack([core, outliers])
     model = make_linear_gaussian(np.zeros((2, 2)), [1.0, 0.0])
     out, diags = step(FilterKind("crisan_xiong"), "fundamental_mc", model,
                       cloud, 0.1, 0.001, np.zeros((100, 2)), eps_floor=1e-4)
-    assert diags.get("degenerate_density", 0) > 0.10
+    assert 0.10 < diags["floor_frac"] < 1.0
+    assert diags["degenerate_density"] == diags["floor_frac"]
     assert out.shape[0] == 100           # step still taken
 
 

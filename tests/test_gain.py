@@ -228,7 +228,8 @@ def test_grid_intervals_match_np_interp_bitwise():
         x[200:300] = np.nextafter(grid[hits[:100]], np.inf)
         x[300:400] = np.nextafter(grid[hits[:100]], -np.inf)
         x[400:402] = grid[0], grid[-1]
-        ours = GridIntervals(grid, x).interp(fp)
+        _, cells = _kernels.deposit_linear_numpy(x, grid[0], grid[1] - grid[0], G)
+        ours = GridIntervals(grid, x, cells).interp(fp)
         assert ours.tobytes() == np.interp(x, grid, fp).tobytes(), G
 
 
@@ -236,8 +237,9 @@ def test_grid_intervals_match_np_interp_bitwise():
 @given(seed=st.integers(0, 2**32 - 1), G=st.integers(3, 1500),
        lo=st.floats(-50.0, 50.0), span=st.floats(1e-3, 200.0))
 def test_grid_intervals_seeded_by_the_deposit_match_bitwise(seed, G, lo, span):
-    # the KDE's cell index as the estimate gives the intervals of the float
-    # estimate, bit for bit, at the points where rounding decides them
+    # the KDE's cell index as the estimate gives searchsorted's intervals
+    # and np.interp's offsets, bit for bit, at the points where rounding
+    # decides them
     rng = np.random.default_rng(seed)
     grid = np.linspace(lo, lo + span, G)
     nodes = grid[rng.integers(0, G, 300)]
@@ -251,12 +253,10 @@ def test_grid_intervals_seeded_by_the_deposit_match_bitwise(seed, G, lo, span):
     # the loop numba compiles, run as Python, bins by the same index
     _, loop_cells = _kernels._deposit_linear_impl(x, grid[0], grid[1] - grid[0], G)
     assert loop_cells.tobytes() == cells.tobytes()
-    seeded, plain = GridIntervals(grid, x, cells), GridIntervals(grid, x)
-    for name in ("j", "offset", "below", "above"):
-        a, b = getattr(seeded, name), getattr(plain, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    seeded = GridIntervals(grid, x, cells)
     j = np.clip(np.searchsorted(grid, x, "right") - 1, 0, G - 2)
     assert seeded.j.tobytes() == j.tobytes()
+    assert seeded.offset.tobytes() == (x - grid[j]).tobytes()
     assert seeded.below.tolist() == (x < grid[0]).nonzero()[0].tolist()
     assert seeded.above.tolist() == (x >= grid[-1]).nonzero()[0].tolist()
 

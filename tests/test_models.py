@@ -4,7 +4,8 @@ from helpers import check_gradient
 from scipy.special import ndtr
 
 from flowfilter.errors import CertificateFailed, ConditionViolation
-from flowfilter.models import (InitialDensity, LogConcaveOUSpec, SystemModel,
+from flowfilter.ensemble import Density1D
+from flowfilter.models import (GaussianLaw, LogConcaveOUSpec, SystemModel,
                                _ndtr, default_cloud, make_linear_gaussian,
                                make_log_concave_ou, validate_conditions)
 
@@ -157,24 +158,27 @@ def test_empty_cloud_is_vacuous():
     assert validate_conditions(m, spec, np.empty((0, 1))) == []
 
 
-def test_initial_density_gaussian_validation():
+def test_gaussian_law_validation():
     with pytest.raises(ValueError):
-        InitialDensity(kind="gaussian", mean=[0.0], cov=[[-1.0]])
-    density = InitialDensity(kind="gaussian", mean=[1.0], cov=[[0.5]])
+        GaussianLaw(mean=[0.0], cov=[[-1.0]])
+    density = GaussianLaw(mean=[1.0], cov=[[0.5]])
     draws = density.sample(5000, np.random.default_rng(0).normal(size=(5000, 1)))
     assert abs(draws.mean() - 1.0) < 0.05
     assert abs(draws.var(ddof=1) - 0.5) < 0.05
 
 
-def test_initial_density_grid_table_mass():
+def test_grid_table_sample_is_the_inverse_cdf():
     g = np.linspace(-5, 5, 801)
     v = np.exp(-g**2 / 2) / np.sqrt(2 * np.pi)
-    with pytest.raises(ValueError):
-        InitialDensity(kind="grid_table", grid=g, values=2 * v)
+    # a table of mass 2 is renormalised, so it draws what the unit one does
+    doubled = Density1D(grid=g, values=2 * v)
     v = v / np.trapezoid(v, g)
-    d = InitialDensity(kind="grid_table", grid=g, values=v)
-    draws = d.sample(4000, np.random.default_rng(1).normal(size=(4000, 1)))
-    assert abs(draws.mean()) < 0.06
+    d = Density1D(grid=g, values=v)
+    assert d.dim == 1
+    normals = np.random.default_rng(1).normal(size=(4000, 1))
+    assert doubled.sample(4000, normals).tobytes() == \
+        d.sample(4000, normals).tobytes()
+    assert abs(d.sample(4000, normals).mean()) < 0.06
 
 
 def test_ndtr_matches_scipy_to_last_bits():
@@ -187,12 +191,12 @@ def test_ndtr_matches_scipy_to_last_bits():
     assert np.isnan(_ndtr(np.array([np.nan]))[0])
 
 
-def test_initial_density_grid_table_from_lists():
+def test_grid_table_from_lists():
     # a config hands the table over as JSON lists
     g = np.linspace(-5, 5, 801)
     v = np.exp(-g**2 / 2)
     v = v / np.trapezoid(v, g)
-    d = InitialDensity(kind="grid_table", grid=g.tolist(), values=v.tolist())
+    d = Density1D(grid=g.tolist(), values=v.tolist())
     assert d.grid.dtype == d.values.dtype == np.float64
     draws = d.sample(4000, np.random.default_rng(1).normal(size=(4000, 1)))
     assert abs(draws.mean()) < 0.06
@@ -202,5 +206,4 @@ def test_initial_density_grid_table_from_lists():
     negative[400] = -negative[400]
     for grid, values in [(uneven, v), (g[::-1], v), (g, negative), (g, v[1:])]:
         with pytest.raises(ValueError):
-            InitialDensity(kind="grid_table", grid=grid.tolist(),
-                           values=values.tolist())
+            Density1D(grid=grid.tolist(), values=values.tolist())

@@ -26,6 +26,15 @@ def test_time_grid_alignment_checks():
     assert (g.n_fine, g.n_mesh, g.steps_per_mesh) == (1000, 100, 10)
 
 
+@pytest.mark.parametrize("t_end", [-1.0, -0.01, np.nan])
+def test_time_grid_refuses_a_horizon_before_t0(t_end):
+    # TimeGrid(0, -1, 0.001, 0.01) had n_mesh -100 and n_fine -1000
+    with pytest.raises(ValueError, match="t_end"):
+        TimeGrid(t0=0.0, t_end=t_end, fine_dt=0.001, delta=0.01)
+    # a zero horizon is a grid of no steps
+    assert TimeGrid(0.0, 0.0, 0.001, 0.01).n_fine == 0
+
+
 def test_increments_are_scaled_normals_one_draw_per_step(monkeypatch):
     stream, dt, first = CounterStream(7, label=3), 0.004, 11
     calls = []
